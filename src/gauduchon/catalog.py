@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .errors import BadParams, UnknownFamily
+from .errors import BadParams, UnknownFamily, ensure
 from .forms import Form, conj_rank, holo_rank
 from .hermitian import Metric
 from .linalg import mat_det
@@ -453,7 +453,7 @@ def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) ->
         t = Fraction(params)
         red = Reduced6Params(rho=1, B=ONE, x=Fraction(1) / t, y=Fraction(0))
         out = closed_form_scalars("reduced6", red, metric)
-        assert out["K"] == 2 - 2 / t
+        ensure(out["K"] == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
         return out
     if family == "nonnilpotent6":
         if metric is None:

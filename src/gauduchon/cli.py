@@ -14,14 +14,29 @@ import sys
 from fractions import Fraction
 
 from . import catalog, dsl, sasakian, search, verify
-from .errors import BadParams, DslSyntaxError, GauduchonError, UnknownFamily
+from .errors import (
+    BadK,
+    BadParams,
+    DimensionMismatch,
+    DslSyntaxError,
+    GauduchonError,
+    UnknownFamily,
+)
 from .hermitian import Metric, classify
-from .scalars import ComplexRational, format_rational
 from .search import parse_target
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def _load_structure(path: str):
@@ -34,15 +49,7 @@ def _load_structure(path: str):
 
 def _load_metric(path: str) -> Metric:
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    x = [
-        [
-            ComplexRational(Fraction(cell["re"]), Fraction(cell["im"]))
-            for cell in row
-        ]
-        for row in spec["X"]
-    ]
-    return Metric(x)
+        return dsl.metric_from_json(json.load(fh))
 
 
 def _load_contact(path: str) -> sasakian.ContactData:
@@ -102,12 +109,11 @@ def cmd_search(args) -> int:
         f"gauduchon search --structure {args.structure} --target {args.target}"
         f" --budget {args.budget} --seed {args.seed}"
     )
-    text = _dump(outcome.to_json())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if family is not None:
+        outcome.replay += f" --family {family}"
+    if args.family_params:
+        outcome.replay += " --family-params " + " ".join(args.family_params)
+    _write(_dump(outcome.to_json()) + "\n", args.out)
     return 0
 
 
@@ -128,11 +134,7 @@ def cmd_catalog(args) -> int:
             else catalog.heisenberg5_contact()
         )
         text = _dump(sasakian.contact_to_json(contact)) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        _write(text, args.out)
         return 0
     params = {}
     for item in args.param or []:
@@ -145,11 +147,7 @@ def cmd_catalog(args) -> int:
             params[key] = dsl.parse_complex_literal(value)
     se = catalog.build(name, **params)
     text = dsl.format_structure(se)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(text, args.out)
     return 0
 
 
@@ -158,16 +156,7 @@ def cmd_bundle_extend(args) -> int:
     ext = sasakian.bundle_extend(contact)
     payload = {
         "structure_dsl": dsl.format_structure(ext.structure),
-        "metric": {
-            "n": ext.metric.n,
-            "X": [
-                [
-                    {"re": format_rational(v.re), "im": format_rational(v.im)}
-                    for v in row
-                ]
-                for row in ext.metric.x
-            ],
-        },
+        "metric": dsl.metric_to_json(ext.metric),
         "criterion_form": dsl.real_form_to_json(ext.criterion_form),
         "criterion_scalar": str(ext.criterion_scalar),
     }
@@ -252,7 +241,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DslSyntaxError, BadParams, UnknownFamily) as exc:
+    except (DslSyntaxError, BadParams, UnknownFamily, DimensionMismatch, BadK,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GauduchonError as exc:

@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .errors import DslSyntaxError
+from .errors import DimensionMismatch, DslSyntaxError
 from .forms import Form, conj_rank, format_form, holo_rank
+from .hermitian import Metric
 from .scalars import ComplexRational, format_rational
 from .structures import StructureEquations
 
@@ -352,3 +353,25 @@ def real_form_from_json(spec) -> Form:
             ComplexRational(Fraction(term["coef"])),
         )
     return out
+
+
+def metric_to_json(metric: Metric) -> dict:
+    """{"n": n, "X": rows of {"re", "im"} rational strings}."""
+    return {
+        "n": metric.n,
+        "X": [
+            [{"re": format_rational(v.re), "im": format_rational(v.im)} for v in row]
+            for row in metric.x
+        ],
+    }
+
+
+def metric_from_json(spec) -> Metric:
+    if "n" in spec and int(spec["n"]) != len(spec["X"]):
+        raise DimensionMismatch(f"metric has n = {spec['n']} but {len(spec['X'])} rows")
+    return Metric(
+        [
+            [ComplexRational(Fraction(cell["re"]), Fraction(cell["im"])) for cell in row]
+            for row in spec["X"]
+        ]
+    )

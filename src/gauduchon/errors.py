@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class GauduchonError(Exception):
     """Base class for all library errors."""
@@ -80,3 +82,19 @@ class BadT(GauduchonError):
 
 class NotQuasiSasakian(GauduchonError):
     """Contact data fails one of the quasi-Sasakian compatibility checks."""
+
+
+class ClaimFailure(GauduchonError):
+    """A checked identity or invariant failed to hold."""
+
+
+def ensure(cond, msg=None) -> None:
+    """Raise ClaimFailure unless cond holds; unlike assert, kept by ``python -O``.
+
+    msg becomes text only on failure; without one it names the caller's line.
+    """
+    if not cond:
+        if msg is None:
+            caller = sys._getframe(1)
+            msg = f"{caller.f_code.co_name}, line {caller.f_lineno}"
+        raise ClaimFailure(str(msg))

@@ -198,9 +198,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __xor__(self, other: "Form") -> "Form":
-        return wedge(self, other)
-
     def map_coefficients(self, fn: Callable) -> "Form":
         return Form(self.degree, {m: fn(c) for m, c in self.terms.items()})
 
@@ -261,15 +258,6 @@ def wedge(a: Form, b: Form) -> Form:
             acc = terms.get(mon)
             terms[mon] = c if acc is None else acc + c
     return Form(a.degree + b.degree, terms)
-
-
-def wedge_all(factors: Iterable[Form]) -> Form:
-    out = Form.scalar(1)
-    for f in factors:
-        out = wedge(out, f)
-        if out.is_zero:
-            return out
-    return out
 
 
 def substitute(f: Form, table: Dict[int, Form]) -> Form:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, Optional
 
 from . import linalg
-from .errors import BadK, NotPositive, NotSkewHermitian
+from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
 from .forms import Form, Monomial, conj_rank, holo_rank, substitute, wedge
 from .scalars import I, ONE, ZERO, ComplexRational, cr
 from .structures import StructureEquations
@@ -130,34 +131,77 @@ def sigma_monomial(n: int) -> Monomial:
 
 def top_coefficient(f: Form, n: int) -> ComplexRational:
     """Coefficient of an (n,n)-form on the canonical top monomial."""
-    if f.is_zero:
-        return ZERO
     return f.terms.get(sigma_monomial(n), ZERO)
 
 
 def omega_power(omega: Form, k: int) -> Form:
-    out = Form.scalar(1)
-    for _ in range(k):
+    """Omega^k; Omega^0 is the exact constant 1."""
+    out = omega if k else Form.scalar(1)
+    for _ in range(k - 1):
         out = wedge(out, omega)
     return out
 
 
 def volume_coefficient(metric: Metric) -> ComplexRational:
     """coeff(Omega^n) = n! i^n det(-iX); positive metrics have det(-iX) > 0."""
-    n = metric.n
-    fact = 1
-    for j in range(2, n + 1):
-        fact *= j
-    return cr(fact) * I**n * cr(metric.det_minus_i_x())
+    return cr(factorial(metric.n)) * I**metric.n * cr(metric.det_minus_i_x())
+
+
+class GauduchonForms:
+    """Omega powers, ddbar(Omega^k) and the k-th Gauduchon forms of one metric.
+
+    The one computation path for every Gauduchon quantity.  Each power,
+    ddbar(Omega^k) and form is built once, on first use, so indices share
+    them and powers go only up to max(k, n-k-1); for k = n-1 the form is
+    ddbar(Omega^{n-1}) itself.  ``omega`` swaps in a builtin-complex copy of
+    the fundamental form over a structure converted the same way (the
+    search's float screen); only ``numerator`` and ``gamma`` are exact-only.
+    """
+
+    def __init__(self, metric: Metric, se: StructureEquations, omega: Optional[Form] = None):
+        if metric.n != se.n:
+            raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
+        self.metric = metric
+        self.se = se
+        self.n = se.n
+        self._powers = [Form.scalar(1), metric.fundamental_form() if omega is None else omega]
+        self._ddbar: Dict[int, Form] = {}
+        self._forms: Dict[int, Form] = {}
+
+    def power(self, j: int) -> Form:
+        while len(self._powers) <= j:
+            self._powers.append(wedge(self._powers[-1], self._powers[1]))
+        return self._powers[j]
+
+    def ddbar(self, k: int) -> Form:
+        if k not in self._ddbar:
+            self._ddbar[k] = self.se.ddbar(self.power(k))
+        return self._ddbar[k]
+
+    def form(self, k: int) -> Form:
+        """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
+        n = self.n
+        if not 1 <= k <= n - 1:
+            raise BadK(f"k must be in 1..{n - 1}, got {k}")
+        if k not in self._forms:
+            dd = self.ddbar(k)
+            self._forms[k] = dd if k == n - 1 else wedge(dd, self.power(n - k - 1))
+        return self._forms[k]
+
+    def numerator(self, k: int) -> Fraction:
+        """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1})."""
+        c = top_coefficient(self.form(k), self.n)
+        return ((I / cr(2)) * (-I) ** self.n * c).real_part()
+
+    def gamma(self, k: int) -> Fraction:
+        """numerator / (n! det(-iX)), the constant r of gamma_scalar."""
+        self.metric.require_positive()
+        return self.numerator(k) / (factorial(self.n) * self.metric.det_minus_i_x())
 
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
     """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
-    n = se.n
-    if not 1 <= k <= n - 1:
-        raise BadK(f"k must be in 1..{n - 1}, got {k}")
-    omega = metric.fundamental_form()
-    return wedge(se.ddbar(omega_power(omega, k)), omega_power(omega, n - k - 1))
+    return GauduchonForms(metric, se).form(k)
 
 
 def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
@@ -166,10 +210,7 @@ def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     Equal to gamma_scalar times the positive quantity n! det(-iX); affine in
     every single coefficient x_{jk}, which the search module exploits.
     """
-    n = se.n
-    c = top_coefficient(gauduchon_form(metric, k, se), n)
-    val = (I / cr(2)) * (-I) ** n * c
-    return val.real_part()
+    return GauduchonForms(metric, se).numerator(k)
 
 
 def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
@@ -178,11 +219,7 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     Exactly rational for positive metrics; its sign is a conformal-class
     invariant deciding the k-th Gauduchon condition at the invariant level.
     """
-    metric.require_positive()
-    n = se.n
-    num = top_coefficient(gauduchon_form(metric, k, se), n)
-    den = volume_coefficient(metric)
-    return ((I / cr(2)) * num / den).real_part()
+    return GauduchonForms(metric, se).gamma(k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +227,30 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def lee_form(metric: Metric, se: StructureEquations) -> Form:
-    """The unique 1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}."""
-    metric.require_positive()
-    n = se.n
-    omega_pow = omega_power(metric.fundamental_form(), n - 1)
-    target = se.d(omega_pow)
+def _solve_lee(top: Form, d_top: Form, n: int) -> Form:
+    """The 1-form theta with theta ^ top = d_top, for top = Omega^{n-1}."""
     ranks = list(range(1, 2 * n + 1))
     basis_mons = [
         tuple(r for r in ranks if r != hole) for hole in ranks
     ]  # all (2n-1)-monomials
     cols = []
     for r in ranks:
-        img = wedge(Form.gen(r), omega_pow)
+        img = wedge(Form.gen(r), top)
         cols.append([img.terms.get(m, ZERO) for m in basis_mons])
     matrix = [[cols[c][row] for c in range(2 * n)] for row in range(2 * n)]
-    rhs = [target.terms.get(m, ZERO) for m in basis_mons]
+    rhs = [d_top.terms.get(m, ZERO) for m in basis_mons]
     sol = linalg.solve(matrix, rhs)
     theta = Form(1, {(r,): sol[idx] for idx, r in enumerate(ranks)})
-    assert theta.conjugate() == theta, "Lee form must be real"
+    ensure(theta.conjugate() == theta, "Lee form must be real")
     return theta
+
+
+def lee_form(metric: Metric, se: StructureEquations) -> Form:
+    """The unique 1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}."""
+    forms = GauduchonForms(metric, se)
+    metric.require_positive()
+    top = forms.power(se.n - 1)
+    return _solve_lee(top, se.d(top), se.n)
 
 
 def lee_form_via_codifferential(metric: Metric, se: StructureEquations) -> Form:
@@ -282,19 +323,24 @@ class ClassReport:
 
 
 def classify(metric: Metric, se: StructureEquations) -> ClassReport:
-    """Exact zero tests for every metric class plus the gamma scalars."""
+    """Exact zero tests for every metric class plus the gamma scalars.
+
+    One pass: each power, ddbar(Omega^k) and Gauduchon form is computed
+    once, and the Lee form is solved from the d(Omega^{n-1}) that decides
+    balancedness.
+    """
+    forms = GauduchonForms(metric, se)
     metric.require_positive()
     n = se.n
-    omega = metric.fundamental_form()
-    kahler = se.d(omega).is_zero
-    skt = se.ddbar(omega).is_zero
-    astheno = se.ddbar(omega_power(omega, n - 2)).is_zero if n >= 3 else True
-    balanced = se.d(omega_power(omega, n - 1)).is_zero
-    gauduchon = {
-        k: gauduchon_form(metric, k, se).is_zero for k in range(1, n)
-    }
-    gamma = {k: gamma_scalar(metric, k, se) for k in range(1, n)}
-    lee = lee_form(metric, se)
+    kahler = se.d(forms.power(1)).is_zero
+    skt = forms.ddbar(1).is_zero
+    astheno = forms.ddbar(n - 2).is_zero if n >= 3 else True
+    top = forms.power(n - 1)
+    d_top = se.d(top)
+    balanced = d_top.is_zero
+    gauduchon = {k: forms.form(k).is_zero for k in range(1, n)}
+    gamma = {k: forms.gamma(k) for k in range(1, n)}
+    lee = _solve_lee(top, d_top, n)
     if kahler:
         label = "kahler"
     else:
@@ -334,6 +380,19 @@ def _binom_general(a: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _coframe_table(rows: list) -> Dict[int, Form]:
+    """Rank -> 1-form for w^a = sum_j rows[a][j] w'^j and its conjugate."""
+    n = len(rows)
+    table = {}
+    for a in range(n):
+        terms = {(holo_rank(j + 1),): rows[a][j] for j in range(n) if rows[a][j]}
+        table[holo_rank(a + 1)] = Form(1, terms)
+        table[conj_rank(a + 1)] = Form(
+            1, {(mon[0] + 1,): c.conjugate() for mon, c in terms.items()}
+        )
+    return table
+
+
 class Lefschetz:
     """The pair L (wedging with Omega) and L* (4x its metric adjoint).
 
@@ -358,21 +417,9 @@ class Lefschetz:
         n = self.n
         lt = [[lower[j][i] for j in range(n)] for i in range(n)]  # L^T
         lt_inv = linalg.mat_inverse(lt)
-        # w^a = sum_j lt_inv[a][j] tau'^j
-        self._w_to_u = {}
-        self._u_to_w = {}
-        for a in range(n):
-            terms = {(holo_rank(j + 1),): lt_inv[a][j] for j in range(n) if lt_inv[a][j]}
-            self._w_to_u[holo_rank(a + 1)] = Form(1, terms)
-            self._w_to_u[conj_rank(a + 1)] = Form(
-                1, {(mon[0] + 1,): c.conjugate() for mon, c in terms.items()}
-            )
-        for j in range(n):
-            terms = {(holo_rank(a + 1),): lt[j][a] for a in range(n) if lt[j][a]}
-            self._u_to_w[holo_rank(j + 1)] = Form(1, terms)
-            self._u_to_w[conj_rank(j + 1)] = Form(
-                1, {(mon[0] + 1,): c.conjugate() for mon, c in terms.items()}
-            )
+        # w^a = sum_j lt_inv[a][j] tau'^j and tau'^j = sum_a lt[j][a] w^a
+        self._w_to_u = _coframe_table(lt_inv)
+        self._u_to_w = _coframe_table(lt)
         self._omega_u = Form(
             2,
             {
@@ -380,7 +427,8 @@ class Lefschetz:
                 for j in range(n)
             },
         )
-        assert self._to_unitary(self.omega) == self._omega_u
+        ensure(self._to_unitary(self.omega) == self._omega_u,
+               "the LDL* coframe must diagonalize Omega")
 
     # -- frame transport ----------------------------------------------------
 
@@ -444,12 +492,8 @@ class Lefschetz:
         lhs = self.Lstar_power(self.L_power(f, s), r)
         rhs = self.L_power(self.Lstar_power(f, r), s)
         for i in range(1, r + 1):
-            fact_sq = 1
-            for t in range(1, i + 1):
-                fact_sq *= t
-            fact_sq *= fact_sq
             coef = (
-                Fraction(4**i * fact_sq)
+                Fraction(4**i * factorial(i) ** 2)
                 * _binom_general(s, i)
                 * _binom_general(r, i)
                 * _binom_general(n - p - s + r, i)
@@ -482,11 +526,7 @@ def gauduchon_reduction_check(metric: Metric, se: StructureEquations) -> dict:
     psi = lef.L(chi)
     lhs_form = lef.Lstar_power(wedge(chi, omega_power(omega, n - 2)), n)
     rhs_form = lef.Lstar_power(psi, 3)
-    fact = 1
-    for t in range(4, n + 1):
-        fact *= t  # n!/3!
-    for t in range(1, n - 2):
-        fact *= t  # (n-3)!
+    fact = factorial(n) // 6 * factorial(n - 3)  # (n!/3!) (n-3)!
     constant = Fraction(4 ** (n - 3)) * fact
     lhs = lhs_form.terms.get((), ZERO)
     rhs = rhs_form.terms.get((), ZERO)

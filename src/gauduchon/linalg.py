@@ -39,17 +39,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    return [[a[i][j].conjugate() for i in range(len(a))] for j in range(len(a[0]))]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_hermitian(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i].conjugate() for i in range(n) for j in range(n))
 
 
 def mat_det(a: Matrix) -> ComplexRational:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .errors import BadDimensions, BadRange, NotQuasiSasakian
+from .errors import BadDimensions, BadRange, NotQuasiSasakian, ensure
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form
 from .scalars import I, ONE, ZERO, ComplexRational, cr
@@ -67,8 +67,8 @@ def cns_table(n: int, a, b) -> list:
     The boundary entries satisfy C(n,0) = 1 and C(n,n-1) = a^2 + b^2.
     """
     values = [coefficient_C(n, s, a, b) for s in range(n)]
-    assert values[0] == 1
-    assert values[-1] == Fraction(a) ** 2 + Fraction(b) ** 2
+    ensure(values[0] == 1, f"C({n},0) != 1")
+    ensure(values[-1] == Fraction(a) ** 2 + Fraction(b) ** 2, f"C({n},{n - 1}) != a^2 + b^2")
     return values
 
 
@@ -241,9 +241,6 @@ class ContactData:
         if a < b:
             return beta.terms.get((a, b), ZERO)
         return -beta.terms.get((b, a), ZERO)
-
-    def _phi_column(self, b: int) -> list:
-        return [self.phi[a][b - 1] for a in range(self.m)]
 
     def _check(self):
         m = self.m

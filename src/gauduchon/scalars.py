@@ -23,31 +23,23 @@ class ComplexRational:
         self.im = Fraction(im)
 
     # -- ring/field operations -------------------------------------------
-    # Mixing with floats/complex degrades to builtin complex; the library's
-    # exact paths never mix, only the search module's floating mirror does.
+    # Operands are coerced with cr(), so a float or builtin complex operand
+    # raises TypeError instead of silently leaving exact arithmetic.
 
     def __add__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         other = cr(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
         other = cr(other)
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return other - complex(self)
         return cr(other) - self
 
     def __mul__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         other = cr(other)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
@@ -57,8 +49,6 @@ class ComplexRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
         other = cr(other)
         den = other.re * other.re + other.im * other.im
         if den == 0:
@@ -69,8 +59,6 @@ class ComplexRational:
         )
 
     def __rtruediv__(self, other) -> "ComplexRational":
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
         return cr(other) / self
 
     def __neg__(self) -> "ComplexRational":
@@ -109,10 +97,6 @@ class ComplexRational:
     @property
     def is_real(self) -> bool:
         return self.im == 0
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self.re == 0
 
     def real_part(self) -> Fraction:
         """The real part, insisting the imaginary part is exactly zero."""

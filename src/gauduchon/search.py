@@ -25,16 +25,19 @@ from .catalog import (
     balanced_obstruction_family8,
     skt_scalar_nilpotent6,
 )
-from .errors import BadParams, BadT
-from .forms import Form, wedge
+from .dsl import metric_to_json
+from .errors import BadK, BadParams, BadT, ensure
+from .forms import Form
 from .hermitian import (
+    GauduchonForms,
     Metric,
     gamma_numerator,
     gamma_scalar,
     gauduchon_form,
     omega_power,
+    sigma_monomial,
 )
-from .scalars import I, ZERO, ComplexRational, cr, format_rational
+from .scalars import I, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -103,28 +106,16 @@ class SearchOutcome:
     replay: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "status": self.status,
             "target": self.target,
             "seed": self.seed,
             "budget": self.budget,
             "samples_used": self.samples_used,
-            "witness": None,
+            "witness": None if self.witness is None else metric_to_json(self.witness),
             "certificate": self.certificate,
             "replay": self.replay,
         }
-        if self.witness is not None:
-            out["witness"] = {
-                "n": self.witness.n,
-                "X": [
-                    [
-                        {"re": format_rational(v.re), "im": format_rational(v.im)}
-                        for v in row
-                    ]
-                    for row in self.witness.x
-                ],
-            }
-        return out
 
     def to_bytes(self) -> bytes:
         return json.dumps(self.to_json(), indent=2, sort_keys=True).encode()
@@ -158,12 +149,13 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
     return Metric([[I * h[j][k] for k in range(n)] for j in range(n)])
 
 
-def _gamma_float(metric: Metric, k: int, se_float: StructureEquations, n: int) -> float:
+def _gamma_float(metric: Metric, k: int, se_float: StructureEquations) -> float:
+    """gamma_numerator in builtin complex, on the same Gauduchon-form path."""
+    n = se_float.n
     omega = metric.fundamental_form().map_coefficients(complex)
-    num = wedge(se_float.ddbar(omega_power(omega, k)), omega_power(omega, n - k - 1))
-    c = num.terms.get(tuple(range(1, 2 * n + 1)), 0j)
-    val = 0.5j * c * (-1j) ** n
-    return val.real
+    form = GauduchonForms(metric, se_float, omega).form(k)
+    c = form.terms.get(sigma_monomial(n), 0j)
+    return (0.5j * c * (-1j) ** n).real
 
 
 def _form_float_norm(f: Form) -> float:
@@ -191,7 +183,7 @@ def _certificate(se, target, family, params) -> Optional[SearchOutcome]:
 
     def diag_witness():
         m = Metric.diagonal(se.n)
-        assert _verify(se, target, m)
+        ensure(_verify(se, target, m), f"diagonal metric misses {target.describe()}")
         return m
 
     if family in ("nilpotent6", "reduced6", "jt"):
@@ -351,6 +343,8 @@ def find_metric(
     """
     if budget <= 0:
         raise BadParams("budget must be positive")
+    if target.k is not None and not 1 <= target.k <= se.n - 1:
+        raise BadK(f"target {target.describe()}: k must be in 1..{se.n - 1}")
     if family is not None:
         cert = _certificate(se, target, family, params)
         if cert is not None:
@@ -386,7 +380,7 @@ def find_metric(
         used += 1
         metric = sample_positive_metric(rng, n)
         if target.kind in ("gamma_negative", "gamma_positive"):
-            val = _gamma_float(metric, target.k, se_float, n)
+            val = _gamma_float(metric, target.k, se_float)
             want_neg = target.kind == "gamma_negative"
             if (val < -1e-12) == want_neg and abs(val) > 1e-12:
                 if _verify(se, target, metric):
@@ -462,7 +456,8 @@ def balanced_feasibility_jt(t) -> Feasibility:
         raise BadT(f"t must be in (0, 1], got {t}")
     coeffs = (Fraction(1), (2 - t) / t, 1 / t**2)
     discriminant = (t - 4) / t
-    assert all(c > 0 for c in coeffs) and discriminant < 0
+    ensure(all(c > 0 for c in coeffs) and discriminant < 0,
+           f"jt({t}) certificate quadratic is not positive")
     return Feasibility(
         feasible=False,
         certificate={

@@ -19,6 +19,7 @@ from .errors import (
     JacobiViolation,
     NotAlmostComplex,
     NotIntegrable,
+    ensure,
 )
 from .forms import Form, conj_rank, holo_rank, merge_ranks, substitute
 from .scalars import I, ONE, cr
@@ -56,50 +57,58 @@ def _derivation(f: Form, d_of_rank: List[Form], max_rank: int) -> Form:
     return Form(f.degree + 1, terms)
 
 
+def _is_unimodular(d, m: int) -> bool:
+    """True iff d kills every (m-1)-monomial (exact top-degree Stokes)."""
+    full = tuple(range(1, m + 1))
+    return all(d(Form(m - 1, {full[:h] + full[h + 1:]: ONE})).is_zero for h in range(m))
+
+
 class StructureEquations:
     """A complex coframe w1..wn with exact structure equations.
 
     Construction verifies d∘d = 0 on every generator (Jacobi identity) and
     that every dw^j has no (0,2)-component (integrability), so del and
-    delbar are meaningful on every instance.  Instances are immutable.
+    delbar are meaningful on every instance.  The differential of each rank
+    is split once into its del and delbar parts, which integrability makes
+    sum to d; del and delbar are then single derivations.  Instances are
+    immutable.
     """
 
-    __slots__ = ("n", "d_of", "_d_rank")
+    __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank")
 
     def __init__(self, n: int, d_of: List[Form], _validate: bool = True):
         if len(d_of) != n:
             raise ValueError(f"need {n} differentials, got {len(d_of)}")
         self.n = n
         self.d_of = list(d_of)
-        d_rank: List[Form] = []
         for j, df in enumerate(self.d_of, start=1):
             if not df.is_zero and df.degree != 2:
                 raise ValueError(f"dw{j} must be a 2-form, got degree {df.degree}")
             if df.max_rank() > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
-            d_rank.append(df)
-            d_rank.append(df.conjugate())
-        # reorder so _d_rank[r-1] is d of rank r
-        self._d_rank = [Form.zero()] * (2 * n)
-        for j in range(1, n + 1):
-            self._d_rank[holo_rank(j) - 1] = d_rank[2 * (j - 1)]
-            self._d_rank[conj_rank(j) - 1] = d_rank[2 * (j - 1) + 1]
+        # _d_rank[r-1] is d of rank r; d~w^j is the conjugate of dw^j
+        self._d_rank = []
+        for df in self.d_of:
+            self._d_rank += [df, df.conjugate()]
         if _validate:
             self._validate()
+        # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p)
+        self._del_rank = []
+        self._dbar_rank = []
+        for rank, dr in enumerate(self._d_rank, start=1):
+            p = rank & 1
+            self._del_rank.append(dr.component(p + 1, 1 - p))
+            self._dbar_rank.append(dr.component(p, 2 - p))
 
     def _validate(self):
         for j in range(1, self.n + 1):
-            res = self.component_02(self.d_of[j - 1])
+            res = self.d_of[j - 1].component(0, 2)
             if not res.is_zero:
                 raise NotIntegrable(j, res)
         for j in range(1, self.n + 1):
             res = self.d(self.d_of[j - 1])
             if not res.is_zero:
                 raise JacobiViolation(j, res)
-
-    @staticmethod
-    def component_02(f: Form) -> Form:
-        return f.component(0, 2)
 
     # -- differentials -----------------------------------------------------
 
@@ -108,17 +117,11 @@ class StructureEquations:
 
     def partial(self, f: Form) -> Form:
         """The (p+1,q)-part of d on each pure-(p,q) component."""
-        out = Form.zero()
-        for (p, q), part in f.bidegree_parts().items():
-            out = out + self.d(part).component(p + 1, q)
-        return out
+        return _derivation(f, self._del_rank, 2 * self.n)
 
     def dbar(self, f: Form) -> Form:
         """The (p,q+1)-part of d on each pure-(p,q) component."""
-        out = Form.zero()
-        for (p, q), part in f.bidegree_parts().items():
-            out = out + self.d(part).component(p, q + 1)
-        return out
+        return _derivation(f, self._dbar_rank, 2 * self.n)
 
     def ddbar(self, f: Form) -> Form:
         return self.partial(self.dbar(f))
@@ -126,13 +129,7 @@ class StructureEquations:
     # -- global properties ---------------------------------------------------
 
     def is_unimodular(self) -> bool:
-        """True iff d kills every (2n-1)-monomial (exact top-degree Stokes)."""
-        full = tuple(range(1, 2 * self.n + 1))
-        for hole in range(2 * self.n):
-            mon = full[:hole] + full[hole + 1 :]
-            if not self.d(Form(2 * self.n - 1, {mon: ONE})).is_zero:
-                return False
-        return True
+        return _is_unimodular(self.d, 2 * self.n)
 
     def map_coefficients(self, fn) -> "StructureEquations":
         """Coefficient-converted copy (e.g. to floats); skips validation."""
@@ -189,12 +186,7 @@ class RealLieAlgebra:
         return _derivation(f, self.d_of, self.m)
 
     def is_unimodular(self) -> bool:
-        full = tuple(range(1, self.m + 1))
-        for hole in range(self.m):
-            mon = full[:hole] + full[hole + 1 :]
-            if not self.d(Form(self.m - 1, {mon: ONE})).is_zero:
-                return False
-        return True
+        return _is_unimodular(self.d, self.m)
 
     def __repr__(self) -> str:
         lines = [f"m={self.m}"] + [
@@ -300,7 +292,7 @@ def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:
         echelon.append((lead, work))
         if len(kept) == n:
             break
-    assert len(kept) == n, "J eigenspace defect; J^2 = -Id should prevent this"
+    ensure(len(kept) == n, "J eigenspace defect; J^2 = -Id should prevent this")
     return structure_from_coframe(alg, kept)
 
 

@@ -175,3 +175,89 @@ class TestVerifyPaper:
             monkeypatch.setattr(catalog, "jt", real_jt)
         assert not report.overall
         assert report.first_failure().claim == "example-3.8"
+
+
+class TestInputErrors:
+    """Bad input exits 2 with one line on stderr, never a traceback."""
+
+    def assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_metric_dimension_mismatch(self, tmp_path, capsys):
+        se_path = write(tmp_path / "iw.dsl", dsl.format_structure(catalog.iwasawa()))
+        cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(2)] for j in range(2)]
+        metric_path = tmp_path / "diag2.json"
+        metric_path.write_text(json.dumps({"n": 2, "X": cells}), encoding="utf-8")
+        assert main(["classify", "--structure", se_path, "--metric", str(metric_path)]) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_metric_n_disagrees_with_its_rows(self, jt_file, tmp_path, capsys):
+        cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
+        metric_path = tmp_path / "bad_n.json"
+        metric_path.write_text(json.dumps({"n": 2, "X": cells}), encoding="utf-8")
+        assert main(["classify", "--structure", jt_file, "--metric", str(metric_path)]) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_search_k_out_of_range(self, jt_file, capsys):
+        assert main(
+            ["search", "--structure", jt_file, "--target", "gamma9<0", "--budget", "5"]
+        ) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_zero_denominator_param(self, capsys):
+        assert main(["catalog", "emit", "jt", "--param", "t=1/0"]) == 2
+        self.assert_one_line_error(capsys)
+
+
+class TestReplay:
+    def test_replay_with_family_reproduces_output(self, tmp_path, capsys):
+        se_path = write(tmp_path / "f8.dsl", dsl.format_structure(catalog.family8(1, 0)))
+        argv = [
+            "search", "--structure", se_path, "--target", "gauduchon1=0",
+            "--budget", "20", "--seed", "3",
+            "--family", "family8", "--family-params", "1", "0",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        replay = json.loads(first)["replay"]
+        assert replay.endswith(" --family family8 --family-params 1 0")
+        words = replay.split()
+        assert words[0] == "gauduchon"
+        assert main(words[1:]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_replay_without_family_is_unchanged(self, jt_file, capsys):
+        assert main(["search", "--structure", jt_file, "--target", "skt",
+                     "--budget", "3", "--seed", "5"]) == 0
+        replay = json.loads(capsys.readouterr().out)["replay"]
+        assert replay == (f"gauduchon search --structure {jt_file} --target skt"
+                          " --budget 3 --seed 5")
+
+
+def test_corrupted_catalog_fails_under_optimize(tmp_path):
+    """Claims use ensure(), which python -O keeps, unlike assert."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gauduchon
+
+    src = str(Path(gauduchon.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from gauduchon import catalog\n"
+        "from gauduchon.cli import main\n"
+        "catalog.jt = lambda t: catalog.reduced6(rho=1, B=-1, x=1 / Fraction(t), y=0)\n"
+        "sys.exit(main(['verify-paper', '--only', 'example-3.8']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  example-3.8" in proc.stdout
+    assert "first failing claim: example-3.8" in proc.stderr

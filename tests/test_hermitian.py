@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gauduchon import catalog
-from gauduchon.errors import BadK, NotPositive, NotSkewHermitian
+from gauduchon.errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     Lefschetz,
@@ -70,6 +70,18 @@ class TestGamma:
     def test_bad_k(self):
         with pytest.raises(BadK):
             gauduchon_form(Metric.diagonal(3), 3, catalog.iwasawa())
+
+    @pytest.mark.parametrize("fn", [
+        lambda m, se: gamma_scalar(m, 1, se),
+        lambda m, se: gauduchon_form(m, 1, se),
+        classify,
+        lee_form,
+    ])
+    def test_dimension_mismatch(self, fn):
+        with pytest.raises(DimensionMismatch):
+            fn(Metric.diagonal(2), catalog.iwasawa())
+        with pytest.raises(DimensionMismatch):
+            fn(Metric.diagonal(4), catalog.iwasawa())
 
     def test_not_positive(self):
         with pytest.raises(NotPositive):

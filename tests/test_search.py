@@ -4,7 +4,7 @@ import pytest
 
 from gauduchon import catalog
 from gauduchon.catalog import Reduced6Params
-from gauduchon.errors import BadParams, BadT
+from gauduchon.errors import BadK, BadParams, BadT
 from gauduchon.hermitian import gamma_scalar, gauduchon_form, omega_power
 from gauduchon.scalars import cr
 from gauduchon.search import (
@@ -59,6 +59,11 @@ class TestSampling:
     def test_budget_validated(self):
         with pytest.raises(BadParams):
             find_metric(catalog.abelian(2), Target("skt"), budget=0)
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_k_out_of_range_rejected_before_sampling(self, k):
+        with pytest.raises(BadK):
+            find_metric(catalog.jt(1), Target("gamma_negative", k), budget=10**9)
 
 
 class TestCertificates:
