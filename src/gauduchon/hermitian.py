@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Dict, Optional
 
 from . import linalg
@@ -26,7 +26,7 @@ from .structures import StructureEquations
 class Metric:
     """Skew-Hermitian coefficient matrix of an invariant fundamental form."""
 
-    __slots__ = ("n", "x", "_positive")
+    __slots__ = ("n", "x", "_positive", "_det")
 
     def __init__(self, x: list):
         self.x = linalg.mat(x)
@@ -40,6 +40,7 @@ class Metric:
                         f"conj(x[{k}][{j}]) != -x[{j}][{k}]"
                     )
         self._positive: Optional[bool] = None
+        self._det: Optional[Fraction] = None
 
     @staticmethod
     def diagonal(n: int, entries=None) -> "Metric":
@@ -54,14 +55,13 @@ class Metric:
         return [[(-I) * v for v in row] for row in self.x]
 
     def is_positive(self) -> bool:
-        """Exact positivity: all leading principal minors of -iX positive."""
+        """Exact positivity: all LDL* pivots (leading-minor ratios) of -iX > 0."""
         if self._positive is None:
-            ok = True
-            for minor in linalg.leading_minors(self.minus_i_x()):
-                if not (minor.is_real and minor.re > 0):
-                    ok = False
-                    break
-            self._positive = ok
+            try:
+                self._det = prod(linalg.ldl(self.minus_i_x())[1])
+                self._positive = True
+            except ValueError:
+                self._positive = False
         return self._positive
 
     def require_positive(self):
@@ -69,7 +69,9 @@ class Metric:
             raise NotPositive("metric coefficient matrix is not positive definite")
 
     def det_minus_i_x(self) -> Fraction:
-        return linalg.mat_det(self.minus_i_x()).real_part()
+        if self._det is None:
+            self._det = linalg.mat_det(self.minus_i_x()).real_part()
+        return self._det
 
     def fundamental_form(self) -> Form:
         """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id."""

@@ -301,10 +301,7 @@ def check_lemma_46(seed: int) -> dict:
     for name, se in _standard_entries():
         ensure(se.is_unimodular(), name)
         n = se.n
-        pairs = [
-            (k, n - k - 1) if n - k - 1 != k else (n - 1, None)
-            for k in range(1, n - 1)
-        ]
+        pairs = [(k, n - k - 1) if n - k - 1 != k else (n - 1, None) for k in range(1, n - 1)]
         for _ in range(200):
             forms = GauduchonForms(sample_positive_metric(rng, n), se)
             for k, dual in pairs:
