@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from fractions import Fraction
 
@@ -105,14 +106,13 @@ def cmd_search(args) -> int:
     outcome = search.find_metric(
         se, target, budget=args.budget, seed=args.seed, family=family, params=params
     )
-    outcome.replay = (
-        f"gauduchon search --structure {args.structure} --target {args.target}"
-        f" --budget {args.budget} --seed {args.seed}"
-    )
+    replay = ["gauduchon", "search", "--structure", args.structure, "--target", args.target,
+              "--budget", str(args.budget), "--seed", str(args.seed)]
     if family is not None:
-        outcome.replay += f" --family {family}"
+        replay += ["--family", family]
     if args.family_params:
-        outcome.replay += " --family-params " + " ".join(args.family_params)
+        replay += ["--family-params", *args.family_params]
+    outcome.replay = shlex.join(replay)
     _write(_dump(outcome.to_json()) + "\n", args.out)
     return 0
 

@@ -323,7 +323,7 @@ def form_to_json(f: Form) -> list:
 def form_from_json(spec) -> Form:
     out = Form.zero()
     for term in spec:
-        c = ComplexRational(Fraction(term["re"]), Fraction(term["im"]))
+        c = ComplexRational(term["re"], term["im"])
         out = out + Form.monomial(_mon_from_json(term["mon"]), c)
     return out
 
@@ -350,7 +350,7 @@ def real_form_from_json(spec) -> Form:
     for term in spec:
         out = out + Form.monomial(
             tuple(int(r) for r in term["mon"]),
-            ComplexRational(Fraction(term["coef"])),
+            ComplexRational(term["coef"]),
         )
     return out
 
@@ -367,11 +367,12 @@ def metric_to_json(metric: Metric) -> dict:
 
 
 def metric_from_json(spec) -> Metric:
-    if "n" in spec and int(spec["n"]) != len(spec["X"]):
-        raise DimensionMismatch(f"metric has n = {spec['n']} but {len(spec['X'])} rows")
+    rows = spec["X"]
+    if "n" in spec and int(spec["n"]) != len(rows):
+        raise DimensionMismatch(f"metric has n = {spec['n']} but {len(rows)} rows")
+    for j, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise DimensionMismatch(f"metric row {j} has {len(row)} entries, not {len(rows)}")
     return Metric(
-        [
-            [ComplexRational(Fraction(cell["re"]), Fraction(cell["im"])) for cell in row]
-            for row in spec["X"]
-        ]
+        [[ComplexRational(cell["re"], cell["im"]) for cell in row] for row in rows]
     )

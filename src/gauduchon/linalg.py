@@ -101,11 +101,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def leading_minors(a: Matrix) -> list:
-    """Leading principal minors det(a[:k,:k]) for k = 1..n."""
-    return [mat_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
-
-
 def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form (canonical representative of the row space)."""
     work = [row[:] for row in a]

@@ -276,9 +276,10 @@ class ContactData:
             for b in range(m):
                 if g[a][b] != g[b][a] or not g[a][b].is_real:
                     raise NotQuasiSasakian("derived metric is not symmetric real")
-        for minor in linalg.leading_minors(g):
-            if not (minor.is_real and minor.re > 0):
-                raise NotQuasiSasakian("derived metric is not positive definite")
+        try:
+            linalg.ldl(g)
+        except ValueError:
+            raise NotQuasiSasakian("derived metric is not positive definite") from None
         self.g = g
         # Phi must be reproduced by g(phi ., .)
         for a in range(m):

@@ -128,24 +128,23 @@ class SearchOutcome:
 
 def sample_positive_metric(rng: random.Random, n: int) -> Metric:
     """X = i (M M* + delta I) with small rational M; exactly positive."""
-    m = [
-        [
-            ComplexRational(
-                Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4))),
-                Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4))),
-            )
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
+    def entry():
+        # p/q + i r/s, drawn in this order
+        p, q = rng.randint(-8, 8), rng.choice((1, 2, 4))
+        r, s = rng.randint(-8, 8), rng.choice((1, 2, 4))
+        return ComplexRational.from_gaussian(p * s, r * q, q * s)
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
     h = [[ZERO for _ in range(n)] for _ in range(n)]
+    padding = cr(POSITIVITY_PADDING)
     for j in range(n):
-        for k in range(n):
+        for k in range(j, n):
             acc = ZERO
             for t in range(n):
                 acc = acc + m[j][t] * m[k][t].conjugate()
             h[j][k] = acc
-        h[j][j] = h[j][j] + cr(POSITIVITY_PADDING)
+            h[k][j] = acc.conjugate()
+        h[j][j] = h[j][j] + padding
     return Metric([[I * h[j][k] for k in range(n)] for j in range(n)])
 
 

@@ -1,4 +1,5 @@
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,14 @@ class TestInputErrors:
         assert main(["classify", "--structure", jt_file, "--metric", str(metric_path)]) == 2
         self.assert_one_line_error(capsys)
 
+    def test_ragged_metric_rows(self, jt_file, tmp_path, capsys):
+        cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
+        cells[1] = cells[1][:2]
+        metric_path = tmp_path / "ragged.json"
+        metric_path.write_text(json.dumps({"n": 3, "X": cells}), encoding="utf-8")
+        assert main(["classify", "--structure", jt_file, "--metric", str(metric_path)]) == 2
+        self.assert_one_line_error(capsys)
+
     def test_search_k_out_of_range(self, jt_file, capsys):
         assert main(
             ["search", "--structure", jt_file, "--target", "gamma9<0", "--budget", "5"]
@@ -223,6 +232,18 @@ class TestReplay:
         replay = json.loads(first)["replay"]
         assert replay.endswith(" --family family8 --family-params 1 0")
         words = replay.split()
+        assert words[0] == "gauduchon"
+        assert main(words[1:]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_replay_is_shell_safe(self, jt_file, capsys):
+        argv = ["search", "--structure", jt_file, "--target", "gamma1<0",
+                "--budget", "4", "--seed", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        replay = json.loads(first)["replay"]
+        assert "'gamma1<0'" in replay
+        words = shlex.split(replay)
         assert words[0] == "gauduchon"
         assert main(words[1:]) == 0
         assert capsys.readouterr().out == first
