@@ -40,22 +40,29 @@ def _write(text: str, path) -> None:
         print(text, end="")
 
 
-def _load_structure(path: str):
+def _load_json(path: str, build):
+    """build(the JSON document at path); a document of the wrong shape is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        doc = json.load(fh)
+    try:
+        return build(doc)
+    except TypeError as exc:
+        raise BadParams(f"malformed JSON in {path}: {exc}") from None
+
+
+def _load_structure(path: str):
     if path.endswith(".json"):
-        return dsl.structure_from_json(json.loads(text))
-    return dsl.parse_structure(text)
+        return _load_json(path, dsl.structure_from_json)
+    with open(path, "r", encoding="utf-8") as fh:
+        return dsl.parse_structure(fh.read())
 
 
 def _load_metric(path: str) -> Metric:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dsl.metric_from_json(json.load(fh))
+    return _load_json(path, dsl.metric_from_json)
 
 
 def _load_contact(path: str) -> sasakian.ContactData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sasakian.contact_from_json(json.load(fh))
+    return _load_json(path, sasakian.contact_from_json)
 
 
 def cmd_check(args) -> int:

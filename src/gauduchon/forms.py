@@ -7,10 +7,7 @@ gets rank 2j-1, its conjugate ~wj rank 2j.  This single global order fixes
 every monomial sign in the package.  Bidegree and conjugation read the
 holomorphic/antiholomorphic split off rank parity, so a Form is otherwise
 frame-agnostic: forms over a real coframe e1..em use ranks 1..m and simply
-never call the complex-specific methods.
-
-Coefficients are duck-typed.  The library uses ComplexRational throughout;
-the search module reuses the same algebra with builtin complex.
+never call the complex-specific methods.  Coefficients are ComplexRational.
 """
 
 from __future__ import annotations
@@ -283,7 +280,7 @@ def format_form(f: Form, token: Callable = rank_token) -> str:
     for mon in sorted(f.terms):
         c = f.terms[mon]
         body = "^".join(token(r) for r in mon) if mon else "1"
-        if mon and isinstance(c, ComplexRational) and c == 1:
+        if mon and c == 1:
             parts.append(body)
         elif not mon:
             parts.append(f"({format_complex(c)})")

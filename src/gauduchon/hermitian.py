@@ -10,7 +10,6 @@ operator pair with its commutation identities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -19,7 +18,7 @@ from typing import Dict, Optional
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
 from .forms import Form, Monomial, conj_rank, holo_rank, substitute, wedge
-from .scalars import I, ONE, ZERO, ComplexRational, cr
+from .scalars import I, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
 
@@ -155,18 +154,16 @@ class GauduchonForms:
     The one computation path for every Gauduchon quantity.  Each power,
     ddbar(Omega^k) and form is built once, on first use, so indices share
     them and powers go only up to max(k, n-k-1); for k = n-1 the form is
-    ddbar(Omega^{n-1}) itself.  ``omega`` swaps in a builtin-complex copy of
-    the fundamental form over a structure converted the same way (the
-    search's float screen); only ``numerator`` and ``gamma`` are exact-only.
+    ddbar(Omega^{n-1}) itself.
     """
 
-    def __init__(self, metric: Metric, se: StructureEquations, omega: Optional[Form] = None):
+    def __init__(self, metric: Metric, se: StructureEquations):
         if metric.n != se.n:
             raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
         self.metric = metric
         self.se = se
         self.n = se.n
-        self._powers = [Form.scalar(1), metric.fundamental_form() if omega is None else omega]
+        self._powers = [Form.scalar(1), metric.fundamental_form()]
         self._ddbar: Dict[int, Form] = {}
         self._forms: Dict[int, Form] = {}
 
@@ -431,6 +428,7 @@ class Lefschetz:
         )
         ensure(self._to_unitary(self.omega) == self._omega_u,
                "the LDL* coframe must diagonalize Omega")
+        self._contraction = [-I / cr(d) for d in diag]
 
     # -- frame transport ----------------------------------------------------
 
@@ -453,22 +451,24 @@ class Lefschetz:
         return wedge(self.omega, f)
 
     def adjoint(self, f: Form) -> Form:
-        """The bare adjoint of L (no calibration factor)."""
+        """The bare adjoint of L (no calibration factor).
+
+        In the unitary frame L adds i d_j tau'^j ^ ~tau'^j, an adjacent rank
+        pair, with sign +1, and the monomial weights turn its adjoint into
+        removing each such pair with the factor -i/d_j.
+        """
         if f.is_zero or f.degree < 2:
             return Form.zero()
-        g = self._to_unitary(f)
-        deg = f.degree - 2
         out: Dict[Monomial, ComplexRational] = {}
-        for mon in itertools.combinations(range(1, 2 * self.n + 1), deg):
-            lm = wedge(self._omega_u, Form(deg, {mon: ONE}))
-            val = ZERO
-            for m2, c2 in lm.terms.items():
-                c1 = g.terms.get(m2)
-                if c1 is not None:
-                    val = val + c1 * c2.conjugate() * cr(self._weight(m2))
-            if val:
-                out[mon] = val / cr(self._weight(mon))
-        return self._from_unitary(Form(deg, out))
+        for mon, c in self._to_unitary(f).terms.items():
+            for pos in range(len(mon) - 1):
+                r = mon[pos]
+                if r & 1 and mon[pos + 1] == r + 1:
+                    m = mon[:pos] + mon[pos + 2:]
+                    v = c * self._contraction[r // 2]
+                    acc = out.get(m)
+                    out[m] = v if acc is None else acc + v
+        return self._from_unitary(Form(f.degree - 2, out))
 
     def Lstar(self, f: Form) -> Form:
         return self.adjoint(f).scale(cr(4))

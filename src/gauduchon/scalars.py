@@ -7,8 +7,7 @@ numerator over one denominator, all plain ints: ``(a, b, d)`` means
 representation is therefore canonical: equality compares three ints, and
 each arithmetic operation is integer arithmetic plus one three-way gcd.
 The real and imaginary parts are read-only ``fractions.Fraction`` views
-for the callers that need rationals.  Floats never enter this module; the
-search code keeps its own floating mirror.
+for the callers that need rationals.  Floats never enter this module.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Feasibility search over metric-coefficient space.
 
 Sampling draws -iX = M M* + delta I with small rational M, which is positive
-definite by construction.  Candidates are screened with a floating mirror of
-the engine and every claim is re-verified in exact arithmetic.  For targets
-asking a scalar to vanish, the closing move exploits that the Gauduchon
-numerator is affine in each single coefficient x_{jk}: raising one diagonal
-entry keeps positivity, so a sign change along a diagonal line yields an
-exact rational witness.
+definite by construction.  Every sample is tested in exact arithmetic, with
+the target's predicate first and the LDL* positivity check only on a hit.
+For targets asking a scalar to vanish, the closing move exploits that the
+Gauduchon numerator is affine in each single coefficient x_{jk}: raising one
+diagonal entry keeps positivity, so a sign change along a diagonal line
+yields an exact rational witness.
 
 Infeasibility is only ever claimed with a closed-form certificate from the
 catalog; otherwise the outcome is 'exhausted'.
@@ -27,16 +27,7 @@ from .catalog import (
 )
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
-from .forms import Form
-from .hermitian import (
-    GauduchonForms,
-    Metric,
-    gamma_numerator,
-    gamma_scalar,
-    gauduchon_form,
-    omega_power,
-    sigma_monomial,
-)
+from .hermitian import Metric, gamma_numerator, gauduchon_form, omega_power
 from .scalars import I, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
@@ -122,7 +113,7 @@ class SearchOutcome:
 
 
 # ---------------------------------------------------------------------------
-# sampling and the floating mirror
+# sampling
 # ---------------------------------------------------------------------------
 
 
@@ -146,19 +137,6 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
             h[k][j] = acc.conjugate()
         h[j][j] = h[j][j] + padding
     return Metric([[I * h[j][k] for k in range(n)] for j in range(n)])
-
-
-def _gamma_float(metric: Metric, k: int, se_float: StructureEquations) -> float:
-    """gamma_numerator in builtin complex, on the same Gauduchon-form path."""
-    n = se_float.n
-    omega = metric.fundamental_form().map_coefficients(complex)
-    form = GauduchonForms(metric, se_float, omega).form(k)
-    c = form.terms.get(sigma_monomial(n), 0j)
-    return (0.5j * c * (-1j) ** n).real
-
-
-def _form_float_norm(f: Form) -> float:
-    return sum(abs(c) for c in f.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +257,16 @@ def _certificate(se, target, family, params) -> Optional[SearchOutcome]:
 # ---------------------------------------------------------------------------
 
 
-def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
-    if not metric.is_positive():
-        return False
+def _holds(se: StructureEquations, target: Target, metric: Metric) -> bool:
+    """The target's exact predicate, positivity aside.
+
+    The sign targets read the sign of gamma_numerator, which is the sign of
+    gamma_k because n! det(-iX) > 0 on positive metrics.
+    """
     if target.kind == "gamma_negative":
-        return gamma_scalar(metric, target.k, se) < 0
+        return gamma_numerator(metric, target.k, se) < 0
     if target.kind == "gamma_positive":
-        return gamma_scalar(metric, target.k, se) > 0
+        return gamma_numerator(metric, target.k, se) > 0
     if target.kind == "gauduchon_zero":
         return gauduchon_form(metric, target.k, se).is_zero
     omega = metric.fundamental_form()
@@ -294,6 +275,10 @@ def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
     if target.kind == "balanced":
         return se.d(omega_power(omega, se.n - 1)).is_zero
     raise BadParams(target.kind)
+
+
+def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
+    return metric.is_positive() and _holds(se, target, metric)
 
 
 def _bump_diagonal(metric: Metric, j: int, amount: Fraction) -> Metric:
@@ -353,7 +338,6 @@ def find_metric(
 
     rng = random.Random(seed)
     n = se.n
-    se_float = se.map_coefficients(complex)
     used = 0
 
     def finish(status, witness=None, cert=None):
@@ -378,31 +362,12 @@ def find_metric(
     for _ in range(budget):
         used += 1
         metric = sample_positive_metric(rng, n)
-        if target.kind in ("gamma_negative", "gamma_positive"):
-            val = _gamma_float(metric, target.k, se_float)
-            want_neg = target.kind == "gamma_negative"
-            if (val < -1e-12) == want_neg and abs(val) > 1e-12:
-                if _verify(se, target, metric):
-                    return finish("witness", metric)
-        elif scalar_fn is not None:
-            if scalar_fn(metric) == 0:
-                if _verify(se, target, metric):
-                    return finish("witness", metric)
-                continue
+        if scalar_fn is not None and scalar_fn(metric) != 0:
             witness = close_scalar_zero(metric, scalar_fn)
             if witness is not None and _verify(se, target, witness):
                 return finish("witness", witness)
-        else:
-            # form-zero targets: cheap float screen, exact confirmation
-            omega = metric.fundamental_form().map_coefficients(complex)
-            if target.kind == "skt":
-                screened = _form_float_norm(se_float.ddbar(omega)) < 1e-9
-            else:
-                screened = _form_float_norm(
-                    se_float.d(omega_power(omega, n - 1))
-                ) < 1e-9
-            if screened and _verify(se, target, metric):
-                return finish("witness", metric)
+        elif _holds(se, target, metric) and metric.is_positive():
+            return finish("witness", metric)
     return finish("exhausted")
 
 

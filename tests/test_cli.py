@@ -218,6 +218,28 @@ class TestInputErrors:
         assert main(["catalog", "emit", "jt", "--param", "t=1/0"]) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("classify", "--metric", {"n": 3, "X": 5}),
+            ("classify", "--metric", {"X": [5, 5, 5]}),
+            ("classify", "--metric", {"X": [[1]]}),
+            ("classify", "--metric", [1, 2]),
+            ("classify", "--metric", {"X": [[{"re": None, "im": "1"}]]}),
+            ("check", "--structure", {"n": 3, "equations": 5}),
+            ("check", "--structure", [1]),
+            ("bundle-extend", "--contact", {"dim": 5, "d": 5}),
+            ("bundle-extend", "--contact", []),
+        ],
+    )
+    def test_wrong_shaped_json(self, jt_file, tmp_path, capsys, command, flag, doc):
+        path = write(tmp_path / "input.json", json.dumps(doc))
+        argv = [command, flag, path]
+        if command == "classify":
+            argv += ["--structure", jt_file]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
 
 class TestReplay:
     def test_replay_with_family_reproduces_output(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Each collapsed computation path against the slower definition it replaced.
 
 partial/dbar are single derivations over per-structure tables, classify
-computes every Gauduchon quantity in one pass, and the search's float
-screen shares the exact Gauduchon-form path; the references here are the
-direct definitions, written out in the tests.
+computes every Gauduchon quantity in one pass, the search screens samples
+with the targets' exact predicates, and the adjoint of L is a contraction
+in the unitary frame; the references here are the direct definitions,
+written out in the tests.
 """
 
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +25,8 @@ from gauduchon.hermitian import (
     lee_form,
     omega_power,
 )
-from gauduchon.scalars import ComplexRational
-from gauduchon.search import sample_positive_metric
+from gauduchon.scalars import ONE, ZERO, ComplexRational, cr
+from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
 
@@ -106,31 +108,104 @@ def non_unimodular3():
     return StructureEquations(3, [Form(2, {(1, 5): ComplexRational(1)}), Form.zero(), Form.zero()])
 
 
-FLOAT_ENTRIES = [
+SCREEN_ENTRIES = [
     ("jt(1/2)", catalog.jt(Fraction(1, 2))),
     ("nonnilpotent6(0,+)", catalog.nonnilpotent6(0, 1)),
     ("non-unimodular", non_unimodular3()),
     ("family8(1,2)", catalog.family8(1, 2)),
     ("family8(-1,0)", catalog.family8(-1, 0)),
+    ("abelian(3)", catalog.abelian(3)),
 ]
 
 
-class TestFloatScreen:
-    @pytest.mark.parametrize("name, se", FLOAT_ENTRIES)
-    def test_every_k_matches_the_exact_numerator(self, name, se):
+def every_target(n):
+    for k in range(1, n):
+        yield from (Target("gamma_negative", k), Target("gamma_positive", k),
+                    Target("gauduchon_zero", k))
+    yield from (Target("skt"), Target("balanced"))
+
+
+def target_by_definition(se, target, metric):
+    """The target's defining condition, through the public functions."""
+    omega = metric.fundamental_form()
+    if target.kind == "gamma_negative":
+        return gamma_scalar(metric, target.k, se) < 0
+    if target.kind == "gamma_positive":
+        return gamma_scalar(metric, target.k, se) > 0
+    if target.kind == "gauduchon_zero":
+        return gauduchon_form(metric, target.k, se).is_zero
+    if target.kind == "skt":
+        return se.ddbar(omega).is_zero
+    return se.d(omega_power(omega, se.n - 1)).is_zero
+
+
+class TestExactScreen:
+    @pytest.mark.parametrize("name, se", SCREEN_ENTRIES)
+    def test_holds_agrees_with_verify_for_every_target(self, name, se):
         rng = random.Random(name)
-        se_float = se.map_coefficients(complex)
-        for _ in range(4):
-            metric = sample_positive_metric(rng, se.n)
-            for k in range(1, se.n):
-                exact = float(gamma_numerator(metric, k, se))
-                approx = search._gamma_float(metric, k, se_float)
-                assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact)), (name, k)
+        metrics = [hermitian.Metric.diagonal(se.n)]
+        metrics += [sample_positive_metric(rng, se.n) for _ in range(3)]
+        for metric in metrics:
+            for target in every_target(se.n):
+                expected = target_by_definition(se, target, metric)
+                assert search._holds(se, target, metric) == expected, (name, target)
+                assert search._verify(se, target, metric) == expected, (name, target)
+
+    def test_verify_rejects_a_metric_that_is_not_positive(self):
+        se = catalog.jt(1)
+        metric = hermitian.Metric.diagonal(3, [1, -1, 1])
+        assert search._holds(se, Target("gauduchon_zero", 2), metric)
+        assert not search._verify(se, Target("gauduchon_zero", 2), metric)
 
     def test_top_index_is_exercised_off_zero(self):
         se = non_unimodular3()
         metric = sample_positive_metric(random.Random(5), 3)
         assert gamma_numerator(metric, 2, se) != 0
+
+    def test_search_runs_without_coefficient_maps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must stay in exact arithmetic")
+
+        monkeypatch.setattr(Form, "map_coefficients", refuse)
+        monkeypatch.setattr(StructureEquations, "map_coefficients", refuse)
+        se = catalog.family8(1, 0)
+        for kind in ("gamma_negative", "gamma_positive"):
+            out = find_metric(se, Target(kind, 1), budget=400, seed=9)
+            assert out.status == "witness", kind
+        for se, target in ((catalog.iwasawa(), "skt"), (catalog.jt(1), "balanced")):
+            out = find_metric(se, Target(target), budget=20, seed=2)
+            assert out.status == "exhausted", target
+
+
+def adjoint_by_sweep(lef, f):
+    """The adjoint of L from its definition: <A f, m> = <f, L m> for every monomial m."""
+    if f.is_zero or f.degree < 2:
+        return Form.zero()
+    g = lef._to_unitary(f)
+    deg = f.degree - 2
+    out = {}
+    for mon in itertools.combinations(range(1, 2 * lef.n + 1), deg):
+        lm = wedge(lef._omega_u, Form(deg, {mon: ONE}))
+        val = ZERO
+        for m2, c2 in lm.terms.items():
+            c1 = g.terms.get(m2)
+            if c1 is not None:
+                val = val + c1 * c2.conjugate() * cr(lef._weight(m2))
+        if val:
+            out[mon] = val / cr(lef._weight(mon))
+    return lef._from_unitary(Form(deg, out))
+
+
+class TestLefschetzContraction:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_adjoint_matches_the_sweep(self, n):
+        rng = random.Random(n)
+        lef = hermitian.Lefschetz(sample_positive_metric(rng, n))
+        forms_seen = [lef.omega, wedge(lef.omega, lef.omega)]
+        for degree in range(2 * n + 1):
+            forms_seen += [rand_form(rng, n, degree, terms=3) for _ in range(6)]
+        for f in forms_seen:
+            assert lef.adjoint(f) == adjoint_by_sweep(lef, f), f
 
 
 class TestExactScalars:
