@@ -278,13 +278,7 @@ def jt_real(t) -> RealLieAlgebra:
         Form(2, {_mon(1, 2): ONE}),
         Form(2, {_mon(1, 4): ONE, _mon(2, 3): ONE}),
     ]
-    it = ComplexRational(0, t)
-    rows = [
-        [ONE, ZERO, ZERO, I, ZERO, ZERO],
-        [ZERO, ONE, it, -it, ZERO, ZERO],
-        [ZERO, ZERO, ZERO, ZERO, cr(2), ComplexRational(0, -2)],
-    ]
-    J = complex_structure_from_coframe(rows, 6)
+    J = complex_structure_from_coframe(jt_coframe(t), 6)
     return RealLieAlgebra(6, alg_d, J=J)
 
 

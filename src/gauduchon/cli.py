@@ -96,20 +96,40 @@ def cmd_classify(args) -> int:
     return 0
 
 
+_COMPLEX = dsl.parse_complex_literal
+
+# --family -> its --family-params as (name, parser) in `catalog emit` order,
+# and the constructor of the params find_metric takes; nonnilpotent6's
+# closed form holds for every eps and sign, so it takes none
+_SEARCH_FAMILIES = {
+    "nilpotent6": ((("eps", int), ("rho", int), ("A", _COMPLEX), ("B", _COMPLEX),
+                    ("C", _COMPLEX), ("D", _COMPLEX)), catalog.Nilpotent6Params),
+    "reduced6": ((("rho", int), ("B", _COMPLEX), ("x", Fraction), ("y", Fraction)),
+                 catalog.Reduced6Params),
+    "jt": ((("t", Fraction),), lambda t: t),
+    "family8": ((("p", Fraction), ("q", Fraction)), lambda p, q: (p, q)),
+    "nonnilpotent6": ((), lambda: None),
+}
+
+
+def _family_params(family: str, values: list):
+    """find_metric's params for --family, parsed from its --family-params."""
+    if family not in _SEARCH_FAMILIES:
+        raise UnknownFamily(f"no closed forms for --family {family!r}; "
+                            f"known: {', '.join(_SEARCH_FAMILIES)}")
+    fields, build = _SEARCH_FAMILIES[family]
+    if len(values) != len(fields):
+        names = " ".join(name for name, _ in fields) or "none"
+        raise BadParams(f"--family {family} takes {len(fields)} --family-params "
+                        f"({names}), got {len(values)}")
+    return build(*(parse(v) for (_, parse), v in zip(fields, values)))
+
+
 def cmd_search(args) -> int:
     se = _load_structure(args.structure)
     target = parse_target(args.target)
     family = args.family
-    params = None
-    if family == "jt":
-        params = Fraction(args.family_params[0])
-    elif family == "family8":
-        params = (Fraction(args.family_params[0]), Fraction(args.family_params[1]))
-    elif family == "reduced6":
-        rho, b, x, y = args.family_params
-        params = catalog.Reduced6Params(
-            int(rho), dsl.parse_complex_literal(b), Fraction(x), Fraction(y)
-        )
+    params = _family_params(family, args.family_params) if family is not None else None
     outcome = search.find_metric(
         se, target, budget=args.budget, seed=args.seed, family=family, params=params
     )
@@ -216,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=search.DEFAULT_SEED)
     p.add_argument("--family", default=None,
-                   help="optional closed-form context: reduced6 | jt | family8 | ...")
+                   help="optional closed-form context: " + " | ".join(_SEARCH_FAMILIES))
     p.add_argument("--family-params", nargs="*", default=[],
-                   help="family parameters, e.g. '1/2' for jt or 'p q' for family8")
+                   help="family parameters in `catalog emit` order, e.g. '1/2' for jt, "
+                        "'p q' for family8 or 'eps rho A B C D' for nilpotent6")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search)
 

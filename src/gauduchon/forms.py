@@ -259,17 +259,18 @@ def wedge(a: Form, b: Form) -> Form:
 
 def substitute(f: Form, table: Dict[int, Form]) -> Form:
     """Replace every generator rank by the 1-form table[rank] and expand."""
-    if f.is_zero:
-        return Form.zero()
-    out = Form.zero()
+    terms: Dict[Monomial, object] = {}
     for mon, c in f.terms.items():
         prod = Form.scalar(1)
         for r in mon:
             prod = wedge(prod, table[r])
             if prod.is_zero:
                 break
-        out = out + prod.scale(c)
-    return out
+        for m, v in prod.terms.items():
+            v = v * c
+            acc = terms.get(m)
+            terms[m] = v if acc is None else acc + v
+    return Form(f.degree, terms)
 
 
 def format_form(f: Form, token: Callable = rank_token) -> str:

@@ -5,7 +5,9 @@ Omega = sum x_{jk} w^j ^ ~w^k with conj(x_{kj}) = -x_{jk}; positivity is
 equivalent to -iX being Hermitian positive definite.  This module computes
 the k-th Gauduchon forms ddbar(Omega^k) ^ Omega^{n-k-1}, the associated
 sign scalar, the Lee form, the metric-class predicates, and the Lefschetz
-operator pair with its commutation identities.
+operator pair with its commutation identities.  The adjoints L* and d* are
+taken in the inner product that (-iX)^-1 induces on forms, in the coframe
+the forms are written in.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
-from .forms import Form, Monomial, conj_rank, holo_rank, substitute, wedge
+from .forms import Form, Monomial, conj_rank, holo_rank, wedge
 from .scalars import I, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
@@ -252,38 +254,45 @@ def lee_form(metric: Metric, se: StructureEquations) -> Form:
     return _solve_lee(top, se.d(top), se.n)
 
 
+def _rank_pairing(h_inv: list, r: int, s: int) -> ComplexRational:
+    """<e_r, e_s> of two generators: (H^-1)_{ba} for w^a, w^b, its
+    conjugate (H^-1)_{ab} for ~w^a, ~w^b, and 0 for w against ~w."""
+    if (r ^ s) & 1:
+        return ZERO
+    a, b = (r - 1) // 2, (s - 1) // 2
+    return h_inv[b][a] if r & 1 else h_inv[a][b]
+
+
+def _pairing(h_inv: list, f: Form, g: Form) -> ComplexRational:
+    """<f, g> of two 2-forms: 2x2 Gram determinants of the 1-form pairing."""
+    val = ZERO
+    for (a, b), c in f.terms.items():
+        for (p, q), e in g.terms.items():
+            gram = (_rank_pairing(h_inv, a, p) * _rank_pairing(h_inv, b, q)
+                    - _rank_pairing(h_inv, a, q) * _rank_pairing(h_inv, b, p))
+            if gram:
+                val = val + c * e.conjugate() * gram
+    return val
+
+
 def lee_form_via_codifferential(metric: Metric, se: StructureEquations) -> Form:
     """Cross-check: theta = J(d* Omega) with d* the metric adjoint of d.
 
     The sign of J on 1-forms varies across conventions; frozen here (once,
     against lee_form on a reduced-family example with nonzero Lee form) as
     (J alpha) = -alpha∘J, i.e. J w^j = -i w^j, with d* the adjoint in the
-    unitary-monomial inner product and no further constant.
+    inner product that H^-1 (H = -iX) induces on forms and no further
+    constant.  d* Omega solves <d* Omega, e_r> = <Omega, d e_r> over the
+    generators e_r.
     """
     metric.require_positive()
-    lef = Lefschetz(metric)
-    omega_u = lef._to_unitary(metric.fundamental_form())
-    # adjoint of d: <d* f, m> = <f, d m> over degree-1 monomials m
-    ranks = list(range(1, 2 * se.n + 1))
-    dstar_terms: Dict[Monomial, ComplexRational] = {}
-    f_u = omega_u
-    for r in ranks:
-        dm = se.d(lef._from_unitary(Form.gen(r)))
-        dm_u = lef._to_unitary(dm)
-        val = ZERO
-        for mon, c in f_u.terms.items():
-            cc = dm_u.terms.get(mon)
-            if cc is not None:
-                val = val + c * cc.conjugate() * lef._weight(mon)
-        if val:
-            dstar_terms[(r,)] = val / lef._weight((r,))
-    dstar = Form(1, dstar_terms)
-    dstar = lef._from_unitary(dstar)
-    out = Form.zero()
-    for mon, c in dstar.terms.items():
-        factor = -I if mon[0] & 1 else I
-        out = out + Form(1, {mon: c * factor})
-    return out
+    h_inv = linalg.mat_inverse(metric.minus_i_x())
+    ranks = range(1, 2 * se.n + 1)
+    omega = metric.fundamental_form()
+    gram = [[_rank_pairing(h_inv, s, r) for s in ranks] for r in ranks]
+    rhs = [_pairing(h_inv, omega, se.d(Form.gen(r))) for r in ranks]
+    dstar = linalg.solve(gram, rhs)
+    return Form(1, {(r,): c * (-I if r & 1 else I) for r, c in zip(ranks, dstar)})
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +388,18 @@ def _binom_general(a: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _coframe_table(rows: list) -> Dict[int, Form]:
-    """Rank -> 1-form for w^a = sum_j rows[a][j] w'^j and its conjugate."""
-    n = len(rows)
-    table = {}
-    for a in range(n):
-        terms = {(holo_rank(j + 1),): rows[a][j] for j in range(n) if rows[a][j]}
-        table[holo_rank(a + 1)] = Form(1, terms)
-        table[conj_rank(a + 1)] = Form(
-            1, {(mon[0] + 1,): c.conjugate() for mon, c in terms.items()}
-        )
-    return table
-
-
 class Lefschetz:
     """The pair L (wedging with Omega) and L* (4x its metric adjoint).
 
-    The adjoint is taken in the pointwise inner product that makes the
-    monomials of a unitary coframe orthonormal; the factor 4 is the unique
-    calibration for which the r <= s commutation identity
+    The adjoint is taken in the Hermitian inner product the metric induces
+    on forms: with H = -iX, <w^a, w^b> = (H^-1)_{ba} on 1-forms, extended to
+    monomials by Gram determinants.  It is the contraction with the metric
+    dual of Omega and needs only H^-1, in the coframe the forms live in.
+    The factor 4 is the unique calibration for which the r <= s
+    commutation identity
         L*^r L^s = L^s L*^r + sum_i 4^i (i!)^2 C(s,i) C(r,i) C(n-p-s+r,i)
                    L^{s-i} L*^{r-i}
-    holds on p-forms with no stray constants.  The unitary coframe is
-    produced by an exact LDL* congruence of -iX, keeping everything
-    rational: with -iX = L D L*, the coframe tau' = L^T w has
-    Omega = i sum_j d_j tau'^j ^ ~tau'^j and monomial weights prod 1/d_j.
+    holds on p-forms with no stray constants.
     """
 
     def __init__(self, metric: Metric):
@@ -411,41 +407,12 @@ class Lefschetz:
         self.metric = metric
         self.n = metric.n
         self.omega = metric.fundamental_form()
-        lower, diag = linalg.ldl(metric.minus_i_x())
-        self.diag = diag
-        n = self.n
-        lt = [[lower[j][i] for j in range(n)] for i in range(n)]  # L^T
-        lt_inv = linalg.mat_inverse(lt)
-        # w^a = sum_j lt_inv[a][j] tau'^j and tau'^j = sum_a lt[j][a] w^a
-        self._w_to_u = _coframe_table(lt_inv)
-        self._u_to_w = _coframe_table(lt)
-        self._omega_u = Form(
-            2,
-            {
-                (holo_rank(j + 1), conj_rank(j + 1)): I * cr(diag[j])
-                for j in range(n)
-            },
-        )
-        ensure(self._to_unitary(self.omega) == self._omega_u,
-               "the LDL* coframe must diagonalize Omega")
-        self._contraction = [-I / cr(d) for d in diag]
-
-    # -- frame transport ----------------------------------------------------
-
-    def _to_unitary(self, f: Form) -> Form:
-        return substitute(f, self._w_to_u)
-
-    def _from_unitary(self, f: Form) -> Form:
-        return substitute(f, self._u_to_w)
-
-    def _weight(self, mon: Monomial) -> Fraction:
-        w = Fraction(1)
-        for r in mon:
-            j = (r + 1) // 2 if r & 1 else r // 2
-            w /= self.diag[j - 1]
-        return w
-
-    # -- operators ------------------------------------------------------------
+        h_inv = linalg.mat_inverse(metric.minus_i_x())
+        # (rank of w^a, rank of ~w^b) -> -i (H^-1)_{ba}, the factor of contracting them
+        self._lam = {(holo_rank(a + 1), conj_rank(b + 1)): -I * h_inv[b][a]
+                     for a in range(self.n) for b in range(self.n) if h_inv[b][a]}
+        ensure(self.adjoint(self.omega) == Form.scalar(self.n),
+               "the adjoint of L must send Omega to n")
 
     def L(self, f: Form) -> Form:
         return wedge(self.omega, f)
@@ -453,22 +420,25 @@ class Lefschetz:
     def adjoint(self, f: Form) -> Form:
         """The bare adjoint of L (no calibration factor).
 
-        In the unitary frame L adds i d_j tau'^j ^ ~tau'^j, an adjacent rank
-        pair, with sign +1, and the monomial weights turn its adjoint into
-        removing each such pair with the factor -i/d_j.
+        -i sum_{a,b} (H^-1)_{ba} i(d/d~w_b) i(d/dw_a): for every monomial and
+        every pair (w^a at position p, ~w^b at position q of the rest) it
+        drops the pair with the factor -i (H^-1)_{ba} (-1)^{p+q}.
         """
         if f.is_zero or f.degree < 2:
             return Form.zero()
         out: Dict[Monomial, ComplexRational] = {}
-        for mon, c in self._to_unitary(f).terms.items():
-            for pos in range(len(mon) - 1):
-                r = mon[pos]
-                if r & 1 and mon[pos + 1] == r + 1:
-                    m = mon[:pos] + mon[pos + 2:]
-                    v = c * self._contraction[r // 2]
+        for mon, c in f.terms.items():
+            for p, r in enumerate(mon):
+                rest = mon[:p] + mon[p + 1:]
+                for q, s in enumerate(rest):
+                    lam = self._lam.get((r, s))
+                    if lam is None:
+                        continue
+                    m = rest[:q] + rest[q + 1:]
+                    v = -(c * lam) if (p + q) & 1 else c * lam
                     acc = out.get(m)
                     out[m] = v if acc is None else acc + v
-        return self._from_unitary(Form(f.degree - 2, out))
+        return Form(f.degree - 2, out)
 
     def Lstar(self, f: Form) -> Form:
         return self.adjoint(f).scale(cr(4))

@@ -69,10 +69,9 @@ def mat_det(a: Matrix) -> ComplexRational:
     return det
 
 
-def solve(a: Matrix, rhs: list) -> list:
-    """Solve the square system a x = rhs exactly; raises on singular input."""
-    n = len(a)
-    work = [a[i][:] + [rhs[i]] for i in range(n)]
+def _gauss_jordan(work: Matrix) -> None:
+    """Reduce the augmented rows [A | B] in place to [I | A^-1 B]."""
+    n = len(work)
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -89,16 +88,22 @@ def solve(a: Matrix, rhs: list) -> list:
             if r != col and work[r][col]:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+
+
+def solve(a: Matrix, rhs: list) -> list:
+    """Solve the square system a x = rhs exactly; raises on singular input."""
+    n = len(a)
+    work = [a[i][:] + [rhs[i]] for i in range(n)]
+    _gauss_jordan(work)
     return [work[i][n] for i in range(n)]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
+    """a^-1 by one Gauss-Jordan pass over [a | I]; raises on singular input."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [ONE if i == j else ZERO for i in range(n)]
-        cols.append(solve(a, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    work = [a[i][:] + unit for i, unit in enumerate(identity(n))]
+    _gauss_jordan(work)
+    return [row[n:] for row in work]
 
 
 def rref(a: Matrix) -> Matrix:

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .catalog import (
-    Reduced6Params,
-    balanced_obstruction_family8,
-    skt_scalar_nilpotent6,
-)
+from .catalog import balanced_obstruction_family8, closed_form_scalars
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
 from .hermitian import Metric, gamma_numerator, gauduchon_form, omega_power
@@ -164,13 +160,7 @@ def _certificate(se, target, family, params) -> Optional[SearchOutcome]:
         return m
 
     if family in ("nilpotent6", "reduced6", "jt"):
-        if family == "jt":
-            t = Fraction(params)
-            params = Reduced6Params(rho=1, B=cr(1), x=Fraction(1) / t, y=Fraction(0))
-            family = "reduced6"
-        if family == "reduced6":
-            params = params.as_nilpotent6()
-        K = skt_scalar_nilpotent6(params)
+        K = closed_form_scalars(family, params)["K"]
         cert = {"name": "sign-fixed scalar", "K": str(K)}
         if target.kind == "gamma_negative" and target.k == 1:
             if K < 0:

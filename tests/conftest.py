@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gauduchon.forms import Form
-from gauduchon.scalars import ComplexRational
+from gauduchon import linalg
+from gauduchon.forms import Form, conj_rank, holo_rank, substitute
+from gauduchon.scalars import I, ZERO, ComplexRational, cr
 
 
 @pytest.fixture
@@ -25,3 +26,59 @@ def rand_form(rng, n, degree, terms=2):
     for _ in range(terms):
         out = out + Form.monomial(rng.sample(ranks, degree), rand_coeff(rng))
     return out
+
+
+def _coframe_table(rows):
+    """Rank -> 1-form for w^a = sum_j rows[a][j] w'^j and its conjugate."""
+    table = {}
+    for a, row in enumerate(rows):
+        terms = {(holo_rank(j + 1),): c for j, c in enumerate(row) if c}
+        table[holo_rank(a + 1)] = Form(1, terms)
+        table[conj_rank(a + 1)] = Form(
+            1, {(mon[0] + 1,): c.conjugate() for mon, c in terms.items()}
+        )
+    return table
+
+
+class UnitaryFrame:
+    """The LDL* unitary coframe of a metric, the reference for L* and d*.
+
+    With -iX = L D L*, the coframe tau' = L^T w has
+    Omega = i sum_j d_j tau'^j ^ ~tau'^j, and its monomials are orthogonal
+    with weights prod 1/d_j in the metric's inner product on forms.
+    """
+
+    def __init__(self, metric):
+        n = metric.n
+        lower, self.diag = linalg.ldl(metric.minus_i_x())
+        lt = [[lower[j][i] for j in range(n)] for i in range(n)]  # L^T
+        self._w_to_u = _coframe_table(linalg.mat_inverse(lt))
+        self._u_to_w = _coframe_table(lt)
+        self.omega = Form(2, {(holo_rank(j + 1), conj_rank(j + 1)): I * cr(d)
+                              for j, d in enumerate(self.diag)})
+        assert self.to_unitary(metric.fundamental_form()) == self.omega
+
+    def to_unitary(self, f):
+        return substitute(f, self._w_to_u)
+
+    def from_unitary(self, f):
+        return substitute(f, self._u_to_w)
+
+    def weight(self, mon):
+        w = Fraction(1)
+        for r in mon:
+            w /= self.diag[(r - 1) // 2]
+        return cr(w)
+
+    def inner_unitary(self, a, b):
+        """<a, b> of two forms already written in the unitary coframe."""
+        val = ZERO
+        for mon, c in a.terms.items():
+            cc = b.terms.get(mon)
+            if cc is not None:
+                val = val + c * cc.conjugate() * self.weight(mon)
+        return val
+
+    def inner(self, a, b):
+        """<a, b> of two forms in the structure's own coframe."""
+        return self.inner_unitary(self.to_unitary(a), self.to_unitary(b))

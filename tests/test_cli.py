@@ -6,6 +6,7 @@ import pytest
 
 from gauduchon import catalog, dsl, verify
 from gauduchon.cli import main
+from gauduchon.scalars import ComplexRational
 
 
 def write(path, text):
@@ -102,6 +103,35 @@ class TestSearch:
         assert main(["search", "--structure", jt_file, "--target", "bogus"]) == 2
 
 
+    @pytest.mark.parametrize(
+        "family, params, se, K",
+        [
+            # in `catalog emit` order: eps rho A B C D
+            ("nilpotent6", ["0", "1", "1", "1/2", "0", "2"],
+             catalog.nilpotent6(0, 1, 1, Fraction(1, 2), 0, 2), "-11/4"),
+            ("nilpotent6", ["1", "0", "0", "0", "2i", "0"],
+             catalog.nilpotent6(1, 0, 0, 0, ComplexRational(0, 2), 0), "4"),
+            ("jt", ["1/2"], catalog.jt(Fraction(1, 2)), "-2"),
+            ("reduced6", ["1", "0", "1", "0"], catalog.reduced6(1, 0, 1, 0), "-1"),
+        ],
+    )
+    def test_family_certificate(self, tmp_path, capsys, family, params, se, K):
+        se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
+        argv = ["search", "--structure", se_path, "--target", "gauduchon1=0", "--budget", "5",
+                "--family", family, "--family-params", *params]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "infeasible_certified"
+        assert data["certificate"]["K"] == K
+
+    def test_nonnilpotent6_family_takes_no_params(self, tmp_path, capsys):
+        se_path = write(tmp_path / "nn.dsl", dsl.format_structure(catalog.nonnilpotent6(1, -1)))
+        argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--family",
+                "nonnilpotent6"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "infeasible_certified"
+
+
 class TestCatalog:
     def test_list(self, capsys):
         assert main(["catalog", "list"]) == 0
@@ -119,8 +149,6 @@ class TestCatalog:
              "--param", "A=1", "--param", "B=1/2+1/2i", "--param", "C=0", "--param", "D=i"]
         ) == 0
         text = capsys.readouterr().out
-        from gauduchon.scalars import ComplexRational
-
         expected = catalog.nilpotent6(
             0, 1, 1, ComplexRational(Fraction(1, 2), Fraction(1, 2)), 0,
             ComplexRational(0, 1),
@@ -212,6 +240,25 @@ class TestInputErrors:
         assert main(
             ["search", "--structure", jt_file, "--target", "gamma9<0", "--budget", "5"]
         ) == 2
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["--family", "nilpotent6"],
+            ["--family", "nilpotent6", "--family-params", "0", "1", "1", "0"],
+            ["--family", "jt"],
+            ["--family", "family8"],
+            ["--family", "family8", "--family-params", "1"],
+            ["--family", "reduced6", "--family-params", "1", "0", "1", "0", "0"],
+            ["--family", "nonnilpotent6", "--family-params", "1"],
+            ["--family", "bogus"],
+            ["--family", "iwasawa"],
+        ],
+    )
+    def test_bad_search_family(self, jt_file, capsys, family_args):
+        argv = ["search", "--structure", jt_file, "--target", "gamma1<0", "--budget", "5"]
+        assert main(argv + family_args) == 2
         self.assert_one_line_error(capsys)
 
     def test_zero_denominator_param(self, capsys):

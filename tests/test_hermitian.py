@@ -229,24 +229,15 @@ class TestLefschetz:
 
     def test_adjoint_is_adjoint(self, rng):
         # <L* f, g> = <f, L g> in the weighted monomial inner product
+        from conftest import UnitaryFrame, rand_form
+
         m = sample_positive_metric(rng, 2)
         lef = Lefschetz(m)
-
-        def inner(a, b):
-            au, bu = lef._to_unitary(a), lef._to_unitary(b)
-            val = cr(0)
-            for mon, c in au.terms.items():
-                cc = bu.terms.get(mon)
-                if cc is not None:
-                    val = val + c * cc.conjugate() * cr(lef._weight(mon))
-            return val
-
-        from conftest import rand_form
-
+        frame = UnitaryFrame(m)
         for _ in range(10):
             f = rand_form(rng, 2, 3)
             g = rand_form(rng, 2, 1)
-            assert inner(lef.adjoint(f), g) == inner(f, lef.L(g))
+            assert frame.inner(lef.adjoint(f), g) == frame.inner(f, lef.L(g))
 
     def test_reduction_identity_on_dimension_four(self, rng):
         se = catalog.family8(Fraction(1, 2), Fraction(1))

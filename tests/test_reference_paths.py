@@ -2,9 +2,10 @@
 
 partial/dbar are single derivations over per-structure tables, classify
 computes every Gauduchon quantity in one pass, the search screens samples
-with the targets' exact predicates, and the adjoint of L is a contraction
-in the unitary frame; the references here are the direct definitions,
-written out in the tests.
+with the targets' exact predicates, and L* and d* are contractions with
+(-iX)^-1 in the structure's own coframe; the references here are the
+direct definitions, written out in the tests, with the adjoints taken in
+the LDL* unitary coframe, whose monomials are orthogonal.
 """
 
 import importlib.util
@@ -25,12 +26,12 @@ from gauduchon.hermitian import (
     lee_form,
     omega_power,
 )
-from gauduchon.scalars import ONE, ZERO, ComplexRational, cr
+from gauduchon.scalars import I, ONE, ComplexRational
 from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
 
-from conftest import rand_form
+from conftest import UnitaryFrame, rand_form
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -177,35 +178,55 @@ class TestExactScreen:
             assert out.status == "exhausted", target
 
 
-def adjoint_by_sweep(lef, f):
+def adjoint_by_sweep(frame, f):
     """The adjoint of L from its definition: <A f, m> = <f, L m> for every monomial m."""
     if f.is_zero or f.degree < 2:
         return Form.zero()
-    g = lef._to_unitary(f)
+    g = frame.to_unitary(f)
     deg = f.degree - 2
     out = {}
-    for mon in itertools.combinations(range(1, 2 * lef.n + 1), deg):
-        lm = wedge(lef._omega_u, Form(deg, {mon: ONE}))
-        val = ZERO
-        for m2, c2 in lm.terms.items():
-            c1 = g.terms.get(m2)
-            if c1 is not None:
-                val = val + c1 * c2.conjugate() * cr(lef._weight(m2))
+    for mon in itertools.combinations(range(1, 2 * len(frame.diag) + 1), deg):
+        val = frame.inner_unitary(g, wedge(frame.omega, Form(deg, {mon: ONE})))
         if val:
-            out[mon] = val / cr(lef._weight(mon))
-    return lef._from_unitary(Form(deg, out))
+            out[mon] = val / frame.weight(mon)
+    return frame.from_unitary(Form(deg, out))
+
+
+def codifferential_in_unitary_frame(metric, se):
+    """J(d* Omega) with d* read off orthogonal unitary monomials, one generator at a time."""
+    frame = UnitaryFrame(metric)
+    omega_u = frame.to_unitary(metric.fundamental_form())
+    dstar = {}
+    for r in range(1, 2 * se.n + 1):
+        dm_u = frame.to_unitary(se.d(frame.from_unitary(Form.gen(r))))
+        val = frame.inner_unitary(omega_u, dm_u)
+        if val:
+            dstar[(r,)] = val / frame.weight((r,))
+    dstar = frame.from_unitary(Form(1, dstar))
+    return Form(1, {mon: c * (-I if mon[0] & 1 else I) for mon, c in dstar.terms.items()})
 
 
 class TestLefschetzContraction:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjoint_matches_the_sweep(self, n):
         rng = random.Random(n)
-        lef = hermitian.Lefschetz(sample_positive_metric(rng, n))
+        metric = sample_positive_metric(rng, n)
+        lef = hermitian.Lefschetz(metric)
+        frame = UnitaryFrame(metric)
         forms_seen = [lef.omega, wedge(lef.omega, lef.omega)]
         for degree in range(2 * n + 1):
             forms_seen += [rand_form(rng, n, degree, terms=3) for _ in range(6)]
         for f in forms_seen:
-            assert lef.adjoint(f) == adjoint_by_sweep(lef, f), f
+            assert lef.adjoint(f) == adjoint_by_sweep(frame, f), f
+
+    @pytest.mark.parametrize("name, se", list(_standard_entries()))
+    def test_codifferential_matches_the_unitary_frame(self, name, se):
+        rng = random.Random(name)
+        for _ in range(3):
+            metric = sample_positive_metric(rng, se.n)
+            assert hermitian.lee_form_via_codifferential(metric, se) == (
+                codifferential_in_unitary_frame(metric, se)
+            ), name
 
 
 class TestExactScalars:
