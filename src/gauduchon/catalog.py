@@ -34,18 +34,6 @@ from .structures import (
 )
 
 
-def _mon(*ranks) -> tuple:
-    return tuple(ranks)
-
-
-def _w(j: int) -> int:
-    return holo_rank(j)
-
-
-def _cw(j: int) -> int:
-    return conj_rank(j)
-
-
 @dataclass(frozen=True)
 class Nilpotent6Params:
     eps: int
@@ -84,14 +72,14 @@ class Reduced6Params:
 
 def nilpotent6(eps: int, rho: int, A, B, C, D) -> StructureEquations:
     params = Nilpotent6Params(eps, rho, cr(A), cr(B), cr(C), cr(D))
-    dw2 = Form(2, {_mon(_w(1), _cw(1)): cr(params.eps)}) if params.eps else Form.zero()
+    dw2 = Form(2, {(holo_rank(1), conj_rank(1)): cr(params.eps)}) if params.eps else Form.zero()
     one_minus_eps = cr(1 - params.eps)
     terms = {
-        _mon(_w(1), _w(2)): cr(params.rho),
-        _mon(_w(1), _cw(1)): one_minus_eps * params.A,
-        _mon(_w(1), _cw(2)): params.B,
-        _mon(_cw(1), _w(2)): -params.C,  # C w2^~w1 = -C (~w1^w2) canonically
-        _mon(_w(2), _cw(2)): one_minus_eps * params.D,
+        (holo_rank(1), holo_rank(2)): cr(params.rho),
+        (holo_rank(1), conj_rank(1)): one_minus_eps * params.A,
+        (holo_rank(1), conj_rank(2)): params.B,
+        (conj_rank(1), holo_rank(2)): -params.C,  # C w2^~w1 = -C (~w1^w2) canonically
+        (holo_rank(2), conj_rank(2)): one_minus_eps * params.D,
     }
     dw3 = Form(2, {m: c for m, c in terms.items() if c})
     return StructureEquations(3, [Form.zero(), dw2, dw3])
@@ -101,16 +89,16 @@ def nonnilpotent6(eps: int, sign: int) -> StructureEquations:
     if eps not in (0, 1) or sign not in (1, -1):
         raise BadParams("eps in {0,1}, sign in {+1,-1}")
     dw2 = Form(
-        2, {_mon(_w(1), _w(3)): ONE, _mon(_w(1), _cw(3)): ONE}
+        2, {(holo_rank(1), holo_rank(3)): ONE, (holo_rank(1), conj_rank(3)): ONE}
     )
     s = cr(sign) * I
     dw3 = Form(
         2,
         {
-            _mon(_w(1), _cw(1)): I * cr(eps),
-            _mon(_w(1), _cw(2)): s,
+            (holo_rank(1), conj_rank(1)): I * cr(eps),
+            (holo_rank(1), conj_rank(2)): s,
             # - sign * i * w2^~w1 = + sign * i * (~w1 ^ w2) in canonical order
-            _mon(_cw(1), _w(2)): s,
+            (conj_rank(1), holo_rank(2)): s,
         },
     )
     return StructureEquations(3, [Form.zero(), dw2, dw3])
@@ -138,15 +126,17 @@ def family8(p, q) -> StructureEquations:
     dw4 = Form(
         2,
         {
-            _mon(_w(1), _cw(1)): A,
-            _mon(_w(2), _cw(2)): -ONE,
-            _mon(_w(3), _cw(3)): -ONE,
+            (holo_rank(1), conj_rank(1)): A,
+            (holo_rank(2), conj_rank(2)): -ONE,
+            (holo_rank(3), conj_rank(3)): -ONE,
         },
     )
     return StructureEquations(4, [Form.zero(), Form.zero(), Form.zero(), dw4])
 
 
 def abelian(n: int) -> StructureEquations:
+    if n < 1:
+        raise BadParams("n must be at least 1")
     return StructureEquations(n, [Form.zero()] * n)
 
 
@@ -275,8 +265,8 @@ def jt_real(t) -> RealLieAlgebra:
     if t == 0:
         raise BadParams("t must be nonzero")
     alg_d = [Form.zero()] * 4 + [
-        Form(2, {_mon(1, 2): ONE}),
-        Form(2, {_mon(1, 4): ONE, _mon(2, 3): ONE}),
+        Form(2, {(1, 2): ONE}),
+        Form(2, {(1, 4): ONE, (2, 3): ONE}),
     ]
     J = complex_structure_from_coframe(jt_coframe(t), 6)
     return RealLieAlgebra(6, alg_d, J=J)
@@ -307,10 +297,10 @@ def solvable5_contact(F: Optional[Form] = None):
 
     d_of = [
         Form.zero(),
-        Form(2, {_mon(1, 3): ONE}),
-        Form(2, {_mon(1, 2): -ONE}),
+        Form(2, {(1, 3): ONE}),
+        Form(2, {(1, 2): -ONE}),
         Form.zero(),
-        Form(2, {_mon(1, 4): ONE, _mon(2, 3): ONE}),
+        Form(2, {(1, 4): ONE, (2, 3): ONE}),
     ]
     algebra = RealLieAlgebra(5, d_of)
     phi = [[ZERO] * 5 for _ in range(5)]
@@ -320,9 +310,9 @@ def solvable5_contact(F: Optional[Form] = None):
     phi[0][3] = -ONE  # phi(e4) = -e1
     eta = Form(1, {(5,): ONE})
     xi = [ZERO, ZERO, ZERO, ZERO, ONE]
-    Phi = Form(2, {_mon(1, 4): ONE, _mon(2, 3): -ONE})
+    Phi = Form(2, {(1, 4): ONE, (2, 3): -ONE})
     if F is None:
-        F = Form(2, {_mon(1, 4): cr(2), _mon(2, 3): cr(-2)})
+        F = Form(2, {(1, 4): cr(2), (2, 3): cr(-2)})
     return ContactData(algebra, eta, xi, phi, Phi, F)
 
 
@@ -331,7 +321,7 @@ def heisenberg5_contact(F: Optional[Form] = None):
     form, so this is the Sasakian model; default curvature is zero."""
     from .sasakian import ContactData
 
-    d_of = [Form.zero()] * 4 + [Form(2, {_mon(1, 2): ONE, _mon(3, 4): ONE})]
+    d_of = [Form.zero()] * 4 + [Form(2, {(1, 2): ONE, (3, 4): ONE})]
     algebra = RealLieAlgebra(5, d_of)
     phi = [[ZERO] * 5 for _ in range(5)]
     phi[1][0] = ONE   # phi(e1) = e2
@@ -340,7 +330,7 @@ def heisenberg5_contact(F: Optional[Form] = None):
     phi[2][3] = -ONE
     eta = Form(1, {(5,): ONE})
     xi = [ZERO, ZERO, ZERO, ZERO, ONE]
-    Phi = Form(2, {_mon(1, 2): ONE, _mon(3, 4): ONE})
+    Phi = Form(2, {(1, 2): ONE, (3, 4): ONE})
     if F is None:
         F = Form.zero()
     return ContactData(algebra, eta, xi, phi, Phi, F)
@@ -351,7 +341,7 @@ def broken5_contact():
     the bundle extension over it is not integrable."""
     from .sasakian import ContactData
 
-    d_of = [Form.zero()] * 4 + [Form(2, {_mon(1, 3): ONE})]
+    d_of = [Form.zero()] * 4 + [Form(2, {(1, 3): ONE})]
     algebra = RealLieAlgebra(5, d_of)
     phi = [[ZERO] * 5 for _ in range(5)]
     phi[1][0] = ONE
@@ -360,8 +350,8 @@ def broken5_contact():
     phi[2][3] = -ONE
     eta = Form(1, {(5,): ONE})
     xi = [ZERO, ZERO, ZERO, ZERO, ONE]
-    Phi = Form(2, {_mon(1, 2): ONE, _mon(3, 4): ONE})
-    F = Form(2, {_mon(1, 2): ONE})
+    Phi = Form(2, {(1, 2): ONE, (3, 4): ONE})
+    F = Form(2, {(1, 2): ONE})
     return ContactData(algebra, eta, xi, phi, Phi, F)
 
 

@@ -112,8 +112,13 @@ _SEARCH_FAMILIES = {
 }
 
 
-def _family_params(family: str, values: list):
-    """find_metric's params for --family, parsed from its --family-params."""
+def _family_params(se, family: str, values: list):
+    """find_metric's params for --family, parsed from its --family-params.
+
+    The structure must be the catalog's build of that family at those
+    params (nonnilpotent6: one of its four builds), so that the family's
+    closed forms are a certificate for it.
+    """
     if family not in _SEARCH_FAMILIES:
         raise UnknownFamily(f"no closed forms for --family {family!r}; "
                             f"known: {', '.join(_SEARCH_FAMILIES)}")
@@ -122,14 +127,23 @@ def _family_params(family: str, values: list):
         names = " ".join(name for name, _ in fields) or "none"
         raise BadParams(f"--family {family} takes {len(fields)} --family-params "
                         f"({names}), got {len(values)}")
-    return build(*(parse(v) for (_, parse), v in zip(fields, values)))
+    parsed = [parse(v) for (_, parse), v in zip(fields, values)]
+    named = [{name: v for (name, _), v in zip(fields, parsed)}]
+    if family == "nonnilpotent6":
+        named = [{"eps": eps, "sign": sign} for eps in (0, 1) for sign in (1, -1)]
+    if se not in [catalog.build(family, **kw) for kw in named]:
+        raise BadParams(f"the structure is not the catalog's {family}"
+                        + (f"({', '.join(values)})" if values else ""))
+    return build(*parsed)
 
 
 def cmd_search(args) -> int:
     se = _load_structure(args.structure)
     target = parse_target(args.target)
     family = args.family
-    params = _family_params(family, args.family_params) if family is not None else None
+    if family is None and args.family_params:
+        raise BadParams("--family-params needs --family")
+    params = _family_params(se, family, args.family_params) if family is not None else None
     outcome = search.find_metric(
         se, target, budget=args.budget, seed=args.seed, family=family, params=params
     )

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 from .errors import DimensionMismatch, DslSyntaxError
 from .forms import Form, conj_rank, format_form, holo_rank
 from .hermitian import Metric
-from .scalars import ComplexRational, format_rational
+from .scalars import ComplexRational
 from .structures import StructureEquations
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,8 @@ def _mon_from_json(spec) -> tuple:
 def form_to_json(f: Form) -> list:
     return [
         {
-            "re": format_rational(c.re),
-            "im": format_rational(c.im),
+            "re": str(c.re),
+            "im": str(c.im),
             "mon": _mon_to_json(mon),
         }
         for mon in sorted(f.terms)
@@ -341,7 +341,7 @@ def real_form_to_json(f: Form) -> list:
     out = []
     for mon in sorted(f.terms):
         c = f.terms[mon]
-        out.append({"coef": format_rational(c.real_part()), "mon": list(mon)})
+        out.append({"coef": str(c.real_part()), "mon": list(mon)})
     return out
 
 
@@ -360,7 +360,7 @@ def metric_to_json(metric: Metric) -> dict:
     return {
         "n": metric.n,
         "X": [
-            [{"re": format_rational(v.re), "im": format_rational(v.im)} for v in row]
+            [{"re": str(v.re), "im": str(v.im)} for v in row]
             for row in metric.x
         ],
     }

@@ -148,16 +148,6 @@ class Form:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def coeff(self, ranks: Iterable[int]):
-        sorted_ = sort_ranks(ranks)
-        if sorted_ is None:
-            return ComplexRational(0)
-        sign, mon = sorted_
-        c = self.terms.get(mon)
-        if c is None:
-            return ComplexRational(0)
-        return c if sign > 0 else -c
-
     # -- linear structure ----------------------------------------------------
 
     def _check_degree(self, other: "Form") -> Optional[int]:

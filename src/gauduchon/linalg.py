@@ -1,7 +1,10 @@
 """Small exact linear algebra over ComplexRational matrices.
 
 Matrices are lists of row lists.  Sizes never exceed 2n <= 8, so plain
-Gaussian elimination with exact arithmetic is entirely adequate.
+exact elimination is entirely adequate.  One Gauss-Jordan routine,
+_eliminate, serves rref, solve, mat_inverse and mat_det: it reports the
+pivot columns and the signed pivot product.  ldl is the separate
+positivity test.
 """
 
 from __future__ import annotations
@@ -39,97 +42,84 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
+
+
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_det(a: Matrix) -> ComplexRational:
-    """Determinant by fraction-free-ish elimination on a working copy."""
-    n = len(a)
-    work = [row[:] for row in a]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = ONE / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[col][c]
-    return det
+def _eliminate(work: Matrix, cols: int) -> tuple[list, ComplexRational]:
+    """Gauss-Jordan on the first cols columns of work, in place.
 
-
-def _gauss_jordan(work: Matrix) -> None:
-    """Reduce the augmented rows [A | B] in place to [I | A^-1 B]."""
-    n = len(work)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
+    The pivot of each column is its first nonzero entry at or below the next
+    pivot row; it is swapped up, its row normalised and its column cleared
+    in every other row.  Returns the pivot columns and the product of the
+    pivots, negated once per row swap, which is the determinant when the
+    leading cols x cols block is square and every column has a pivot.
+    """
+    rows = len(work)
+    pivots: list = []
+    product = ONE
+    for col in range(cols):
+        top = len(pivots)
+        if top == rows:
+            break
+        for pivot in range(top, rows):
+            if work[pivot][col]:
                 break
-        if pivot is None:
-            raise ValueError("singular system")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-        inv = ONE / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
+        else:
+            continue
+        if pivot != top:
+            work[top], work[pivot] = work[pivot], work[top]
+            product = -product
+        # rows from top down are zero left of col, so row operations start there
+        head = work[top]
+        product = product * head[col]
+        inv = ONE / head[col]
+        tail = [v * inv for v in head[col:]]
+        head[col:] = tail
+        for r in range(rows):
+            if r != top and work[r][col]:
                 f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                work[r][col:] = [x - f * y for x, y in zip(work[r][col:], tail)]
+        pivots.append(col)
+    return pivots, product
+
+
+def mat_det(a: Matrix) -> ComplexRational:
+    """Determinant of a square matrix: its signed pivot product, 0 if singular."""
+    pivots, product = _eliminate([row[:] for row in a], len(a))
+    return product if len(pivots) == len(a) else ZERO
 
 
 def solve(a: Matrix, rhs: list) -> list:
     """Solve the square system a x = rhs exactly; raises on singular input."""
     n = len(a)
     work = [a[i][:] + [rhs[i]] for i in range(n)]
-    _gauss_jordan(work)
-    return [work[i][n] for i in range(n)]
+    if len(_eliminate(work, n)[0]) < n:
+        raise ValueError("singular system")
+    return [row[n] for row in work]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """a^-1 by one Gauss-Jordan pass over [a | I]; raises on singular input."""
     n = len(a)
     work = [a[i][:] + unit for i, unit in enumerate(identity(n))]
-    _gauss_jordan(work)
+    if len(_eliminate(work, n)[0]) < n:
+        raise ValueError("singular system")
     return [row[n:] for row in work]
 
 
 def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form (canonical representative of the row space)."""
     work = [row[:] for row in a]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, rows):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = ONE / work[pivot_row][col]
-        work[pivot_row] = [v * inv for v in work[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == rows:
-            break
+    _eliminate(work, len(work[0]) if work else 0)
     return work
 
 

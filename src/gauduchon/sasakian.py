@@ -21,23 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, isqrt
 from typing import Optional
 
-from . import linalg
-from .errors import BadDimensions, BadRange, NotQuasiSasakian, ensure
+from .errors import BadDimensions, BadRange, DimensionMismatch, NotQuasiSasakian, ensure
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form
-from .scalars import I, ONE, ZERO, ComplexRational, cr
+from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros
+from .scalars import I, ONE, ZERO, cr
 from .structures import ComplexFrame, RealLieAlgebra, complex_frame_from_real
-
-
-def _binom(m: int, k: int) -> int:
-    if k < 0 or k > m or m < 0:
-        return 0
-    out = 1
-    for t in range(k):
-        out = out * (m - t) // (t + 1)
-    return out
 
 
 def coefficient_C(n: int, s: int, a, b) -> Fraction:
@@ -54,11 +46,8 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
         raise BadRange(f"s must be in 0..{n - 1}")
     a = Fraction(a)
     m = Fraction(a * a) + Fraction(b_squared)
-    return (
-        Fraction(_binom(n - 3, s))
-        + 2 * a * _binom(n - 3, s - 1)
-        + m * _binom(n - 3, s - 2)
-    )
+    c0, c1, c2 = (comb(n - 3, s - j) if s >= j else 0 for j in range(3))
+    return Fraction(c0) + 2 * a * c1 + m * c2
 
 
 def cns_table(n: int, a, b) -> list:
@@ -174,8 +163,6 @@ def solve_admissible(n1: int, n2: int) -> AdmissibleSet:
     disc = beta * beta - 4 * alpha * gamma
     roots = None
     if disc >= 0:
-        from math import isqrt
-
         num = disc.numerator
         den = disc.denominator
         rn, rd = isqrt(num), isqrt(den)
@@ -218,123 +205,85 @@ class ContactData:
         self.m = algebra.m
         if self.m % 2 == 0 or self.m < 3:
             raise NotQuasiSasakian("contact data needs odd dimension >= 3")
+        if len(xi) != self.m or len(phi) != self.m or any(len(r) != self.m for r in phi):
+            raise DimensionMismatch(f"xi needs {self.m} entries and phi {self.m} x {self.m}")
         self.eta = eta
         self.xi = [cr(v) for v in xi]
-        self.phi = linalg.mat(phi)
+        self.phi = mat(phi)
         self.Phi = Phi
         self.F = F
         self._check()
 
-    # -- pairing helpers ------------------------------------------------------
-
-    def _pair_1(self, alpha: Form, vec: list) -> ComplexRational:
-        out = ZERO
-        for (r,), c in alpha.terms.items():
-            out = out + c * vec[r - 1]
-        return out
-
-    @staticmethod
-    def _eval_2(beta: Form, a: int, b: int) -> ComplexRational:
-        """beta(e_a, e_b) for basis vectors (1-based indices)."""
-        if a == b:
-            return ZERO
-        if a < b:
-            return beta.terms.get((a, b), ZERO)
-        return -beta.terms.get((b, a), ZERO)
-
     def _check(self):
         m = self.m
-        if self._pair_1(self.eta, self.xi) != 1:
+        eta = [[self.eta.terms.get((r,), ZERO) for r in range(1, m + 1)]]
+        xi = [[v] for v in self.xi]
+        phi = self.phi
+        if mat_mul(eta, xi)[0][0] != 1:
             raise NotQuasiSasakian("eta(xi) != 1")
-        phi_xi = [
-            sum((self.phi[a][b] * self.xi[b] for b in range(m)), ZERO)
-            for a in range(m)
-        ]
-        if any(v for v in phi_xi):
+        if _nonzero(mat_mul(phi, xi)):
             raise NotQuasiSasakian("phi(xi) != 0")
-        eta_row = [self.eta.terms.get((r,), ZERO) for r in range(1, m + 1)]
-        for b in range(m):
-            val = sum((eta_row[a] * self.phi[a][b] for a in range(m)), ZERO)
-            if val:
-                raise NotQuasiSasakian("eta ∘ phi != 0")
-        phi2 = linalg.mat_mul(self.phi, self.phi)
-        for a in range(m):
-            for b in range(m):
-                expect = self.xi[a] * eta_row[b] - (ONE if a == b else ZERO)
-                if phi2[a][b] != expect:
-                    raise NotQuasiSasakian("phi^2 != -Id + xi ⊗ eta")
+        if _nonzero(mat_mul(eta, phi)):
+            raise NotQuasiSasakian("eta ∘ phi != 0")
+        if not mat_eq(mat_add(mat_mul(phi, phi), identity(m)), mat_mul(xi, eta)):
+            raise NotQuasiSasakian("phi^2 != -Id + xi ⊗ eta")
         # derived metric g = Phi(., phi .) + eta ⊗ eta must be symmetric PD
-        g = [[ZERO] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                val = eta_row[a] * eta_row[b]
-                for c in range(m):
-                    if self.phi[c][b]:
-                        val = val + self._eval_2(self.Phi, a + 1, c + 1) * self.phi[c][b]
-                g[a][b] = val
-        for a in range(m):
-            for b in range(m):
-                if g[a][b] != g[b][a] or not g[a][b].is_real:
-                    raise NotQuasiSasakian("derived metric is not symmetric real")
+        Phi = _skew(self.Phi, m)
+        g = mat_add(mat_mul(Phi, phi), mat_mul(transpose(eta), eta))
+        if not mat_eq(g, transpose(g)) or any(not v.is_real for row in g for v in row):
+            raise NotQuasiSasakian("derived metric is not symmetric real")
         try:
-            linalg.ldl(g)
+            ldl(g)
         except ValueError:
             raise NotQuasiSasakian("derived metric is not positive definite") from None
         self.g = g
-        # Phi must be reproduced by g(phi ., .)
-        for a in range(m):
-            for b in range(m):
-                val = sum(
-                    (self.phi[c][a] * g[c][b] for c in range(m) if self.phi[c][a]),
-                    ZERO,
-                )
-                if val != self._eval_2(self.Phi, a + 1, b + 1):
-                    raise NotQuasiSasakian("Phi != g(phi ., .)")
+        if not mat_eq(mat_mul(transpose(phi), g), Phi):
+            raise NotQuasiSasakian("Phi != g(phi ., .)")
         if not self.algebra.d(self.Phi).is_zero:
             raise NotQuasiSasakian("dPhi != 0")
         if not self.algebra.d(self.F).is_zero:
             raise NotQuasiSasakian("F is not closed")
-        deta = self.algebra.d(self.eta)
-        for form, name in ((self.F, "F"), (deta, "d eta")):
-            for b in range(1, m + 1):
-                val = ZERO
-                for a in range(1, m + 1):
-                    val = val + self.xi[a - 1] * self._eval_2(form, a, b)
-                if val:
-                    raise NotQuasiSasakian(f"{name}(xi, .) != 0")
-        for a in range(1, m + 1):
-            for b in range(a, m + 1):
-                val = ZERO
-                for c in range(m):
-                    if self.phi[c][a - 1]:
-                        val = val + self.phi[c][a - 1] * self._eval_2(self.F, c + 1, b)
-                    if self.phi[c][b - 1]:
-                        val = val + self.phi[c][b - 1] * self._eval_2(self.F, a, c + 1)
-                if val:
-                    raise NotQuasiSasakian("F is not phi-invariant")
+        F = _skew(self.F, m)
+        for form, name in ((F, "F"), (_skew(self.algebra.d(self.eta), m), "d eta")):
+            if _nonzero(mat_mul(transpose(xi), form)):
+                raise NotQuasiSasakian(f"{name}(xi, .) != 0")
+        if _nonzero(mat_add(mat_mul(transpose(phi), F), mat_mul(F, phi))):
+            raise NotQuasiSasakian("F is not phi-invariant")
+
+
+def _skew(form: Form, m: int) -> Matrix:
+    """The matrix form(e_a, e_b) of a 2-form over e1..em.
+
+    Terms over ranks beyond m are left out here; d rejects them with
+    DimensionMismatch.
+    """
+    out = zeros(m, m)
+    for mon, c in form.terms.items():
+        if len(mon) == 2 and 1 <= mon[0] < mon[1] <= m:
+            out[mon[0] - 1][mon[1] - 1], out[mon[1] - 1][mon[0] - 1] = c, -c
+    return out
+
+
+def _nonzero(a: Matrix) -> bool:
+    return any(v for row in a for v in row)
 
 
 def contact_to_json(contact: "ContactData") -> dict:
     """Serialize contact data with exact rational strings."""
     from .dsl import real_form_to_json
-    from .scalars import format_rational
 
     return {
         "dim": contact.m,
         "d": [real_form_to_json(f) for f in contact.algebra.d_of],
         "eta": real_form_to_json(contact.eta),
-        "xi": [format_rational(v.real_part()) for v in contact.xi],
-        "phi": [
-            [format_rational(v.real_part()) for v in row] for row in contact.phi
-        ],
+        "xi": [str(v.real_part()) for v in contact.xi],
+        "phi": [[str(v.real_part()) for v in row] for row in contact.phi],
         "Phi": real_form_to_json(contact.Phi),
         "F": real_form_to_json(contact.F),
     }
 
 
 def contact_from_json(spec: dict) -> "ContactData":
-    from fractions import Fraction as _F
-
     from .dsl import real_form_from_json
 
     dim = int(spec["dim"])
@@ -342,8 +291,8 @@ def contact_from_json(spec: dict) -> "ContactData":
     return ContactData(
         algebra=algebra,
         eta=real_form_from_json(spec["eta"]),
-        xi=[cr(_F(v)) for v in spec["xi"]],
-        phi=[[cr(_F(v)) for v in row] for row in spec["phi"]],
+        xi=[cr(Fraction(v)) for v in spec["xi"]],
+        phi=[[cr(Fraction(v)) for v in row] for row in spec["phi"]],
         Phi=real_form_from_json(spec["Phi"]),
         F=real_form_from_json(spec["F"]),
     )
@@ -376,32 +325,18 @@ def bundle_extend(contact: ContactData) -> BundleExtension:
     # d on the extension: old equations plus d(theta) = F
     d_of = list(contact.algebra.d_of) + [contact.F]
     eta_row = [contact.eta.terms.get((r,), ZERO) for r in range(1, m + 1)]
-    # J = phi on ker eta ∩ ker theta, J xi = -T, J T = xi
-    J = [[ZERO] * dim for _ in range(dim)]
-    for a in range(m):
-        for b in range(m):
-            J[a][b] = contact.phi[a][b]
-    for b in range(m):
-        J[m][b] = -eta_row[b]  # theta(J e_b) = -eta(e_b)
-    for a in range(m):
-        J[a][m] = contact.xi[a]  # J T = xi
+    # J = [[phi, xi], [-eta, 0]]: phi on ker eta ∩ ker theta, J T = xi and
+    # theta(J e_b) = -eta(e_b), so J xi = -T
+    J = [row + [v] for row, v in zip(contact.phi, contact.xi)]
+    J.append([-v for v in eta_row] + [ZERO])
     algebra = RealLieAlgebra(dim, d_of, J=J)
     frame = complex_frame_from_real(algebra)
 
-    # fundamental form of h = g + theta ⊗ theta: Omega(X, Y) = h(JX, Y)
-    h = [[contact.g[a][b] if a < m and b < m else ZERO for b in range(dim)]
-         for a in range(dim)]
-    h[m][m] = ONE
-    omega_terms = {}
-    for a in range(1, dim + 1):
-        for b in range(a + 1, dim + 1):
-            val = ZERO
-            for c in range(dim):
-                if J[c][a - 1]:
-                    val = val + J[c][a - 1] * h[c][b - 1]
-            if val:
-                omega_terms[(a, b)] = val
-    omega_real = Form(2, omega_terms)
+    # fundamental form of h = g + theta ⊗ theta: Omega(X, Y) = h(JX, Y) = J^T h
+    h = [row + [ZERO] for row in contact.g] + [[ZERO] * m + [ONE]]
+    omega = mat_mul(transpose(J), h)
+    omega_real = Form(2, {(a + 1, b + 1): omega[a][b]
+                          for a in range(dim) for b in range(a + 1, dim)})
     metric = metric_from_form(frame.to_complex(omega_real), n)
 
     d_eta = contact.algebra.d(contact.eta)

@@ -246,19 +246,15 @@ ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def format_complex(z: ComplexRational) -> str:
     """Canonical literal: '3/2', '-1/2i', '1/2+1/4i', '1/2-1/4i', '0'."""
     if not z:
         return "0"
     if z.im == 0:
-        return format_rational(z.re)
-    imag = f"{format_rational(z.im)}i"
+        return str(z.re)
+    imag = f"{z.im}i"
     if z.re == 0:
         return imag
     if z.im > 0:
-        return f"{format_rational(z.re)}+{imag}"
-    return f"{format_rational(z.re)}{imag}"
+        return f"{z.re}+{imag}"
+    return f"{z.re}{imag}"

@@ -268,8 +268,9 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
 def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:
     """Deterministic (1,0)-coframe from (real coframe, J).
 
-    Applies e^a - i e^a∘J for a = 1, 2, ... in order and keeps the first n
-    candidates that are linearly independent (first-nonzero pivots only), so
+    Applies e^a - i e^a∘J for a = 1, 2, ... in order and keeps each
+    candidate that is linearly independent of those kept before it (the rref
+    of the kept rows plus the candidate has no zero row), stopping at n, so
     the output is reproducible across runs and platforms.
     """
     if alg.J is None:
@@ -277,21 +278,12 @@ def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:
     m = alg.m
     n = m // 2
     kept: list = []
-    echelon: list = []  # reduced copies for the independence test
     for a in range(m):
         cand = [(cr(1) if b == a else cr(0)) - I * alg.J[a][b] for b in range(m)]
-        work = cand[:]
-        for pivot_col, pivot_row in echelon:
-            if work[pivot_col]:
-                f = work[pivot_col] / pivot_row[pivot_col]
-                work = [x - f * y for x, y in zip(work, pivot_row)]
-        lead = next((idx for idx, v in enumerate(work) if v), None)
-        if lead is None:
-            continue
-        kept.append(cand)
-        echelon.append((lead, work))
-        if len(kept) == n:
-            break
+        if all(any(row) for row in linalg.rref(kept + [cand])):
+            kept.append(cand)
+            if len(kept) == n:
+                break
     ensure(len(kept) == n, "J eigenspace defect; J^2 = -Id should prevent this")
     return structure_from_coframe(alg, kept)
 

@@ -563,13 +563,15 @@ CLAIMS: List[tuple] = [
     ("lemma-3.3i", "nilpotent family: collapsed ddbar form", check_lemma_33i),
     ("lemma-3.3ii", "non-nilpotent family: ddbar form and positive scalar", check_lemma_33ii),
     ("prop-3.5", "negative-scalar witnesses and exclusions", check_prop_35),
-    ("example-3.8", "deformation family: pluriclosed scalar and balanced exclusion", check_example_38),
+    ("example-3.8", "deformation family: pluriclosed scalar and balanced exclusion",
+     check_example_38),
     ("prop-4.7", "eight-dimensional family: equivalences and certificates", check_prop_47),
     ("lemma-4.6", "Gauduchon-index duality on unimodular entries", check_lemma_46),
     ("theorem-4.2", "Sasakian products: coefficient identity and scalars", check_theorem_42),
     ("solvable5-bundle", "circle-bundle criterion and sign agreement", check_solvable5_bundle),
     ("lefschetz", "Lefschetz commutation, reduction, balanced+Gauduchon", check_lefschetz),
-    ("infrastructure", "exterior-algebra axioms, volume identity, round-trips", check_infrastructure),
+    ("infrastructure", "exterior-algebra axioms, volume identity, round-trips",
+     check_infrastructure),
 ]
 
 
@@ -624,7 +626,8 @@ class ReproductionReport:
         width = max(len(c) for c, _, _ in CLAIMS)
         for r in self.records:
             mark = "PASS" if r.status == "pass" else "FAIL"
-            line = f"{mark}  {r.claim:<{width}}  {r.samples:>6} samples  {r.elapsed:7.2f}s  {r.title}"
+            line = (f"{mark}  {r.claim:<{width}}  {r.samples:>6} samples  "
+                    f"{r.elapsed:7.2f}s  {r.title}")
             if r.message:
                 line += f"\n      {r.message}"
             lines.append(line)

@@ -44,6 +44,13 @@ class TestBuilders:
         with pytest.raises(BadParams):
             catalog.build("jt", s=1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_abelian_needs_positive_n(self, n):
+        with pytest.raises(BadParams):
+            catalog.abelian(n)
+        with pytest.raises(BadParams):
+            catalog.build("abelian", n=n)
+
     def test_list_families(self):
         fams = catalog.list_families()
         assert "jt" in fams and "params" in fams["jt"]

@@ -261,6 +261,42 @@ class TestInputErrors:
         assert main(argv + family_args) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "se, family_args",
+        [
+            # jt(1/2) has a gamma1 < 0 witness; jt(1)'s closed form would
+            # certify that none exists
+            (catalog.jt(Fraction(1, 2)), ["--family", "jt", "--family-params", "1"]),
+            (catalog.jt(Fraction(1, 2)), ["--family", "reduced6", "--family-params",
+                                          "1", "1", "3", "0"]),
+            (catalog.jt(Fraction(1, 2)), ["--family", "nonnilpotent6"]),
+            (catalog.family8(1, 2), ["--family", "family8", "--family-params", "2", "1"]),
+        ],
+    )
+    def test_search_family_must_be_the_structure(self, tmp_path, capsys, se, family_args):
+        se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
+        argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--budget", "5"]
+        assert main(argv + family_args) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_family_matching_the_structure_is_accepted(self, tmp_path, capsys):
+        # jt(1/2) is reduced6 at rho=1, B=1, x=2, y=0
+        se_path = write(tmp_path / "se.dsl", dsl.format_structure(catalog.jt(Fraction(1, 2))))
+        argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--budget", "5",
+                "--family", "reduced6", "--family-params", "1", "1", "2", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "witness"
+
+    def test_family_params_need_family(self, jt_file, capsys):
+        argv = ["search", "--structure", jt_file, "--target", "skt", "--budget", "5",
+                "--family-params", "7", "9"]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_abelian_needs_positive_n(self, capsys):
+        assert main(["catalog", "emit", "abelian", "--param", "n=0"]) == 2
+        self.assert_one_line_error(capsys)
+
     def test_zero_denominator_param(self, capsys):
         assert main(["catalog", "emit", "jt", "--param", "t=1/0"]) == 2
         self.assert_one_line_error(capsys)
@@ -285,6 +321,20 @@ class TestInputErrors:
         if command == "classify":
             argv += ["--structure", jt_file]
         assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("cut", [
+        lambda doc: doc["xi"].pop(),
+        lambda doc: doc["phi"].pop(),
+        lambda doc: doc["phi"][2].pop(),
+    ], ids=["short-xi", "short-phi", "ragged-phi"])
+    def test_contact_of_wrong_shape(self, tmp_path, capsys, cut):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.solvable5_contact())
+        cut(doc)
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
         self.assert_one_line_error(capsys)
 
 

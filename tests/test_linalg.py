@@ -86,3 +86,106 @@ class TestDeterminant:
     def test_determinant_of_inverse(self, matrices):
         for a in matrices:
             assert linalg.mat_det(linalg.mat_inverse(a)) * linalg.mat_det(a) == 1
+
+
+def cofactor_det(a):
+    """Laplace expansion along the first row: an elimination-free reference."""
+    if not a:
+        return ComplexRational(1)
+    total = ZERO
+    for j, v in enumerate(a[0]):
+        if v:
+            minor = [row[:j] + row[j + 1:] for row in a[1:]]
+            term = v * cofactor_det(minor)
+            total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def sparse_matrix(rng, rows, cols, zero_frac):
+    return [[ZERO if rng.random() < zero_frac else rand_entry(rng) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def of_rank(rng, rows, cols, rank):
+    """rows x cols of exactly the given rank, as coeffs @ basis.
+
+    basis has a unit column per row (so full row rank) and coeffs contains
+    the rank x rank identity among its rows (so full column rank).
+    """
+    if not rank:
+        return linalg.zeros(rows, cols)
+    basis = sparse_matrix(rng, rank, cols, 0.3)
+    for i, col in enumerate(rng.sample(range(cols), rank)):
+        for k in range(rank):
+            basis[k][col] = ComplexRational(int(k == i))
+    coeffs = linalg.identity(rank) + sparse_matrix(rng, rows - rank, rank, 0.3)
+    rng.shuffle(coeffs)
+    return linalg.mat_mul(coeffs, basis)
+
+
+def assert_reduced(r):
+    """r is in reduced row echelon form: unit pivot columns, zero rows last."""
+    leads = []
+    for row in r:
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            assert all(not any(later) for later in r[len(leads):])
+            break
+        assert row[lead] == 1
+        assert not leads or lead > leads[-1]
+        leads.append(lead)
+    for i, col in enumerate(leads):
+        assert all(r[k][col] == (1 if k == i else 0) for k in range(len(r)))
+    return leads
+
+
+class TestRref:
+    def test_known_reduction(self):
+        a = linalg.mat([[0, 2, 4, 2], [0, 0, 0, 0], [1, 1, 1, 1], [2, 4, 6, 4]])
+        assert linalg.rref(a) == linalg.mat(
+            [[1, 0, -1, 0], [0, 1, 2, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (3, 3), (4, 6), (1, 4), (4, 1)])
+    def test_rectangular_and_rank_deficient(self, shape):
+        rows, cols = shape
+        rng = random.Random(10 * rows + cols)
+        for rank in range(min(rows, cols) + 1):
+            for _ in range(3):
+                a = of_rank(rng, rows, cols, rank)
+                r = linalg.rref(a)
+                assert len(assert_reduced(r)) == rank
+                assert linalg.rref(r) == r
+                # same row space: stacking the input under the rref adds no rank
+                assert len(assert_reduced(linalg.rref(r + a))) == rank
+
+    def test_zero_rows_and_zero_matrix(self):
+        a = linalg.mat([[0, 0, 0], [0, 1, 2], [0, 0, 0], [0, 2, 4]])
+        r = linalg.rref(a)
+        assert r == linalg.mat([[0, 1, 2], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert linalg.rref(linalg.zeros(3, 2)) == linalg.zeros(3, 2)
+
+    def test_rref_leaves_its_input_alone(self):
+        a = linalg.mat([[0, 1], [2, 3]])
+        before = [row[:] for row in a]
+        linalg.rref(a)
+        assert a == before
+
+
+class TestDeterminantReference:
+    def test_row_swap_matrix(self):
+        assert linalg.mat_det(needs_row_swap()) == cofactor_det(needs_row_swap()) == 1
+
+    def test_against_cofactor_expansion(self):
+        rng = random.Random(0xDE7)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(8):
+                a = sparse_matrix(rng, n, n, 0.5)
+                a[0][0] = ZERO  # the first pivot always needs a row swap
+                assert linalg.mat_det(a) == cofactor_det(a)
+
+    def test_swapped_rows_negate(self):
+        a = linalg.mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        b = linalg.mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert linalg.mat_det(a) == cofactor_det(a) == 1
+        assert linalg.mat_det(b) == cofactor_det(b) == -1

@@ -150,7 +150,7 @@ class TestContactValidation:
         c = catalog.solvable5_contact()
         phi = [row[:] for row in c.phi]
         phi[3][0] = -phi[3][0]  # phi(e1) = -e4 breaks phi^2 = -Id + xi (x) eta
-        with pytest.raises(NotQuasiSasakian):
+        with pytest.raises(NotQuasiSasakian, match=r"phi\^2 != -Id \+ xi ⊗ eta"):
             ContactData(c.algebra, c.eta, c.xi, phi, c.Phi, c.F)
 
     def test_eta_xi_normalization(self):
@@ -163,11 +163,51 @@ class TestContactValidation:
         # wrong sign on the e23 block breaks the derived-metric positivity
         c = catalog.solvable5_contact()
         bad_phi_form = Form(2, {(1, 4): cr(1), (2, 3): cr(1)})
-        with pytest.raises(NotQuasiSasakian):
+        with pytest.raises(NotQuasiSasakian, match="not positive definite"):
             ContactData(c.algebra, c.eta, c.xi, c.phi, bad_phi_form, c.F)
+
+    @pytest.mark.parametrize("Phi", [
+        # a complex coefficient makes g complex
+        Form(2, {(1, 4): ComplexRational(1, 1), (2, 3): cr(-1)}),
+        # an e12 term pairs with phi into an asymmetric g
+        Form(2, {(1, 4): cr(1), (2, 3): cr(-1), (1, 2): cr(1)}),
+        # Phi(xi, .) != 0 is the only way phi^T g = Phi can fail once g is
+        # symmetric, and it already breaks the symmetry of g
+        Form(2, {(1, 4): cr(1), (2, 3): cr(-1), (1, 5): cr(1)}),
+    ])
+    def test_derived_metric_not_symmetric_real(self, Phi):
+        c = catalog.solvable5_contact()
+        with pytest.raises(NotQuasiSasakian, match="derived metric is not symmetric real"):
+            ContactData(c.algebra, c.eta, c.xi, c.phi, Phi, c.F)
+
+    def test_non_closed_fundamental_form(self):
+        # de4 = e12 makes d(e34) = -e123
+        d_of = [Form.zero()] * 3 + [Form(2, {(1, 2): cr(1)}), Form.zero()]
+        c = abelian_contact(Form.zero())
+        with pytest.raises(NotQuasiSasakian, match="dPhi != 0"):
+            ContactData(RealLieAlgebra(5, d_of), c.eta, c.xi, c.phi, c.Phi, c.F)
+
+    def test_d_eta_contracts_with_xi(self):
+        # de5 = e15 gives d eta(xi, e1) = -1
+        d_of = [Form.zero()] * 4 + [Form(2, {(1, 5): cr(1)})]
+        c = abelian_contact(Form.zero())
+        with pytest.raises(NotQuasiSasakian, match=r"d eta\(xi, \.\) != 0"):
+            ContactData(RealLieAlgebra(5, d_of), c.eta, c.xi, c.phi, c.Phi, c.F)
 
 
 class TestBundleExtension:
+    def test_coframe_rows(self):
+        """The (1,0)-rows complex_frame_from_real keeps for both catalog extensions."""
+        o, z = cr(1), cr(0)
+        expected = {
+            "solvable5": [[o, z, z, I, z, z], [z, o, -I, z, z, z], [z, z, z, z, o, -I]],
+            "heisenberg5": [[o, I, z, z, z, z], [z, z, o, I, z, z], [z, z, z, z, o, -I]],
+        }
+        for name, rows in expected.items():
+            contact = getattr(catalog, f"{name}_contact")()
+            assert bundle_extend(contact).frame.rows == rows
+
+
     def test_solvable5_default_curvature(self):
         ext = bundle_extend(catalog.solvable5_contact())
         assert ext.criterion_form == Form(4, {(1, 2, 3, 4): cr(-6)})

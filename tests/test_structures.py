@@ -150,6 +150,17 @@ class TestRealToComplex:
             frame = structure_from_coframe(catalog.jt_real(t), catalog.jt_coframe(t))
             assert frame.structure == catalog.jt(t)
 
+    def test_jt_real_kept_rows(self):
+        """The candidates e^a - i e^a∘J that complex_frame_from_real keeps for jt(1/2)."""
+        o, z, i = cr(1), cr(0), ComplexRational(0, 1)
+        half_i = ComplexRational(0, Fraction(1, 2))
+        frame = complex_frame_from_real(catalog.jt_real(Fraction(1, 2)))
+        assert frame.rows == [
+            [o, z, z, i, z, z],
+            [z, o, half_i, -half_i, z, z],
+            [z, z, z, z, o, -i],
+        ]
+
     def test_coframe_to_j_round_trip(self):
         rows = catalog.jt_coframe(Fraction(1, 3))
         J = complex_structure_from_coframe(rows, 6)
