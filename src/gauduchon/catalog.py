@@ -135,8 +135,6 @@ def family8(p, q) -> StructureEquations:
 
 
 def abelian(n: int) -> StructureEquations:
-    if n < 1:
-        raise BadParams("n must be at least 1")
     return StructureEquations(n, [Form.zero()] * n)
 
 

@@ -122,15 +122,6 @@ class Form:
         sign, mon = sorted_
         return Form(len(mon), {mon: c * sign if sign < 0 else c})
 
-    @staticmethod
-    def from_terms(terms: Dict[Monomial, object]) -> "Form":
-        degrees = {len(m) for m, c in terms.items() if c}
-        if not degrees:
-            return Form.zero()
-        if len(degrees) > 1:
-            raise ValueError(f"mixed-degree form: degrees {sorted(degrees)}")
-        return Form(degrees.pop(), dict(terms))
-
     # -- basic predicates ---------------------------------------------------
 
     @property

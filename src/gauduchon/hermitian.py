@@ -4,10 +4,11 @@ A metric is the matrix X = (x_{jk}) of its fundamental form
 Omega = sum x_{jk} w^j ^ ~w^k with conj(x_{kj}) = -x_{jk}; positivity is
 equivalent to -iX being Hermitian positive definite.  This module computes
 the k-th Gauduchon forms ddbar(Omega^k) ^ Omega^{n-k-1}, the associated
-sign scalar, the Lee form, the metric-class predicates, and the Lefschetz
-operator pair with its commutation identities.  The adjoints L* and d* are
-taken in the inner product that (-iX)^-1 induces on forms, in the coframe
-the forms are written in.
+sign scalar, the Lee form theta = Lambda(d Omega) (the Lefschetz contraction
+of d Omega, zero exactly on balanced metrics), the metric-class predicates,
+and the Lefschetz operator pair with its commutation identities.  The
+adjoints L* and d* are taken in the inner product that (-iX)^-1 induces on
+forms, in the coframe the forms are written in.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class Metric:
             raise NotPositive("metric coefficient matrix is not positive definite")
 
     def det_minus_i_x(self) -> Fraction:
-        if self._det is None:
-            self._det = linalg.mat_det(self.minus_i_x()).real_part()
+        """det(-iX) as the product of the LDL* pivots; only positive metrics have it."""
+        self.require_positive()
         return self._det
 
     def fundamental_form(self) -> Form:
@@ -150,6 +151,11 @@ def volume_coefficient(metric: Metric) -> ComplexRational:
     return cr(factorial(metric.n)) * I**metric.n * cr(metric.det_minus_i_x())
 
 
+def _require_same_n(metric: Metric, se: StructureEquations):
+    if metric.n != se.n:
+        raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
+
+
 class GauduchonForms:
     """Omega powers, ddbar(Omega^k) and the k-th Gauduchon forms of one metric.
 
@@ -160,8 +166,7 @@ class GauduchonForms:
     """
 
     def __init__(self, metric: Metric, se: StructureEquations):
-        if metric.n != se.n:
-            raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
+        _require_same_n(metric, se)
         self.metric = metric
         self.se = se
         self.n = se.n
@@ -228,30 +233,22 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _solve_lee(top: Form, d_top: Form, n: int) -> Form:
-    """The 1-form theta with theta ^ top = d_top, for top = Omega^{n-1}."""
-    ranks = list(range(1, 2 * n + 1))
-    basis_mons = [
-        tuple(r for r in ranks if r != hole) for hole in ranks
-    ]  # all (2n-1)-monomials
-    cols = []
-    for r in ranks:
-        img = wedge(Form.gen(r), top)
-        cols.append([img.terms.get(m, ZERO) for m in basis_mons])
-    matrix = [[cols[c][row] for c in range(2 * n)] for row in range(2 * n)]
-    rhs = [d_top.terms.get(m, ZERO) for m in basis_mons]
-    sol = linalg.solve(matrix, rhs)
-    theta = Form(1, {(r,): sol[idx] for idx, r in enumerate(ranks)})
+def _lee(lef: "Lefschetz", d_omega: Form) -> Form:
+    """theta = Lambda(d Omega) with Lambda the bare adjoint of L."""
+    theta = lef.adjoint(d_omega)
     ensure(theta.conjugate() == theta, "Lee form must be real")
     return theta
 
 
 def lee_form(metric: Metric, se: StructureEquations) -> Form:
-    """The unique 1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}."""
-    forms = GauduchonForms(metric, se)
-    metric.require_positive()
-    top = forms.power(se.n - 1)
-    return _solve_lee(top, se.d(top), se.n)
+    """The Lee form theta = Lambda(d Omega), the trace of d Omega.
+
+    d Omega = (d Omega)_0 + theta ^ Omega / (n-1) with (d Omega)_0 primitive,
+    and [Lambda, L] = n - p on p-forms, so Lambda(d Omega) is the unique
+    1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}.
+    """
+    _require_same_n(metric, se)
+    return _lee(Lefschetz(metric), se.d(metric.fundamental_form()))
 
 
 def _rank_pairing(h_inv: list, r: int, s: int) -> ComplexRational:
@@ -334,21 +331,21 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
     One pass: each power, ddbar(Omega^k) and Gauduchon form is computed
-    once, and the Lee form is solved from the d(Omega^{n-1}) that decides
-    balancedness.
+    once.  The Lee form is Lambda(d Omega) of the d Omega that decides
+    Kahler, and balanced is read off it: d(Omega^{n-1}) = theta ^ Omega^{n-1}
+    vanishes iff theta does, since L^{n-1} is injective on 1-forms.
     """
     forms = GauduchonForms(metric, se)
-    metric.require_positive()
+    lef = Lefschetz(metric)
     n = se.n
-    kahler = se.d(forms.power(1)).is_zero
+    d_omega = se.d(lef.omega)
+    lee = _lee(lef, d_omega)
+    kahler = d_omega.is_zero
     skt = forms.ddbar(1).is_zero
     astheno = forms.ddbar(n - 2).is_zero if n >= 3 else True
-    top = forms.power(n - 1)
-    d_top = se.d(top)
-    balanced = d_top.is_zero
+    balanced = lee.is_zero
     gauduchon = {k: forms.form(k).is_zero for k in range(1, n)}
     gamma = {k: forms.gamma(k) for k in range(1, n)}
-    lee = _solve_lee(top, d_top, n)
     if kahler:
         label = "kahler"
     else:

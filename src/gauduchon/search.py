@@ -14,13 +14,13 @@ catalog; otherwise the outcome is 'exhausted'.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .catalog import balanced_obstruction_family8, closed_form_scalars
+from .catalog import (balanced_obstruction_family8, classify_reduced6, closed_form_scalars,
+                      skt_scalar_nilpotent6)
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
 from .hermitian import Metric, gamma_numerator, gauduchon_form, omega_power
@@ -103,9 +103,6 @@ class SearchOutcome:
             "certificate": self.certificate,
             "replay": self.replay,
         }
-
-    def to_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +375,13 @@ class Feasibility:
 def reduced6_feasibility(params: Reduced6Params) -> Feasibility:
     """Existence of a metric with negative first Gauduchon scalar.
 
-    Feasible iff 2x > rho + |B|^2; the scalar's sign is metric-independent,
-    so any positive diagonal metric is then a witness.
+    gamma1 has the metric-independent sign of K = rho + |B|^2 - 2x, so it is
+    feasible iff 2x > K + 2x = rho + |B|^2, and any positive diagonal metric
+    is then a witness.
     """
-    from .catalog import classify_reduced6
-
-    b2 = params.B.re**2 + params.B.im**2
-    threshold = Fraction(params.rho) + b2
-    feasible = 2 * params.x > threshold
+    K = skt_scalar_nilpotent6(params.as_nilpotent6())
+    threshold = K + 2 * params.x
+    feasible = K < 0
     return Feasibility(
         feasible=feasible,
         threshold=threshold,
@@ -393,7 +389,7 @@ def reduced6_feasibility(params: Reduced6Params) -> Feasibility:
         label=classify_reduced6(params),
         certificate=None
         if feasible
-        else {"name": "sign-fixed scalar", "K": str(threshold - 2 * params.x)},
+        else {"name": "sign-fixed scalar", "K": str(K)},
     )
 
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .errors import (
+    BadParams,
     DimensionMismatch,
     JacobiViolation,
     NotAlmostComplex,
@@ -66,17 +67,19 @@ def _is_unimodular(d, m: int) -> bool:
 class StructureEquations:
     """A complex coframe w1..wn with exact structure equations.
 
-    Construction verifies d∘d = 0 on every generator (Jacobi identity) and
-    that every dw^j has no (0,2)-component (integrability), so del and
-    delbar are meaningful on every instance.  The differential of each rank
-    is split once into its del and delbar parts, which integrability makes
-    sum to d; del and delbar are then single derivations.  Instances are
-    immutable.
+    Construction rejects n < 1 and verifies d∘d = 0 on every generator
+    (Jacobi identity) and that every dw^j has no (0,2)-component
+    (integrability), so del and delbar are meaningful on every instance.
+    The differential of each rank is split once into its del and delbar
+    parts, which integrability makes sum to d; del and delbar are then
+    single derivations.  Instances are immutable.
     """
 
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank")
 
     def __init__(self, n: int, d_of: List[Form], _validate: bool = True):
+        if n < 1:
+            raise BadParams(f"n must be at least 1, got {n}")
         if len(d_of) != n:
             raise ValueError(f"need {n} differentials, got {len(d_of)}")
         self.n = n

@@ -297,6 +297,19 @@ class TestInputErrors:
         assert main(["catalog", "emit", "abelian", "--param", "n=0"]) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["classify", "--json"],
+        ["search", "--target", "skt", "--budget", "5"],
+    ], ids=["check", "classify", "search"])
+    def test_structure_needs_positive_n(self, tmp_path, capsys, command):
+        se_path = write(tmp_path / "n0.json", json.dumps({"n": 0, "equations": []}))
+        argv = command + ["--structure", se_path]
+        if command[0] == "classify":
+            argv += ["--metric", write(tmp_path / "m0.json", json.dumps({"n": 0, "X": []}))]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
     def test_zero_denominator_param(self, capsys):
         assert main(["catalog", "emit", "jt", "--param", "t=1/0"]) == 2
         self.assert_one_line_error(capsys)

@@ -72,10 +72,6 @@ class TestWedge:
 
 
 class TestFormStructure:
-    def test_mixed_degree_rejected(self):
-        with pytest.raises(ValueError):
-            Form.from_terms({(1,): cr(1), (1, 2): cr(1)})
-
     def test_zero_coefficients_dropped(self):
         f = Form(2, {(1, 2): cr(0), (1, 3): cr(1)})
         assert (1, 2) not in f.terms

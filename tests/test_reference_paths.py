@@ -2,10 +2,13 @@
 
 partial/dbar are single derivations over per-structure tables, classify
 computes every Gauduchon quantity in one pass, the search screens samples
-with the targets' exact predicates, and L* and d* are contractions with
-(-iX)^-1 in the structure's own coframe; the references here are the
-direct definitions, written out in the tests, with the adjoints taken in
-the LDL* unitary coframe, whose monomials are orthogonal.
+with the targets' exact predicates, L* and d* are contractions with
+(-iX)^-1 in the structure's own coframe, the Lee form is the contraction
+Lambda(d Omega) and det(-iX) is the product of the LDL* pivots; the
+references here are the direct definitions, written out in the tests, with
+the adjoints taken in the LDL* unitary coframe, whose monomials are
+orthogonal, the Lee form solved from theta ^ Omega^{n-1} = d(Omega^{n-1})
+and the determinant taken by elimination.
 """
 
 import importlib.util
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from gauduchon import catalog, forms, hermitian, linalg, sasakian, search, structures
+from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
+from gauduchon.errors import NotPositive
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     classify,
@@ -26,7 +30,7 @@ from gauduchon.hermitian import (
     lee_form,
     omega_power,
 )
-from gauduchon.scalars import I, ONE, ComplexRational
+from gauduchon.scalars import I, ONE, ZERO, ComplexRational
 from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
@@ -227,6 +231,77 @@ class TestLefschetzContraction:
             assert hermitian.lee_form_via_codifferential(metric, se) == (
                 codifferential_in_unitary_frame(metric, se)
             ), name
+
+
+def lee_by_linear_system(metric, se):
+    """theta with theta ^ Omega^{n-1} = d(Omega^{n-1}): one exact 2n x 2n solve."""
+    n = se.n
+    top = omega_power(metric.fundamental_form(), n - 1)
+    d_top = se.d(top)
+    ranks = range(1, 2 * n + 1)
+    holes = [tuple(r for r in ranks if r != hole) for hole in ranks]  # the (2n-1)-monomials
+    images = [wedge(Form.gen(r), top) for r in ranks]
+    matrix = [[image.terms.get(mon, ZERO) for image in images] for mon in holes]
+    rhs = [d_top.terms.get(mon, ZERO) for mon in holes]
+    return Form(1, {(r,): c for r, c in zip(ranks, linalg.solve(matrix, rhs))})
+
+
+def lee_entries():
+    """Every standard entry, low and high n, non-unimodular algebras and bundles."""
+    entries = list(_standard_entries())
+    entries += [("abelian(1)", catalog.abelian(1)), ("abelian(2)", catalog.abelian(2))]
+    entries.append(("non-unimodular3", non_unimodular3()))
+    entries.append(("non-unimodular1",
+                    StructureEquations(1, [Form(2, {(1, 2): ComplexRational(Fraction(1, 2))})])))
+    for name, contact in (("solvable5", catalog.solvable5_contact()),
+                          ("heisenberg5", catalog.heisenberg5_contact())):
+        entries.append((f"{name}-bundle", sasakian.bundle_extend(contact).structure))
+    entries.append(("bench/n5.dsl", dsl.parse_structure((BENCH / "n5.dsl").read_text())))
+    return entries
+
+
+class TestLeeContraction:
+    @pytest.mark.parametrize("name, se", lee_entries())
+    def test_contraction_matches_the_linear_system(self, name, se):
+        rng = random.Random(name)
+        metrics = [hermitian.Metric.diagonal(se.n)]
+        metrics += [sample_positive_metric(rng, se.n) for _ in range(2 if se.n > 4 else 4)]
+        for metric in metrics:
+            theta = lee_by_linear_system(metric, se)
+            assert lee_form(metric, se) == theta, name
+            report = classify(metric, se)
+            assert report.lee == theta, name
+            balanced = se.d(omega_power(metric.fundamental_form(), se.n - 1)).is_zero
+            assert report.balanced == balanced == theta.is_zero, name
+            assert search._holds(se, Target("balanced"), metric) == balanced, name
+
+    def test_entries_cover_both_verdicts(self):
+        verdicts = {lee_form(hermitian.Metric.diagonal(se.n), se).is_zero
+                    for _, se in lee_entries()}
+        assert verdicts == {True, False}
+
+
+class TestDeterminantFromPivots:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_elimination_on_positive_metrics(self, n):
+        rng = random.Random(n)
+        for metric in [hermitian.Metric.diagonal(n, range(1, n + 1))] + [
+                sample_positive_metric(rng, n) for _ in range(5)]:
+            det = linalg.mat_det(metric.minus_i_x())
+            assert det.im == 0
+            assert metric.det_minus_i_x() == det.re > 0
+
+    @pytest.mark.parametrize("metric", [
+        hermitian.Metric.diagonal(3, [1, -1, 1]),
+        hermitian.Metric.diagonal(2, [1, 0]),
+        hermitian.Metric.diagonal(2, [-1, -1]),  # det(-iX) = 1 > 0, still not positive
+        hermitian.Metric([[I, 2 * I], [2 * I, I]]),
+    ])
+    def test_raises_on_metrics_that_are_not_positive(self, metric):
+        with pytest.raises(NotPositive):
+            metric.det_minus_i_x()
+        with pytest.raises(NotPositive):
+            hermitian.volume_coefficient(metric)
 
 
 class TestExactScalars:

@@ -54,7 +54,7 @@ class TestSampling:
         se = catalog.reduced6(1, 0, 1, 0)
         a = find_metric(se, Target("gamma_negative", 1), budget=50, seed=123)
         b = find_metric(se, Target("gamma_negative", 1), budget=50, seed=123)
-        assert a.to_bytes() == b.to_bytes()
+        assert a.to_json() == b.to_json()
 
     def test_budget_validated(self):
         with pytest.raises(BadParams):
