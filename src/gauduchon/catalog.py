@@ -13,19 +13,23 @@ Complex families (six real dimensions unless noted):
 
 closed_form_scalars returns the independent hand-derived obstruction
 scalars that the engine is tested against; classify_reduced6 names the
-underlying real nilpotent Lie algebra for the reduced family.
+underlying real nilpotent Lie algebra for the reduced family.  For
+`search --family`, family_params reads a build's parameters back off its
+structure equations, certified turns the closed forms into facts about
+every metric, and closing_scalar gives family8's balanced closing move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .errors import BadParams, UnknownFamily, ensure
 from .forms import Form, conj_rank, holo_rank
 from .hermitian import Metric
 from .linalg import mat_det
+from .sasakian import ContactData
 from .scalars import I, ONE, ZERO, ComplexRational, cr
 from .structures import (
     RealLieAlgebra,
@@ -70,16 +74,24 @@ class Reduced6Params:
         )
 
 
+# the monomials of the six-dimensional builders, in canonical rank order
+_W12 = (holo_rank(1), holo_rank(2))
+_W1B1 = (holo_rank(1), conj_rank(1))
+_W1B2 = (holo_rank(1), conj_rank(2))
+_B1W2 = (conj_rank(1), holo_rank(2))
+_W2B2 = (holo_rank(2), conj_rank(2))
+
+
 def nilpotent6(eps: int, rho: int, A, B, C, D) -> StructureEquations:
     params = Nilpotent6Params(eps, rho, cr(A), cr(B), cr(C), cr(D))
-    dw2 = Form(2, {(holo_rank(1), conj_rank(1)): cr(params.eps)}) if params.eps else Form.zero()
+    dw2 = Form(2, {_W1B1: cr(params.eps)}) if params.eps else Form.zero()
     one_minus_eps = cr(1 - params.eps)
     terms = {
-        (holo_rank(1), holo_rank(2)): cr(params.rho),
-        (holo_rank(1), conj_rank(1)): one_minus_eps * params.A,
-        (holo_rank(1), conj_rank(2)): params.B,
-        (conj_rank(1), holo_rank(2)): -params.C,  # C w2^~w1 = -C (~w1^w2) canonically
-        (holo_rank(2), conj_rank(2)): one_minus_eps * params.D,
+        _W12: cr(params.rho),
+        _W1B1: one_minus_eps * params.A,
+        _W1B2: params.B,
+        _B1W2: -params.C,  # C w2^~w1 = -C (~w1^w2) canonically
+        _W2B2: one_minus_eps * params.D,
     }
     dw3 = Form(2, {m: c for m, c in terms.items() if c})
     return StructureEquations(3, [Form.zero(), dw2, dw3])
@@ -291,8 +303,6 @@ def solvable5_contact(F: Optional[Form] = None):
     de2 = e13, de3 = -e12, de5 = e14 + e23; phi sends e1 -> e4, e2 -> -e3,
     eta = e5, g the standard metric.  The default curvature is 2e14 - 2e23.
     """
-    from .sasakian import ContactData
-
     d_of = [
         Form.zero(),
         Form(2, {(1, 3): ONE}),
@@ -317,8 +327,6 @@ def solvable5_contact(F: Optional[Form] = None):
 def heisenberg5_contact(F: Optional[Form] = None):
     """The five-dimensional Heisenberg entry: d(eta) equals the fundamental
     form, so this is the Sasakian model; default curvature is zero."""
-    from .sasakian import ContactData
-
     d_of = [Form.zero()] * 4 + [Form(2, {(1, 2): ONE, (3, 4): ONE})]
     algebra = RealLieAlgebra(5, d_of)
     phi = [[ZERO] * 5 for _ in range(5)]
@@ -337,8 +345,6 @@ def heisenberg5_contact(F: Optional[Form] = None):
 def broken5_contact():
     """Contact data passing every form-level check but failing normality:
     the bundle extension over it is not integrable."""
-    from .sasakian import ContactData
-
     d_of = [Form.zero()] * 4 + [Form(2, {(1, 3): ONE})]
     algebra = RealLieAlgebra(5, d_of)
     phi = [[ZERO] * 5 for _ in range(5)]
@@ -451,3 +457,118 @@ def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) ->
             "balanced": balanced_obstruction_family8(p, q, metric),
         }
     raise UnknownFamily(f"no closed forms for family {family!r}")
+
+
+# ---------------------------------------------------------------------------
+# what the closed forms decide for every metric at once
+# ---------------------------------------------------------------------------
+
+
+def _read_nilpotent6(se: StructureEquations) -> Nilpotent6Params:
+    # eps from dw2, the rest from dw3; with eps = 1 the builder drops A and D
+    dw2, dw3 = se.d_of[1].terms, se.d_of[2].terms
+    eps, rho, A, B, C, D = (dw.get(mon, ZERO) for dw, mon in (
+        (dw2, _W1B1), (dw3, _W12), (dw3, _W1B1), (dw3, _W1B2), (dw3, _B1W2), (dw3, _W2B2)))
+    return Nilpotent6Params(int(eps.re), int(rho.re), A, B, -C, D)
+
+
+def _read_reduced6(se: StructureEquations) -> Reduced6Params:
+    p = _read_nilpotent6(se)
+    return Reduced6Params(p.rho, p.B, p.D.re, p.D.im)
+
+
+def _read_family8(se: StructureEquations) -> tuple:
+    A = se.d_of[3].terms.get(_W1B1, ZERO)
+    return A.re, A.im
+
+
+# family -> (n, its params read off a structure, the builds at those params);
+# the readers only look, and the comparison with the builds decides
+CLOSED_FORM_FAMILIES = {
+    "nilpotent6": (3, _read_nilpotent6,
+                   lambda p: [nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)]),
+    "reduced6": (3, _read_reduced6, lambda p: [reduced6(p.rho, p.B, p.x, p.y)]),
+    "jt": (3, lambda se: 1 / _read_nilpotent6(se).D.re, lambda t: [jt(t)]),
+    "family8": (4, _read_family8, lambda pq: [family8(*pq)]),
+    # its closed form holds for every eps and sign, so it takes no params
+    "nonnilpotent6": (3, lambda se: None,
+                      lambda _: [nonnilpotent6(e, s) for e in (0, 1) for s in (1, -1)]),
+}
+
+
+def family_params(family: str, se: StructureEquations):
+    """The params the family's closed forms take, read off the structure.
+
+    nilpotent6, reduced6 and jt are read from the dw2 and dw3 coefficients,
+    family8 from the w1^~w1 coefficient of dw4; nonnilpotent6 has none.  The
+    reading is confirmed by rebuilding: a structure that is not a build of
+    the family raises BadParams.
+    """
+    spec = CLOSED_FORM_FAMILIES.get(family)
+    if spec is None:
+        raise UnknownFamily(f"no closed forms for family {family!r}; "
+                            f"known: {', '.join(CLOSED_FORM_FAMILIES)}")
+    n, read, builds = spec
+    try:
+        if se.n == n:
+            params = read(se)
+            if se in builds(params):
+                return params
+    except (BadParams, ZeroDivisionError):
+        pass
+    raise BadParams(f"the structure is not a build of {family}")
+
+
+def certified(family: Optional[str], params) -> Dict[str, Optional[dict]]:
+    """What the family's closed forms decide for every metric, by search target.
+
+    Keys are targets as search writes them ("gamma1<0", "skt", ...).  None
+    means every positive metric meets the target; a dict means none does,
+    and is the certificate.  Targets left out are not decided.
+    """
+    if family in ("nilpotent6", "reduced6", "jt"):
+        K = closed_form_scalars(family, params)["K"]
+
+        def sign_fixed(every: bool, reason: str) -> Optional[dict]:
+            return None if every else {"name": "sign-fixed scalar", "K": str(K), "reason": reason}
+
+        zero = sign_fixed(K == 0, "K != 0 is metric-independent")
+        return {"gamma1<0": sign_fixed(K < 0, "K >= 0 forces gamma1 >= 0 for every metric"),
+                "gamma1>0": sign_fixed(K > 0, "K <= 0 forces gamma1 <= 0 for every metric"),
+                "gauduchon1=0": zero, "skt": zero}
+    if family == "nonnilpotent6":
+        positive = {"name": "positive-definite scalar",
+                    "reason": "gamma1 = (mu2^2 + mu3^2) / (6 det(-iX)) > 0 always"}
+        return {"gamma1>0": None, "gamma1<0": positive, "gauduchon1=0": positive,
+                "skt": positive}
+    if family != "family8":
+        return {}
+    p, q = Fraction(params[0]), Fraction(params[1])
+    facts = {"skt": {"name": "fixed nonzero component",
+                     "reason": "ddbar(Omega) has the term -2 x44 w2^~w2^w3^~w3 "
+                               "and x44 != 0 for positive metrics"}}
+    if p <= 0:
+        facts["gauduchon1=0"] = facts["gauduchon2=0"] = {
+            "name": "one-signed obstruction",
+            "reason": "for p <= 0 every summand of the obstruction "
+                      "scalar has the same sign on positive metrics"}
+    if q != 0:
+        facts["balanced"] = {"name": "conjugate pair",
+                             "reason": "balanced forces the coefficient p+iq real"}
+    elif p <= 0:
+        facts["balanced"] = {"name": "positive minors",
+                             "reason": "p c0 = c1 + c2 with c0, c1, c2 > 0 needs p > 0"}
+    return facts
+
+
+def closing_scalar(family: Optional[str], params,
+                   target: str) -> Optional[Callable[[Metric], Fraction]]:
+    """A scalar, affine in each diagonal entry, whose zeros meet the target.
+
+    Only family8 at q = 0 has one: it is balanced exactly where the minor
+    defect p c0 - c1 - c2 vanishes.  None elsewhere.
+    """
+    if family == "family8" and target == "balanced" and Fraction(params[1]) == 0:
+        p, q = params
+        return lambda m: balanced_obstruction_family8(p, q, m)["defect"]
+    return None

@@ -23,6 +23,7 @@ from .errors import (
     GauduchonError,
     UnknownFamily,
 )
+from .forms import format_real_form
 from .hermitian import Metric, classify
 from .search import parse_target
 
@@ -96,54 +97,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
-_COMPLEX = dsl.parse_complex_literal
-
-# --family -> its --family-params as (name, parser) in `catalog emit` order,
-# and the constructor of the params find_metric takes; nonnilpotent6's
-# closed form holds for every eps and sign, so it takes none
-_SEARCH_FAMILIES = {
-    "nilpotent6": ((("eps", int), ("rho", int), ("A", _COMPLEX), ("B", _COMPLEX),
-                    ("C", _COMPLEX), ("D", _COMPLEX)), catalog.Nilpotent6Params),
-    "reduced6": ((("rho", int), ("B", _COMPLEX), ("x", Fraction), ("y", Fraction)),
-                 catalog.Reduced6Params),
-    "jt": ((("t", Fraction),), lambda t: t),
-    "family8": ((("p", Fraction), ("q", Fraction)), lambda p, q: (p, q)),
-    "nonnilpotent6": ((), lambda: None),
-}
-
-
-def _family_params(se, family: str, values: list):
-    """find_metric's params for --family, parsed from its --family-params.
-
-    The structure must be the catalog's build of that family at those
-    params (nonnilpotent6: one of its four builds), so that the family's
-    closed forms are a certificate for it.
-    """
-    if family not in _SEARCH_FAMILIES:
-        raise UnknownFamily(f"no closed forms for --family {family!r}; "
-                            f"known: {', '.join(_SEARCH_FAMILIES)}")
-    fields, build = _SEARCH_FAMILIES[family]
-    if len(values) != len(fields):
-        names = " ".join(name for name, _ in fields) or "none"
-        raise BadParams(f"--family {family} takes {len(fields)} --family-params "
-                        f"({names}), got {len(values)}")
-    parsed = [parse(v) for (_, parse), v in zip(fields, values)]
-    named = [{name: v for (name, _), v in zip(fields, parsed)}]
-    if family == "nonnilpotent6":
-        named = [{"eps": eps, "sign": sign} for eps in (0, 1) for sign in (1, -1)]
-    if se not in [catalog.build(family, **kw) for kw in named]:
-        raise BadParams(f"the structure is not the catalog's {family}"
-                        + (f"({', '.join(values)})" if values else ""))
-    return build(*parsed)
-
-
 def cmd_search(args) -> int:
     se = _load_structure(args.structure)
     target = parse_target(args.target)
     family = args.family
-    if family is None and args.family_params:
-        raise BadParams("--family-params needs --family")
-    params = _family_params(se, family, args.family_params) if family is not None else None
+    params = catalog.family_params(family, se) if family is not None else None
     outcome = search.find_metric(
         se, target, budget=args.budget, seed=args.seed, family=family, params=params
     )
@@ -151,8 +109,6 @@ def cmd_search(args) -> int:
               "--budget", str(args.budget), "--seed", str(args.seed)]
     if family is not None:
         replay += ["--family", family]
-    if args.family_params:
-        replay += ["--family-params", *args.family_params]
     outcome.replay = shlex.join(replay)
     _write(_dump(outcome.to_json()) + "\n", args.out)
     return 0
@@ -204,8 +160,6 @@ def cmd_bundle_extend(args) -> int:
     if args.json:
         print(_dump(payload))
     else:
-        from .forms import format_real_form
-
         print(payload["structure_dsl"], end="")
         print(f"criterion form: {format_real_form(ext.criterion_form)}")
         print(f"criterion scalar: {ext.criterion_scalar}")
@@ -250,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=search.DEFAULT_SEED)
     p.add_argument("--family", default=None,
-                   help="optional closed-form context: " + " | ".join(_SEARCH_FAMILIES))
-    p.add_argument("--family-params", nargs="*", default=[],
-                   help="family parameters in `catalog emit` order, e.g. '1/2' for jt, "
-                        "'p q' for family8 or 'eps rho A B C D' for nilpotent6")
+                   help="the catalog family the structure is a build of, whose closed "
+                        "forms may certify the answer; its parameters are read off the "
+                        "structure: " + " | ".join(catalog.CLOSED_FORM_FAMILIES))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search)
 

@@ -24,7 +24,9 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional
 
-from .errors import BadDimensions, BadRange, DimensionMismatch, NotQuasiSasakian, ensure
+from .dsl import real_form_from_json, real_form_to_json
+from .errors import (BadDimensions, BadParams, BadRange, DimensionMismatch, NotQuasiSasakian,
+                     ensure)
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form
 from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros
@@ -204,7 +206,7 @@ class ContactData:
         self.algebra = algebra
         self.m = algebra.m
         if self.m % 2 == 0 or self.m < 3:
-            raise NotQuasiSasakian("contact data needs odd dimension >= 3")
+            raise BadParams(f"contact data needs odd dimension >= 3, got {self.m}")
         if len(xi) != self.m or len(phi) != self.m or any(len(r) != self.m for r in phi):
             raise DimensionMismatch(f"xi needs {self.m} entries and phi {self.m} x {self.m}")
         self.eta = eta
@@ -270,8 +272,6 @@ def _nonzero(a: Matrix) -> bool:
 
 def contact_to_json(contact: "ContactData") -> dict:
     """Serialize contact data with exact rational strings."""
-    from .dsl import real_form_to_json
-
     return {
         "dim": contact.m,
         "d": [real_form_to_json(f) for f in contact.algebra.d_of],
@@ -284,8 +284,6 @@ def contact_to_json(contact: "ContactData") -> dict:
 
 
 def contact_from_json(spec: dict) -> "ContactData":
-    from .dsl import real_form_from_json
-
     dim = int(spec["dim"])
     algebra = RealLieAlgebra(dim, [real_form_from_json(e) for e in spec["d"]])
     return ContactData(

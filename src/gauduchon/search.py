@@ -8,8 +8,11 @@ Gauduchon numerator is affine in each single coefficient x_{jk}: raising one
 diagonal entry keeps positivity, so a sign change along a diagonal line
 yields an exact rational witness.
 
-Infeasibility is only ever claimed with a closed-form certificate from the
-catalog; otherwise the outcome is 'exhausted'.
+When the structure is a build of a catalog family, catalog.certified may
+decide the target for every metric at once: either every positive metric
+meets it (the diagonal metric is the witness, checked like any other) or
+none does, and the catalog's certificate is the answer.  Infeasibility is
+only ever claimed that way; otherwise the outcome is 'exhausted'.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .catalog import (balanced_obstruction_family8, classify_reduced6, closed_form_scalars,
-                      skt_scalar_nilpotent6)
+from .catalog import certified, classify_reduced6, closing_scalar, skt_scalar_nilpotent6
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
 from .hermitian import Metric, gamma_numerator, gauduchon_form, omega_power
@@ -133,113 +135,6 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
 
 
 # ---------------------------------------------------------------------------
-# certificates from the catalog closed forms
-# ---------------------------------------------------------------------------
-
-
-def _certificate(se, target, family, params) -> Optional[SearchOutcome]:
-    """Closed-form short-circuits; returns None when sampling must decide."""
-
-    def outcome(status, witness=None, cert=None):
-        return SearchOutcome(
-            status=status,
-            target=target.describe(),
-            seed=0,
-            budget=0,
-            samples_used=0,
-            witness=witness,
-            certificate=cert,
-        )
-
-    def diag_witness():
-        m = Metric.diagonal(se.n)
-        ensure(_verify(se, target, m), f"diagonal metric misses {target.describe()}")
-        return m
-
-    if family in ("nilpotent6", "reduced6", "jt"):
-        K = closed_form_scalars(family, params)["K"]
-        cert = {"name": "sign-fixed scalar", "K": str(K)}
-        if target.kind == "gamma_negative" and target.k == 1:
-            if K < 0:
-                return outcome("witness", diag_witness())
-            return outcome(
-                "infeasible_certified",
-                cert={**cert, "reason": "K >= 0 forces gamma1 >= 0 for every metric"},
-            )
-        if target.kind == "gamma_positive" and target.k == 1:
-            if K > 0:
-                return outcome("witness", diag_witness())
-            return outcome(
-                "infeasible_certified",
-                cert={**cert, "reason": "K <= 0 forces gamma1 <= 0 for every metric"},
-            )
-        if (target.kind == "gauduchon_zero" and target.k == 1) or target.kind == "skt":
-            if K == 0:
-                return outcome("witness", diag_witness())
-            return outcome(
-                "infeasible_certified",
-                cert={**cert, "reason": "K != 0 is metric-independent"},
-            )
-        return None
-
-    if family == "nonnilpotent6":
-        if target.kind == "gamma_positive" and target.k == 1:
-            return outcome("witness", diag_witness())
-        if target.kind in ("gamma_negative", "gauduchon_zero") and target.k == 1 or (
-            target.kind == "skt"
-        ):
-            return outcome(
-                "infeasible_certified",
-                cert={
-                    "name": "positive-definite scalar",
-                    "reason": "gamma1 = (mu2^2 + mu3^2) / (6 det(-iX)) > 0 always",
-                },
-            )
-        return None
-
-    if family == "family8":
-        p, q = Fraction(params[0]), Fraction(params[1])
-        if target.kind == "skt":
-            return outcome(
-                "infeasible_certified",
-                cert={
-                    "name": "fixed nonzero component",
-                    "reason": "ddbar(Omega) has the term -2 x44 w2^~w2^w3^~w3 "
-                              "and x44 != 0 for positive metrics",
-                },
-            )
-        if target.kind == "gauduchon_zero" and target.k in (1, 2) and p <= 0:
-            return outcome(
-                "infeasible_certified",
-                cert={
-                    "name": "one-signed obstruction",
-                    "reason": "for p <= 0 every summand of the obstruction "
-                              "scalar has the same sign on positive metrics",
-                },
-            )
-        if target.kind == "balanced":
-            if q != 0:
-                return outcome(
-                    "infeasible_certified",
-                    cert={
-                        "name": "conjugate pair",
-                        "reason": "balanced forces the coefficient p+iq real",
-                    },
-                )
-            if p <= 0:
-                return outcome(
-                    "infeasible_certified",
-                    cert={
-                        "name": "positive minors",
-                        "reason": "p c0 = c1 + c2 with c0, c1, c2 > 0 needs p > 0",
-                    },
-                )
-        return None
-
-    return None
-
-
-# ---------------------------------------------------------------------------
 # exact verification and the closing move
 # ---------------------------------------------------------------------------
 
@@ -307,24 +202,16 @@ def find_metric(
 ) -> SearchOutcome:
     """Deterministic search for a positive metric meeting the target.
 
-    When (family, params) name a catalog entry with a closed form, the
-    answer may be certified without sampling.  Witnesses always pass the
-    exact predicate; sampling failure is reported as 'exhausted', never as
-    nonexistence.
+    family and params, as catalog.family_params reads them off se, let the
+    catalog's closed forms certify the answer without sampling, and give
+    family8's balanced target its closing scalar.  They are trusted: se must
+    be that build.  Witnesses always pass the exact predicate; sampling
+    failure is reported as 'exhausted', never as nonexistence.
     """
     if budget <= 0:
         raise BadParams("budget must be positive")
     if target.k is not None and not 1 <= target.k <= se.n - 1:
         raise BadK(f"target {target.describe()}: k must be in 1..{se.n - 1}")
-    if family is not None:
-        cert = _certificate(se, target, family, params)
-        if cert is not None:
-            cert.seed = seed
-            cert.budget = budget
-            return cert
-
-    rng = random.Random(seed)
-    n = se.n
     used = 0
 
     def finish(status, witness=None, cert=None):
@@ -338,13 +225,21 @@ def find_metric(
             certificate=cert,
         )
 
-    scalar_fn = None
+    facts = certified(family, params)
+    if target.describe() in facts:
+        cert = facts[target.describe()]
+        if cert is not None:
+            return finish("infeasible_certified", cert=cert)
+        witness = Metric.diagonal(se.n)  # every positive metric meets the target
+        ensure(_verify(se, target, witness), f"diagonal metric misses {target.describe()}")
+        return finish("witness", witness)
+
+    rng = random.Random(seed)
+    n = se.n
+
+    scalar_fn = closing_scalar(family, params, target.describe())
     if target.kind == "gauduchon_zero":
         scalar_fn = lambda m: gamma_numerator(m, target.k, se)  # noqa: E731
-    if family == "family8" and target.kind == "balanced":
-        p, q = params
-        if Fraction(q) == 0:
-            scalar_fn = lambda m: balanced_obstruction_family8(p, q, m)["defect"]  # noqa: E731
 
     for _ in range(budget):
         used += 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional
 
-from . import catalog, linalg, sasakian, search
+from . import catalog, dsl, linalg, sasakian, search
 from .errors import ClaimFailure, NotIntegrable, ensure
 from .forms import Form, wedge
 from .hermitian import (
@@ -27,6 +27,7 @@ from .hermitian import (
     gamma_scalar,
     gauduchon_reduction_check,
     lee_form,
+    lee_form_via_codifferential,
     omega_power,
     top_coefficient,
     volume_coefficient,
@@ -469,8 +470,6 @@ def check_lefschetz(seed: int) -> dict:
 
 def check_infrastructure(seed: int) -> dict:
     """d^2 = 0, wedge axioms, the volume identity, parser round-trips."""
-    from . import dsl
-
     rng = random.Random(seed)
     entries = _standard_entries()
     samples = 0
@@ -541,8 +540,6 @@ def check_infrastructure(seed: int) -> dict:
     theta = lee_form(diag, red)
     ensure(theta == Form(1, {(5,): cr(2), (6,): cr(2)}))
     ensure(gamma_scalar(diag, 1, red) == Fraction(-1, 6))
-    from .hermitian import lee_form_via_codifferential
-
     for name, se in entries[:6]:
         for _ in range(5):
             metric = sample_positive_metric(rng, se.n)

@@ -8,7 +8,8 @@ from gauduchon.errors import BadParams, UnknownFamily
 from gauduchon.forms import Form
 from gauduchon.hermitian import Metric, gamma_scalar
 from gauduchon.scalars import ComplexRational, cr
-from gauduchon.search import sample_positive_metric
+from gauduchon.search import _holds, close_scalar_zero, parse_target, sample_positive_metric
+from gauduchon.structures import StructureEquations
 
 I = ComplexRational(0, 1)
 
@@ -176,3 +177,104 @@ class TestContactEntries:
         not_invariant = Form(2, {(1, 2): cr(1)})  # closed but not phi-invariant
         with pytest.raises(NotQuasiSasakian, match="phi-invariant"):
             catalog.solvable5_contact(F=not_invariant)
+
+
+# (family, build, params as the closed forms take them): every family, both
+# eps, K of each sign, complex and negative parameters
+FACT_POINTS = [
+    ("nilpotent6", catalog.nilpotent6(0, 1, 1, Fraction(1, 2), 0, 2),
+     Nilpotent6Params(0, 1, cr(1), cr(Fraction(1, 2)), cr(0), cr(2))),
+    ("nilpotent6", catalog.nilpotent6(0, 0, 1, ComplexRational(-1, 1), 0, 1),
+     Nilpotent6Params(0, 0, cr(1), ComplexRational(-1, 1), cr(0), cr(1))),
+    ("nilpotent6", catalog.nilpotent6(1, 0, 0, 0, 2 * I, 0),
+     Nilpotent6Params(1, 0, cr(0), cr(0), 2 * I, cr(0))),
+    ("nilpotent6", catalog.nilpotent6(1, 1, 0, -I, 0, 0),
+     Nilpotent6Params(1, 1, cr(0), -I, cr(0), cr(0))),
+    ("reduced6", catalog.reduced6(1, 0, 1, 0), Reduced6Params(1, cr(0), Fraction(1), Fraction(0))),
+    ("reduced6", catalog.reduced6(1, 1, 0, 0), Reduced6Params(1, cr(1), Fraction(0), Fraction(0))),
+    ("reduced6", catalog.reduced6(0, I, Fraction(-1, 2), 3),
+     Reduced6Params(0, I, Fraction(-1, 2), Fraction(3))),
+    ("jt", catalog.jt(Fraction(1, 2)), Fraction(1, 2)),
+    ("jt", catalog.jt(1), Fraction(1)),
+    ("jt", catalog.jt(-1), Fraction(-1)),
+    ("family8", catalog.family8(1, 0), (Fraction(1), Fraction(0))),
+    ("family8", catalog.family8(1, 2), (Fraction(1), Fraction(2))),
+    ("family8", catalog.family8(Fraction(-1, 2), 0), (Fraction(-1, 2), Fraction(0))),
+    ("family8", catalog.family8(0, 0), (Fraction(0), Fraction(0))),
+    ("family8", catalog.family8(-2, 1), (Fraction(-2), Fraction(1))),
+    ("nonnilpotent6", catalog.nonnilpotent6(0, 1), None),
+    ("nonnilpotent6", catalog.nonnilpotent6(1, -1), None),
+]
+
+
+class TestCertifiedFacts:
+    """catalog.certified against sampling: a fact about every metric must
+    hold on each of 30 sampled positive metrics."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        import random
+
+        rng = random.Random(0xFAC7)
+        return {n: [sample_positive_metric(rng, n) for _ in range(30)] for n in (3, 4)}
+
+    @pytest.mark.parametrize("family, se, params", FACT_POINTS,
+                             ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(FACT_POINTS)])
+    def test_facts_hold_on_samples(self, samples, family, se, params):
+        facts = catalog.certified(family, params)
+        assert facts
+        for text, cert in facts.items():
+            target = parse_target(text)
+            held = [_holds(se, target, m) for m in samples[se.n]]
+            if cert is None:
+                assert all(held), text
+            else:
+                assert not any(held), text
+                assert cert["name"] and cert["reason"]
+
+    @pytest.mark.parametrize("family, se, params", FACT_POINTS,
+                             ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(FACT_POINTS)])
+    def test_params_are_read_off_the_build(self, family, se, params):
+        assert catalog.family_params(family, se) == params
+
+    def test_nilpotent6_with_eps_one_reads_a_and_d_as_zero(self):
+        se = catalog.nilpotent6(1, 1, 5, 1, 0, I)
+        assert catalog.family_params("nilpotent6", se) == Nilpotent6Params(
+            1, 1, cr(0), cr(1), cr(0), cr(0))
+
+    @pytest.mark.parametrize("family, se", [
+        ("nonnilpotent6", catalog.jt(Fraction(1, 2))),
+        ("jt", catalog.family8(1, 2)),
+        ("jt", catalog.reduced6(1, 1, 0, 0)),  # D = 0: no t
+        ("jt", catalog.reduced6(1, 1, 2, 1)),  # D not real
+        ("reduced6", catalog.nilpotent6(0, 1, 2, 1, 0, 1)),  # A != 1
+        ("nilpotent6", StructureEquations(  # eps = 2
+            3, [Form.zero(), Form(2, {(1, 2): cr(2)}), Form.zero()])),
+        ("family8", catalog.iwasawa()),
+        ("family8", catalog.abelian(4)),
+    ])
+    def test_not_a_build(self, family, se):
+        with pytest.raises(BadParams, match=f"not a build of {family}"):
+            catalog.family_params(family, se)
+
+    @pytest.mark.parametrize("family", ["iwasawa", "abelian", "bogus"])
+    def test_no_closed_forms(self, family):
+        with pytest.raises(UnknownFamily):
+            catalog.family_params(family, catalog.iwasawa())
+        assert catalog.certified(family, None) == {}
+
+    def test_closing_scalar_zero_is_balanced(self, rng):
+        balanced = parse_target("balanced")
+        closed = 0
+        for p in (Fraction(1), Fraction(3, 2), Fraction(5)):
+            se = catalog.family8(p, 0)
+            scalar = catalog.closing_scalar("family8", (p, Fraction(0)), "balanced")
+            for _ in range(5):
+                zero = close_scalar_zero(sample_positive_metric(rng, 4), scalar)
+                if zero is not None:
+                    assert zero.is_positive() and _holds(se, balanced, zero)
+                    closed += 1
+        assert closed >= 5
+        assert catalog.closing_scalar("family8", (Fraction(1), Fraction(2)), "balanced") is None
+        assert catalog.closing_scalar("family8", (Fraction(1), Fraction(0)), "skt") is None
+        assert catalog.closing_scalar("jt", Fraction(1), "balanced") is None

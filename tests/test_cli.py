@@ -76,7 +76,7 @@ class TestSearch:
             [
                 "search", "--structure", se_path, "--target", "gamma1<0",
                 "--budget", "200", "--seed", "7", "--out", str(out_path),
-                "--family", "reduced6", "--family-params", "1", "0", "1", "0",
+                "--family", "reduced6",
             ]
         )
         assert code == 0
@@ -104,25 +104,34 @@ class TestSearch:
 
 
     @pytest.mark.parametrize(
-        "family, params, se, K",
+        "family, se, K",
         [
-            # in `catalog emit` order: eps rho A B C D
-            ("nilpotent6", ["0", "1", "1", "1/2", "0", "2"],
-             catalog.nilpotent6(0, 1, 1, Fraction(1, 2), 0, 2), "-11/4"),
-            ("nilpotent6", ["1", "0", "0", "0", "2i", "0"],
-             catalog.nilpotent6(1, 0, 0, 0, ComplexRational(0, 2), 0), "4"),
-            ("jt", ["1/2"], catalog.jt(Fraction(1, 2)), "-2"),
-            ("reduced6", ["1", "0", "1", "0"], catalog.reduced6(1, 0, 1, 0), "-1"),
+            ("nilpotent6", catalog.nilpotent6(0, 1, 1, Fraction(1, 2), 0, 2), "-11/4"),
+            ("nilpotent6", catalog.nilpotent6(1, 0, 0, 0, ComplexRational(0, 2), 0), "4"),
+            ("jt", catalog.jt(Fraction(1, 2)), "-2"),
+            ("reduced6", catalog.reduced6(1, 0, 1, 0), "-1"),
+            # B = -1+i, a parameter that starts with '-'
+            ("nilpotent6", catalog.nilpotent6(0, 1, 1, ComplexRational(-1, 1), 0, 2), "-1"),
         ],
     )
-    def test_family_certificate(self, tmp_path, capsys, family, params, se, K):
+    def test_family_certificate(self, tmp_path, capsys, family, se, K):
         se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
         argv = ["search", "--structure", se_path, "--target", "gauduchon1=0", "--budget", "5",
-                "--family", family, "--family-params", *params]
+                "--family", family]
         assert main(argv) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["status"] == "infeasible_certified"
         assert data["certificate"]["K"] == K
+
+    def test_family8_negative_p_certificate(self, tmp_path, capsys):
+        se_path = write(tmp_path / "f8.dsl",
+                        dsl.format_structure(catalog.family8(Fraction(-1, 2), 0)))
+        argv = ["search", "--structure", se_path, "--target", "gauduchon1=0", "--budget", "5",
+                "--family", "family8"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "infeasible_certified"
+        assert data["certificate"]["name"] == "one-signed obstruction"
 
     def test_nonnilpotent6_family_takes_no_params(self, tmp_path, capsys):
         se_path = write(tmp_path / "nn.dsl", dsl.format_structure(catalog.nonnilpotent6(1, -1)))
@@ -243,54 +252,49 @@ class TestInputErrors:
         self.assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
-        "family_args",
+        "se, family",
         [
-            ["--family", "nilpotent6"],
-            ["--family", "nilpotent6", "--family-params", "0", "1", "1", "0"],
-            ["--family", "jt"],
-            ["--family", "family8"],
-            ["--family", "family8", "--family-params", "1"],
-            ["--family", "reduced6", "--family-params", "1", "0", "1", "0", "0"],
-            ["--family", "nonnilpotent6", "--family-params", "1"],
-            ["--family", "bogus"],
-            ["--family", "iwasawa"],
+            (catalog.jt(Fraction(1, 2)), "nonnilpotent6"),
+            (catalog.family8(1, 2), "jt"),
+            (catalog.iwasawa(), "family8"),
+            # iwasawa is a catalog entry without closed forms
+            (catalog.jt(Fraction(1, 2)), "iwasawa"),
+            (catalog.jt(Fraction(1, 2)), "bogus"),
         ],
     )
-    def test_bad_search_family(self, jt_file, capsys, family_args):
-        argv = ["search", "--structure", jt_file, "--target", "gamma1<0", "--budget", "5"]
-        assert main(argv + family_args) == 2
-        self.assert_one_line_error(capsys)
-
-    @pytest.mark.parametrize(
-        "se, family_args",
-        [
-            # jt(1/2) has a gamma1 < 0 witness; jt(1)'s closed form would
-            # certify that none exists
-            (catalog.jt(Fraction(1, 2)), ["--family", "jt", "--family-params", "1"]),
-            (catalog.jt(Fraction(1, 2)), ["--family", "reduced6", "--family-params",
-                                          "1", "1", "3", "0"]),
-            (catalog.jt(Fraction(1, 2)), ["--family", "nonnilpotent6"]),
-            (catalog.family8(1, 2), ["--family", "family8", "--family-params", "2", "1"]),
-        ],
-    )
-    def test_search_family_must_be_the_structure(self, tmp_path, capsys, se, family_args):
+    def test_search_family_must_be_the_structure(self, tmp_path, capsys, se, family):
         se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
-        argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--budget", "5"]
-        assert main(argv + family_args) == 2
+        argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--budget", "5",
+                "--family", family]
+        assert main(argv) == 2
         self.assert_one_line_error(capsys)
 
-    def test_family_matching_the_structure_is_accepted(self, tmp_path, capsys):
-        # jt(1/2) is reduced6 at rho=1, B=1, x=2, y=0
+    @pytest.mark.parametrize("family", ["reduced6", "nilpotent6", "jt"])
+    def test_family_matching_the_structure_is_accepted(self, tmp_path, capsys, family):
+        # jt(1/2) is reduced6 at rho=1, B=1, x=2, y=0, so nilpotent6 too
         se_path = write(tmp_path / "se.dsl", dsl.format_structure(catalog.jt(Fraction(1, 2))))
         argv = ["search", "--structure", se_path, "--target", "gamma1<0", "--budget", "5",
-                "--family", "reduced6", "--family-params", "1", "1", "2", "0"]
+                "--family", family]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "witness"
 
-    def test_family_params_need_family(self, jt_file, capsys):
+    def test_family_params_option_is_gone(self, jt_file, capsys):
         argv = ["search", "--structure", jt_file, "--target", "skt", "--budget", "5",
-                "--family-params", "7", "9"]
-        assert main(argv) == 2
+                "--family", "jt", "--family-params", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--family-params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
+    def test_contact_needs_odd_dimension(self, tmp_path, capsys, dim):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.solvable5_contact())
+        zero = doc["d"][0]
+        doc.update(dim=dim, d=[zero] * dim, xi=["0"] * dim, phi=[["0"] * dim] * dim)
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
         self.assert_one_line_error(capsys)
 
     def test_abelian_needs_positive_n(self, capsys):
@@ -356,13 +360,12 @@ class TestReplay:
         se_path = write(tmp_path / "f8.dsl", dsl.format_structure(catalog.family8(1, 0)))
         argv = [
             "search", "--structure", se_path, "--target", "gauduchon1=0",
-            "--budget", "20", "--seed", "3",
-            "--family", "family8", "--family-params", "1", "0",
+            "--budget", "20", "--seed", "3", "--family", "family8",
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
         replay = json.loads(first)["replay"]
-        assert replay.endswith(" --family family8 --family-params 1 0")
+        assert replay.endswith(" --family family8")
         words = replay.split()
         assert words[0] == "gauduchon"
         assert main(words[1:]) == 0
