@@ -9,6 +9,7 @@ rational strings and stable key order.  Exit codes: 0 ok, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -189,13 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a structure-equation file")
     p.add_argument("--structure", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("classify", help="full metric-class report")
     p.add_argument("--structure", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("search", help="search metric space for a target")
     p.add_argument("--structure", required=True)
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "forms may certify the answer; its parameters are read off the "
                         "structure: " + " | ".join(catalog.CLOSED_FORM_FAMILIES))
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("catalog", help="list families or emit DSL text")
     p.add_argument("action", choices=("list", "emit"))
@@ -216,26 +214,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append",
                    help="key=value; repeat per parameter (e.g. --param t=1/2)")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("bundle-extend", help="extend contact data by a curvature form")
     p.add_argument("--contact", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bundle_extend)
 
     p = sub.add_parser("verify-paper", help="run the bundled reproduction suite")
     p.add_argument("--only", default=None, help="run a single claim id")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=verify.DEFAULT_SEED)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify_paper)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process and reused by every main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so the cached parser holds no command function and a
+    # rebinding of cmd_* in this module (e.g. by a profiler) takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (DslSyntaxError, BadParams, UnknownFamily, DimensionMismatch, BadK,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

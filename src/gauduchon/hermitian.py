@@ -9,26 +9,37 @@ of d Omega, zero exactly on balanced metrics), the metric-class predicates,
 and the Lefschetz operator pair with its commutation identities.  The
 adjoints L* and d* are taken in the inner product that (-iX)^-1 induces on
 forms, in the coframe the forms are written in.
+
+The Omega-power quantities are not wedged out per metric.  Since
+Omega^p = p! sum det X_{JK} w^{j_1} ^ ~w^{k_1} ^ ... and d, ddbar are
+linear, each structure compiles them once, on first use, into sparse maps
+over the minors of X (CompiledMaps, cached in a slot of the
+StructureEquations): the top coefficient of every Gauduchon form as
+sum c det X_a det X_b, ddbar(Omega^{n-2}) over the (n-2)-minors and
+d(Omega^{n-1}) over the cofactors.  A metric evaluates them from the
+minors they name, memoised on the Metric so that all k share them.  dOmega
+and ddbar(Omega) stay single derivations, being linear in X already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
 from .forms import Form, Monomial, conj_rank, holo_rank, wedge
-from .scalars import I, ZERO, ComplexRational, cr
+from .scalars import I, ONE, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
 
 class Metric:
     """Skew-Hermitian coefficient matrix of an invariant fundamental form."""
 
-    __slots__ = ("n", "x", "_positive", "_det")
+    __slots__ = ("n", "x", "_positive", "_det", "_minors")
 
     def __init__(self, x: list):
         self.x = linalg.mat(x)
@@ -43,6 +54,7 @@ class Metric:
                     )
         self._positive: Optional[bool] = None
         self._det: Optional[Fraction] = None
+        self._minors: Dict[tuple, ComplexRational] = {}
 
     @staticmethod
     def diagonal(n: int, entries=None) -> "Metric":
@@ -74,6 +86,27 @@ class Metric:
         """det(-iX) as the product of the LDL* pivots; only positive metrics have it."""
         self.require_positive()
         return self._det
+
+    def minor(self, rows: tuple, cols: tuple) -> ComplexRational:
+        """det X_{rows, cols} for 0-based index tuples; det of the empty minor is 1.
+
+        Laplace expansion along the first row, each minor memoised on the
+        metric, so a set of minors costs one pass over the smaller ones.
+        """
+        key = (rows, cols)
+        val = self._minors.get(key)
+        if val is None:
+            if not rows:
+                val = ONE
+            else:
+                row, below = self.x[rows[0]], rows[1:]
+                val = ZERO
+                for i, col in enumerate(cols):
+                    if row[col]:
+                        term = row[col] * self.minor(below, cols[:i] + cols[i + 1:])
+                        val = val - term if i & 1 else val + term
+            self._minors[key] = val
+        return val
 
     def fundamental_form(self) -> Form:
         """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id."""
@@ -156,58 +189,125 @@ def _require_same_n(metric: Metric, se: StructureEquations):
         raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
 
 
-class GauduchonForms:
-    """Omega powers, ddbar(Omega^k) and the k-th Gauduchon forms of one metric.
+class CompiledMaps:
+    """The Omega-power predicates of one structure as sparse maps over minors of X.
 
-    The one computation path for every Gauduchon quantity.  Each power,
-    ddbar(Omega^k) and form is built once, on first use, so indices share
-    them and powers go only up to max(k, n-k-1); for k = n-1 the form is
-    ddbar(Omega^{n-1}) itself.
+    Omega^p = p! sum_{|J|=|K|=p} det X_{JK} m_{JK}, where m_{JK} is the
+    basis monomial w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p}, and d and
+    ddbar are linear.  So ddbar(Omega^p) is a fixed linear map over the
+    p-minors, d(Omega^{n-1}) one over the cofactors, and the top coefficient
+    of the k-th Gauduchon form ddbar(Omega^k) ^ Omega^{n-k-1} is a short sum
+    of c * det X_a * det X_b.  The coefficients come from the engine's own
+    ddbar, d and wedge of basis monomials; each map is built once, on first
+    use, and the object is cached on the structure (CompiledMaps.of).  A
+    metric then computes only the minors the maps name (Metric.minor), once.
     """
 
-    def __init__(self, metric: Metric, se: StructureEquations):
-        _require_same_n(metric, se)
-        self.metric = metric
+    __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
+
+    @staticmethod
+    def of(se: StructureEquations) -> "CompiledMaps":
+        """The structure's maps, kept in its _compiled slot."""
+        maps = se._compiled
+        if maps is None:
+            maps = se._compiled = CompiledMaps(se)
+        return maps
+
+    def __init__(self, se: StructureEquations):
         self.se = se
         self.n = se.n
-        self._powers = [Form.scalar(1), metric.fundamental_form()]
-        self._ddbar: Dict[int, Form] = {}
-        self._forms: Dict[int, Form] = {}
+        self._ddbar: Dict[int, dict] = {}
+        self._tops: Dict[int, list] = {}
+        self._d_top: Optional[dict] = None
 
-    def power(self, j: int) -> Form:
-        while len(self._powers) <= j:
-            self._powers.append(wedge(self._powers[-1], self._powers[1]))
-        return self._powers[j]
+    def _linear_map(self, op, p: int) -> dict:
+        """op(Omega^p) as monomial -> [(p-minor index, coefficient)]."""
+        out: Dict[Monomial, list] = {}
+        scale = cr(factorial(p))
+        for rows in combinations(range(self.n), p):
+            for cols in combinations(range(self.n), p):
+                for mon, c in op(_minor_monomial(rows, cols)).terms.items():
+                    out.setdefault(mon, []).append(((rows, cols), c * scale))
+        return out
 
-    def ddbar(self, k: int) -> Form:
-        if k not in self._ddbar:
-            self._ddbar[k] = self.se.ddbar(self.power(k))
-        return self._ddbar[k]
+    def _ddbar_map(self, p: int) -> dict:
+        if p not in self._ddbar:
+            self._ddbar[p] = self._linear_map(self.se.ddbar, p)
+        return self._ddbar[p]
 
-    def form(self, k: int) -> Form:
-        """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
-        n = self.n
-        if not 1 <= k <= n - 1:
-            raise BadK(f"k must be in 1..{n - 1}, got {k}")
-        if k not in self._forms:
-            dd = self.ddbar(k)
-            self._forms[k] = dd if k == n - 1 else wedge(dd, self.power(n - k - 1))
-        return self._forms[k]
+    def top_terms(self, k: int) -> list:
+        """[(a, b, c)] with coeff(ddbar Omega^k ^ Omega^{n-k-1}) = sum c det X_a det X_b.
 
-    def numerator(self, k: int) -> Fraction:
-        """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1})."""
-        c = top_coefficient(self.form(k), self.n)
-        return ((I / cr(2)) * (-I) ** self.n * c).real_part()
+        Each monomial of ddbar(Omega^k) pairs with the one basis monomial of
+        Omega^{n-k-1} on the complementary ranks.
+        """
+        if k not in self._tops:
+            n = self.n
+            sigma = sigma_monomial(n)
+            scale = cr(factorial(n - k - 1))
+            terms = []
+            for mon, entries in self._ddbar_map(k).items():
+                rest = [r for r in sigma if r not in mon]
+                b = (tuple((r - 1) // 2 for r in rest if r & 1),
+                     tuple((r - 1) // 2 for r in rest if not r & 1))
+                pair = wedge(Form(len(mon), {mon: ONE}), _minor_monomial(*b))
+                pair_c = top_coefficient(pair, n) * scale
+                terms += [(a, b, c * pair_c) for a, c in entries]
+            self._tops[k] = terms
+        return self._tops[k]
 
-    def gamma(self, k: int) -> Fraction:
-        """numerator / (n! det(-iX)), the constant r of gamma_scalar."""
-        self.metric.require_positive()
-        return self.numerator(k) / (factorial(self.n) * self.metric.det_minus_i_x())
+    def top(self, metric: Metric, k: int) -> ComplexRational:
+        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial."""
+        minor = metric.minor
+        total = ZERO
+        for a, b, c in self.top_terms(k):
+            total = total + c * minor(*a) * minor(*b)
+        return total
+
+    def _evaluate(self, lmap: dict, degree: int, metric: Metric) -> Form:
+        minor = metric.minor
+        terms = {}
+        for mon, entries in lmap.items():
+            v = ZERO
+            for a, c in entries:
+                v = v + c * minor(*a)
+            terms[mon] = v
+        return Form(degree, terms)
+
+    def ddbar_power(self, metric: Metric, p: int) -> Form:
+        """ddbar(Omega^p), p >= 0."""
+        return self._evaluate(self._ddbar_map(p), 2 * p + 2, metric)
+
+    def d_top(self, metric: Metric) -> Form:
+        """d(Omega^{n-1}); zero exactly on balanced metrics."""
+        if self._d_top is None:
+            self._d_top = self._linear_map(self.se.d, self.n - 1)
+        return self._evaluate(self._d_top, 2 * self.n - 1, metric)
+
+
+def _minor_monomial(rows, cols) -> Form:
+    """w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p} for 0-based rows j, cols k."""
+    ranks = []
+    for j, k in zip(rows, cols):
+        ranks += (holo_rank(j + 1), conj_rank(k + 1))
+    return Form.monomial(ranks)
+
+
+def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
+    _require_same_n(metric, se)
+    if not 1 <= k <= se.n - 1:
+        raise BadK(f"k must be in 1..{se.n - 1}, got {k}")
+    return CompiledMaps.of(se).top(metric, k)
+
+
+def _numerator(top: ComplexRational, n: int) -> Fraction:
+    """The real scalar (i/2) (-i)^n top."""
+    return ((I / cr(2)) * (-I) ** n * top).real_part()
 
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
     """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
-    return GauduchonForms(metric, se).form(k)
+    return Form(2 * se.n, {sigma_monomial(se.n): _top(metric, k, se)})
 
 
 def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
@@ -216,7 +316,7 @@ def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     Equal to gamma_scalar times the positive quantity n! det(-iX); affine in
     every single coefficient x_{jk}, which the search module exploits.
     """
-    return GauduchonForms(metric, se).numerator(k)
+    return _numerator(_top(metric, k, se), se.n)
 
 
 def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
@@ -225,7 +325,15 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     Exactly rational for positive metrics; its sign is a conformal-class
     invariant deciding the k-th Gauduchon condition at the invariant level.
     """
-    return GauduchonForms(metric, se).gamma(k)
+    _require_same_n(metric, se)
+    metric.require_positive()
+    return _numerator(_top(metric, k, se), se.n) / (factorial(se.n) * metric.det_minus_i_x())
+
+
+def balanced_defect(metric: Metric, se: StructureEquations) -> Form:
+    """d(Omega^{n-1}) from the map over the cofactors; zero exactly on balanced metrics."""
+    _require_same_n(metric, se)
+    return CompiledMaps.of(se).d_top(metric)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +438,26 @@ class ClassReport:
 def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
-    One pass: each power, ddbar(Omega^k) and Gauduchon form is computed
-    once.  The Lee form is Lambda(d Omega) of the d Omega that decides
-    Kahler, and balanced is read off it: d(Omega^{n-1}) = theta ^ Omega^{n-1}
-    vanishes iff theta does, since L^{n-1} is injective on 1-forms.
+    The Gauduchon forms and ddbar(Omega^{n-2}) come from the structure's
+    compiled maps, sharing the metric's minors across k.  The Lee form is
+    Lambda(d Omega) of the d Omega that decides Kahler, and balanced is read
+    off it: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta does,
+    since L^{n-1} is injective on 1-forms.
     """
-    forms = GauduchonForms(metric, se)
+    _require_same_n(metric, se)
+    maps = CompiledMaps.of(se)
     lef = Lefschetz(metric)
     n = se.n
     d_omega = se.d(lef.omega)
     lee = _lee(lef, d_omega)
     kahler = d_omega.is_zero
-    skt = forms.ddbar(1).is_zero
-    astheno = forms.ddbar(n - 2).is_zero if n >= 3 else True
+    skt = se.ddbar(lef.omega).is_zero
+    astheno = maps.ddbar_power(metric, n - 2).is_zero if n >= 3 else True
     balanced = lee.is_zero
-    gauduchon = {k: forms.form(k).is_zero for k in range(1, n)}
-    gamma = {k: forms.gamma(k) for k in range(1, n)}
+    tops = {k: maps.top(metric, k) for k in range(1, n)}
+    gauduchon = {k: not top for k, top in tops.items()}
+    volume = factorial(n) * metric.det_minus_i_x()
+    gamma = {k: _numerator(top, n) / volume for k, top in tops.items()}
     if kahler:
         label = "kahler"
     else:

@@ -22,10 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .catalog import certified, classify_reduced6, closing_scalar, skt_scalar_nilpotent6
+from .catalog import (
+    Reduced6Params,
+    certified,
+    classify_reduced6,
+    closing_scalar,
+    skt_scalar_nilpotent6,
+)
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
-from .hermitian import Metric, gamma_numerator, gauduchon_form, omega_power
+from .hermitian import Metric, balanced_defect, gamma_numerator
 from .scalars import I, ZERO, ComplexRational, cr
 from .structures import StructureEquations
 
@@ -142,20 +148,21 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
 def _holds(se: StructureEquations, target: Target, metric: Metric) -> bool:
     """The target's exact predicate, positivity aside.
 
-    The sign targets read the sign of gamma_numerator, which is the sign of
-    gamma_k because n! det(-iX) > 0 on positive metrics.
+    The gamma targets read gamma_numerator, which has the sign of gamma_k
+    because n! det(-iX) > 0 on positive metrics, and vanishes exactly with
+    the Gauduchon form; balanced reads d(Omega^{n-1}) off the structure's
+    compiled map over the cofactors (hermitian.balanced_defect).
     """
     if target.kind == "gamma_negative":
         return gamma_numerator(metric, target.k, se) < 0
     if target.kind == "gamma_positive":
         return gamma_numerator(metric, target.k, se) > 0
     if target.kind == "gauduchon_zero":
-        return gauduchon_form(metric, target.k, se).is_zero
-    omega = metric.fundamental_form()
+        return gamma_numerator(metric, target.k, se) == 0
     if target.kind == "skt":
-        return se.ddbar(omega).is_zero
+        return se.ddbar(metric.fundamental_form()).is_zero
     if target.kind == "balanced":
-        return se.d(omega_power(omega, se.n - 1)).is_zero
+        return balanced_defect(metric, se).is_zero
     raise BadParams(target.kind)
 
 

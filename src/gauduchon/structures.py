@@ -72,10 +72,11 @@ class StructureEquations:
     (integrability), so del and delbar are meaningful on every instance.
     The differential of each rank is split once into its del and delbar
     parts, which integrability makes sum to d; del and delbar are then
-    single derivations.  Instances are immutable.
+    single derivations.  Instances are immutable.  The _compiled slot holds
+    the structure's hermitian.CompiledMaps once a metric quantity needs them.
     """
 
-    __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank")
+    __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
 
     def __init__(self, n: int, d_of: List[Form], _validate: bool = True):
         if n < 1:
@@ -102,6 +103,7 @@ class StructureEquations:
             p = rank & 1
             self._del_rank.append(dr.component(p + 1, 1 - p))
             self._dbar_rank.append(dr.component(p, 2 - p))
+        self._compiled = None
 
     def _validate(self):
         for j in range(1, self.n + 1):

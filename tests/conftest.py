@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from gauduchon import linalg
-from gauduchon.forms import Form, conj_rank, holo_rank, substitute
+from gauduchon.forms import Form, conj_rank, holo_rank, substitute, wedge
+from gauduchon.hermitian import top_coefficient
 from gauduchon.scalars import I, ZERO, ComplexRational, cr
 
 
@@ -82,3 +84,51 @@ class UnitaryFrame:
     def inner(self, a, b):
         """<a, b> of two forms in the structure's own coframe."""
         return self.inner_unitary(self.to_unitary(a), self.to_unitary(b))
+
+
+class GauduchonForms:
+    """Omega powers, ddbar(Omega^k) and the k-th Gauduchon forms of one metric,
+    wedged out in the exterior engine: the reference for the compiled maps.
+
+    Each power, ddbar(Omega^k) and form is built once, on first use; for
+    k = n-1 the form is ddbar(Omega^{n-1}) itself.
+    """
+
+    def __init__(self, metric, se):
+        assert metric.n == se.n
+        self.metric = metric
+        self.se = se
+        self.n = se.n
+        self._powers = [Form.scalar(1), metric.fundamental_form()]
+        self._ddbar = {}
+        self._forms = {}
+
+    def power(self, j):
+        while len(self._powers) <= j:
+            self._powers.append(wedge(self._powers[-1], self._powers[1]))
+        return self._powers[j]
+
+    def ddbar(self, k):
+        if k not in self._ddbar:
+            self._ddbar[k] = self.se.ddbar(self.power(k))
+        return self._ddbar[k]
+
+    def form(self, k):
+        """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
+        n = self.n
+        assert 1 <= k <= n - 1
+        if k not in self._forms:
+            dd = self.ddbar(k)
+            self._forms[k] = dd if k == n - 1 else wedge(dd, self.power(n - k - 1))
+        return self._forms[k]
+
+    def top(self, k):
+        return top_coefficient(self.form(k), self.n)
+
+    def numerator(self, k):
+        """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1})."""
+        return ((I / cr(2)) * (-I) ** self.n * self.top(k)).real_part()
+
+    def gamma(self, k):
+        """numerator / (n! det(-iX))."""
+        return self.numerator(k) / (factorial(self.n) * self.metric.det_minus_i_x())

@@ -1,12 +1,17 @@
 import json
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gauduchon
 from gauduchon import catalog, dsl, verify
 from gauduchon.cli import main
-from gauduchon.scalars import ComplexRational
+from gauduchon.hermitian import Metric
+from gauduchon.scalars import I, ComplexRational, cr
 
 
 def write(path, text):
@@ -139,6 +144,106 @@ class TestSearch:
                 "nonnilpotent6"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "infeasible_certified"
+
+
+def metric_file(path, h):
+    """A metric file for X = iH, H given as rows of ints, Fractions and ComplexRationals."""
+    return write(path, json.dumps(dsl.metric_to_json(
+        Metric([[I * cr(v) for v in row] for row in h]))))
+
+
+def lee_terms(*terms):
+    """Lee-form JSON terms from (kind, index, re, im) tuples."""
+    return [{"im": im, "mon": [[kind, j]], "re": re} for kind, j, re, im in terms]
+
+
+def report(n, label, gamma, gauduchon, lee):
+    return {"astheno": False, "balanced": False, "gamma": gamma, "gauduchon": gauduchon,
+            "kahler": False, "label": label, "lee_form": lee, "n": n, "skt": False}
+
+
+HALF = Fraction(1, 2)
+GOLDEN_CLASSIFY = [
+    (catalog.family8(HALF, 2),
+     [[2, 1, 0, ComplexRational(0, HALF)], [1, 3, ComplexRational(1, -1), 0],
+      [0, ComplexRational(1, 1), 2, 0], [ComplexRational(0, -HALF), 0, 0, 1]],
+     report(4, "gauduchon3", {"1": "1/80", "2": "1/80", "3": "0"},
+            {"1": False, "2": False, "3": True},
+            lee_terms(("w", 1, "4/5", "-23/40"), ("cw", 1, "4/5", "23/40"),
+                      ("w", 4, "-23/20", "-8/5"), ("cw", 4, "-23/20", "8/5")))),
+    (catalog.reduced6(1, 1, 2, 1),
+     [[2, ComplexRational(1, -1), 0], [ComplexRational(1, 1), 3, HALF], [0, HALF, 1]],
+     report(3, "gauduchon2", {"1": "-1/21", "2": "0"}, {"1": False, "2": True},
+            lee_terms(("w", 2, "23/28", "-1/7"), ("cw", 2, "23/28", "1/7"),
+                      ("w", 3, "23/14", "-2/7"), ("cw", 3, "23/14", "2/7")))),
+]
+
+# search --target gauduchon1=0 --budget 50 --seed 7 on family8(1, 0): the
+# witness X as (re, im) strings
+GOLDEN_WITNESS = [
+    [("0", "103745/1024"), ("31/2", "547/8"), ("105/8", "427/16"), ("-21/2", "49/16")],
+    [("-31/2", "547/8"), ("0", "57776221/530448"), ("37/4", "57/4"), ("-107/4", "13/4")],
+    [("-105/8", "427/16"), ("-37/4", "57/4"), ("0", "19969/1024"), ("-33/4", "-57/4")],
+    [("21/2", "49/16"), ("107/4", "13/4"), ("33/4", "-57/4"), ("0", "33153/1024")],
+]
+
+
+class TestGoldenOutputs:
+    """Literal outputs, so that no change moves a gamma string or a witness unseen."""
+
+    @pytest.mark.parametrize("se, h, expected", GOLDEN_CLASSIFY, ids=["family8", "reduced6"])
+    def test_classify_json(self, tmp_path, capsys, se, h, expected):
+        se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
+        m_path = metric_file(tmp_path / "m.json", h)
+        assert main(["classify", "--structure", se_path, "--metric", m_path, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_search_witness(self, tmp_path, capsys):
+        se_path = write(tmp_path / "f8.dsl", dsl.format_structure(catalog.family8(1, 0)))
+        argv = ["search", "--structure", se_path, "--target", "gauduchon1=0",
+                "--budget", "50", "--seed", "7"]
+        assert main(argv) == 0
+        expected = {
+            "budget": 50, "certificate": None, "replay": shlex.join(["gauduchon"] + argv),
+            "samples_used": 1, "seed": 7, "status": "witness", "target": "gauduchon1=0",
+            "witness": {"X": [[{"im": im, "re": re} for re, im in row] for row in GOLDEN_WITNESS],
+                        "n": 4},
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+class TestParserReuse:
+    def fresh(self, argv, cwd):
+        """The same call in a new interpreter, which builds its own parser."""
+        src = str(Path(gauduchon.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "gauduchon.cli", *argv],
+                              capture_output=True, text=True, cwd=cwd,
+                              env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                              timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_repeated_calls_match_fresh_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "jt.dsl", dsl.format_structure(catalog.jt(HALF)))
+        metric_file(tmp_path / "m.json", [[2, ComplexRational(1, -1), 0],
+                                          [ComplexRational(1, 1), 3, HALF], [0, HALF, 1]])
+        classify_argv = ["classify", "--structure", "jt.dsl", "--metric", "m.json"]
+        calls = [
+            ["search", "--structure", "jt.dsl", "--target", "gamma1<0", "--budget", "5"],
+            classify_argv + ["--json"],
+            ["classify", "--structure", "jt.dsl", "--bogus"],
+            classify_argv,
+        ]
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects argv this way
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == self.fresh(argv, tmp_path), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0] and "label:" in out
 
 
 class TestCatalog:

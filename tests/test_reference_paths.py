@@ -20,9 +20,11 @@ from pathlib import Path
 import pytest
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import NotPositive
+from gauduchon.errors import NotPositive, ensure
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
+    CompiledMaps,
+    balanced_defect,
     classify,
     gamma_numerator,
     gamma_scalar,
@@ -35,7 +37,7 @@ from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
 
-from conftest import UnitaryFrame, rand_form
+from conftest import GauduchonForms, UnitaryFrame, rand_form
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -279,6 +281,78 @@ class TestLeeContraction:
         verdicts = {lee_form(hermitian.Metric.diagonal(se.n), se).is_zero
                     for _, se in lee_entries()}
         assert verdicts == {True, False}
+
+
+def compiled_entries():
+    """Every catalog family, abelian(1..5), both non-unimodular algebras, both
+    circle-bundle extensions and the n = 5 bench structure."""
+    return lee_entries() + [("abelian(4)", catalog.abelian(4)), ("abelian(5)", catalog.abelian(5))]
+
+
+class TestCompiledMaps:
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_every_predicate_matches_the_wedged_forms(self, name, se):
+        rng = random.Random(name)
+        n = se.n
+        maps = CompiledMaps.of(se)
+        metrics = [hermitian.Metric.diagonal(n, range(1, n + 1))]
+        metrics += [sample_positive_metric(rng, n) for _ in range(2 if n > 4 else 4)]
+        for metric in metrics:
+            ref = GauduchonForms(metric, se)
+            report = classify(metric, se)
+            for k in range(1, n):
+                top = maps.top(metric, k)
+                assert top == ref.top(k), (name, k)
+                ensure(((I / 2) * (-I) ** n * top).im == 0, f"{name}: gamma{k} top is not real")
+                assert gauduchon_form(metric, k, se) == ref.form(k), (name, k)
+                assert gamma_numerator(metric, k, se) == ref.numerator(k), (name, k)
+                assert gamma_scalar(metric, k, se) == report.gamma[k] == ref.gamma(k), (name, k)
+                assert report.gauduchon[k] == ref.form(k).is_zero, (name, k)
+            for p in range(n):
+                assert maps.ddbar_power(metric, p) == ref.ddbar(p), (name, p)
+            assert report.astheno == (ref.ddbar(n - 2).is_zero if n >= 3 else True), name
+            d_top = se.d(ref.power(n - 1))
+            assert maps.d_top(metric) == balanced_defect(metric, se) == d_top, name
+            assert report.balanced == d_top.is_zero, name
+            for target in every_target(n):
+                assert search._holds(se, target, metric) == target_by_reference(
+                    se, target, metric, ref), (name, target)
+
+    def test_entries_exercise_nonzero_maps(self):
+        sizes = {name: len(CompiledMaps.of(se).top_terms(1))
+                 for name, se in compiled_entries() if se.n >= 3}
+        assert sizes["abelian(5)"] == 0
+        assert sizes["family8(1,0)"] > 0 and sizes["bench/n5.dsl"] > 0
+
+    def test_maps_are_cached_on_the_structure(self):
+        se = catalog.family8(1, 2)
+        maps = CompiledMaps.of(se)
+        gamma_scalar(hermitian.Metric.diagonal(4), 1, se)
+        assert CompiledMaps.of(se) is maps
+        assert CompiledMaps.of(catalog.family8(1, 2)) is not maps
+        assert maps.top_terms(2) is maps.top_terms(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_minors_match_elimination(self, n):
+        metric = sample_positive_metric(random.Random(n), n)
+        for p in range(n + 1):
+            for rows in itertools.combinations(range(n), p):
+                for cols in itertools.combinations(range(n), p):
+                    sub = [[metric.x[r][c] for c in cols] for r in rows]
+                    assert metric.minor(rows, cols) == (linalg.mat_det(sub) if p else ONE)
+
+
+def target_by_reference(se, target, metric, ref):
+    """The target's defining condition on the wedged-out reference forms."""
+    if target.kind == "gamma_negative":
+        return ref.numerator(target.k) < 0
+    if target.kind == "gamma_positive":
+        return ref.numerator(target.k) > 0
+    if target.kind == "gauduchon_zero":
+        return ref.form(target.k).is_zero
+    if target.kind == "skt":
+        return ref.ddbar(1).is_zero
+    return se.d(ref.power(se.n - 1)).is_zero
 
 
 class TestDeterminantFromPivots:

@@ -1,8 +1,10 @@
+import inspect
+import typing
 from fractions import Fraction
 
 import pytest
 
-from gauduchon import catalog
+from gauduchon import catalog, hermitian, search
 from gauduchon.catalog import Reduced6Params
 from gauduchon.errors import BadK, BadParams, BadT
 from gauduchon.hermitian import gamma_scalar, gauduchon_form, omega_power
@@ -199,3 +201,19 @@ class TestFeasibility:
                 continue
             blind = find_metric(se, Target("gamma_negative", 1), budget=60, seed=17)
             assert blind.status == "exhausted"
+
+
+class TestAnnotations:
+    def test_reduced6_feasibility_hints_resolve(self):
+        hints = typing.get_type_hints(search.reduced6_feasibility)
+        assert hints["params"] is Reduced6Params
+
+    @pytest.mark.parametrize("module", [search, hermitian, catalog])
+    def test_every_annotation_resolves(self, module):
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else ()
+            for fn in (value, *members):
+                if inspect.isfunction(fn):
+                    typing.get_type_hints(fn)
