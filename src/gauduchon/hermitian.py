@@ -46,15 +46,33 @@ class Metric:
         self.n = len(self.x)
         if any(len(row) != self.n for row in self.x):
             raise NotSkewHermitian("coefficient matrix must be square")
-        for j in range(self.n):
-            for k in range(self.n):
-                if self.x[k][j].conjugate() != -self.x[j][k]:
-                    raise NotSkewHermitian(
-                        f"conj(x[{k}][{j}]) != -x[{j}][{k}]"
-                    )
+        for j in range(self.n):  # (j, k) and (k, j) state the same condition
+            for k in range(j, self.n):
+                self._check_pair(j, k)
         self._positive: Optional[bool] = None
         self._det: Optional[Fraction] = None
         self._minors: Dict[tuple, ComplexRational] = {}
+
+    def _check_pair(self, j: int, k: int):
+        if self.x[k][j].conjugate() != -self.x[j][k]:
+            raise NotSkewHermitian(f"conj(x[{k}][{j}]) != -x[{j}][{k}]")
+
+    def bump_diagonal(self, j: int, amount) -> "Metric":
+        """The metric with x_jj raised by i*amount; only that entry is checked.
+
+        Other rows are shared.  A minor involves x_jj only if j is among both
+        its rows and its columns, so every other memoised minor carries over.
+        """
+        row = self.x[j][:]
+        row[j] = row[j] + ComplexRational(0, amount)
+        bumped = object.__new__(Metric)
+        bumped.n = self.n
+        bumped.x = self.x[:j] + [row] + self.x[j + 1:]
+        bumped._check_pair(j, j)
+        bumped._positive = bumped._det = None
+        bumped._minors = {key: val for key, val in self._minors.items()
+                          if j not in key[0] or j not in key[1]}
+        return bumped
 
     @staticmethod
     def diagonal(n: int, entries=None) -> "Metric":

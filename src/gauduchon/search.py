@@ -1,12 +1,13 @@
 """Feasibility search over metric-coefficient space.
 
 Sampling draws -iX = M M* + delta I with small rational M, which is positive
-definite by construction.  Every sample is tested in exact arithmetic, with
-the target's predicate first and the LDL* positivity check only on a hit.
-For targets asking a scalar to vanish, the closing move exploits that the
-Gauduchon numerator is affine in each single coefficient x_{jk}: raising one
-diagonal entry keeps positivity, so a sign change along a diagonal line
-yields an exact rational witness.
+definite by construction and computed in plain ints (4M is Gaussian-integral).
+Every sample is tested in exact arithmetic, with the target's predicate first
+and the LDL* positivity check only on a hit.  For targets asking a scalar to
+vanish, the closing move exploits that the Gauduchon numerator is affine in
+each single coefficient x_{jk}: raising one diagonal entry keeps positivity,
+so a sign change along a diagonal line yields an exact rational witness.
+Each bumped metric shares the rows and minors the bump leaves unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric
@@ -32,7 +33,7 @@ from .catalog import (
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, BadT, ensure
 from .hermitian import Metric, balanced_defect, gamma_numerator
-from .scalars import I, ZERO, ComplexRational, cr
+from .scalars import ComplexRational
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -119,25 +120,32 @@ class SearchOutcome:
 
 
 def sample_positive_metric(rng: random.Random, n: int) -> Metric:
-    """X = i (M M* + delta I) with small rational M; exactly positive."""
+    """X = i (M M* + delta I) with small rational M; exactly positive.
+
+    Each entry p/q + i r/s of M has q, s in {1, 2, 4}, so 4M is a matrix of
+    Gaussian integers and D H = (D/16) (4M)(4M)* + I, for delta = 1/D, is
+    plain int arithmetic; each entry of X = iH is built once, over D.
+    """
     def entry():
-        # p/q + i r/s, drawn in this order
+        # p/q + i r/s, drawn in this order, as the Gaussian integer 4(p/q + i r/s)
         p, q = rng.randint(-8, 8), rng.choice((1, 2, 4))
         r, s = rng.randint(-8, 8), rng.choice((1, 2, 4))
-        return ComplexRational.from_gaussian(p * s, r * q, q * s)
+        return 4 // q * p, 4 // s * r
 
-    m = [[entry() for _ in range(n)] for _ in range(n)]
-    h = [[ZERO for _ in range(n)] for _ in range(n)]
-    padding = cr(POSITIVITY_PADDING)
+    g = [[entry() for _ in range(n)] for _ in range(n)]
+    d = POSITIVITY_PADDING.denominator
+    x = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            acc = ZERO
-            for t in range(n):
-                acc = acc + m[j][t] * m[k][t].conjugate()
-            h[j][k] = acc
-            h[k][j] = acc.conjugate()
-        h[j][j] = h[j][j] + padding
-    return Metric([[I * h[j][k] for k in range(n)] for j in range(n)])
+            re = im = 0
+            for (a, b), (c, e) in zip(g[j], g[k]):
+                re += a * c + b * e
+                im += b * c - a * e
+            re, im = d // 16 * re + (j == k), d // 16 * im
+            x[j][k] = ComplexRational.from_gaussian(-im, re, d)
+            if j != k:
+                x[k][j] = ComplexRational.from_gaussian(im, re, d)
+    return Metric(x)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +178,6 @@ def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
     return metric.is_positive() and _holds(se, target, metric)
 
 
-def _bump_diagonal(metric: Metric, j: int, amount: Fraction) -> Metric:
-    x = [row[:] for row in metric.x]
-    x[j][j] = x[j][j] + ComplexRational(0, amount)
-    return Metric(x)
-
-
 def close_scalar_zero(
     metric: Metric, scalar: Callable[[Metric], Fraction]
 ) -> Optional[Metric]:
@@ -190,10 +192,10 @@ def close_scalar_zero(
         return metric
     n = metric.n
     for j in range(n):
-        slope = scalar(_bump_diagonal(metric, j, Fraction(1))) - base
+        slope = scalar(metric.bump_diagonal(j, 1)) - base
         if slope != 0 and (slope > 0) != (base > 0):
             root = -base / slope
-            candidate = _bump_diagonal(metric, j, root)
+            candidate = metric.bump_diagonal(j, root)
             if candidate.is_positive() and scalar(candidate) == 0:
                 return candidate
     return None
@@ -251,7 +253,7 @@ def find_metric(
     for _ in range(budget):
         used += 1
         metric = sample_positive_metric(rng, n)
-        if scalar_fn is not None and scalar_fn(metric) != 0:
+        if scalar_fn is not None:
             witness = close_scalar_zero(metric, scalar_fn)
             if witness is not None and _verify(se, target, witness):
                 return finish("witness", witness)

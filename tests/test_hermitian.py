@@ -30,6 +30,13 @@ class TestMetric:
         with pytest.raises(NotSkewHermitian):
             Metric([[I, cr(1)], [cr(1), I]])
         Metric([[I, cr(1)], [cr(-1), I]])  # conj(x21) = -x12 holds
+        good = [[I, cr(1), I], [cr(-1), I, cr(2)], [I, cr(-2), I]]
+        Metric(good)
+        for j, k, value in ((2, 1, cr(2)), (0, 2, cr(1)), (1, 1, I + cr(1))):
+            broken = [row[:] for row in good]  # below, above, on the diagonal
+            broken[j][k] = value
+            with pytest.raises(NotSkewHermitian):
+                Metric(broken)
 
     def test_positivity_examples(self):
         assert Metric.diagonal(3).is_positive()

@@ -342,6 +342,26 @@ class TestCompiledMaps:
                     assert metric.minor(rows, cols) == (linalg.mat_det(sub) if p else ONE)
 
 
+class TestBumpDiagonal:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_carried_minors_match_fresh_ones(self, n):
+        metric = sample_positive_metric(random.Random(100 + n), n)
+        subsets = [c for p in range(n + 1) for c in itertools.combinations(range(n), p)]
+        pairs = [(rows, cols) for rows in subsets for cols in subsets
+                 if len(rows) == len(cols)]
+        for rows, cols in pairs:  # memoise every minor of the base first
+            metric.minor(rows, cols)
+        for j in range(n):
+            for amount in (1, Fraction(1, 3), Fraction(7, 2)):
+                bumped = metric.bump_diagonal(j, amount)
+                assert bumped.x[j][j] == metric.x[j][j] + ComplexRational(0, amount)
+                fresh = hermitian.Metric(bumped.x)
+                for rows, cols in pairs:
+                    sub = [[bumped.x[r][c] for c in cols] for r in rows]
+                    want = linalg.mat_det(sub) if rows else ONE
+                    assert bumped.minor(rows, cols) == fresh.minor(rows, cols) == want
+
+
 def target_by_reference(se, target, metric, ref):
     """The target's defining condition on the wedged-out reference forms."""
     if target.kind == "gamma_negative":

@@ -235,7 +235,7 @@ def old_sample_positive_metric(rng, n):
     return x
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sampler_matches_fraction_formula(n):
     for seed in range(300):
         new_rng, old_rng = random.Random(seed), random.Random(seed)

@@ -152,6 +152,21 @@ class TestWitnessSearch:
             assert out is not None
             assert out.is_positive() and fn(out) == 0
 
+    def test_closing_evaluates_the_base_once(self, monkeypatch):
+        # for p < 0 no diagonal slope opposes the base, so each sample costs
+        # the base and one bump per diagonal entry, and no candidate is built
+        se, budget, calls = catalog.family8(-1, 1), 6, []
+        numerator = search.gamma_numerator
+
+        def counting(metric, k, se):
+            calls.append(k)
+            return numerator(metric, k, se)
+
+        monkeypatch.setattr(search, "gamma_numerator", counting)
+        out = find_metric(se, Target("gauduchon_zero", 1), budget=budget)
+        assert out.status == "exhausted"
+        assert len(calls) == budget * (se.n + 1)
+
 
 class TestFeasibility:
     @pytest.mark.parametrize(
