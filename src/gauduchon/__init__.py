@@ -62,7 +62,6 @@ from .sasakian import (
     ProductParams,
     ProductReport,
     bundle_extend,
-    cns_table,
     coefficient_C,
     contact_from_json,
     contact_to_json,
@@ -118,7 +117,6 @@ __all__ = [
     "balanced_feasibility_jt",
     "bundle_extend",
     "classify",
-    "cns_table",
     "coefficient_C",
     "contact_from_json",
     "contact_to_json",

@@ -240,31 +240,6 @@ def classify_reduced6(params: Reduced6Params) -> str:
     return "h5"
 
 
-_H_ALGEBRAS = {
-    # structure constants as lists of (target, [(coef, i, j), ...])
-    "h2": {5: [(1, 1, 2)], 6: [(1, 3, 4)]},
-    "h3": {6: [(1, 1, 2), (1, 3, 4)]},
-    "h4": {5: [(1, 1, 2)], 6: [(1, 1, 4), (1, 2, 3)]},
-    "h5": {5: [(1, 1, 3), (1, 4, 2)], 6: [(1, 1, 4), (1, 2, 3)]},
-    "h6": {5: [(1, 1, 2)], 6: [(1, 1, 3)]},
-    "h8": {6: [(1, 1, 2)]},
-}
-
-
-def real_nilpotent6(label: str) -> RealLieAlgebra:
-    """The real six-dimensional algebras underlying the reduced family."""
-    spec = _H_ALGEBRAS.get(label)
-    if spec is None:
-        raise UnknownFamily(f"unknown algebra label {label!r}")
-    d_of = []
-    for j in range(1, 7):
-        df = Form.zero()
-        for coef, a, b in spec.get(j, []):
-            df = df + Form.monomial((a, b), cr(coef))
-        d_of.append(df)
-    return RealLieAlgebra(6, d_of)
-
-
 def jt_real(t) -> RealLieAlgebra:
     """Real presentation of the jt family: the h4 coframe with J_t.
 
@@ -297,7 +272,19 @@ def jt_coframe(t) -> list:
 # ---------------------------------------------------------------------------
 
 
-def solvable5_contact(F: Optional[Form] = None):
+def _contact5(d_of, phi_images, Phi: Form, F: Form) -> ContactData:
+    """Contact data over de1..de5 = d_of with eta = e5 and xi = e5.
+
+    phi_images[a - 1] = +-t says phi(e_a) = +-e_t for a = 1..4; phi(e5) = 0.
+    """
+    phi = [[ZERO] * 5 for _ in range(5)]
+    for a, image in enumerate(phi_images):
+        phi[abs(image) - 1][a] = ONE if image > 0 else -ONE
+    return ContactData(RealLieAlgebra(5, d_of), Form(1, {(5,): ONE}),
+                       [ZERO] * 4 + [ONE], phi, Phi, F)
+
+
+def solvable5_contact(F: Optional[Form] = None) -> ContactData:
     """The five-dimensional solvable entry with its invariant contact data.
 
     de2 = e13, de3 = -e12, de5 = e14 + e23; phi sends e1 -> e4, e2 -> -e3,
@@ -310,53 +297,31 @@ def solvable5_contact(F: Optional[Form] = None):
         Form.zero(),
         Form(2, {(1, 4): ONE, (2, 3): ONE}),
     ]
-    algebra = RealLieAlgebra(5, d_of)
-    phi = [[ZERO] * 5 for _ in range(5)]
-    phi[3][0] = ONE   # phi(e1) = e4
-    phi[2][1] = -ONE  # phi(e2) = -e3
-    phi[1][2] = ONE   # phi(e3) = e2
-    phi[0][3] = -ONE  # phi(e4) = -e1
-    eta = Form(1, {(5,): ONE})
-    xi = [ZERO, ZERO, ZERO, ZERO, ONE]
-    Phi = Form(2, {(1, 4): ONE, (2, 3): -ONE})
     if F is None:
         F = Form(2, {(1, 4): cr(2), (2, 3): cr(-2)})
-    return ContactData(algebra, eta, xi, phi, Phi, F)
+    return _contact5(d_of, (4, -3, 2, -1), Form(2, {(1, 4): ONE, (2, 3): -ONE}), F)
 
 
-def heisenberg5_contact(F: Optional[Form] = None):
+def heisenberg5_contact(F: Optional[Form] = None) -> ContactData:
     """The five-dimensional Heisenberg entry: d(eta) equals the fundamental
     form, so this is the Sasakian model; default curvature is zero."""
-    d_of = [Form.zero()] * 4 + [Form(2, {(1, 2): ONE, (3, 4): ONE})]
-    algebra = RealLieAlgebra(5, d_of)
-    phi = [[ZERO] * 5 for _ in range(5)]
-    phi[1][0] = ONE   # phi(e1) = e2
-    phi[0][1] = -ONE
-    phi[3][2] = ONE   # phi(e3) = e4
-    phi[2][3] = -ONE
-    eta = Form(1, {(5,): ONE})
-    xi = [ZERO, ZERO, ZERO, ZERO, ONE]
     Phi = Form(2, {(1, 2): ONE, (3, 4): ONE})
-    if F is None:
-        F = Form.zero()
-    return ContactData(algebra, eta, xi, phi, Phi, F)
+    return _contact5([Form.zero()] * 4 + [Phi], (2, -1, 4, -3), Phi,
+                     Form.zero() if F is None else F)
 
 
-def broken5_contact():
+def broken5_contact() -> ContactData:
     """Contact data passing every form-level check but failing normality:
     the bundle extension over it is not integrable."""
-    d_of = [Form.zero()] * 4 + [Form(2, {(1, 3): ONE})]
-    algebra = RealLieAlgebra(5, d_of)
-    phi = [[ZERO] * 5 for _ in range(5)]
-    phi[1][0] = ONE
-    phi[0][1] = -ONE
-    phi[3][2] = ONE
-    phi[2][3] = -ONE
-    eta = Form(1, {(5,): ONE})
-    xi = [ZERO, ZERO, ZERO, ZERO, ONE]
-    Phi = Form(2, {(1, 2): ONE, (3, 4): ONE})
-    F = Form(2, {(1, 2): ONE})
-    return ContactData(algebra, eta, xi, phi, Phi, F)
+    return _contact5([Form.zero()] * 4 + [Form(2, {(1, 3): ONE})], (2, -1, 4, -3),
+                     Form(2, {(1, 2): ONE, (3, 4): ONE}), Form(2, {(1, 2): ONE}))
+
+
+# the contact entries `catalog list` shows and `catalog emit` writes as JSON
+CONTACT_ENTRIES: Dict[str, Callable[[], ContactData]] = {
+    "solvable5": solvable5_contact,
+    "heisenberg5": heisenberg5_contact,
+}
 
 
 # ---------------------------------------------------------------------------

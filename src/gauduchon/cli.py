@@ -118,21 +118,17 @@ def cmd_search(args) -> int:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         listing = catalog.list_families()
-        listing["solvable5"] = {"params": {}, "doc": "contact data (JSON, feeds bundle-extend)"}
-        listing["heisenberg5"] = {"params": {}, "doc": "contact data (JSON, feeds bundle-extend)"}
+        for contact in catalog.CONTACT_ENTRIES:
+            listing[contact] = {"params": {}, "doc": "contact data (JSON, feeds bundle-extend)"}
         print(_dump(listing))
         return 0
     name = args.name
     if name is None:
         print("catalog emit needs a family name", file=sys.stderr)
         return 2
-    if name in ("solvable5", "heisenberg5"):
-        contact = (
-            catalog.solvable5_contact() if name == "solvable5"
-            else catalog.heisenberg5_contact()
-        )
-        text = _dump(sasakian.contact_to_json(contact)) + "\n"
-        _write(text, args.out)
+    if name in catalog.CONTACT_ENTRIES:
+        contact = catalog.CONTACT_ENTRIES[name]()
+        _write(_dump(sasakian.contact_to_json(contact)) + "\n", args.out)
         return 0
     params = {}
     for item in args.param or []:

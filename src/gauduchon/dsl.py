@@ -263,12 +263,7 @@ def parse_structure(text: str) -> StructureEquations:
 def parse_complex_literal(text: str) -> ComplexRational:
     """Parse a standalone complex literal such as '1/2+1/4i' or '-2i'."""
     parser = _Parser(text)
-    tok = parser.peek()
-    if tok.kind == "name" and tok.text == "i":
-        parser.take()
-        value = ComplexRational(0, 1)
-    else:
-        value = parser.parse_complex()
+    value = parser.parse_complex()
     parser.take("end")
     return value
 

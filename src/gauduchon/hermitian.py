@@ -331,8 +331,9 @@ def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
 def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}).
 
-    Equal to gamma_scalar times the positive quantity n! det(-iX); affine in
-    every single coefficient x_{jk}, which the search module exploits.
+    Equal to gamma_scalar times the positive quantity n! det(-iX).  A sum of
+    c det X_a det X_b, it is affine in x_jj unless j is in the rows and the
+    columns of both minors of a term, where it can be quadratic.
     """
     return _numerator(_top(metric, k, se), se.n)
 

@@ -52,17 +52,6 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     return Fraction(c0) + 2 * a * c1 + m * c2
 
 
-def cns_table(n: int, a, b) -> list:
-    """All collapsed coefficients C(n, s) for s = 0..n-1.
-
-    The boundary entries satisfy C(n,0) = 1 and C(n,n-1) = a^2 + b^2.
-    """
-    values = [coefficient_C(n, s, a, b) for s in range(n)]
-    ensure(values[0] == 1, f"C({n},0) != 1")
-    ensure(values[-1] == Fraction(a) ** 2 + Fraction(b) ** 2, f"C({n},{n - 1}) != a^2 + b^2")
-    return values
-
-
 def product_obstruction(n1: int, n2: int, a, b_squared) -> Fraction:
     """Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1); zero iff 1st Gauduchon."""
     a = Fraction(a)
@@ -194,7 +183,7 @@ class ContactData:
     the compatible metric g = Phi(., phi .) + eta ⊗ eta is derived.
     Construction verifies the quasi-Sasakian-level identities:
       eta(xi) = 1, phi(xi) = 0, eta∘phi = 0, phi^2 = -Id + xi ⊗ eta,
-      Phi = g(phi ., .) with g symmetric positive definite,
+      g symmetric positive definite (which gives Phi = g(phi ., .)),
       dPhi = 0, dF = 0, F(xi, .) = 0, F(phi X, Y) + F(X, phi Y) = 0,
       and (d eta)(xi, .) = 0.
     Normality is not checked directly; the bundle extension surfaces its
@@ -217,6 +206,16 @@ class ContactData:
         self._check()
 
     def _check(self):
+        """Raise NotQuasiSasakian on the first identity that fails.
+
+        Phi = g(phi ., .), i.e. phi^T g = Phi, needs no check of its own: it
+        follows from the others.  g = Phi phi + eta^T eta symmetric makes
+        Phi phi symmetric, and Phi is skew, so phi^T Phi = -Phi phi.  Then
+        phi^T (Phi xi) = -Phi phi xi = 0 puts Phi xi in ker phi^T, which
+        phi^2 = -Id + xi eta makes the span of eta^T; xi^T Phi xi = 0 and
+        eta(xi) = 1 make that multiple zero, so Phi xi = 0.  With eta phi = 0,
+        phi^T g = phi^T Phi phi = -Phi phi^2 = Phi - Phi xi eta = Phi.
+        """
         m = self.m
         eta = [[self.eta.terms.get((r,), ZERO) for r in range(1, m + 1)]]
         xi = [[v] for v in self.xi]
@@ -239,8 +238,6 @@ class ContactData:
         except ValueError:
             raise NotQuasiSasakian("derived metric is not positive definite") from None
         self.g = g
-        if not mat_eq(mat_mul(transpose(phi), g), Phi):
-            raise NotQuasiSasakian("Phi != g(phi ., .)")
         if not self.algebra.d(self.Phi).is_zero:
             raise NotQuasiSasakian("dPhi != 0")
         if not self.algebra.d(self.F).is_zero:
@@ -304,7 +301,6 @@ class BundleExtension:
     metric: Metric
     criterion_form: Form  # (d eta ^ d eta + F ^ F) ^ Phi^{n-3}, on the base
     criterion_scalar: Fraction  # against the complex orientation
-    base_dim: int
 
     @property
     def structure(self):
@@ -357,7 +353,6 @@ def bundle_extend(contact: ContactData) -> BundleExtension:
         metric=metric,
         criterion_form=crit,
         criterion_scalar=scalar,
-        base_dim=m,
     )
 
 

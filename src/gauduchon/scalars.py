@@ -224,10 +224,6 @@ class ComplexRational:
 
     # -- conversions -------------------------------------------------------
 
-    def __complex__(self) -> complex:
-        # int true division rounds exactly as float(Fraction) does
-        return complex(self._a / self._d, self._b / self._d)
-
     def __repr__(self) -> str:
         return format_complex(self)
 

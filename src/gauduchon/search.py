@@ -4,9 +4,10 @@ Sampling draws -iX = M M* + delta I with small rational M, which is positive
 definite by construction and computed in plain ints (4M is Gaussian-integral).
 Every sample is tested in exact arithmetic, with the target's predicate first
 and the LDL* positivity check only on a hit.  For targets asking a scalar to
-vanish, the closing move exploits that the Gauduchon numerator is affine in
-each single coefficient x_{jk}: raising one diagonal entry keeps positivity,
-so a sign change along a diagonal line yields an exact rational witness.
+vanish, the closing move raises one diagonal entry, which keeps positivity.
+The Gauduchon numerator is affine in x_jj unless j is in the rows and the
+columns of both minors of some term c det X_a det X_b, so the affine root
+along that line is only a candidate, and the exact re-check decides.
 Each bumped metric shares the rows and minors the bump leaves unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
@@ -181,11 +182,12 @@ def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
 def close_scalar_zero(
     metric: Metric, scalar: Callable[[Metric], Fraction]
 ) -> Optional[Metric]:
-    """Exact zero of an entrywise-affine scalar along a diagonal ray.
+    """Exact zero of the scalar along a diagonal ray, or None.
 
-    Raising a diagonal entry of -iX preserves positivity, so whenever the
-    scalar and its slope in some u_j = -i x_{jj} have opposite signs the
-    affine root lies above the current value and gives an exact witness.
+    Raising a diagonal entry of -iX preserves positivity.  Where the scalar
+    and its unit difference in some u_j = -i x_{jj} have opposite signs, the
+    affine root is a candidate; the scalar may be quadratic in u_j, so the
+    candidate is kept only if it is positive and the scalar there is zero.
     """
     base = scalar(metric)
     if base == 0:

@@ -78,7 +78,7 @@ class StructureEquations:
 
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
 
-    def __init__(self, n: int, d_of: List[Form], _validate: bool = True):
+    def __init__(self, n: int, d_of: List[Form]):
         if n < 1:
             raise BadParams(f"n must be at least 1, got {n}")
         if len(d_of) != n:
@@ -94,8 +94,14 @@ class StructureEquations:
         self._d_rank = []
         for df in self.d_of:
             self._d_rank += [df, df.conjugate()]
-        if _validate:
-            self._validate()
+        for j, df in enumerate(self.d_of, start=1):
+            res = df.component(0, 2)
+            if not res.is_zero:
+                raise NotIntegrable(j, res)
+        for j, df in enumerate(self.d_of, start=1):
+            res = self.d(df)
+            if not res.is_zero:
+                raise JacobiViolation(j, res)
         # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p)
         self._del_rank = []
         self._dbar_rank = []
@@ -104,16 +110,6 @@ class StructureEquations:
             self._del_rank.append(dr.component(p + 1, 1 - p))
             self._dbar_rank.append(dr.component(p, 2 - p))
         self._compiled = None
-
-    def _validate(self):
-        for j in range(1, self.n + 1):
-            res = self.d_of[j - 1].component(0, 2)
-            if not res.is_zero:
-                raise NotIntegrable(j, res)
-        for j in range(1, self.n + 1):
-            res = self.d(self.d_of[j - 1])
-            if not res.is_zero:
-                raise JacobiViolation(j, res)
 
     # -- differentials -----------------------------------------------------
 
@@ -137,10 +133,8 @@ class StructureEquations:
         return _is_unimodular(self.d, 2 * self.n)
 
     def map_coefficients(self, fn) -> "StructureEquations":
-        """Coefficient-converted copy (e.g. to floats); skips validation."""
-        return StructureEquations(
-            self.n, [df.map_coefficients(fn) for df in self.d_of], _validate=False
-        )
+        """Coefficient-converted copy, validated like any other construction."""
+        return StructureEquations(self.n, [df.map_coefficients(fn) for df in self.d_of])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureEquations):
@@ -202,25 +196,19 @@ class RealLieAlgebra:
 
 @dataclass(frozen=True)
 class ComplexFrame:
-    """A complex coframe over a real Lie algebra, with both transport maps.
+    """A complex coframe over a real Lie algebra, with the transport map.
 
-    rows[j][a] gives w^{j+1} = sum_a rows[j][a] e^{a+1}; to_complex_table and
-    to_real_table express each generator of one frame in the other.
+    rows[j][a] gives w^{j+1} = sum_a rows[j][a] e^{a+1}; to_complex_table
+    expresses each real generator e^{a+1} in the complex frame.
     """
 
     structure: StructureEquations
-    algebra: RealLieAlgebra
     rows: list
     to_complex_table: dict
-    to_real_table: dict
 
     def to_complex(self, f: Form) -> Form:
         """Rewrite a real-coframe form in the complex coframe."""
         return substitute(f, self.to_complex_table)
-
-    def to_real(self, f: Form) -> Form:
-        """Rewrite a complex-coframe form back over the real coframe."""
-        return substitute(f, self.to_real_table)
 
 
 def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
@@ -251,14 +239,6 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
                 terms[(conj_rank(j + 1),)] = inv[a][n + j]
         to_complex_table[a + 1] = Form(1, terms)
 
-    to_real_table = {}
-    for j in range(n):
-        terms = {(a + 1,): rows[j][a] for a in range(m) if rows[j][a]}
-        to_real_table[holo_rank(j + 1)] = Form(1, terms)
-        to_real_table[conj_rank(j + 1)] = Form(
-            1, {m_: c.conjugate() for m_, c in terms.items()}
-        )
-
     d_of = []
     for j in range(n):
         df = Form.zero()
@@ -267,7 +247,7 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
                 df = df + substitute(alg.d_of[a], to_complex_table).scale(rows[j][a])
         d_of.append(df)
     se = StructureEquations(n, d_of)
-    return ComplexFrame(se, alg, rows, to_complex_table, to_real_table)
+    return ComplexFrame(se, rows, to_complex_table)
 
 
 def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:

@@ -99,11 +99,6 @@ class TestClassifier:
                                 Fraction(0), Fraction(0))
         assert classify_reduced6(params) == "h6"
 
-    def test_real_algebra_entries_exist(self):
-        for label in ("h2", "h3", "h4", "h5", "h6", "h8"):
-            alg = catalog.real_nilpotent6(label)
-            assert alg.m == 6 and alg.is_unimodular()
-
 
 class TestClosedForms:
     def test_skt_scalar_examples(self):

@@ -35,13 +35,6 @@ class TestCoefficients:
     def test_worked_value(self):
         assert coefficient_C(6, 2, 1, 1) == 11  # 3 + 2*3 + 2*1
 
-    def test_table(self):
-        from gauduchon.sasakian import cns_table
-
-        table = cns_table(5, Fraction(1, 2), Fraction(2))
-        assert table[0] == 1 and table[-1] == Fraction(17, 4)
-        assert table == [coefficient_C(5, s, Fraction(1, 2), 2) for s in range(5)]
-
     def test_range_errors(self):
         with pytest.raises(BadRange):
             coefficient_C(3, 0, 1, 1)

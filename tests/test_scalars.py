@@ -159,7 +159,6 @@ def test_equality_with_int_and_fraction(r, n):
 @given(pairs)
 def test_conversions(x):
     z = make(x)
-    assert complex(z) == complex(float(x[0]), float(x[1]))
     assert format_complex(z) == m_format(x) == repr(z)
     if x[1]:
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from gauduchon import catalog, hermitian, search
 from gauduchon.catalog import Reduced6Params
 from gauduchon.errors import BadK, BadParams, BadT
 from gauduchon.hermitian import gamma_scalar, gauduchon_form, omega_power
+from gauduchon.sasakian import bundle_extend
 from gauduchon.scalars import cr
 from gauduchon.search import (
     Target,
@@ -151,6 +152,19 @@ class TestWitnessSearch:
             out = close_scalar_zero(m, fn)
             assert out is not None
             assert out.is_positive() and fn(out) == 0
+
+    def test_gamma_numerator_not_affine_in_every_diagonal_entry(self, rng):
+        # on the solvable5 bundle x_33 lies in both minors of some term of
+        # sum c det X_a det X_b, so the numerator is quadratic along that bump
+        se = bundle_extend(catalog.solvable5_contact()).structure
+
+        def second_difference(m, j):
+            f = [hermitian.gamma_numerator(m.bump_diagonal(j, t), 1, se) for t in (0, 1, 2)]
+            return f[2] - 2 * f[1] + f[0]
+
+        for _ in range(5):
+            m = sample_positive_metric(rng, 3)
+            assert [second_difference(m, j) for j in range(3)] == [0, 0, Fraction(-3, 2)]
 
     def test_closing_evaluates_the_base_once(self, monkeypatch):
         # for p < 0 no diagonal slope opposes the base, so each sample costs

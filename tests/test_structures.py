@@ -97,6 +97,12 @@ class TestValidation:
         assert info.value.generator == 2
         assert not info.value.residual.is_zero
 
+    def test_map_coefficients_validates(self):
+        # scaling every coefficient by 1+i breaks d^2 = 0 on nonnilpotent6
+        se = catalog.nonnilpotent6(0, 1)
+        with pytest.raises(JacobiViolation):
+            se.map_coefficients(lambda c: c * ComplexRational(1, 1))
+
     def test_not_integrable_names_generator_and_residual(self):
         dw2 = Form(2, {(2, 4): cr(1)})  # pure (0,2)
         with pytest.raises(NotIntegrable) as info:
@@ -127,8 +133,12 @@ class TestRealToComplex:
         assert frame.rows[0] == [cr(1), I]
 
     def test_h5_biinvariant_recovers_iwasawa(self):
-        alg = catalog.real_nilpotent6("h5")
-        alg = RealLieAlgebra(6, alg.d_of, J=block_J([(1, 2), (3, 4), (5, 6)], 6))
+        # h5: de5 = e13 + e42, de6 = e14 + e23
+        d_of = [Form.zero()] * 4 + [
+            Form.monomial((1, 3)) + Form.monomial((4, 2)),
+            Form.monomial((1, 4)) + Form.monomial((2, 3)),
+        ]
+        alg = RealLieAlgebra(6, d_of, J=block_J([(1, 2), (3, 4), (5, 6)], 6))
         frame = complex_frame_from_real(alg)
         assert frame.structure == catalog.iwasawa()
 
@@ -136,14 +146,6 @@ class TestRealToComplex:
         J = [[cr(0), cr(1)], [cr(1), cr(0)]]  # J^2 = +Id
         with pytest.raises(NotAlmostComplex):
             RealLieAlgebra(2, [Form.zero()] * 2, J=J)
-
-    def test_round_trip_forms(self, rng):
-        frame = complex_frame_from_real(
-            RealLieAlgebra(4, [Form.zero()] * 4, J=block_J([(1, 2), (3, 4)], 4))
-        )
-        for _ in range(20):
-            f = rand_form(rng, 2, 2)
-            assert frame.to_complex(frame.to_real(f)) == f
 
     def test_jt_real_presentation_matches_complex_equations(self):
         for t in (Fraction(1), Fraction(1, 2), Fraction(-2)):
