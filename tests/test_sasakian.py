@@ -35,6 +35,13 @@ class TestCoefficients:
     def test_worked_value(self):
         assert coefficient_C(6, 2, 1, 1) == 11  # 3 + 2*3 + 2*1
 
+    def test_table(self):
+        # n = 5, a = 1/2, b = 2: C(5,s) = C(2,s) + C(2,s-1) + (17/4) C(2,s-2)
+        a, b = Fraction(1, 2), Fraction(2)
+        table = [coefficient_C(5, s, a, b) for s in range(5)]
+        assert table == [1, 3, Fraction(29, 4), Fraction(19, 2), Fraction(17, 4)]
+        assert table == [coefficient_C_sq(5, s, a, b * b) for s in range(5)]
+
     def test_range_errors(self):
         with pytest.raises(BadRange):
             coefficient_C(3, 0, 1, 1)

@@ -9,7 +9,7 @@ from gauduchon.errors import (
     NotAlmostComplex,
     NotIntegrable,
 )
-from gauduchon.forms import Form, wedge
+from gauduchon.forms import Form, conj_rank, holo_rank, substitute, wedge
 from gauduchon.scalars import ComplexRational, cr
 from gauduchon.structures import (
     RealLieAlgebra,
@@ -146,6 +146,20 @@ class TestRealToComplex:
         J = [[cr(0), cr(1)], [cr(1), cr(0)]]  # J^2 = +Id
         with pytest.raises(NotAlmostComplex):
             RealLieAlgebra(2, [Form.zero()] * 2, J=J)
+
+    def test_round_trip_forms(self, rng):
+        frame = complex_frame_from_real(
+            RealLieAlgebra(4, [Form.zero()] * 4, J=block_J([(1, 2), (3, 4)], 4))
+        )
+        # w^j = sum_a rows[j][a] e^a, and its conjugate, over the real coframe
+        to_real = {}
+        for j, row in enumerate(frame.rows, start=1):
+            terms = {(a,): c for a, c in enumerate(row, start=1) if c}
+            to_real[holo_rank(j)] = Form(1, terms)
+            to_real[conj_rank(j)] = Form(1, {m: c.conjugate() for m, c in terms.items()})
+        for _ in range(20):
+            f = rand_form(rng, 2, 2)
+            assert frame.to_complex(substitute(f, to_real)) == f
 
     def test_jt_real_presentation_matches_complex_equations(self):
         for t in (Fraction(1), Fraction(1, 2), Fraction(-2)):
