@@ -10,11 +10,9 @@ constructions, and a deterministic feasibility search over metric space.
 """
 
 from .errors import (
-    BadDimensions,
+    BadInput,
     BadK,
     BadParams,
-    BadRange,
-    BadT,
     DimensionMismatch,
     DslSyntaxError,
     GauduchonError,
@@ -84,11 +82,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleSet",
-    "BadDimensions",
+    "BadInput",
     "BadK",
     "BadParams",
-    "BadRange",
-    "BadT",
     "BundleExtension",
     "ClassReport",
     "ComplexFrame",

@@ -2,8 +2,9 @@
 
 Subcommands: check, classify, search, catalog, bundle-extend, verify-paper.
 JSON is the machine interface (--json where applicable); outputs use exact
-rational strings and stable key order.  Exit codes: 0 ok, 1 a check failed,
-2 bad input.
+rational strings and stable key order.  Exit codes: 0 ok; 1 a check failed
+on well-formed input; 2 bad input (a BadInput error, an unreadable path or
+malformed JSON), reported on one "error:" line.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, dsl, sasakian, search, verify
-from .errors import (
-    BadK,
-    BadParams,
-    DimensionMismatch,
-    DslSyntaxError,
-    GauduchonError,
-    UnknownFamily,
-)
+from .errors import BadInput, BadParams, GauduchonError
 from .forms import format_real_form
 from .hermitian import Metric, classify
 from .search import parse_target
@@ -235,17 +229,13 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (DslSyntaxError, BadParams, UnknownFamily, DimensionMismatch, BadK,
-            ZeroDivisionError) as exc:
+    except (BadInput, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GauduchonError as exc:
         # structural checks that failed on well-formed input
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Text and JSON formats for structure equations, forms and metrics.
 
-Grammar of the structure-equation DSL (UTF-8; statements split on newlines
-or ';'):
+Grammar of the structure-equation DSL.  Tokens are ASCII: INT is [0-9]+ and
+a name is [A-Za-z]+.  Blanks, tabs, CR and '#' comments (to the end of the
+line) may sit between any two tokens, and a newline or ';' ends a statement:
 
     source  := stmt (separator stmt)*
     stmt    := "n" ":" INT  |  "dw" INT ":" expr
@@ -9,7 +10,7 @@ or ';'):
     term    := [coef "*"] mono
     mono    := gen ("^" gen)*
     gen     := "w" INT | "~w" INT
-    coef    := "(" complex ")" | complex
+    coef    := "(" complex ")" | complex      (unbracketed, it starts with INT)
     complex := rat | [rat] "i" | rat ("+"|"-") [rat] "i"
     rat     := ["-"] INT ["/" INT]
 
@@ -18,6 +19,8 @@ Example:  n:3; dw1:0; dw2:0; dw3: w1^w2 + w1^~w1 + (1/2+1/4i)*w1^~w2
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -31,89 +34,45 @@ from .structures import StructureEquations
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = {"+", "-", "*", "^", ":", "(", ")", "/", ";", "~"}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # 'int' | 'name' | punctuation | 'end'
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token(";", ";", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < len(text) and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < len(text) and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(_Token("int", text[start:i], line, startcol))
-            continue
-        if ch.isalpha():
-            start = i
-            startcol = col
-            while i < len(text) and text[i].isalpha():
-                i += 1
-                col += 1
-            tokens.append(_Token("name", text[start:i], line, startcol))
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+# One group per token kind; blanks and comments match no group, and any
+# other character is "bad".  A newline ends a statement, as ';' does.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])"
+    r"|[ \t\r]+|#[^\n]*|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        # (kind, text, offset) tuples; kind is 'int', 'name', 'end' or the punctuation
+        self.tokens: List[tuple] = []
+        for m in _TOKEN.finditer(text):
+            kind, tok = m.lastgroup, m.group()
+            if kind == "bad":
+                self.fail(m.start(), f"unexpected character {tok!r}")
+            if kind == "punct":
+                kind = tok = ";" if tok == "\n" else tok
+            if kind is not None:
+                self.tokens.append((kind, tok, m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def take(self, kind=None) -> _Token:
+    def take(self, kind=None) -> tuple:
         tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise DslSyntaxError(
-                tok.line, tok.col, f"expected {kind!r}, found {tok.text!r}"
-            )
+        if kind is not None and tok[0] != kind:
+            self.fail(tok[2], f"expected {kind!r}, found {tok[1]!r}")
         self.pos += 1
         return tok
 
-    def error(self, msg: str):
-        tok = self.peek()
-        raise DslSyntaxError(tok.line, tok.col, msg)
+    def fail(self, offset: int, msg: str):
+        """Raise DslSyntaxError at the 1-based line and column of text[offset]."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        raise DslSyntaxError(self.text.count("\n", 0, offset) + 1, offset - line_start + 1, msg)
 
     # -- grammar -------------------------------------------------------------
 
@@ -121,34 +80,30 @@ class _Parser:
         n = None
         equations: Dict[int, Form] = {}
         while True:
-            while self.peek().kind == ";":
+            while self.peek()[0] == ";":
                 self.take()
-            if self.peek().kind == "end":
+            if self.peek()[0] == "end":
                 break
             tok = self.take("name")
-            if tok.text == "n":
+            if tok[1] == "n":
                 self.take(":")
                 if n is not None:
-                    raise DslSyntaxError(tok.line, tok.col, "duplicate 'n' header")
-                n = int(self.take("int").text)
+                    self.fail(tok[2], "duplicate 'n' header")
+                n = int(self.take("int")[1])
                 if n < 1:
-                    raise DslSyntaxError(tok.line, tok.col, "n must be >= 1")
-            elif tok.text == "dw":
-                j = int(self.take("int").text)
+                    self.fail(tok[2], "n must be >= 1")
+            elif tok[1] == "dw":
+                j = int(self.take("int")[1])
                 self.take(":")
                 if n is None:
-                    raise DslSyntaxError(tok.line, tok.col, "'n' header must come first")
+                    self.fail(tok[2], "'n' header must come first")
                 if not 1 <= j <= n:
-                    raise DslSyntaxError(
-                        tok.line, tok.col, f"generator w{j} outside 1..{n}"
-                    )
+                    self.fail(tok[2], f"generator w{j} outside 1..{n}")
                 if j in equations:
-                    raise DslSyntaxError(tok.line, tok.col, f"duplicate dw{j}")
+                    self.fail(tok[2], f"duplicate dw{j}")
                 equations[j] = self.parse_expr(n)
             else:
-                raise DslSyntaxError(
-                    tok.line, tok.col, f"expected 'n' or 'dw<j>', found {tok.text!r}"
-                )
+                self.fail(tok[2], f"expected 'n' or 'dw<j>', found {tok[1]!r}")
         if n is None:
             raise DslSyntaxError(1, 1, "missing 'n' header")
         missing = [j for j in range(1, n + 1) if j not in equations]
@@ -157,29 +112,29 @@ class _Parser:
         return n, equations
 
     def parse_expr(self, n: int) -> Form:
-        tok = self.peek()
-        if tok.kind == "int" and tok.text == "0" and self.tokens[self.pos + 1].kind in (";", "end"):
+        kind, text, _ = self.peek()
+        if kind == "int" and text == "0" and self.tokens[self.pos + 1][0] in (";", "end"):
             self.take()
             return Form.zero()
         sign = 1
-        if tok.kind == "-":
+        if kind == "-":
             self.take()
             sign = -1
         out = self.parse_term(n, sign)
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.take().kind == "+" else -1
+        while self.peek()[0] in ("+", "-"):
+            sign = 1 if self.take()[0] == "+" else -1
             out = out + self.parse_term(n, sign)
         return out
 
     def parse_term(self, n: int, sign: int) -> Form:
         coeff = ComplexRational(sign)
-        tok = self.peek()
-        if tok.kind == "(":
+        kind = self.peek()[0]
+        if kind == "(":
             self.take()
             coeff = coeff * self.parse_complex()
             self.take(")")
             self.take("*")
-        elif tok.kind == "int":
+        elif kind == "int":
             coeff = coeff * self.parse_complex()
             self.take("*")
         mono = self.parse_mono(n)
@@ -187,27 +142,26 @@ class _Parser:
 
     def parse_mono(self, n: int) -> Form:
         ranks = [self.parse_gen(n)]
-        while self.peek().kind == "^":
+        while self.peek()[0] == "^":
             self.take()
             ranks.append(self.parse_gen(n))
         return Form.monomial(ranks)
 
     def parse_gen(self, n: int) -> int:
         conj = False
-        if self.peek().kind == "~":
+        if self.peek()[0] == "~":
             self.take()
             conj = True
         tok = self.take("name")
-        if tok.text != "w":
-            raise DslSyntaxError(tok.line, tok.col, f"expected generator, found {tok.text!r}")
-        j = int(self.take("int").text)
+        if tok[1] != "w":
+            self.fail(tok[2], f"expected generator, found {tok[1]!r}")
+        j = int(self.take("int")[1])
         if not 1 <= j <= n:
-            raise DslSyntaxError(tok.line, tok.col, f"generator w{j} outside 1..{n}")
+            self.fail(tok[2], f"generator w{j} outside 1..{n}")
         return conj_rank(j) if conj else holo_rank(j)
 
     def _take_bare_i(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "i":
+        if self.peek()[:2] == ("name", "i"):
             self.take()
             return True
         return False
@@ -215,18 +169,17 @@ class _Parser:
     def parse_complex(self) -> ComplexRational:
         if self._take_bare_i():
             return ComplexRational(0, 1)
-        if self.peek().kind == "-" and self.tokens[self.pos + 1].text == "i":
+        if self.peek()[0] == "-" and self.tokens[self.pos + 1][1] == "i":
             self.take()
             self.take()
             return ComplexRational(0, -1)
         first = self.parse_signed_rational()
         if self._take_bare_i():
             return ComplexRational(0, first)
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
+        if self.peek()[0] in ("+", "-"):
             # lookahead: '[rat] i' continues the literal, else back off
             save = self.pos
-            sign = 1 if self.take().kind == "+" else -1
+            sign = 1 if self.take()[0] == "+" else -1
             if self._take_bare_i():
                 return ComplexRational(first, sign)
             try:
@@ -241,15 +194,15 @@ class _Parser:
 
     def parse_signed_rational(self) -> Fraction:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.take()
             sign = -1
-        num = int(self.take("int").text)
-        if self.peek().kind == "/":
+        num = int(self.take("int")[1])
+        if self.peek()[0] == "/":
             self.take()
-            den = int(self.take("int").text)
+            den = int(self.take("int")[1])
             if den == 0:
-                self.error("zero denominator")
+                self.fail(self.peek()[2], "zero denominator")
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
@@ -291,13 +244,21 @@ def _mon_to_json(mon) -> list:
     return out
 
 
+def _index(value) -> int:
+    """A JSON integer field (n, dim, a generator index or rank): an int >= 1."""
+    j = operator.index(value)  # a float or a string raises TypeError
+    if j < 1:
+        raise DimensionMismatch(f"expected an integer >= 1, found {j}")
+    return j
+
+
 def _mon_from_json(spec) -> tuple:
     ranks = []
     for kind, j in spec:
         if kind == "w":
-            ranks.append(holo_rank(int(j)))
+            ranks.append(holo_rank(_index(j)))
         elif kind == "cw":
-            ranks.append(conj_rank(int(j)))
+            ranks.append(conj_rank(_index(j)))
         else:
             raise ValueError(f"bad generator kind {kind!r}")
     return tuple(ranks)
@@ -328,7 +289,7 @@ def structure_to_json(se: StructureEquations) -> dict:
 
 
 def structure_from_json(spec) -> StructureEquations:
-    n = int(spec["n"])
+    n = _index(spec["n"])
     return StructureEquations(n, [form_from_json(e) for e in spec["equations"]])
 
 
@@ -344,7 +305,7 @@ def real_form_from_json(spec) -> Form:
     out = Form.zero()
     for term in spec:
         out = out + Form.monomial(
-            tuple(int(r) for r in term["mon"]),
+            tuple(_index(r) for r in term["mon"]),
             ComplexRational(term["coef"]),
         )
     return out
@@ -363,7 +324,7 @@ def metric_to_json(metric: Metric) -> dict:
 
 def metric_from_json(spec) -> Metric:
     rows = spec["X"]
-    if "n" in spec and int(spec["n"]) != len(rows):
+    if "n" in spec and _index(spec["n"]) != len(rows):
         raise DimensionMismatch(f"metric has n = {spec['n']} but {len(rows)} rows")
     for j, row in enumerate(rows):
         if len(row) != len(rows):

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+BadInput and its subclasses mean the input is outside what the library
+accepts; the CLI exits 2 on them, as on an unreadable path or malformed JSON.
+Every other GauduchonError is a check that failed on well-formed input, and
+the CLI exits 1 on it.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,11 @@ class GauduchonError(Exception):
     """Base class for all library errors."""
 
 
-class DslSyntaxError(GauduchonError):
+class BadInput(GauduchonError):
+    """Input outside the domain the library accepts."""
+
+
+class DslSyntaxError(BadInput):
     """Malformed structure-equation source.  Carries 1-based line and column."""
 
     def __init__(self, line: int, col: int, message: str):
@@ -44,8 +54,9 @@ class NotAlmostComplex(GauduchonError):
     """J^2 != -Id (or J missing where one is required)."""
 
 
-class DimensionMismatch(GauduchonError):
-    """Form built over a different coframe than the structure equations."""
+class DimensionMismatch(BadInput):
+    """A size or index that does not fit: a form over another coframe than the
+    structure equations, a ragged metric, a JSON index below 1."""
 
 
 class NotSkewHermitian(GauduchonError):
@@ -56,28 +67,16 @@ class NotPositive(GauduchonError):
     """Metric coefficient matrix is not positive definite."""
 
 
-class BadK(GauduchonError):
+class BadK(BadInput):
     """k outside 1..n-1 for a k-th Gauduchon computation."""
 
 
-class UnknownFamily(GauduchonError):
+class UnknownFamily(BadInput):
     """Catalog lookup with an unrecognized family name."""
 
 
-class BadParams(GauduchonError):
-    """Parameters outside the domain of a catalog family or closed form."""
-
-
-class BadRange(GauduchonError):
-    """Index outside the valid range of a coefficient table."""
-
-
-class BadDimensions(GauduchonError):
-    """Factor dimensions outside the domain of a product construction."""
-
-
-class BadT(GauduchonError):
-    """Deformation parameter t outside (0, 1]."""
+class BadParams(BadInput):
+    """Parameters outside the domain of a catalog family, closed form or table."""
 
 
 class NotQuasiSasakian(GauduchonError):

@@ -24,9 +24,8 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional
 
-from .dsl import real_form_from_json, real_form_to_json
-from .errors import (BadDimensions, BadParams, BadRange, DimensionMismatch, NotQuasiSasakian,
-                     ensure)
+from .dsl import _index, real_form_from_json, real_form_to_json
+from .errors import BadParams, DimensionMismatch, NotQuasiSasakian, ensure
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form
 from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros
@@ -43,9 +42,9 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     """coefficient_C with b entering only through b^2 (which may be any
     positive rational, covering irrational b with rational square)."""
     if n < 4:
-        raise BadRange("coefficient table needs n >= 4")
+        raise BadParams("coefficient table needs n >= 4")
     if not 0 <= s <= n - 1:
-        raise BadRange(f"s must be in 0..{n - 1}")
+        raise BadParams(f"s must be in 0..{n - 1}")
     a = Fraction(a)
     m = Fraction(a * a) + Fraction(b_squared)
     c0, c1, c2 = (comb(n - 3, s - j) if s >= j else 0 for j in range(3))
@@ -69,11 +68,11 @@ class ProductParams:
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
-            raise BadDimensions("factor parameters must be positive integers")
+            raise BadParams("factor parameters must be positive integers")
         if self.b == 0:
-            raise BadDimensions("b must be nonzero")
+            raise BadParams("b must be nonzero")
         if self.t / self.b <= 0:
-            raise BadDimensions("need t/b > 0 for a positive metric")
+            raise BadParams("need t/b > 0 for a positive metric")
 
 
 @dataclass
@@ -142,10 +141,10 @@ class AdmissibleSet:
 def solve_admissible(n1: int, n2: int) -> AdmissibleSet:
     """Describe all (a, b) with Q = 0 for factors of the given sizes."""
     if n1 < 1 or n2 < 1 or n1 + n2 + 1 <= 3:
-        raise BadDimensions("need n1, n2 >= 1 with n1 + n2 + 1 > 3")
+        raise BadParams("need n1, n2 >= 1 with n1 + n2 + 1 > 3")
     if n2 == 1:
         if n1 == 1:
-            raise BadDimensions("n1 = n2 = 1 is the n = 3 case")
+            raise BadParams("n1 = n2 = 1 is the n = 3 case")
         # Q = n1(n1-1) + 2 a n1, independent of b
         return AdmissibleSet(kind="line", a0=Fraction(-(n1 - 1), 2))
     alpha = Fraction(n2 * (n2 - 1))
@@ -281,13 +280,13 @@ def contact_to_json(contact: "ContactData") -> dict:
 
 
 def contact_from_json(spec: dict) -> "ContactData":
-    dim = int(spec["dim"])
+    dim = _index(spec["dim"])
     algebra = RealLieAlgebra(dim, [real_form_from_json(e) for e in spec["d"]])
     return ContactData(
         algebra=algebra,
         eta=real_form_from_json(spec["eta"]),
-        xi=[cr(Fraction(v)) for v in spec["xi"]],
-        phi=[[cr(Fraction(v)) for v in row] for row in spec["phi"]],
+        xi=[cr(v) for v in spec["xi"]],
+        phi=[[cr(v) for v in row] for row in spec["phi"]],
         Phi=real_form_from_json(spec["Phi"]),
         F=real_form_from_json(spec["F"]),
     )

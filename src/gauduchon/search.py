@@ -32,7 +32,7 @@ from .catalog import (
     skt_scalar_nilpotent6,
 )
 from .dsl import metric_to_json
-from .errors import BadK, BadParams, BadT, ensure
+from .errors import BadK, BadParams, ensure
 from .hermitian import Metric, balanced_defect, gamma_numerator
 from .scalars import ComplexRational
 from .structures import StructureEquations
@@ -42,52 +42,50 @@ DEFAULT_SEED = 0x5EED
 POSITIVITY_PADDING = Fraction(1, 1024)
 
 
+# Each target kind and its CLI spelling; "{k}" stands for the Gauduchon index.
+_TARGETS = {
+    "gamma_negative": "gamma{k}<0",
+    "gamma_positive": "gamma{k}>0",
+    "gauduchon_zero": "gauduchon{k}=0",
+    "skt": "skt",
+    "balanced": "balanced",
+}
+
+
 @dataclass(frozen=True)
 class Target:
     """What the search is looking for.
 
-    kind: gamma_negative | gamma_positive | gauduchon_zero | skt | balanced
+    kind: a key of _TARGETS
     k:    the Gauduchon index for the gamma/gauduchon kinds
     """
 
     kind: str
     k: Optional[int] = None
 
-    _KINDS = ("gamma_negative", "gamma_positive", "gauduchon_zero", "skt", "balanced")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _TARGETS:
             raise BadParams(f"unknown target kind {self.kind!r}")
-        if self.kind.startswith(("gamma", "gauduchon")) and self.k is None:
+        if "{k}" in _TARGETS[self.kind] and self.k is None:
             raise BadParams(f"target {self.kind} needs k")
 
     def describe(self) -> str:
-        return {
-            "gamma_negative": f"gamma{self.k}<0",
-            "gamma_positive": f"gamma{self.k}>0",
-            "gauduchon_zero": f"gauduchon{self.k}=0",
-            "skt": "skt",
-            "balanced": "balanced",
-        }[self.kind]
+        return _TARGETS[self.kind].format(k=self.k)
 
 
 def parse_target(text: str) -> Target:
     """Parse CLI target syntax: gamma1<0, gamma2>0, gauduchon1=0, skt, balanced."""
     text = text.strip()
-    if text == "skt":
-        return Target("skt")
-    if text == "balanced":
-        return Target("balanced")
-    try:
-        if text.startswith("gamma"):
-            body = text[len("gamma"):]
-            for op, kind in (("<0", "gamma_negative"), (">0", "gamma_positive")):
-                if body.endswith(op):
-                    return Target(kind, k=int(body[: -len(op)]))
-        if text.startswith("gauduchon") and text.endswith("=0"):
-            return Target("gauduchon_zero", k=int(text[len("gauduchon"):-2]))
-    except ValueError:
-        pass
+    for kind, spelling in _TARGETS.items():
+        head, has_k, tail = spelling.partition("{k}")
+        if not has_k and text == spelling:
+            return Target(kind)
+        if has_k and text.startswith(head) and text.endswith(tail):
+            try:
+                k = int(text[len(head):len(text) - len(tail)])
+            except ValueError:
+                break
+            return Target(kind, k=k)
     raise BadParams(f"cannot parse target {text!r}")
 
 
@@ -309,7 +307,7 @@ def balanced_feasibility_jt(t) -> Feasibility:
     """
     t = Fraction(t)
     if not 0 < t <= 1:
-        raise BadT(f"t must be in (0, 1], got {t}")
+        raise BadParams(f"t must be in (0, 1], got {t}")
     coeffs = (Fraction(1), (2 - t) / t, 1 / t**2)
     discriminant = (t - 4) / t
     ensure(all(c > 0 for c in coeffs) and discriminant < 0,

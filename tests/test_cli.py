@@ -445,6 +445,56 @@ class TestInputErrors:
         assert main(argv) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--structure", "{dir}"],
+        ["classify", "--structure", "{jt}", "--metric", "{dir}"],
+        ["search", "--structure", "{jt}", "--target", "skt", "--budget", "2", "--out", "{dir}"],
+        ["bundle-extend", "--contact", "{dir}"],
+    ], ids=["check", "classify", "search-out", "bundle-extend"])
+    def test_directory_path(self, jt_file, tmp_path, capsys, command):
+        argv = [word.format(dir=tmp_path, jt=jt_file) for word in command]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_float_metric_cell(self, tmp_path, capsys):
+        se_path = write(tmp_path / "jt.dsl", dsl.format_structure(catalog.jt(Fraction(1, 2))))
+        cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
+        cells[0][1] = cells[1][0] = {"re": 0, "im": 0.1}
+        metric_path = write(tmp_path / "float.json", json.dumps({"n": 3, "X": cells}))
+        assert main(["classify", "--json", "--structure", se_path, "--metric", metric_path]) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_float_in_contact_xi(self, tmp_path, capsys):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.solvable5_contact())
+        doc["xi"][0] = 0.1
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_generator_index_zero(self, tmp_path, capsys, command):
+        # w0 would be rank -1, the last generator's conjugate
+        term = {"re": "1", "im": "0", "mon": [["w", 0], ["cw", 1]]}
+        se_path = write(tmp_path / "idx0.json", json.dumps({"n": 2, "equations": [[], [term]]}))
+        argv = [command, "--structure", se_path]
+        if command == "classify":
+            cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(2)]
+                     for j in range(2)]
+            argv += ["--metric", write(tmp_path / "m.json", json.dumps({"n": 2, "X": cells}))]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_contact_rank_zero(self, tmp_path, capsys):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.solvable5_contact())
+        doc["F"] = [{"coef": "1", "mon": [0, 2]}]
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
+        self.assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("cut", [
         lambda doc: doc["xi"].pop(),
         lambda doc: doc["phi"].pop(),

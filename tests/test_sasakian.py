@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gauduchon import catalog
-from gauduchon.errors import BadDimensions, BadRange, NotIntegrable, NotQuasiSasakian
+from gauduchon.errors import BadParams, NotIntegrable, NotQuasiSasakian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import gamma_scalar
 from gauduchon.sasakian import (
@@ -43,9 +43,9 @@ class TestCoefficients:
         assert table == [coefficient_C_sq(5, s, a, b * b) for s in range(5)]
 
     def test_range_errors(self):
-        with pytest.raises(BadRange):
+        with pytest.raises(BadParams):
             coefficient_C(3, 0, 1, 1)
-        with pytest.raises(BadRange):
+        with pytest.raises(BadParams):
             coefficient_C(5, 5, 1, 1)
 
     def test_obstruction_proportional_to_coefficient(self):
@@ -88,11 +88,11 @@ class TestProducts:
                 assert (report.ratio > 0) == (q > 0)
 
     def test_params_validated(self):
-        with pytest.raises(BadDimensions):
+        with pytest.raises(BadParams):
             ProductParams(0, 1, Fraction(1), Fraction(1), Fraction(1))
-        with pytest.raises(BadDimensions):
+        with pytest.raises(BadParams):
             ProductParams(1, 1, Fraction(1), Fraction(0), Fraction(1))
-        with pytest.raises(BadDimensions):
+        with pytest.raises(BadParams):
             ProductParams(1, 1, Fraction(1), Fraction(1), Fraction(-1))
 
 
@@ -102,7 +102,7 @@ class TestAdmissible:
         assert out.kind == "line" and out.a0 == Fraction(-1, 2)
 
     def test_three_dimensional_case_excluded(self):
-        with pytest.raises(BadDimensions):
+        with pytest.raises(BadParams):
             solve_admissible(1, 1)
 
     def test_quadratic_case(self):

@@ -200,6 +200,14 @@ def test_float_and_complex_operands_raise():
             bad * ONE
 
 
+def test_float_and_complex_arguments_raise():
+    # a float would enter as its binary fraction: 0.1 is 3602879701896397/2**55
+    for args in ((0.5,), (1j,), (0, 0.1), (Fraction(1, 2), 1j), (0.0, 0)):
+        with pytest.raises(TypeError):
+            ComplexRational(*args)
+    assert ComplexRational("0.1", "-2.5e-1") == ComplexRational(Fraction(1, 10), Fraction(-1, 4))
+
+
 def test_zero_is_canonical():
     z = ComplexRational(Fraction(3, 7), Fraction(-3, 7))
     for zero in (ZERO, z - z, z + -z, z * 0, ComplexRational("0/5")):

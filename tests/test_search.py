@@ -6,7 +6,7 @@ import pytest
 
 from gauduchon import catalog, hermitian, search
 from gauduchon.catalog import Reduced6Params
-from gauduchon.errors import BadK, BadParams, BadT
+from gauduchon.errors import BadK, BadParams
 from gauduchon.hermitian import gamma_scalar, gauduchon_form, omega_power
 from gauduchon.sasakian import bundle_extend
 from gauduchon.scalars import cr
@@ -36,6 +36,36 @@ class TestTargets:
         target = parse_target(text)
         assert target.kind == kind and target.k == k
         assert target.describe() == text
+
+    # (kind, k, describe()) per string, or None for BadParams; k is read by int(), so
+    # blanks, a sign and an underscore inside the index are accepted
+    @pytest.mark.parametrize(
+        "text, parsed",
+        [
+            ("  skt\n", ("skt", None, "skt")),
+            ("gamma 1<0", ("gamma_negative", 1, "gamma1<0")),
+            ("gamma1_0<0", ("gamma_negative", 10, "gamma10<0")),
+            ("gamma-1<0", ("gamma_negative", -1, "gamma-1<0")),
+            ("gamma+2>0", ("gamma_positive", 2, "gamma2>0")),
+            ("gauduchon 3 =0", ("gauduchon_zero", 3, "gauduchon3=0")),
+            ("gamma1>0 ", ("gamma_positive", 1, "gamma1>0")),
+            ("gamma<0", None),
+            ("gauduchon=0", None),
+            ("gamma1=0", None),
+            ("SKT", None),
+            ("gauduchon1<0", None),
+            ("gamma1<0<0", None),
+            ("balanced1", None),
+            ("", None),
+        ],
+    )
+    def test_parse_table(self, text, parsed):
+        if parsed is None:
+            with pytest.raises(BadParams):
+                parse_target(text)
+        else:
+            target = parse_target(text)
+            assert (target.kind, target.k, target.describe()) == parsed
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(BadParams):
@@ -215,7 +245,7 @@ class TestFeasibility:
 
     def test_jt_range_checked(self):
         for t in (Fraction(0), Fraction(2), Fraction(-1)):
-            with pytest.raises(BadT):
+            with pytest.raises(BadParams):
                 balanced_feasibility_jt(t)
 
     def test_search_never_contradicts_certificates(self):
