@@ -97,6 +97,9 @@ def cmd_search(args) -> int:
     target = parse_target(args.target)
     family = args.family
     params = catalog.family_params(family, se) if family is not None else None
+    if args.out:
+        # a bad path fails here, before sampling; appending leaves an existing file intact
+        open(args.out, "a", encoding="utf-8").close()
     outcome = search.find_metric(
         se, target, budget=args.budget, seed=args.seed, family=family, params=params
     )

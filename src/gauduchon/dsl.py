@@ -6,7 +6,7 @@ line) may sit between any two tokens, and a newline or ';' ends a statement:
 
     source  := stmt (separator stmt)*
     stmt    := "n" ":" INT  |  "dw" INT ":" expr
-    expr    := "0" | term (("+" | "-") term)*
+    expr    := "0" | term (("+" | "-") term)*     (nonzero terms of one degree)
     term    := [coef "*"] mono
     mono    := gen ("^" gen)*
     gen     := "w" INT | "~w" INT
@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatch, DslSyntaxError
@@ -106,9 +107,11 @@ class _Parser:
                 self.fail(tok[2], f"expected 'n' or 'dw<j>', found {tok[1]!r}")
         if n is None:
             raise DslSyntaxError(1, 1, "missing 'n' header")
-        missing = [j for j in range(1, n + 1) if j not in equations]
+        # name the first eight; the first missing index is at most len(equations) + 1
+        missing = list(islice((j for j in range(1, n + 1) if j not in equations), 9))
         if missing:
-            raise DslSyntaxError(1, 1, f"missing equations for dw{missing}")
+            names = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+            raise DslSyntaxError(1, 1, f"missing equations for dw[{names}]")
         return n, equations
 
     def parse_expr(self, n: int) -> Form:
@@ -123,7 +126,11 @@ class _Parser:
         out = self.parse_term(n, sign)
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.take()[0] == "+" else -1
-            out = out + self.parse_term(n, sign)
+            offset = self.peek()[2]
+            term = self.parse_term(n, sign)
+            if out and term and term.degree != out.degree:
+                self.fail(offset, f"cannot add forms of degrees {out.degree} and {term.degree}")
+            out = out + term
         return out
 
     def parse_term(self, n: int, sign: int) -> Form:

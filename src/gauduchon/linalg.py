@@ -4,7 +4,8 @@ Matrices are lists of row lists.  Sizes never exceed 2n <= 8, so plain
 exact elimination is entirely adequate.  One Gauss-Jordan routine,
 _eliminate, serves rref, solve, mat_inverse and mat_det: it reports the
 pivot columns and the signed pivot product.  ldl is the separate
-positivity test.
+positivity test; its pivots stay ComplexRational until it returns them as
+Fractions.
 """
 
 from __future__ import annotations
@@ -131,18 +132,20 @@ def ldl(h: Matrix) -> tuple[Matrix, list[Fraction]]:
     """
     n = len(h)
     lower = identity(n)
-    diag: list[Fraction] = []
+    pivots: list = []
     for j in range(n):
+        weights = [lower[j][k].conjugate() * pivots[k] for k in range(j)]  # shared by rows >= j
         pivot = h[j][j]
         for k in range(j):
-            pivot = pivot - lower[j][k] * lower[j][k].conjugate() * diag[k]
-        d = pivot.real_part()
-        if d <= 0:
+            pivot = pivot - lower[j][k] * weights[k]
+        if not pivot.is_real:
+            raise ValueError(f"{pivot} is not real")
+        if pivot._a <= 0:  # the sign of a real (a + 0i)/d, d > 0
             raise ValueError("matrix is not positive definite")
-        diag.append(d)
+        pivots.append(pivot)
         for i in range(j + 1, n):
             val = h[i][j]
             for k in range(j):
-                val = val - lower[i][k] * lower[j][k].conjugate() * diag[k]
-            lower[i][j] = val / cr(d)
-    return lower, diag
+                val = val - lower[i][k] * weights[k]
+            lower[i][j] = val / pivot
+    return lower, [p.real_part() for p in pivots]

@@ -8,7 +8,9 @@ to the single coefficient
     C(n,s) = C(n-3,s) + 2a C(n-3,s-1) + (a^2+b^2) C(n-3,s-2),
 
 and the first-Gauduchon condition to C(n,n2) = 0, equivalently
-Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1) = 0.
+Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1) = 0.  Each formula is evaluated
+as one integer numerator over one integer denominator; Fraction appears
+only in the values returned.
 
 The bundle layer is fully constructive: odd-dimensional invariant contact
 data (phi, xi, eta, g, Phi) plus a closed phi-invariant curvature 2-form F
@@ -33,6 +35,21 @@ from .scalars import I, ONE, ZERO, cr
 from .structures import ComplexFrame, RealLieAlgebra, complex_frame_from_real
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator) ints; a non-int goes through Fraction(x), with its errors."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _collapse(c0: int, c1: int, c2: int, a: tuple, b_squared: tuple) -> Fraction:
+    """c0 + 2a c1 + (a^2+b^2) c2 for a = p/q and b^2 = r/s, over q^2 s."""
+    (p, q), (r, s) = a, b_squared
+    return Fraction((c0 * q + 2 * p * c1) * q * s + (p * p * s + r * q * q) * c2, q * q * s)
+
+
 def coefficient_C(n: int, s: int, a, b) -> Fraction:
     """The collapsed wedge coefficient for 0 <= s <= n-1, n >= 4."""
     return coefficient_C_sq(n, s, a, Fraction(b) ** 2)
@@ -45,17 +62,13 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
         raise BadParams("coefficient table needs n >= 4")
     if not 0 <= s <= n - 1:
         raise BadParams(f"s must be in 0..{n - 1}")
-    a = Fraction(a)
-    m = Fraction(a * a) + Fraction(b_squared)
     c0, c1, c2 = (comb(n - 3, s - j) if s >= j else 0 for j in range(3))
-    return Fraction(c0) + 2 * a * c1 + m * c2
+    return _collapse(c0, c1, c2, _ratio(a), _ratio(b_squared))
 
 
 def product_obstruction(n1: int, n2: int, a, b_squared) -> Fraction:
     """Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1); zero iff 1st Gauduchon."""
-    a = Fraction(a)
-    m = a * a + Fraction(b_squared)
-    return Fraction(n1 * (n1 - 1)) + 2 * a * n1 * n2 + m * n2 * (n2 - 1)
+    return _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), _ratio(a), _ratio(b_squared))
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class ProductParams:
             raise BadParams("factor parameters must be positive integers")
         if self.b == 0:
             raise BadParams("b must be nonzero")
-        if self.t / self.b <= 0:
+        if self.t == 0 or (self.t > 0) != (self.b > 0):
             raise BadParams("need t/b > 0 for a positive metric")
 
 
@@ -88,35 +101,18 @@ class ProductReport:
 
 def product_report(params: ProductParams) -> ProductReport:
     """Gauduchon data for the product metric Phi1 + Phi2 + t eta1 ^ eta2."""
-    n = params.n1 + params.n2 + 1
-    a, b, t = params.a, params.b, params.t
-    if n == 3:
-        gamma1 = a * t / (3 * b)
-        return ProductReport(
-            n=n,
-            obstruction=None,
-            first_gauduchon=(a == 0),
-            astheno=(a == 0),  # astheno and SKT coincide for n = 3
-            ratio=None,
-            gamma1=gamma1,
-            skt=(a == 0),
-        )
-    q = product_obstruction(params.n1, params.n2, a, b * b)
-    denom = Fraction(
-        params.n1 * (params.n1 - 1)
-        + 2 * params.n1 * params.n2
-        + params.n2 * (params.n2 - 1)
-    )
-    ratio = Fraction(n - 2) * t / (n * b) * (q / denom)
-    return ProductReport(
-        n=n,
-        obstruction=q,
-        first_gauduchon=(q == 0),
-        astheno=(q == 0),
-        ratio=ratio,
-        gamma1=None,
-        skt=None,
-    )
+    n1, n2 = params.n1, params.n2
+    n = n1 + n2 + 1
+    (p, q), (u, v), (w, z) = _ratio(params.a), _ratio(params.t), _ratio(params.b)  # a, t, b
+    if n == 3:  # astheno and SKT coincide for n = 3
+        return ProductReport(n=n, obstruction=None, first_gauduchon=p == 0, astheno=p == 0,
+                             ratio=None, gamma1=Fraction(p * u * z, 3 * q * v * w), skt=p == 0)
+    obs = _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), (p, q), (w * w, z * z))
+    # ratio = (n-2) t / (n b) * Q / Q(a = 1, b = 0)
+    denom = n * v * w * obs.denominator * (n1 * (n1 - 1) + 2 * n1 * n2 + n2 * (n2 - 1))
+    ratio = Fraction((n - 2) * u * z * obs.numerator, denom)
+    return ProductReport(n=n, obstruction=obs, first_gauduchon=obs == 0, astheno=obs == 0,
+                         ratio=ratio, gamma1=None, skt=None)
 
 
 @dataclass

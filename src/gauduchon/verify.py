@@ -324,16 +324,16 @@ def check_theorem_42(seed: int) -> dict:
     scalar is a t / (3 b)."""
     count = 0
     a_grid = [Fraction(k, 2) for k in range(-11, 11)]
-    b_grid = [Fraction(k, 3) for k in range(-10, 11) if k]
+    b_grid = [(Fraction(k, 3), Fraction(k * k, 9)) for k in range(-10, 11) if k]  # (b, b^2)
     for n1 in range(1, 6):
         for n2 in range(1, 6):
             if n1 + n2 + 1 <= 3:
                 continue
             fact = Fraction(factorial(n1) * factorial(n2), factorial(n1 + n2 - 2))
             for a in a_grid:
-                for b in b_grid:
-                    q = sasakian.product_obstruction(n1, n2, a, b * b)
-                    c = sasakian.coefficient_C_sq(n1 + n2 + 1, n2, a, b * b)
+                for b, b2 in b_grid:
+                    q = sasakian.product_obstruction(n1, n2, a, b2)
+                    c = sasakian.coefficient_C_sq(n1 + n2 + 1, n2, a, b2)
                     ensure(q == fact * c)
                     ensure((q == 0) == (c == 0))
                     report = sasakian.product_report(

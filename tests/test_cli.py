@@ -456,6 +456,27 @@ class TestInputErrors:
         assert main(argv) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/out.json", "{file}/out.json"],
+                             ids=["directory", "missing-parent", "parent-is-a-file"])
+    def test_search_out_is_checked_before_sampling(self, jt_file, tmp_path, capsys,
+                                                   monkeypatch, out):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("find_metric ran before --out was checked")
+
+        monkeypatch.setattr(gauduchon.search, "find_metric", no_sampling)
+        path = out.format(dir=tmp_path, file=write(tmp_path / "plain.txt", ""))
+        argv = ["search", "--structure", jt_file, "--target", "skt", "--budget", "3000",
+                "--out", path]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_search_out_survives_a_failed_search(self, jt_file, tmp_path, capsys):
+        out = write(tmp_path / "out.json", "kept\n")
+        argv = ["search", "--structure", jt_file, "--target", "gamma9<0", "--out", out]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys)
+        assert Path(out).read_text(encoding="utf-8") == "kept\n"
+
     def test_float_metric_cell(self, tmp_path, capsys):
         se_path = write(tmp_path / "jt.dsl", dsl.format_structure(catalog.jt(Fraction(1, 2))))
         cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]

@@ -68,6 +68,12 @@ GOLDEN = [
     (';;\n;', (1, 1, "missing 'n' header")),
     ('n:2; dw1:0', (1, 1, 'missing equations for dw[2]')),
     ('n:3', (1, 1, 'missing equations for dw[1, 2, 3]')),
+    ('n: 99999999999999999999999999; dw1: 0',
+     (1, 1, 'missing equations for dw[2, 3, 4, 5, 6, 7, 8, 9, ...]')),
+    ('n:9; dw2: 0', (1, 1, 'missing equations for dw[1, 3, 4, 5, 6, 7, 8, 9]')),
+    ('n:3; dw1:0; dw2:0; dw3: w1^~w1 + w1', (1, 34, 'cannot add forms of degrees 2 and 1')),
+    ('n:3; dw1:0; dw2:0; dw3: w1 - (1/2)*w1^~w1', (1, 30, 'cannot add forms of degrees 1 and 2')),
+    ('n:3; dw1:0; dw2:0; dw3: w1 - w1 + w1^~w1', 'n: 3\ndw1: 0\ndw2: 0\ndw3: w1^~w1\n'),
     ('n:2; dw1:0; dw2: x1^w1', (1, 18, "expected generator, found 'x'")),
     ('n:2; dw1: 0; dw2: i*w1', (1, 19, "expected generator, found 'i'")),
     ('n:2; dw1:0; dw2: w1^w9', (1, 21, 'generator w9 outside 1..2')),

@@ -8,19 +8,25 @@ Lambda(d Omega) and det(-iX) is the product of the LDL* pivots; the
 references here are the direct definitions, written out in the tests, with
 the adjoints taken in the LDL* unitary coframe, whose monomials are
 orthogonal, the Lee form solved from theta ^ Omega^{n-1} = d(Omega^{n-1})
-and the determinant taken by elimination.
+and the determinant taken by elimination.  The Sasakian product formulas
+and the LDL* pivots are plain-int arithmetic; their references are the
+Fraction formulas and the Fraction-pivot LDL* they replaced.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import NotPositive, ensure
+from gauduchon.errors import BadParams, NotPositive, ensure
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     CompiledMaps,
@@ -32,7 +38,7 @@ from gauduchon.hermitian import (
     lee_form,
     omega_power,
 )
-from gauduchon.scalars import I, ONE, ZERO, ComplexRational
+from gauduchon.scalars import I, ONE, ZERO, ComplexRational, cr
 from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
@@ -414,6 +420,201 @@ class TestExactScalars:
             other - one
         with pytest.raises(TypeError):
             one / other
+
+
+# -- the product formulas and the LDL* pivots in Fraction arithmetic ----------
+
+
+def ref_coefficient_C(n, s, a, b):
+    return ref_coefficient_C_sq(n, s, a, Fraction(b) ** 2)
+
+
+def ref_coefficient_C_sq(n, s, a, b_squared):
+    if n < 4:
+        raise BadParams("coefficient table needs n >= 4")
+    if not 0 <= s <= n - 1:
+        raise BadParams(f"s must be in 0..{n - 1}")
+    a = Fraction(a)
+    m = Fraction(a * a) + Fraction(b_squared)
+    c0, c1, c2 = (comb(n - 3, s - j) if s >= j else 0 for j in range(3))
+    return Fraction(c0) + 2 * a * c1 + m * c2
+
+
+def ref_product_obstruction(n1, n2, a, b_squared):
+    a = Fraction(a)
+    m = a * a + Fraction(b_squared)
+    return Fraction(n1 * (n1 - 1)) + 2 * a * n1 * n2 + m * n2 * (n2 - 1)
+
+
+def ref_check_params(n1, n2, b, t):
+    """ProductParams.__post_init__ with t/b > 0 tested by dividing."""
+    if n1 < 1 or n2 < 1:
+        raise BadParams("factor parameters must be positive integers")
+    if b == 0:
+        raise BadParams("b must be nonzero")
+    if t / b <= 0:
+        raise BadParams("need t/b > 0 for a positive metric")
+
+
+def ref_product_report(params):
+    n = params.n1 + params.n2 + 1
+    a, b, t = params.a, params.b, params.t
+    if n == 3:
+        return sasakian.ProductReport(n=n, obstruction=None, first_gauduchon=(a == 0),
+                                      astheno=(a == 0), ratio=None, gamma1=a * t / (3 * b),
+                                      skt=(a == 0))
+    q = ref_product_obstruction(params.n1, params.n2, a, b * b)
+    denom = Fraction(params.n1 * (params.n1 - 1) + 2 * params.n1 * params.n2
+                     + params.n2 * (params.n2 - 1))
+    ratio = Fraction(n - 2) * t / (n * b) * (q / denom)
+    return sasakian.ProductReport(n=n, obstruction=q, first_gauduchon=(q == 0),
+                                  astheno=(q == 0), ratio=ratio, gamma1=None, skt=None)
+
+
+def ref_ldl(h):
+    """LDL* with every pivot turned into a Fraction and coerced back per use."""
+    n = len(h)
+    lower = linalg.identity(n)
+    diag = []
+    for j in range(n):
+        pivot = h[j][j]
+        for k in range(j):
+            pivot = pivot - lower[j][k] * lower[j][k].conjugate() * diag[k]
+        d = pivot.real_part()
+        if d <= 0:
+            raise ValueError("matrix is not positive definite")
+        diag.append(d)
+        for i in range(j + 1, n):
+            val = h[i][j]
+            for k in range(j):
+                val = val - lower[i][k] * lower[j][k].conjugate() * diag[k]
+            lower[i][j] = val / cr(d)
+    return lower, diag
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, TypeError, BadParams) as exc:
+        return type(exc), str(exc)
+
+
+def exact(value):
+    """value with its type, so that 1 and Fraction(1), or 0.5 and 1/2, differ."""
+    return value if isinstance(value, tuple) else (type(value), value)
+
+
+fractions = st.one_of(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**15)),
+)
+rationals = st.one_of(st.integers(-30, 30), fractions)
+# what Fraction() reads: ints, Fractions and "p/q" strings, reduced or not
+rational_inputs = st.one_of(
+    rationals,
+    rationals.map(str),
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 60)),
+)
+
+
+class TestIntegerProductFormulas:
+    @given(st.integers(1, 7), st.integers(1, 7), rational_inputs, rational_inputs)
+    def test_product_obstruction(self, n1, n2, a, b_squared):
+        got = sasakian.product_obstruction(n1, n2, a, b_squared)
+        assert exact(got) == exact(ref_product_obstruction(n1, n2, a, b_squared))
+
+    @given(st.integers(2, 10), st.integers(-1, 10), rational_inputs, rational_inputs)
+    def test_coefficient_C_sq(self, n, s, a, b_squared):
+        got = outcome(sasakian.coefficient_C_sq, n, s, a, b_squared)
+        assert exact(got) == exact(outcome(ref_coefficient_C_sq, n, s, a, b_squared))
+
+    @given(st.integers(2, 10), st.integers(-1, 10), rational_inputs, rational_inputs)
+    def test_coefficient_C(self, n, s, a, b):
+        got = outcome(sasakian.coefficient_C, n, s, a, b)
+        assert exact(got) == exact(outcome(ref_coefficient_C, n, s, a, b))
+
+    @pytest.mark.parametrize("bad", ["x", "1/0", "1.5.2", None, 1j, ComplexRational(1, 1)])
+    def test_bad_input_raises_as_before(self, bad):
+        for fn, ref in ((sasakian.product_obstruction, ref_product_obstruction),
+                        (lambda n, s, a, b: sasakian.coefficient_C_sq(n + 3, s, a, b),
+                         lambda n, s, a, b: ref_coefficient_C_sq(n + 3, s, a, b))):
+            assert outcome(fn, 2, 1, bad, 1) == outcome(ref, 2, 1, bad, 1)
+            assert outcome(fn, 2, 1, 1, bad) == outcome(ref, 2, 1, 1, bad)
+        assert (outcome(sasakian.coefficient_C, 5, 1, 1, bad)
+                == outcome(ref_coefficient_C, 5, 1, 1, bad))
+
+    @pytest.mark.parametrize("a, b_squared", [(0.5, 3), (1, 0.25), ("0.5", "3/4")])
+    def test_decimal_and_float_inputs_read_as_fraction_reads_them(self, a, b_squared):
+        got = sasakian.product_obstruction(3, 2, a, b_squared)
+        assert exact(got) == exact(ref_product_obstruction(3, 2, a, b_squared))
+
+    @given(st.integers(0, 3), st.integers(0, 3), rationals, rationals)
+    @example(1, 1, 1, 0)
+    @example(1, 1, Fraction(-1, 2), 0)
+    @example(2, 2, 0, 3)
+    def test_product_params_reject_the_same_pairs(self, n1, n2, b, t):
+        expected = outcome(ref_check_params, n1, n2, b, t)
+        try:
+            sasakian.ProductParams(n1, n2, Fraction(1), b, t)
+        except BadParams as exc:
+            assert expected == (BadParams, str(exc))
+        else:
+            assert expected is None
+
+    @given(st.integers(1, 6), st.integers(1, 6), rationals, rationals, rationals)
+    def test_product_report_every_field(self, n1, n2, a, b, t):
+        if n1 + n2 == 2:
+            # the reference's a t / (3 b) is a float on int fields
+            a, b, t = Fraction(a), Fraction(b), Fraction(t)
+        assume(b != 0 and t / b > 0)
+        params = sasakian.ProductParams(n1, n2, a, b, t)
+        got, ref = sasakian.product_report(params), ref_product_report(params)
+        for field in dataclasses.fields(got):
+            name = field.name
+            assert exact(getattr(got, name)) == exact(getattr(ref, name)), name
+
+    def test_product_report_is_exact_on_int_fields(self):
+        report = sasakian.product_report(sasakian.ProductParams(1, 1, 1, 1, 1))
+        assert exact(report.gamma1) == (Fraction, Fraction(1, 3))
+
+
+def hermitian_matrix(rng, n, span=3):
+    """A random Hermitian matrix over the Gaussian rationals, definite or not."""
+    h = linalg.zeros(n, n)
+    for i in range(n):
+        h[i][i] = ComplexRational(Fraction(rng.randint(-span, 4 * span), rng.choice((1, 2))))
+        for j in range(i):
+            z = ComplexRational(Fraction(rng.randint(-span, span), rng.choice((1, 2))),
+                                Fraction(rng.randint(-span, span), rng.choice((1, 2))))
+            h[i][j], h[j][i] = z, z.conjugate()
+    return h
+
+
+class TestIntegerPivots:
+    @given(st.integers(2, 5), st.integers(0, 2**32))
+    def test_same_factors_on_sampled_metrics(self, n, seed):
+        h = sample_positive_metric(random.Random(seed), n).minus_i_x()
+        lower, diag = linalg.ldl(h)
+        ref_lower, ref_diag = ref_ldl(h)
+        assert lower == ref_lower
+        assert [exact(d) for d in diag] == [exact(d) for d in ref_diag]
+
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_same_outcome_on_hermitian_matrices(self, n, seed):
+        h = hermitian_matrix(random.Random(seed), n)
+        assert outcome(linalg.ldl, h) == outcome(ref_ldl, h)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 2], [2, 1]], "matrix is not positive definite"),  # pivot 1 - 4 = -3
+        ([[1, 1], [1, 1]], "matrix is not positive definite"),  # pivot 0
+        ([[-2]], "matrix is not positive definite"),
+        ([[1, 0], [0, ComplexRational(1, 1)]], "1+1i is not real"),
+        ([[2, 1], [1, ComplexRational(3, 1)]], "5/2+1i is not real"),  # 3 + i - 1/2
+    ])
+    def test_same_error_on_a_bad_pivot(self, rows, message):
+        h = linalg.mat(rows)
+        assert outcome(linalg.ldl, h) == outcome(ref_ldl, h) == (ValueError, message)
 
 
 def load_bench_module(name):
