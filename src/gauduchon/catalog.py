@@ -28,7 +28,6 @@ from typing import Callable, Dict, Optional
 from .errors import BadParams, UnknownFamily, ensure
 from .forms import Form, conj_rank, holo_rank
 from .hermitian import Metric
-from .linalg import mat_det
 from .sasakian import ContactData
 from .scalars import I, ONE, ZERO, ComplexRational, cr
 from .structures import (
@@ -351,8 +350,8 @@ def gamma1_nonnilpotent6(metric: Metric) -> Fraction:
 
 
 def _principal_det(metric: Metric, rows) -> ComplexRational:
-    sub = [[metric.x[a - 1][b - 1] for b in rows] for a in rows]
-    return mat_det(sub)
+    index = tuple(a - 1 for a in rows)
+    return metric.minor(index, index)
 
 
 def gauduchon_obstruction_family8(p, q, metric: Metric) -> Fraction:

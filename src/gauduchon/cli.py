@@ -23,6 +23,14 @@ from .hermitian import Metric, classify
 from .search import parse_target
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an int literal in any base Python reads (42, 0x5eed)."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed value: {text!r}") from None
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="gamma1<0 | gamma1>0 | gauduchon1=0 | skt | balanced")
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=search.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=search.DEFAULT_SEED)
     p.add_argument("--family", default=None,
                    help="the catalog family the structure is a build of, whose closed "
                         "forms may certify the answer; its parameters are read off the "
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the bundled reproduction suite")
     p.add_argument("--only", default=None, help="run a single claim id")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=verify.DEFAULT_SEED)
     p.add_argument("--json", action="store_true")
     return parser
 

@@ -1,6 +1,7 @@
 """Text and JSON formats for structure equations, forms and metrics.
 
-Grammar of the structure-equation DSL.  Tokens are ASCII: INT is [0-9]+ and
+Grammar of the structure-equation DSL.  Tokens are ASCII: INT is [0-9]+,
+with no more digits than the interpreter converts (4300 by default), and
 a name is [A-Za-z]+.  Blanks, tabs, CR and '#' comments (to the end of the
 line) may sit between any two tokens, and a newline or ';' ends a statement:
 
@@ -53,6 +54,11 @@ class _Parser:
             kind, tok = m.lastgroup, m.group()
             if kind == "bad":
                 self.fail(m.start(), f"unexpected character {tok!r}")
+            if kind == "int":
+                try:
+                    int(tok)
+                except ValueError:  # beyond the interpreter's int-string limit
+                    self.fail(m.start(), f"integer literal too long ({len(tok)} digits)")
             if kind == "punct":
                 kind = tok = ";" if tok == "\n" else tok
             if kind is not None:

@@ -8,41 +8,78 @@ every monomial sign in the package.  Bidegree and conjugation read the
 holomorphic/antiholomorphic split off rank parity, so a Form is otherwise
 frame-agnostic: forms over a real coframe e1..em use ranks 1..m and simply
 never call the complex-specific methods.  Coefficients are ComplexRational.
+
+The products are Gaussian-integer kernels.  wedge (and, in structures and
+hermitian, the derivations and the Lefschetz contraction) scales each input
+to (re, im) int numerators over one shared denominator (scalars._to_ints),
+accumulates the products as plain ints and reduces each output coefficient
+once (scalars._make).  Inside a kernel a monomial is a rank bitmask: two
+monomials meet iff their masks share a bit, and the shuffle sign of a
+merge is the parity of the second mask's bits under the first one's parity
+mask (_parity_mask).  Form keys stay tuples.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .scalars import ComplexRational, cr, format_complex
+from .scalars import ComplexRational, _make, _to_ints, cr, format_complex
 
 Monomial = Tuple[int, ...]
 
+_new = object.__new__
+_RANKS: Dict[int, Monomial] = {}  # rank bitmask -> monomial, see _form_of_sums
 
-def merge_ranks(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]:
-    """Merge two strictly increasing rank tuples into one.
 
-    Returns (sign, merged) where sign is the parity of the shuffle, or None
-    if the tuples share a rank (the wedge vanishes).
+def _mask(mon: Monomial) -> int:
+    """The rank bitmask of a monomial: bit r set for every rank r."""
+    mask = 0
+    for r in mon:
+        mask |= 1 << r
+    return mask
+
+
+def _parity_mask(mon: Monomial) -> int:
+    """Bit j set iff an odd number of the monomial's ranks exceed j.
+
+    Merging mon with a disjoint monomial of mask b moves every rank of b
+    past the ranks of mon above it, so the merge sign is
+    (-1)^popcount(_parity_mask(mon) & b).
     """
-    i, j, sign = 0, 0, 1
+    parity = 0
+    for r in mon:
+        parity ^= (1 << r) - 1
+    return parity
+
+
+def _ranks(mask: int) -> Monomial:
+    """The monomial of a rank bitmask, ranks ascending."""
     out = []
-    la = len(a)
-    while i < la and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining la-i entries of a
-            if (la - i) & 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _form_of_sums(degree: Optional[int], sums: dict, d: int) -> "Form":
+    """The form sum (re + i im)/d over {mask: [re, im]}, zero sums dropped.
+
+    Each mask's tuple is memoised in _RANKS, which holds at most one entry
+    per monomial the process has produced (2^(2n) for n complex dimensions).
+    """
+    ranks = _RANKS
+    terms = {}
+    for m, (re, im) in sums.items():
+        if re or im:
+            mon = ranks.get(m)
+            if mon is None:
+                mon = ranks[m] = _ranks(m)
+            terms[mon] = _make(re, im, d)
+    f = _new(Form)
+    f.degree = degree if terms else None
+    f.terms = terms
+    return f
 
 
 def sort_ranks(seq: Iterable[int]) -> Optional[Tuple[int, Monomial]]:
@@ -223,19 +260,27 @@ def wedge(a: Form, b: Form) -> Form:
     """Exterior product; bilinear, associative, graded-commutative."""
     if a.is_zero or b.is_zero:
         return Form.zero()
-    terms: Dict[Monomial, object] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            merged = merge_ranks(ma, mb)
-            if merged is None:
+    da, left = _to_ints(a.terms.items())
+    db, right = _to_ints(b.terms.items())
+    right = [(_mask(mon), u, v) for mon, u, v in right]
+    sums: Dict[int, list] = {}
+    for mon, x, y in left:
+        ma = _mask(mon)
+        pa = _parity_mask(mon)
+        for mb, u, v in right:
+            if ma & mb:
                 continue
-            sign, mon = merged
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            acc = terms.get(mon)
-            terms[mon] = c if acc is None else acc + c
-    return Form(a.degree + b.degree, terms)
+            if (pa & mb).bit_count() & 1:
+                u, v = -u, -v
+            re, im = x * u - y * v, x * v + y * u
+            m = ma | mb
+            acc = sums.get(m)
+            if acc is None:
+                sums[m] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    return _form_of_sums(a.degree + b.degree, sums, da * db)
 
 
 def substitute(f: Form, table: Dict[int, Form]) -> Form:

@@ -19,6 +19,14 @@ sum c det X_a det X_b, ddbar(Omega^{n-2}) over the (n-2)-minors and
 d(Omega^{n-1}) over the cofactors.  A metric evaluates them from the
 minors they name, memoised on the Metric so that all k share them.  dOmega
 and ddbar(Omega) stay single derivations, being linear in X already.
+
+The metric layer is integer arithmetic.  A Metric keeps X as Gaussian-int
+numerators over one denominator D and its minors as ints over D^p, the
+maps sum c det X_a det X_b in ints, and positivity is Sylvester's
+criterion on the trailing principal minors of -iX, the last of which is
+det(-iX): one determinant path.  The Lefschetz contraction table is
+-i (-iX)^-1 = X^-1, read off the cofactors of X, and the contraction is a
+Gaussian-integer kernel like forms.wedge.
 """
 
 from __future__ import annotations
@@ -26,20 +34,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm
 from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
-from .forms import Form, Monomial, conj_rank, holo_rank, wedge
-from .scalars import I, ONE, ZERO, ComplexRational, cr
+from .forms import Form, Monomial, _form_of_sums, _mask, conj_rank, holo_rank, wedge
+from .scalars import I, ONE, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
 from .structures import StructureEquations
 
 
 class Metric:
-    """Skew-Hermitian coefficient matrix of an invariant fundamental form."""
+    """Skew-Hermitian coefficient matrix of an invariant fundamental form.
 
-    __slots__ = ("n", "x", "_positive", "_det", "_minors")
+    Next to the ComplexRational matrix x, the metric keeps X as Gaussian-int
+    numerators (a, b) over one denominator D (x_jk = (a + ib)/D), and its
+    memoised minors as ints over D^p.
+    """
+
+    __slots__ = ("n", "x", "_num", "_den", "_positive", "_det", "_minors")
 
     def __init__(self, x: list):
         self.x = linalg.mat(x)
@@ -49,9 +62,28 @@ class Metric:
         for j in range(self.n):  # (j, k) and (k, j) state the same condition
             for k in range(j, self.n):
                 self._check_pair(j, k)
+        self._den, nums = _to_ints(((j, k), v) for j, row in enumerate(self.x)
+                                   for k, v in enumerate(row))
+        self._num = [[(a, b) for _, a, b in nums[j * self.n:(j + 1) * self.n]]
+                     for j in range(self.n)]
         self._positive: Optional[bool] = None
         self._det: Optional[Fraction] = None
-        self._minors: Dict[tuple, ComplexRational] = {}
+        self._minors: Dict[tuple, tuple] = {}
+
+    @staticmethod
+    def _of_ints(num: list, den: int) -> "Metric":
+        """The metric x_jk = (a + ib)/den for num[j][k] = (a, b), den > 0.
+
+        For constructions that are skew-Hermitian by design; unchecked.
+        """
+        metric = object.__new__(Metric)
+        metric.n = len(num)
+        metric.x = [[_make(a, b, den) for a, b in row] for row in num]
+        metric._num = num
+        metric._den = den
+        metric._positive = metric._det = None
+        metric._minors = {}
+        return metric
 
     def _check_pair(self, j: int, k: int):
         if self.x[k][j].conjugate() != -self.x[j][k]:
@@ -60,8 +92,10 @@ class Metric:
     def bump_diagonal(self, j: int, amount) -> "Metric":
         """The metric with x_jj raised by i*amount; only that entry is checked.
 
-        Other rows are shared.  A minor involves x_jj only if j is among both
-        its rows and its columns, so every other memoised minor carries over.
+        A minor involves x_jj only if j is among both its rows and its
+        columns, so every other memoised minor carries over, rescaled by
+        (D'/D)^p when the bump's denominator raises D to D'.  Other rows of
+        x are shared.
         """
         row = self.x[j][:]
         row[j] = row[j] + ComplexRational(0, amount)
@@ -69,9 +103,21 @@ class Metric:
         bumped.n = self.n
         bumped.x = self.x[:j] + [row] + self.x[j + 1:]
         bumped._check_pair(j, j)
+        num, den = self._num, self._den
+        p, q = _rational_parts(amount)
+        new_den = lcm(den, q)
+        f = new_den // den
+        if f != 1:
+            num = [[(a * f, b * f) for a, b in r] for r in num]
+        num_row = num[j][:]
+        a, b = num_row[j]
+        num_row[j] = (a, b + p * (new_den // q))
+        bumped._num = num[:j] + [num_row] + num[j + 1:]
+        bumped._den = new_den
         bumped._positive = bumped._det = None
-        bumped._minors = {key: val for key, val in self._minors.items()
-                          if j not in key[0] or j not in key[1]}
+        bumped._minors = {(rows, cols): (re * f ** len(rows), im * f ** len(rows))
+                          for (rows, cols), (re, im) in self._minors.items()
+                          if j not in rows or j not in cols}
         return bumped
 
     @staticmethod
@@ -87,13 +133,26 @@ class Metric:
         return [[(-I) * v for v in row] for row in self.x]
 
     def is_positive(self) -> bool:
-        """Exact positivity: all LDL* pivots (leading-minor ratios) of -iX > 0."""
+        """Sylvester's criterion: every trailing principal minor of -iX is > 0.
+
+        The p x p trailing minor of H = -iX is (-i)^p det X_{SS} for S the
+        last p indices; these are among the minors the first-row Laplace
+        expansion of det X memoises, so the test also yields
+        det(-iX) = Delta_n / D^n.
+        """
         if self._positive is None:
-            try:
-                self._det = prod(linalg.ldl(self.minus_i_x())[1])
-                self._positive = True
-            except ValueError:
-                self._positive = False
+            n = self.n
+            delta = 1  # the empty minor; Metric([]) is positive with det 1
+            self._positive = True
+            for p in range(1, n + 1):
+                tail = tuple(range(n - p, n))
+                re, im = self._minor_ints(tail, tail)
+                delta = (re, im, -re, -im)[p & 3]  # the real (-i)^p (re + i im)
+                if delta <= 0:
+                    self._positive = False
+                    break
+            if self._positive:
+                self._det = Fraction(delta, self._den ** n)
         return self._positive
 
     def require_positive(self):
@@ -101,30 +160,44 @@ class Metric:
             raise NotPositive("metric coefficient matrix is not positive definite")
 
     def det_minus_i_x(self) -> Fraction:
-        """det(-iX) as the product of the LDL* pivots; only positive metrics have it."""
+        """det(-iX), the last of the Sylvester minors; only positive metrics have it."""
         self.require_positive()
         return self._det
 
-    def minor(self, rows: tuple, cols: tuple) -> ComplexRational:
-        """det X_{rows, cols} for 0-based index tuples; det of the empty minor is 1.
+    def _minor_ints(self, rows: tuple, cols: tuple) -> tuple:
+        """(re, im) with det X_{rows, cols} = (re + i im)/D^p, p = len(rows).
 
         Laplace expansion along the first row, each minor memoised on the
         metric, so a set of minors costs one pass over the smaller ones.
         """
+        minors = self._minors
         key = (rows, cols)
-        val = self._minors.get(key)
+        val = minors.get(key)
         if val is None:
-            if not rows:
-                val = ONE
+            if len(rows) < 2:
+                val = self._num[rows[0]][cols[0]] if rows else (1, 0)
             else:
-                row, below = self.x[rows[0]], rows[1:]
-                val = ZERO
+                row, below = self._num[rows[0]], rows[1:]
+                re = im = 0
                 for i, col in enumerate(cols):
-                    if row[col]:
-                        term = row[col] * self.minor(below, cols[:i] + cols[i + 1:])
-                        val = val - term if i & 1 else val + term
-            self._minors[key] = val
+                    a, b = row[col]
+                    if a or b:
+                        sub = cols[:i] + cols[i + 1:]
+                        c, e = minors.get((below, sub)) or self._minor_ints(below, sub)
+                        if i & 1:
+                            re -= a * c - b * e
+                            im -= a * e + b * c
+                        else:
+                            re += a * c - b * e
+                            im += a * e + b * c
+                val = (re, im)
+            minors[key] = val
         return val
+
+    def minor(self, rows: tuple, cols: tuple) -> ComplexRational:
+        """det X_{rows, cols} for 0-based index tuples; det of the empty minor is 1."""
+        re, im = self._minor_ints(rows, cols)
+        return _make(re, im, self._den ** len(rows))
 
     def fundamental_form(self) -> Form:
         """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id."""
@@ -221,7 +294,7 @@ class CompiledMaps:
     metric then computes only the minors the maps name (Metric.minor), once.
     """
 
-    __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
+    __slots__ = ("se", "n", "_ddbar", "_tops", "_top_ints", "_d_top")
 
     @staticmethod
     def of(se: StructureEquations) -> "CompiledMaps":
@@ -234,21 +307,30 @@ class CompiledMaps:
     def __init__(self, se: StructureEquations):
         self.se = se
         self.n = se.n
-        self._ddbar: Dict[int, dict] = {}
+        self._ddbar: Dict[int, tuple] = {}
         self._tops: Dict[int, list] = {}
-        self._d_top: Optional[dict] = None
+        self._top_ints: Dict[int, tuple] = {}
+        self._d_top: Optional[tuple] = None
 
-    def _linear_map(self, op, p: int) -> dict:
-        """op(Omega^p) as monomial -> [(p-minor index, coefficient)]."""
+    def _linear_map(self, op, p: int) -> tuple:
+        """op(Omega^p) as (p, D, {monomial: [(p-minor index, a, b)]}).
+
+        Each coefficient is (a + ib)/D, so the image coefficient on a
+        monomial is sum (a + ib) det X_index / D.
+        """
         out: Dict[Monomial, list] = {}
         scale = cr(factorial(p))
         for rows in combinations(range(self.n), p):
             for cols in combinations(range(self.n), p):
                 for mon, c in op(_minor_monomial(rows, cols)).terms.items():
                     out.setdefault(mon, []).append(((rows, cols), c * scale))
-        return out
+        d, nums = _to_ints(((mon, key), c) for mon, entries in out.items() for key, c in entries)
+        lmap: Dict[Monomial, list] = {}
+        for (mon, key), a, b in nums:
+            lmap.setdefault(mon, []).append((key, a, b))
+        return p, d, lmap
 
-    def _ddbar_map(self, p: int) -> dict:
+    def _ddbar_map(self, p: int) -> tuple:
         if p not in self._ddbar:
             self._ddbar[p] = self._linear_map(self.se.ddbar, p)
         return self._ddbar[p]
@@ -262,34 +344,54 @@ class CompiledMaps:
         if k not in self._tops:
             n = self.n
             sigma = sigma_monomial(n)
+            _, d, lmap = self._ddbar_map(k)
             scale = cr(factorial(n - k - 1))
             terms = []
-            for mon, entries in self._ddbar_map(k).items():
+            for mon, entries in lmap.items():
                 rest = [r for r in sigma if r not in mon]
                 b = (tuple((r - 1) // 2 for r in rest if r & 1),
                      tuple((r - 1) // 2 for r in rest if not r & 1))
                 pair = wedge(Form(len(mon), {mon: ONE}), _minor_monomial(*b))
                 pair_c = top_coefficient(pair, n) * scale
-                terms += [(a, b, c * pair_c) for a, c in entries]
+                terms += [(a, b, _make(u, v, d) * pair_c) for a, u, v in entries]
             self._tops[k] = terms
         return self._tops[k]
 
     def top(self, metric: Metric, k: int) -> ComplexRational:
-        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial."""
-        minor = metric.minor
-        total = ZERO
-        for a, b, c in self.top_terms(k):
-            total = total + c * minor(*a) * minor(*b)
-        return total
+        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial.
 
-    def _evaluate(self, lmap: dict, degree: int, metric: Metric) -> Form:
-        minor = metric.minor
+        sum c det X_a det X_b in ints: every a is a k-minor and every b an
+        (n-k-1)-minor, so the sum has the one denominator D_c D^{n-1}.
+        """
+        table = self._top_ints.get(k)
+        if table is None:
+            terms = self.top_terms(k)
+            d, nums = _to_ints(((a, b), c) for a, b, c in terms)
+            table = self._top_ints[k] = (d, [(a, b, u, v) for (a, b), u, v in nums])
+        d, terms = table
+        minor = metric._minor_ints
+        re = im = 0
+        for a, b, u, v in terms:
+            ar, ai = minor(*a)
+            br, bi = minor(*b)
+            pr, pi = ar * br - ai * bi, ar * bi + ai * br
+            re += u * pr - v * pi
+            im += u * pi + v * pr
+        return _make(re, im, d * metric._den ** (self.n - 1))
+
+    def _evaluate(self, lmap: tuple, degree: int, metric: Metric) -> Form:
+        p, d, entries_of = lmap
+        minor = metric._minor_ints
+        den = d * metric._den ** p
         terms = {}
-        for mon, entries in lmap.items():
-            v = ZERO
-            for a, c in entries:
-                v = v + c * minor(*a)
-            terms[mon] = v
+        for mon, entries in entries_of.items():
+            re = im = 0
+            for key, u, v in entries:
+                mr, mi = minor(*key)
+                re += u * mr - v * mi
+                im += u * mi + v * mr
+            if re or im:
+                terms[mon] = _make(re, im, den)
         return Form(degree, terms)
 
     def ddbar_power(self, metric: Metric, p: int) -> Form:
@@ -522,7 +624,8 @@ class Lefschetz:
     The adjoint is taken in the Hermitian inner product the metric induces
     on forms: with H = -iX, <w^a, w^b> = (H^-1)_{ba} on 1-forms, extended to
     monomials by Gram determinants.  It is the contraction with the metric
-    dual of Omega and needs only H^-1, in the coframe the forms live in.
+    dual of Omega and needs only -i H^-1 = X^-1, in the coframe the forms
+    live in, which it reads off the cofactors of X.
     The factor 4 is the unique calibration for which the r <= s
     commutation identity
         L*^r L^s = L^s L*^r + sum_i 4^i (i!)^2 C(s,i) C(r,i) C(n-p-s+r,i)
@@ -535,10 +638,25 @@ class Lefschetz:
         self.metric = metric
         self.n = metric.n
         self.omega = metric.fundamental_form()
-        h_inv = linalg.mat_inverse(metric.minus_i_x())
-        # (rank of w^a, rank of ~w^b) -> -i (H^-1)_{ba}, the factor of contracting them
-        self._lam = {(holo_rank(a + 1), conj_rank(b + 1)): -I * h_inv[b][a]
-                     for a in range(self.n) for b in range(self.n) if h_inv[b][a]}
+        # -i (H^-1)_{ba} = (X^-1)_{ba} = C_ab / det X, the factor of contracting
+        # w^a with ~w^b, where C_ab is the (a, b) cofactor of X.  With the
+        # minors of the metric, det X = (R + i S)/D^n and each cofactor
+        # (c + ie)/D^{n-1}, it is D (c + ie)(R - i S) / (R^2 + S^2).
+        full = tuple(range(self.n))
+        big_r, big_s = metric._minor_ints(full, full)
+        den = metric._den
+        self._lam_den = big_r * big_r + big_s * big_s
+        self._lam = {}  # rank of w^a -> [(rank of ~w^b, re, im)] over _lam_den
+        for a in full:
+            rows = full[:a] + full[a + 1:]
+            for b in full:
+                c, e = metric._minor_ints(rows, full[:b] + full[b + 1:])
+                if not (c or e):
+                    continue
+                if (a + b) & 1:
+                    c, e = -c, -e
+                self._lam.setdefault(holo_rank(a + 1), []).append(
+                    (conj_rank(b + 1), den * (c * big_r + e * big_s), den * (e * big_r - c * big_s)))
         ensure(self.adjoint(self.omega) == Form.scalar(self.n),
                "the adjoint of L must send Omega to n")
 
@@ -554,19 +672,32 @@ class Lefschetz:
         """
         if f.is_zero or f.degree < 2:
             return Form.zero()
-        out: Dict[Monomial, ComplexRational] = {}
-        for mon, c in f.terms.items():
+        lam = self._lam
+        df, terms = _to_ints(f.terms.items())
+        sums: Dict[int, list] = {}
+        for mon, x, y in terms:
+            mask = _mask(mon)
             for p, r in enumerate(mon):
-                rest = mon[:p] + mon[p + 1:]
-                for q, s in enumerate(rest):
-                    lam = self._lam.get((r, s))
-                    if lam is None:
+                row = lam.get(r)
+                if row is None:
+                    continue
+                for s_rank, u, v in row:
+                    bit = 1 << s_rank
+                    if not mask & bit:
                         continue
-                    m = rest[:q] + rest[q + 1:]
-                    v = -(c * lam) if (p + q) & 1 else c * lam
-                    acc = out.get(m)
-                    out[m] = v if acc is None else acc + v
-        return Form(f.degree - 2, out)
+                    # ~w^b sits at position q of the rest of mon, after w^a is dropped
+                    q = (mask & (bit - 1) & ~(1 << r)).bit_count()
+                    if (p + q) & 1:
+                        u, v = -u, -v
+                    re, im = x * u - y * v, x * v + y * u
+                    m = mask ^ (1 << r) ^ bit
+                    acc = sums.get(m)
+                    if acc is None:
+                        sums[m] = [re, im]
+                    else:
+                        acc[0] += re
+                        acc[1] += im
+        return _form_of_sums(f.degree - 2, sums, df * self._lam_den)
 
     def Lstar(self, f: Form) -> Form:
         return self.adjoint(f).scale(cr(4))

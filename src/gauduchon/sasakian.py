@@ -27,7 +27,7 @@ from math import comb, isqrt
 from typing import Optional
 
 from .dsl import _index, real_form_from_json, real_form_to_json
-from .errors import BadParams, DimensionMismatch, NotQuasiSasakian, ensure
+from .errors import BadParams, DimensionMismatch, NotQuasiSasakian
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form
 from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros

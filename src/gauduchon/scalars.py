@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
@@ -61,6 +61,23 @@ def _make(a: int, b: int, d: int) -> "ComplexRational":
     return z
 
 
+def _to_ints(pairs) -> tuple[int, list]:
+    """(D, [(key, a, b), ...]) for (key, value) pairs, each value (a + ib)/D.
+
+    D is the least common denominator of the ComplexRational values (1 for
+    none), so the kernels that take these ints share one denominator.
+    """
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        (key, z), = pairs
+        return z._d, [(key, z._a, z._b)]
+    dens = {z._d for _, z in pairs}
+    if len(dens) == 1:
+        return dens.pop(), [(key, z._a, z._b) for key, z in pairs]
+    d = lcm(*dens)
+    return d, [(key, z._a * (d // z._d), z._b * (d // z._d)) for key, z in pairs]
+
+
 class ComplexRational:
     """A complex number (a + ib)/d with exact integer a, b and d > 0."""
 
@@ -76,15 +93,6 @@ class ComplexRational:
         d = q // g * s
         # p/q and r/s are reduced, so gcd(a, b, lcm(q, s)) = 1 already
         self._a, self._b, self._d = p * (d // q), r * (d // s), d
-
-    @staticmethod
-    def from_gaussian(a: int, b: int, d: int = 1) -> "ComplexRational":
-        """(a + ib)/d from ints, d != 0, without building a Fraction."""
-        if d < 0:
-            a, b, d = -a, -b, -d
-        elif d == 0:
-            raise ZeroDivisionError("ComplexRational with zero denominator")
-        return _make(a, b, d)
 
     # -- ring/field operations -------------------------------------------
     # Operands are coerced with cr(), so a float or builtin complex operand

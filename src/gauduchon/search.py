@@ -34,7 +34,6 @@ from .catalog import (
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
 from .hermitian import Metric, balanced_defect, gamma_numerator
-from .scalars import ComplexRational
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -123,7 +122,8 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
 
     Each entry p/q + i r/s of M has q, s in {1, 2, 4}, so 4M is a matrix of
     Gaussian integers and D H = (D/16) (4M)(4M)* + I, for delta = 1/D, is
-    plain int arithmetic; each entry of X = iH is built once, over D.
+    plain int arithmetic; X = iH is handed to the Metric as Gaussian-int
+    numerators over D, skew-Hermitian by construction.
     """
     def entry():
         # p/q + i r/s, drawn in this order, as the Gaussian integer 4(p/q + i r/s)
@@ -141,10 +141,10 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
                 re += a * c + b * e
                 im += b * c - a * e
             re, im = d // 16 * re + (j == k), d // 16 * im
-            x[j][k] = ComplexRational.from_gaussian(-im, re, d)
+            x[j][k] = (-im, re)
             if j != k:
-                x[k][j] = ComplexRational.from_gaussian(im, re, d)
-    return Metric(x)
+                x[k][j] = (im, re)
+    return Metric._of_ints(x, d)
 
 
 # ---------------------------------------------------------------------------

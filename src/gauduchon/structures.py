@@ -2,16 +2,21 @@
 
 StructureEquations carries a complex (1,0)-coframe w1..wn with dw^j given as
 an exact 2-form; d extends to all forms as an odd derivation and splits as
-del + delbar through bidegree.  RealLieAlgebra is the analogous object over
-a real coframe e1..em, optionally carrying an almost complex structure J,
-and complex_frame_from_real converts (coframe, J) into a complex coframe
-with d transported.
+del + delbar through bidegree.  RealLieAlgebra is the analogous object
+over a real coframe e1..em, optionally carrying an almost complex
+structure J, and complex_frame_from_real converts (coframe, J) into a
+complex coframe with d transported.
+
+The derivation is a Gaussian-integer kernel: each structure converts its
+rank differentials to int numerators over one denominator once
+(_rank_table), and a call accumulates every product as plain ints with
+bitmask merges, as forms.wedge does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import linalg
 from .errors import (
@@ -22,40 +27,63 @@ from .errors import (
     NotIntegrable,
     ensure,
 )
-from .forms import Form, conj_rank, holo_rank, merge_ranks, substitute
-from .scalars import I, ONE, cr
+from .forms import (
+    Form,
+    _form_of_sums,
+    _mask,
+    _parity_mask,
+    conj_rank,
+    holo_rank,
+    substitute,
+)
+from .scalars import I, ONE, _to_ints, cr
 
 
-def _derivation(f: Form, d_of_rank: List[Form], max_rank: int) -> Form:
-    """Extend rank-level differentials to an odd derivation on forms."""
+def _rank_table(d_of_rank: List[Form]) -> tuple:
+    """Rank-level differentials as ints over one denominator, for _derivation.
+
+    Returns (D, rows): rows[r] lists (mask, parity mask, a, b) for every
+    term (a + ib)/D of the differential of rank r (rows[0] is unused).
+    """
+    d, nums = _to_ints(((rank, mon), c) for rank, f in enumerate(d_of_rank, start=1)
+                       for mon, c in f.terms.items())
+    rows = [[] for _ in range(len(d_of_rank) + 1)]
+    for (rank, mon), a, b in nums:
+        rows[rank].append((_mask(mon), _parity_mask(mon), a, b))
+    return d, rows
+
+
+def _derivation(f: Form, table: tuple, max_rank: int) -> Form:
+    """Extend rank-level differentials (a _rank_table) to an odd derivation on forms."""
     if f.is_zero:
         return Form.zero()
     if f.max_rank() > max_rank:
         raise DimensionMismatch(
             f"form uses rank {f.max_rank()} but the coframe has {max_rank} generators"
         )
-    terms: Dict[Tuple[int, ...], object] = {}
-    for mon, c in f.terms.items():
+    dt, rows = table
+    df, terms = _to_ints(f.terms.items())
+    sums: Dict[int, list] = {}
+    for mon, x, y in terms:
+        mask = _mask(mon)
         for t, rank in enumerate(mon):
-            dgen = d_of_rank[rank - 1]
-            if dgen.is_zero:
-                continue
-            rest = mon[:t] + mon[t + 1 :]
-            base = -c if t & 1 else c
-            # dgen has even degree, so moving it to the front costs no sign
-            for m2, c2 in dgen.terms.items():
-                merged = merge_ranks(m2, rest)
-                if merged is None:
+            rest = mask ^ (1 << rank)
+            # d(rank) has even degree, so moving it to the front costs no
+            # sign; taking rank out of position t costs (-1)^t
+            for m2, p2, u, v in rows[rank]:
+                if m2 & rest:
                     continue
-                sign, mm = merged
-                val = base * c2
-                if sign < 0:
-                    val = -val
-                acc = terms.get(mm)
-                terms[mm] = val if acc is None else acc + val
-    if not terms:
-        return Form.zero()
-    return Form(f.degree + 1, terms)
+                if (t + (p2 & rest).bit_count()) & 1:
+                    u, v = -u, -v
+                re, im = x * u - y * v, x * v + y * u
+                m = m2 | rest
+                acc = sums.get(m)
+                if acc is None:
+                    sums[m] = [re, im]
+                else:
+                    acc[0] += re
+                    acc[1] += im
+    return _form_of_sums(f.degree + 1, sums, df * dt)
 
 
 def _is_unimodular(d, m: int) -> bool:
@@ -72,7 +100,8 @@ class StructureEquations:
     (integrability), so del and delbar are meaningful on every instance.
     The differential of each rank is split once into its del and delbar
     parts, which integrability makes sum to d; del and delbar are then
-    single derivations.  Instances are immutable.  The _compiled slot holds
+    single derivations over the one int table of the rank differentials,
+    converted once, here.  Instances are immutable.  The _compiled slot holds
     the structure's hermitian.CompiledMaps once a metric quantity needs them.
     """
 
@@ -90,10 +119,11 @@ class StructureEquations:
                 raise ValueError(f"dw{j} must be a 2-form, got degree {df.degree}")
             if df.max_rank() > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
-        # _d_rank[r-1] is d of rank r; d~w^j is the conjugate of dw^j
-        self._d_rank = []
+        # d_rank[r-1] is d of rank r; d~w^j is the conjugate of dw^j
+        d_rank = []
         for df in self.d_of:
-            self._d_rank += [df, df.conjugate()]
+            d_rank += [df, df.conjugate()]
+        self._d_rank = _rank_table(d_rank)
         for j, df in enumerate(self.d_of, start=1):
             res = df.component(0, 2)
             if not res.is_zero:
@@ -102,13 +132,14 @@ class StructureEquations:
             res = self.d(df)
             if not res.is_zero:
                 raise JacobiViolation(j, res)
-        # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p)
-        self._del_rank = []
-        self._dbar_rank = []
-        for rank, dr in enumerate(self._d_rank, start=1):
-            p = rank & 1
-            self._del_rank.append(dr.component(p + 1, 1 - p))
-            self._dbar_rank.append(dr.component(p, 2 - p))
+        # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p):
+        # the terms of its differential with p+1, or p, holomorphic ranks
+        holo = sum(1 << r for r in range(1, 2 * n, 2))
+        den, rows = self._d_rank
+        self._del_rank = den, [[e for e in row if (e[0] & holo).bit_count() == (rank & 1) + 1]
+                               for rank, row in enumerate(rows)]
+        self._dbar_rank = den, [[e for e in row if (e[0] & holo).bit_count() == rank & 1]
+                                for rank, row in enumerate(rows)]
         self._compiled = None
 
     # -- differentials -----------------------------------------------------
@@ -151,7 +182,7 @@ class StructureEquations:
 class RealLieAlgebra:
     """A real coframe e1..em with exact structure equations and optional J."""
 
-    __slots__ = ("m", "d_of", "J")
+    __slots__ = ("m", "d_of", "J", "_d_rank")
 
     def __init__(self, m: int, d_of: List[Form], J: Optional[list] = None):
         if len(d_of) != m:
@@ -166,6 +197,7 @@ class RealLieAlgebra:
             for c in df.terms.values():
                 if not c.is_real:
                     raise ValueError(f"de{j} has a non-real coefficient")
+        self._d_rank = _rank_table(self.d_of)
         for j in range(1, m + 1):
             res = self.d(self.d_of[j - 1])
             if not res.is_zero:
@@ -182,7 +214,7 @@ class RealLieAlgebra:
                 raise NotAlmostComplex("J^2 != -Id")
 
     def d(self, f: Form) -> Form:
-        return _derivation(f, self.d_of, self.m)
+        return _derivation(f, self._d_rank, self.m)
 
     def is_unimodular(self) -> bool:
         return _is_unimodular(self.d, self.m)

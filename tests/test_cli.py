@@ -391,6 +391,20 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert "--family-params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--target", "skt", "--budget", "5"],
+        ["verify-paper", "--only", "prop-3.5"],
+    ], ids=["search", "verify-paper"])
+    @pytest.mark.parametrize("seed", ["0xZZ", "1.5", ""])
+    def test_bad_seed_names_the_option(self, jt_file, capsys, command, seed):
+        argv = command + ["--seed", seed]
+        if command[0] == "search":
+            argv += ["--structure", jt_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --seed: invalid seed value: {seed!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dim", [0, 1, 2, 4])
     def test_contact_needs_odd_dimension(self, tmp_path, capsys, dim):
         from gauduchon import sasakian

@@ -71,6 +71,10 @@ GOLDEN = [
     ('n: 99999999999999999999999999; dw1: 0',
      (1, 1, 'missing equations for dw[2, 3, 4, 5, 6, 7, 8, 9, ...]')),
     ('n:9; dw2: 0', (1, 1, 'missing equations for dw[1, 3, 4, 5, 6, 7, 8, 9]')),
+    # INT literals beyond the interpreter's 4300-digit int-string limit
+    ('n: ' + '9' * 5000 + '; dw1: 0', (1, 4, 'integer literal too long (5000 digits)')),
+    ('n:3; dw1:0; dw2:0\ndw3: (1+' + '7' * 5000 + 'i)*w1^w2',
+     (2, 9, 'integer literal too long (5000 digits)')),
     ('n:3; dw1:0; dw2:0; dw3: w1^~w1 + w1', (1, 34, 'cannot add forms of degrees 2 and 1')),
     ('n:3; dw1:0; dw2:0; dw3: w1 - (1/2)*w1^~w1', (1, 30, 'cannot add forms of degrees 1 and 2')),
     ('n:3; dw1:0; dw2:0; dw3: w1 - w1 + w1^~w1', 'n: 3\ndw1: 0\ndw2: 0\ndw3: w1^~w1\n'),

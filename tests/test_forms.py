@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauduchon.forms import Form, merge_ranks, sort_ranks, wedge
+from gauduchon.forms import Form, sort_ranks, wedge
 from gauduchon.scalars import ComplexRational, cr
 
 from conftest import rand_form
@@ -32,10 +32,13 @@ def forms(draw, n=3, max_degree=None, degree=None):
 
 class TestMonomials:
     def test_merge_counts_crossings(self):
-        assert merge_ranks((1,), (2,)) == (1, (1, 2))
-        assert merge_ranks((2,), (1,)) == (-1, (1, 2))
-        assert merge_ranks((1, 3), (2, 4)) == (-1, (1, 2, 3, 4))
-        assert merge_ranks((1, 2), (2,)) is None
+        def merge(a, b):  # the wedge of two unit monomials
+            return wedge(Form(len(a), {a: cr(1)}), Form(len(b), {b: cr(1)}))
+
+        assert merge((1,), (2,)) == Form(2, {(1, 2): cr(1)})
+        assert merge((2,), (1,)) == Form(2, {(1, 2): cr(-1)})
+        assert merge((1, 3), (2, 4)) == Form(4, {(1, 2, 3, 4): cr(-1)})
+        assert merge((1, 2), (2,)).is_zero
 
     def test_sort_sign(self):
         assert sort_ranks((1, 4, 2, 3)) == (1, (1, 2, 3, 4))

@@ -4,13 +4,16 @@ partial/dbar are single derivations over per-structure tables, classify
 computes every Gauduchon quantity in one pass, the search screens samples
 with the targets' exact predicates, L* and d* are contractions with
 (-iX)^-1 in the structure's own coframe, the Lee form is the contraction
-Lambda(d Omega) and det(-iX) is the product of the LDL* pivots; the
+Lambda(d Omega) and det(-iX) is the last of the Sylvester minors; the
 references here are the direct definitions, written out in the tests, with
 the adjoints taken in the LDL* unitary coframe, whose monomials are
 orthogonal, the Lee form solved from theta ^ Omega^{n-1} = d(Omega^{n-1})
 and the determinant taken by elimination.  The Sasakian product formulas
 and the LDL* pivots are plain-int arithmetic; their references are the
-Fraction formulas and the Fraction-pivot LDL* they replaced.
+Fraction formulas and the Fraction-pivot LDL* they replaced.  wedge, the
+derivations, the Lefschetz contraction and the metric minors are
+Gaussian-integer kernels; their references are the per-term
+ComplexRational loops and the LDL* positivity test they replaced.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -615,6 +618,307 @@ class TestIntegerPivots:
     def test_same_error_on_a_bad_pivot(self, rows, message):
         h = linalg.mat(rows)
         assert outcome(linalg.ldl, h) == outcome(ref_ldl, h) == (ValueError, message)
+
+
+# -- the per-term kernels the Gaussian-integer kernels replaced ---------------
+#
+# wedge, the derivations behind d, partial and dbar, the Lefschetz contraction
+# and the metric's minors are integer kernels now, and positivity is
+# Sylvester's criterion on those minors.  The references are the per-term
+# ComplexRational loops they replaced and the LDL* positivity test.
+
+
+def ref_merge_ranks(a, b):
+    """(sign, merged) of two rank tuples, or None when they share a rank."""
+    i, j, sign = 0, 0, 1
+    out = []
+    la = len(a)
+    while i < la and j < len(b):
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            if (la - i) & 1:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return sign, tuple(out)
+
+
+def ref_wedge(a, b):
+    if a.is_zero or b.is_zero:
+        return Form.zero()
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            merged = ref_merge_ranks(ma, mb)
+            if merged is None:
+                continue
+            sign, mon = merged
+            c = ca * cb
+            if sign < 0:
+                c = -c
+            acc = terms.get(mon)
+            terms[mon] = c if acc is None else acc + c
+    return Form(a.degree + b.degree, terms)
+
+
+def ref_derivation(f, d_of_rank):
+    """The odd derivation extending d_of_rank[r - 1] = d(rank r), term by term."""
+    if f.is_zero:
+        return Form.zero()
+    terms = {}
+    for mon, c in f.terms.items():
+        for t, rank in enumerate(mon):
+            rest = mon[:t] + mon[t + 1:]
+            base = -c if t & 1 else c
+            for m2, c2 in d_of_rank[rank - 1].terms.items():
+                merged = ref_merge_ranks(m2, rest)
+                if merged is None:
+                    continue
+                sign, mm = merged
+                val = base * c2
+                if sign < 0:
+                    val = -val
+                acc = terms.get(mm)
+                terms[mm] = val if acc is None else acc + val
+    return Form(f.degree + 1, terms) if terms else Form.zero()
+
+
+def ref_rank_forms(se):
+    """d, partial and dbar of every rank of a complex structure, as forms."""
+    d_rank = []
+    for df in se.d_of:
+        d_rank += [df, df.conjugate()]
+    parity = [rank & 1 for rank in range(1, 2 * se.n + 1)]
+    return (d_rank,
+            [dr.component(p + 1, 1 - p) for dr, p in zip(d_rank, parity)],
+            [dr.component(p, 2 - p) for dr, p in zip(d_rank, parity)])
+
+
+def ref_adjoint(metric, f):
+    """The bare adjoint of L from (-iX)^-1 by elimination, term by term."""
+    if f.is_zero or f.degree < 2:
+        return Form.zero()
+    n = metric.n
+    h_inv = linalg.mat_inverse(metric.minus_i_x())
+    lam = {(2 * a + 1, 2 * b + 2): -I * h_inv[b][a]
+           for a in range(n) for b in range(n) if h_inv[b][a]}
+    out = {}
+    for mon, c in f.terms.items():
+        for p, r in enumerate(mon):
+            rest = mon[:p] + mon[p + 1:]
+            for q, s in enumerate(rest):
+                factor = lam.get((r, s))
+                if factor is None:
+                    continue
+                m = rest[:q] + rest[q + 1:]
+                v = -(c * factor) if (p + q) & 1 else c * factor
+                acc = out.get(m)
+                out[m] = v if acc is None else acc + v
+    return Form(f.degree - 2, out)
+
+
+def ref_minor(x, rows, cols, memo):
+    """det x_{rows, cols} by ComplexRational Laplace expansion along the first row."""
+    key = (rows, cols)
+    if key not in memo:
+        val = ONE
+        if rows:
+            row, below = x[rows[0]], rows[1:]
+            val = ZERO
+            for i, col in enumerate(cols):
+                if row[col]:
+                    term = row[col] * ref_minor(x, below, cols[:i] + cols[i + 1:], memo)
+                    val = val - term if i & 1 else val + term
+        memo[key] = val
+    return memo[key]
+
+
+def ref_positivity(metric):
+    """(True, det(-iX)) from the LDL* pivots, or (False, None)."""
+    try:
+        pivots = linalg.ldl(metric.minus_i_x())[1]
+    except ValueError:
+        return False, None
+    det = Fraction(1)
+    for d in pivots:
+        det *= d
+    return True, det
+
+
+def index_pairs(n):
+    subsets = [c for p in range(n + 1) for c in itertools.combinations(range(n), p)]
+    return [(rows, cols) for rows in subsets for cols in subsets if len(rows) == len(cols)]
+
+
+def assert_metric_matches_reference(metric):
+    memo = {}
+    for rows, cols in index_pairs(metric.n):
+        assert metric.minor(rows, cols) == ref_minor(metric.x, rows, cols, memo), (rows, cols)
+    positive, det = ref_positivity(metric)
+    assert metric.is_positive() is positive
+    if positive:
+        assert exact(metric.det_minus_i_x()) == exact(det)
+    else:
+        with pytest.raises(NotPositive):
+            metric.det_minus_i_x()
+
+
+# small and large numerators over small, prime and huge denominators, so
+# that the inputs of one kernel call rarely share a denominator
+DENOMINATORS = (1, 1, 2, 3, 4, 7, 12, 2**40, 10**12 + 39, 3**30)
+
+
+def rand_rational(rng):
+    if rng.random() < 0.2:
+        return Fraction(0)
+    num = rng.randint(-9, 9) if rng.random() < 0.6 else rng.randint(-(10**20), 10**20)
+    return Fraction(num, rng.choice(DENOMINATORS))
+
+
+def rand_complex(rng):
+    return ComplexRational(rand_rational(rng), rand_rational(rng))
+
+
+def rand_kernel_form(rng, n, degree, terms):
+    """Up to `terms` monomials of one degree with mixed and large coefficients."""
+    ranks = range(1, 2 * n + 1)
+    return Form(degree, {tuple(sorted(rng.sample(ranks, degree))): rand_complex(rng)
+                         for _ in range(terms)})
+
+
+def kernel_structures():
+    """Structures at n = 1..5, two of them with mixed and huge denominators."""
+    big = ComplexRational(Fraction(10**20 + 1, 3**30), Fraction(-7, 2**40))
+    entries = [
+        ("big-denominator2", StructureEquations(2, [Form.zero(), Form(2, {(1, 2): big})])),
+        ("big-denominator3", StructureEquations(3, [
+            Form.zero(), Form.zero(),
+            Form(2, {(1, 2): big, (1, 4): ComplexRational(Fraction(1, 3)),
+                     (3, 4): ComplexRational(0, Fraction(5, 7))})])),
+    ]
+    return entries + [(name, se) for name, se in compiled_entries()
+                      if name not in ("abelian(3)", "abelian(4)", "abelian(5)")]
+
+
+KERNEL_STRUCTURES = kernel_structures()
+
+
+def rand_metric(rng, n):
+    """A sampled positive metric, then bumped by mixed and huge denominators."""
+    metric = sample_positive_metric(rng, n)
+    for _ in range(rng.randint(0, 2)):
+        amount = abs(rand_rational(rng)) + Fraction(1, rng.choice(DENOMINATORS))
+        metric = metric.bump_diagonal(rng.randrange(n), amount)
+    return metric
+
+
+class TestIntegerKernels:
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_wedge_matches_the_per_term_product(self, n, seed):
+        rng = random.Random(seed)
+        for _ in range(4):
+            p = rng.randint(0, 2 * n)
+            q = rng.randint(0, 2 * n - p)
+            a = rand_kernel_form(rng, n, p, rng.randint(0, 6))
+            b = rand_kernel_form(rng, n, q, rng.randint(0, 6))
+            assert wedge(a, b) == ref_wedge(a, b)
+            assert wedge(a, b).degree == ref_wedge(a, b).degree
+
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_wedge_sums_that_cancel_to_zero(self, n, seed):
+        rng = random.Random(seed)
+        odd = rand_kernel_form(rng, n, rng.choice(range(1, 2 * n + 1, 2)), rng.randint(2, 6))
+        assert wedge(odd, odd).is_zero and ref_wedge(odd, odd).is_zero
+        a = rand_kernel_form(rng, n, rng.randint(0, n), rng.randint(1, 4))
+        b = rand_kernel_form(rng, n, rng.randint(0, n), rng.randint(1, 4))
+        c = rand_kernel_form(rng, n, b.degree or 0, rng.randint(1, 4))
+        # b + c - b: the b terms cancel inside one kernel call
+        assert wedge(a, (b + c) - b) == wedge(a, c) == ref_wedge(a, c)
+        sign = (-1) ** ((a.degree or 0) * (b.degree or 0))
+        assert (wedge(a, b) - wedge(b, a).scale(cr(sign))).is_zero
+
+    @given(st.sampled_from(KERNEL_STRUCTURES), st.integers(0, 2**32))
+    def test_derivations_match_the_per_term_sums(self, entry, seed):
+        name, se = entry
+        rng = random.Random(seed)
+        d_rank, del_rank, dbar_rank = ref_rank_forms(se)
+        for _ in range(3):
+            degree = rng.randint(0, 2 * se.n)
+            f = rand_kernel_form(rng, se.n, degree, rng.randint(0, 5))
+            assert se.d(f) == ref_derivation(f, d_rank), name
+            assert se.partial(f) == ref_derivation(f, del_rank), name
+            assert se.dbar(f) == ref_derivation(f, dbar_rank), name
+            assert se.d(se.d(f)).is_zero and ref_derivation(ref_derivation(f, d_rank), d_rank).is_zero
+
+    @pytest.mark.parametrize("alg", [catalog.jt_real(Fraction(1, 3)),
+                                     catalog.solvable5_contact().algebra], ids=["jt", "solvable5"])
+    def test_real_derivation_matches_the_per_term_sum(self, alg, rng):
+        for _ in range(30):
+            degree = rng.randint(0, alg.m)
+            f = Form(degree, {tuple(sorted(rng.sample(range(1, alg.m + 1), degree))):
+                              ComplexRational(rand_rational(rng)) for _ in range(3)})
+            assert alg.d(f) == ref_derivation(f, alg.d_of)
+
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_adjoint_matches_the_per_term_contraction(self, n, seed):
+        rng = random.Random(seed)
+        metric = rand_metric(rng, n)
+        lef = hermitian.Lefschetz(metric)
+        for _ in range(3):
+            f = rand_kernel_form(rng, n, rng.randint(0, 2 * n), rng.randint(0, 5))
+            assert lef.adjoint(f) == ref_adjoint(metric, f)
+        assert lef.adjoint(metric.fundamental_form()) == Form.scalar(n)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32))
+    def test_minors_and_positivity_on_sampled_and_bumped_metrics(self, n, seed):
+        assert_metric_matches_reference(rand_metric(random.Random(seed), n))
+
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.sampled_from(("definite", "semidefinite",
+                                                                        "indefinite")))
+    def test_minors_and_positivity_on_hermitian_matrices(self, n, seed, kind):
+        rng = random.Random(seed)
+        if kind == "indefinite":
+            h = hermitian_matrix(rng, n)
+        else:  # M M*, of full rank plus the identity, or of rank below n
+            rank = n if kind == "definite" else rng.randint(0, n - 1)
+            m = [[rand_complex(rng) for _ in range(rank)] for _ in range(n)]
+            h = [[sum((m[i][t] * m[j][t].conjugate() for t in range(rank)), ZERO)
+                  + (ONE if kind == "definite" and i == j else ZERO)
+                  for j in range(n)] for i in range(n)]
+        metric = hermitian.Metric([[I * v for v in row] for row in h])
+        assert_metric_matches_reference(metric)
+        if kind != "indefinite":
+            assert metric.is_positive() is (kind == "definite")
+
+    @given(st.integers(2, 4), st.integers(0, 2**32))
+    def test_bumps_that_change_the_denominator_rescale_carried_minors(self, n, seed):
+        rng = random.Random(seed)
+        metric = sample_positive_metric(rng, n)
+        pairs = index_pairs(n)
+        for _ in range(3):
+            for rows, cols in pairs:  # memoise every minor before the bump
+                metric.minor(rows, cols)
+            metric.is_positive()
+            # odd denominators: D starts as a power of two, so the first bump moves it
+            amount = Fraction(rng.randint(-(10**6), 10**6), rng.choice((3, 7, 10**12 + 39, 3**30)))
+            bumped = metric.bump_diagonal(rng.randrange(n), amount)
+            assert bumped._den == lcm(metric._den, amount.denominator)
+            assert_metric_matches_reference(bumped)
+            assert bumped == hermitian.Metric(bumped.x)
+            metric = bumped
+
+    def test_empty_metric_is_positive_with_determinant_one(self):
+        metric = hermitian.Metric([])
+        assert ref_positivity(metric) == (True, 1)
+        assert metric.is_positive() is True
+        assert metric.det_minus_i_x() == 1
+        assert metric.minor((), ()) == ONE
 
 
 def load_bench_module(name):

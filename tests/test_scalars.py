@@ -173,11 +173,6 @@ def test_conversions(x):
 def test_string_and_int_constructors(x):
     assert ComplexRational(str(x[0]), str(x[1])) == make(x)
     assert_canonical(ComplexRational(str(x[0]), str(x[1])))
-    assert ComplexRational.from_gaussian(
-        x[0].numerator * x[1].denominator,
-        x[1].numerator * x[0].denominator,
-        x[0].denominator * x[1].denominator,
-    ) == make(x)
 
 
 def test_constructor_accepts_what_fraction_accepts():
@@ -187,9 +182,6 @@ def test_constructor_accepts_what_fraction_accepts():
         ComplexRational("1/0")
     with pytest.raises(ValueError):
         ComplexRational("1/x")
-    with pytest.raises(ZeroDivisionError):
-        ComplexRational.from_gaussian(1, 1, 0)
-    assert ComplexRational.from_gaussian(2, -4, -6) == ComplexRational(Fraction(-1, 3), Fraction(2, 3))
 
 
 def test_float_and_complex_operands_raise():
