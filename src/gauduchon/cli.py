@@ -45,13 +45,19 @@ def _write(text: str, path) -> None:
 
 
 def _load_json(path: str, build):
-    """build(the JSON document at path); a document of the wrong shape is bad input."""
+    """build(the JSON document at path).
+
+    Text that is not JSON, a missing field, a value of the wrong type or
+    one that does not parse (a number past the int-string limit included)
+    is bad input, reported on one line that names the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return build(doc)
-    except TypeError as exc:
-        raise BadParams(f"malformed JSON in {path}: {exc}") from None
+        try:
+            return build(json.load(fh))
+        except KeyError as exc:
+            raise BadParams(f"malformed JSON in {path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"malformed JSON in {path}: {exc}") from None
 
 
 def _load_structure(path: str):
@@ -129,8 +135,7 @@ def cmd_catalog(args) -> int:
         return 0
     name = args.name
     if name is None:
-        print("catalog emit needs a family name", file=sys.stderr)
-        return 2
+        raise BadParams("catalog emit needs a family name")
     if name in catalog.CONTACT_ENTRIES:
         contact = catalog.CONTACT_ENTRIES[name]()
         _write(_dump(sasakian.contact_to_json(contact)) + "\n", args.out)

@@ -15,14 +15,16 @@ Omega^p = p! sum det X_{JK} w^{j_1} ^ ~w^{k_1} ^ ... and d, ddbar are
 linear, each structure compiles them once, on first use, into sparse maps
 over the minors of X (CompiledMaps, cached in a slot of the
 StructureEquations): the top coefficient of every Gauduchon form as
-sum c det X_a det X_b, ddbar(Omega^{n-2}) over the (n-2)-minors and
-d(Omega^{n-1}) over the cofactors.  A metric evaluates them from the
-minors they name, memoised on the Metric so that all k share them.  dOmega
-and ddbar(Omega) stay single derivations, being linear in X already.
+sum c det X_a det X_b, ddbar(Omega^p) over the p-minors (p = 1 decides
+SKT, p = n-2 astheno) and d(Omega^{n-1}) over the cofactors.  A metric
+evaluates them from the minors they name, memoised on the Metric so that
+all k share them.  So every ddbar(Omega^p) predicate has one path; d Omega
+stays a single derivation, the Kahler test and the Lee form's input.
 
-The metric layer is integer arithmetic.  A Metric keeps X as Gaussian-int
-numerators over one denominator D and its minors as ints over D^p, the
-maps sum c det X_a det X_b in ints, and positivity is Sylvester's
+The metric layer is integer arithmetic.  A Metric stores X once, as
+Gaussian-int numerators over one denominator D, and its minors as ints
+over D^p; the ComplexRational matrix x is a copy built on each read.  Each
+map is one int table, summed in ints, and positivity is Sylvester's
 criterion on the trailing principal minors of -iX, the last of which is
 det(-iX): one determinant path.  The Lefschetz contraction table is
 -i (-iX)^-1 = X^-1, read off the cofactors of X, and the contraction is a
@@ -39,86 +41,79 @@ from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
-from .forms import Form, Monomial, _form_of_sums, _mask, conj_rank, holo_rank, wedge
-from .scalars import I, ONE, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
+from .forms import Form, Monomial, _form_of_sums, _mask, conj_rank, holo_rank, sort_ranks, wedge
+from .scalars import I, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
 from .structures import StructureEquations
 
 
 class Metric:
     """Skew-Hermitian coefficient matrix of an invariant fundamental form.
 
-    Next to the ComplexRational matrix x, the metric keeps X as Gaussian-int
-    numerators (a, b) over one denominator D (x_jk = (a + ib)/D), and its
-    memoised minors as ints over D^p.
+    X is stored once, as Gaussian-int numerators (a, b) over one denominator
+    D (x_jk = (a + ib)/D), and the memoised minors as ints over D^p.  Every
+    constructor goes through _init, which checks the matrix on those ints.
     """
 
-    __slots__ = ("n", "x", "_num", "_den", "_positive", "_det", "_minors")
+    __slots__ = ("n", "_num", "_den", "_positive", "_det", "_minors")
 
     def __init__(self, x: list):
-        self.x = linalg.mat(x)
-        self.n = len(self.x)
-        if any(len(row) != self.n for row in self.x):
-            raise NotSkewHermitian("coefficient matrix must be square")
-        for j in range(self.n):  # (j, k) and (k, j) state the same condition
-            for k in range(j, self.n):
-                self._check_pair(j, k)
-        self._den, nums = _to_ints(((j, k), v) for j, row in enumerate(self.x)
-                                   for k, v in enumerate(row))
-        self._num = [[(a, b) for _, a, b in nums[j * self.n:(j + 1) * self.n]]
-                     for j in range(self.n)]
-        self._positive: Optional[bool] = None
-        self._det: Optional[Fraction] = None
-        self._minors: Dict[tuple, tuple] = {}
+        rows = linalg.mat(x)
+        den, nums = _to_ints(((j, k), v) for j, row in enumerate(rows)
+                             for k, v in enumerate(row))
+        num = [[] for _ in rows]
+        for (j, _), a, b in nums:
+            num[j].append((a, b))
+        self._init(num, den, {})
 
     @staticmethod
-    def _of_ints(num: list, den: int) -> "Metric":
-        """The metric x_jk = (a + ib)/den for num[j][k] = (a, b), den > 0.
-
-        For constructions that are skew-Hermitian by design; unchecked.
-        """
+    def _of_ints(num: list, den: int, minors: Optional[dict] = None) -> "Metric":
+        """The metric x_jk = (a + ib)/den for num[j][k] = (a, b), den > 0."""
         metric = object.__new__(Metric)
-        metric.n = len(num)
-        metric.x = [[_make(a, b, den) for a, b in row] for row in num]
-        metric._num = num
-        metric._den = den
-        metric._positive = metric._det = None
-        metric._minors = {}
+        metric._init(num, den, {} if minors is None else minors)
         return metric
 
-    def _check_pair(self, j: int, k: int):
-        if self.x[k][j].conjugate() != -self.x[j][k]:
-            raise NotSkewHermitian(f"conj(x[{k}][{j}]) != -x[{j}][{k}]")
+    def _init(self, num: list, den: int, minors: dict):
+        n = len(num)
+        if any(len(row) != n for row in num):
+            raise NotSkewHermitian("coefficient matrix must be square")
+        for j, row in enumerate(num):  # (j, k) and (k, j) state the same condition
+            for k in range(j, n):
+                (a, b), (c, e) = row[k], num[k][j]
+                if c != -a or e != b:  # conj(x_kj) = -x_jk over the shared D
+                    raise NotSkewHermitian(f"conj(x[{k}][{j}]) != -x[{j}][{k}]")
+        self.n = n
+        self._num = num
+        self._den = den
+        self._positive: Optional[bool] = None
+        self._det: Optional[Fraction] = None
+        self._minors: Dict[tuple, tuple] = minors
+
+    @property
+    def x(self) -> list:
+        """X as a new ComplexRational matrix, built from the ints."""
+        den = self._den
+        return [[_make(a, b, den) for a, b in row] for row in self._num]
 
     def bump_diagonal(self, j: int, amount) -> "Metric":
-        """The metric with x_jj raised by i*amount; only that entry is checked.
+        """The metric with x_jj raised by i*amount.
 
         A minor involves x_jj only if j is among both its rows and its
         columns, so every other memoised minor carries over, rescaled by
-        (D'/D)^p when the bump's denominator raises D to D'.  Other rows of
-        x are shared.
+        (D'/D)^p when the bump's denominator raises D to D'.
         """
-        row = self.x[j][:]
-        row[j] = row[j] + ComplexRational(0, amount)
-        bumped = object.__new__(Metric)
-        bumped.n = self.n
-        bumped.x = self.x[:j] + [row] + self.x[j + 1:]
-        bumped._check_pair(j, j)
         num, den = self._num, self._den
         p, q = _rational_parts(amount)
         new_den = lcm(den, q)
         f = new_den // den
         if f != 1:
             num = [[(a * f, b * f) for a, b in r] for r in num]
-        num_row = num[j][:]
-        a, b = num_row[j]
-        num_row[j] = (a, b + p * (new_den // q))
-        bumped._num = num[:j] + [num_row] + num[j + 1:]
-        bumped._den = new_den
-        bumped._positive = bumped._det = None
-        bumped._minors = {(rows, cols): (re * f ** len(rows), im * f ** len(rows))
-                          for (rows, cols), (re, im) in self._minors.items()
-                          if j not in rows or j not in cols}
-        return bumped
+        row = num[j][:]
+        a, b = row[j]
+        row[j] = (a, b + p * (new_den // q))
+        minors = {(rows, cols): (re * f ** len(rows), im * f ** len(rows))
+                  for (rows, cols), (re, im) in self._minors.items()
+                  if j not in rows or j not in cols}
+        return Metric._of_ints(num[:j] + [row] + num[j + 1:], new_den, minors)
 
     @staticmethod
     def diagonal(n: int, entries=None) -> "Metric":
@@ -130,7 +125,8 @@ class Metric:
 
     def minus_i_x(self) -> list:
         """The Hermitian matrix -iX; positive definite iff the metric is."""
-        return [[(-I) * v for v in row] for row in self.x]
+        den = self._den
+        return [[_make(b, -a, den) for a, b in row] for row in self._num]
 
     def is_positive(self) -> bool:
         """Sylvester's criterion: every trailing principal minor of -iX is > 0.
@@ -200,19 +196,20 @@ class Metric:
         return _make(re, im, self._den ** len(rows))
 
     def fundamental_form(self) -> Form:
-        """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id."""
+        """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id.
+
+        w^j ^ ~w^k is canonical for j <= k; otherwise it is -~w^k ^ w^j.
+        """
+        den = self._den
         terms: Dict[Monomial, ComplexRational] = {}
-        for j in range(1, self.n + 1):
-            for k in range(1, self.n + 1):
-                c = self.x[j - 1][k - 1]
-                if not c:
+        for j, row in enumerate(self._num, 1):
+            for k, (a, b) in enumerate(row, 1):
+                if not (a or b):
                     continue
-                a, b = holo_rank(j), conj_rank(k)
-                if a < b:
-                    mon, val = (a, b), c
+                if j <= k:
+                    terms[(holo_rank(j), conj_rank(k))] = _make(a, b, den)
                 else:
-                    mon, val = (b, a), -c
-                terms[mon] = terms.get(mon, ZERO) + val
+                    terms[(conj_rank(k), holo_rank(j))] = _make(-a, -b, den)
         return Form(2, terms)
 
     def scale(self, c) -> "Metric":
@@ -221,7 +218,7 @@ class Metric:
     def __eq__(self, other):
         if not isinstance(other, Metric):
             return NotImplemented
-        return self.n == other.n and linalg.mat_eq(self.x, other.x)
+        return self.x == other.x
 
     def __repr__(self):
         rows = "; ".join(
@@ -286,15 +283,18 @@ class CompiledMaps:
     Omega^p = p! sum_{|J|=|K|=p} det X_{JK} m_{JK}, where m_{JK} is the
     basis monomial w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p}, and d and
     ddbar are linear.  So ddbar(Omega^p) is a fixed linear map over the
-    p-minors, d(Omega^{n-1}) one over the cofactors, and the top coefficient
-    of the k-th Gauduchon form ddbar(Omega^k) ^ Omega^{n-k-1} is a short sum
-    of c * det X_a * det X_b.  The coefficients come from the engine's own
-    ddbar, d and wedge of basis monomials; each map is built once, on first
-    use, and the object is cached on the structure (CompiledMaps.of).  A
-    metric then computes only the minors the maps name (Metric.minor), once.
+    p-minors (ddbar(Omega) over X itself, which decides SKT), d(Omega^{n-1})
+    one over the cofactors, and the top coefficient of the k-th Gauduchon
+    form ddbar(Omega^k) ^ Omega^{n-k-1} is a short sum of
+    c * det X_a * det X_b.  The linear maps come from the engine's own ddbar
+    and d of the basis monomials, and a top term pairs a monomial of
+    ddbar(Omega^k) with the basis monomial on the complementary ranks by the
+    sign of their concatenation.  Every map is one int table, built on first
+    use; the object is cached on the structure (CompiledMaps.of).  A metric
+    then computes only the minors the maps name (Metric.minor), once.
     """
 
-    __slots__ = ("se", "n", "_ddbar", "_tops", "_top_ints", "_d_top")
+    __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
 
     @staticmethod
     def of(se: StructureEquations) -> "CompiledMaps":
@@ -308,8 +308,7 @@ class CompiledMaps:
         self.se = se
         self.n = se.n
         self._ddbar: Dict[int, tuple] = {}
-        self._tops: Dict[int, list] = {}
-        self._top_ints: Dict[int, tuple] = {}
+        self._tops: Dict[int, tuple] = {}
         self._d_top: Optional[tuple] = None
 
     def _linear_map(self, op, p: int) -> tuple:
@@ -319,15 +318,17 @@ class CompiledMaps:
         monomial is sum (a + ib) det X_index / D.
         """
         out: Dict[Monomial, list] = {}
-        scale = cr(factorial(p))
         for rows in combinations(range(self.n), p):
             for cols in combinations(range(self.n), p):
-                for mon, c in op(_minor_monomial(rows, cols)).terms.items():
-                    out.setdefault(mon, []).append(((rows, cols), c * scale))
+                basis = Form.monomial(r for j, k in zip(rows, cols)
+                                      for r in (holo_rank(j + 1), conj_rank(k + 1)))
+                for mon, c in op(basis).terms.items():
+                    out.setdefault(mon, []).append(((rows, cols), c))
         d, nums = _to_ints(((mon, key), c) for mon, entries in out.items() for key, c in entries)
+        scale = factorial(p)
         lmap: Dict[Monomial, list] = {}
         for (mon, key), a, b in nums:
-            lmap.setdefault(mon, []).append((key, a, b))
+            lmap.setdefault(mon, []).append((key, a * scale, b * scale))
         return p, d, lmap
 
     def _ddbar_map(self, p: int) -> tuple:
@@ -335,26 +336,29 @@ class CompiledMaps:
             self._ddbar[p] = self._linear_map(self.se.ddbar, p)
         return self._ddbar[p]
 
-    def top_terms(self, k: int) -> list:
-        """[(a, b, c)] with coeff(ddbar Omega^k ^ Omega^{n-k-1}) = sum c det X_a det X_b.
+    def top_terms(self, k: int) -> tuple:
+        """(D, [(a, b, u, v)]) with coeff(ddbar Omega^k ^ Omega^{n-k-1})
+        = sum (u + iv)/D det X_a det X_b.
 
         Each monomial of ddbar(Omega^k) pairs with the one basis monomial of
-        Omega^{n-k-1} on the complementary ranks.
+        Omega^{n-k-1} on the complementary ranks, b = (rows, cols), with the
+        factor (n-k-1)! times the sign that sorts the monomial's ranks
+        followed by the interleaved ranks of b.
         """
         if k not in self._tops:
             n = self.n
-            sigma = sigma_monomial(n)
             _, d, lmap = self._ddbar_map(k)
-            scale = cr(factorial(n - k - 1))
+            scale = factorial(n - k - 1)
             terms = []
             for mon, entries in lmap.items():
-                rest = [r for r in sigma if r not in mon]
-                b = (tuple((r - 1) // 2 for r in rest if r & 1),
-                     tuple((r - 1) // 2 for r in rest if not r & 1))
-                pair = wedge(Form(len(mon), {mon: ONE}), _minor_monomial(*b))
-                pair_c = top_coefficient(pair, n) * scale
-                terms += [(a, b, _make(u, v, d) * pair_c) for a, u, v in entries]
-            self._tops[k] = terms
+                rest = [r for r in range(1, 2 * n + 1) if r not in mon]
+                holo = [r for r in rest if r & 1]
+                anti = [r for r in rest if not r & 1]
+                b = (tuple((r - 1) // 2 for r in holo), tuple((r - 1) // 2 for r in anti))
+                sign = sort_ranks(mon + tuple(r for pair in zip(holo, anti) for r in pair))[0]
+                c = sign * scale
+                terms += [(a, b, u * c, v * c) for a, u, v in entries]
+            self._tops[k] = (d, terms)
         return self._tops[k]
 
     def top(self, metric: Metric, k: int) -> ComplexRational:
@@ -363,12 +367,7 @@ class CompiledMaps:
         sum c det X_a det X_b in ints: every a is a k-minor and every b an
         (n-k-1)-minor, so the sum has the one denominator D_c D^{n-1}.
         """
-        table = self._top_ints.get(k)
-        if table is None:
-            terms = self.top_terms(k)
-            d, nums = _to_ints(((a, b), c) for a, b, c in terms)
-            table = self._top_ints[k] = (d, [(a, b, u, v) for (a, b), u, v in nums])
-        d, terms = table
+        d, terms = self.top_terms(k)
         minor = metric._minor_ints
         re = im = 0
         for a, b, u, v in terms:
@@ -403,14 +402,6 @@ class CompiledMaps:
         if self._d_top is None:
             self._d_top = self._linear_map(self.se.d, self.n - 1)
         return self._evaluate(self._d_top, 2 * self.n - 1, metric)
-
-
-def _minor_monomial(rows, cols) -> Form:
-    """w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p} for 0-based rows j, cols k."""
-    ranks = []
-    for j, k in zip(rows, cols):
-        ranks += (holo_rank(j + 1), conj_rank(k + 1))
-    return Form.monomial(ranks)
 
 
 def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
@@ -559,8 +550,8 @@ class ClassReport:
 def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
-    The Gauduchon forms and ddbar(Omega^{n-2}) come from the structure's
-    compiled maps, sharing the metric's minors across k.  The Lee form is
+    The Gauduchon forms, ddbar(Omega) and ddbar(Omega^{n-2}) come from the
+    structure's compiled maps, sharing the metric's minors across k.  The Lee form is
     Lambda(d Omega) of the d Omega that decides Kahler, and balanced is read
     off it: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta does,
     since L^{n-1} is injective on 1-forms.
@@ -572,7 +563,7 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     d_omega = se.d(lef.omega)
     lee = _lee(lef, d_omega)
     kahler = d_omega.is_zero
-    skt = se.ddbar(lef.omega).is_zero
+    skt = maps.ddbar_power(metric, 1).is_zero
     astheno = maps.ddbar_power(metric, n - 2).is_zero if n >= 3 else True
     balanced = lee.is_zero
     tops = {k: maps.top(metric, k) for k in range(1, n)}

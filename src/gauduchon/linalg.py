@@ -2,17 +2,17 @@
 
 Matrices are lists of row lists.  Sizes never exceed 2n <= 8, so plain
 exact elimination is entirely adequate.  One Gauss-Jordan routine,
-_eliminate, serves rref, solve, mat_inverse and mat_det: it reports the
-pivot columns and the signed pivot product.  ldl is the separate
-positivity test; its pivots stay ComplexRational until it returns them as
-Fractions.
+_eliminate, serves rref, solve and mat_inverse: it reports the pivot
+columns.  ldl is the separate positivity test; its pivots stay
+ComplexRational until it returns them as Fractions.  A metric's
+determinants are its memoised minors (hermitian.Metric), not taken here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, ComplexRational, cr
+from .scalars import ONE, ZERO, cr
 
 Matrix = list  # list[list[ComplexRational]]
 
@@ -55,18 +55,15 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _eliminate(work: Matrix, cols: int) -> tuple[list, ComplexRational]:
+def _eliminate(work: Matrix, cols: int) -> list:
     """Gauss-Jordan on the first cols columns of work, in place.
 
     The pivot of each column is its first nonzero entry at or below the next
     pivot row; it is swapped up, its row normalised and its column cleared
-    in every other row.  Returns the pivot columns and the product of the
-    pivots, negated once per row swap, which is the determinant when the
-    leading cols x cols block is square and every column has a pivot.
+    in every other row.  Returns the pivot columns.
     """
     rows = len(work)
     pivots: list = []
-    product = ONE
     for col in range(cols):
         top = len(pivots)
         if top == rows:
@@ -78,10 +75,8 @@ def _eliminate(work: Matrix, cols: int) -> tuple[list, ComplexRational]:
             continue
         if pivot != top:
             work[top], work[pivot] = work[pivot], work[top]
-            product = -product
         # rows from top down are zero left of col, so row operations start there
         head = work[top]
-        product = product * head[col]
         inv = ONE / head[col]
         tail = [v * inv for v in head[col:]]
         head[col:] = tail
@@ -90,20 +85,14 @@ def _eliminate(work: Matrix, cols: int) -> tuple[list, ComplexRational]:
                 f = work[r][col]
                 work[r][col:] = [x - f * y for x, y in zip(work[r][col:], tail)]
         pivots.append(col)
-    return pivots, product
-
-
-def mat_det(a: Matrix) -> ComplexRational:
-    """Determinant of a square matrix: its signed pivot product, 0 if singular."""
-    pivots, product = _eliminate([row[:] for row in a], len(a))
-    return product if len(pivots) == len(a) else ZERO
+    return pivots
 
 
 def solve(a: Matrix, rhs: list) -> list:
     """Solve the square system a x = rhs exactly; raises on singular input."""
     n = len(a)
     work = [a[i][:] + [rhs[i]] for i in range(n)]
-    if len(_eliminate(work, n)[0]) < n:
+    if len(_eliminate(work, n)) < n:
         raise ValueError("singular system")
     return [row[n] for row in work]
 
@@ -112,7 +101,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     """a^-1 by one Gauss-Jordan pass over [a | I]; raises on singular input."""
     n = len(a)
     work = [a[i][:] + unit for i, unit in enumerate(identity(n))]
-    if len(_eliminate(work, n)[0]) < n:
+    if len(_eliminate(work, n)) < n:
         raise ValueError("singular system")
     return [row[n:] for row in work]
 

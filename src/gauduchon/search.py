@@ -3,12 +3,13 @@
 Sampling draws -iX = M M* + delta I with small rational M, which is positive
 definite by construction and computed in plain ints (4M is Gaussian-integral).
 Every sample is tested in exact arithmetic, with the target's predicate first
-and the LDL* positivity check only on a hit.  For targets asking a scalar to
+and the positivity check (Sylvester's criterion on the metric's minors) only
+on a hit.  For targets asking a scalar to
 vanish, the closing move raises one diagonal entry, which keeps positivity.
 The Gauduchon numerator is affine in x_jj unless j is in the rows and the
 columns of both minors of some term c det X_a det X_b, so the affine root
 along that line is only a candidate, and the exact re-check decides.
-Each bumped metric shares the rows and minors the bump leaves unchanged.
+Each bumped metric carries over the minors the bump leaves unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric
@@ -33,7 +34,7 @@ from .catalog import (
 )
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
-from .hermitian import Metric, balanced_defect, gamma_numerator
+from .hermitian import CompiledMaps, Metric, balanced_defect, gamma_numerator
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -157,8 +158,8 @@ def _holds(se: StructureEquations, target: Target, metric: Metric) -> bool:
 
     The gamma targets read gamma_numerator, which has the sign of gamma_k
     because n! det(-iX) > 0 on positive metrics, and vanishes exactly with
-    the Gauduchon form; balanced reads d(Omega^{n-1}) off the structure's
-    compiled map over the cofactors (hermitian.balanced_defect).
+    the Gauduchon form; skt reads ddbar(Omega) and balanced d(Omega^{n-1})
+    off the structure's compiled maps over X and over the cofactors.
     """
     if target.kind == "gamma_negative":
         return gamma_numerator(metric, target.k, se) < 0
@@ -167,7 +168,7 @@ def _holds(se: StructureEquations, target: Target, metric: Metric) -> bool:
     if target.kind == "gauduchon_zero":
         return gamma_numerator(metric, target.k, se) == 0
     if target.kind == "skt":
-        return se.ddbar(metric.fundamental_form()).is_zero
+        return CompiledMaps.of(se).ddbar_power(metric, 1).is_zero
     if target.kind == "balanced":
         return balanced_defect(metric, se).is_zero
     raise BadParams(target.kind)

@@ -176,6 +176,14 @@ GOLDEN_CLASSIFY = [
      report(3, "gauduchon2", {"1": "-1/21", "2": "0"}, {"1": False, "2": True},
             lee_terms(("w", 2, "23/28", "-1/7"), ("cw", 2, "23/28", "1/7"),
                       ("w", 3, "23/14", "-2/7"), ("cw", 3, "23/14", "2/7")))),
+    # jt(1) is SKT for every metric: pins the ddbar(Omega) path of classify
+    (catalog.jt(1),
+     [[2, ComplexRational(1, -1), 0], [ComplexRational(1, 1), 3, HALF], [0, HALF, 1]],
+     {**report(3, "skt+astheno+gauduchon1+gauduchon2", {"1": "0", "2": "0"},
+               {"1": True, "2": True},
+               lee_terms(("w", 2, "15/28", "1/7"), ("cw", 2, "15/28", "-1/7"),
+                         ("w", 3, "15/14", "2/7"), ("cw", 3, "15/14", "-2/7"))),
+      "skt": True, "astheno": True}),
 ]
 
 # search --target gauduchon1=0 --budget 50 --seed 7 on family8(1, 0): the
@@ -191,7 +199,8 @@ GOLDEN_WITNESS = [
 class TestGoldenOutputs:
     """Literal outputs, so that no change moves a gamma string or a witness unseen."""
 
-    @pytest.mark.parametrize("se, h, expected", GOLDEN_CLASSIFY, ids=["family8", "reduced6"])
+    @pytest.mark.parametrize("se, h, expected", GOLDEN_CLASSIFY,
+                             ids=["family8", "reduced6", "jt1-skt"])
     def test_classify_json(self, tmp_path, capsys, se, h, expected):
         se_path = write(tmp_path / "se.dsl", dsl.format_structure(se))
         m_path = metric_file(tmp_path / "m.json", h)
@@ -271,6 +280,10 @@ class TestCatalog:
 
     def test_unknown_family(self, capsys):
         assert main(["catalog", "emit", "nope"]) == 2
+
+    def test_emit_needs_a_name(self, capsys):
+        assert main(["catalog", "emit"]) == 2
+        assert capsys.readouterr().err == "error: catalog emit needs a family name\n"
 
 
 class TestBundleExtend:
@@ -458,6 +471,22 @@ class TestInputErrors:
             argv += ["--structure", jt_file]
         assert main(argv) == 2
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, flag, name, text", [
+        ("classify", "--metric", "huge.json",
+         json.dumps({"n": 1, "X": [[{"re": "0", "im": "7" * 5000}]]})),
+        ("check", "--structure", "no-equations.json", json.dumps({"n": 3})),
+        ("check", "--structure", "not-json.json", "{not json"),
+    ], ids=["5000-digit-cell", "missing-field", "invalid-json"])
+    def test_json_error_names_the_file(self, jt_file, tmp_path, capsys, command, flag, name,
+                                       text):
+        path = write(tmp_path / name, text)
+        argv = [command, flag, path]
+        if command == "classify":
+            argv += ["--structure", jt_file]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed JSON in {path}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", [
         ["check", "--structure", "{dir}"],

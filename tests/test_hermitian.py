@@ -38,6 +38,27 @@ class TestMetric:
             with pytest.raises(NotSkewHermitian):
                 Metric(broken)
 
+    def test_int_constructor_checks_skew_hermitian(self):
+        # x_jk = (a + ib)/2 for num[j][k] = (a, b)
+        Metric._of_ints([[(0, 2), (1, 1)], [(-1, 1), (0, 4)]], 2)
+        for num in ([[(0, 2), (1, 1)], [(1, 1), (0, 4)]],  # conj(x21) = -x12 fails
+                    [[(0, 2), (0, 1)], [(0, -1), (0, 4)]],  # ... on the imaginary part
+                    [[(1, 2), (0, 0)], [(0, 0), (0, 4)]],  # x11 is not imaginary
+                    [[(0, 2), (0, 0)]]):  # not square
+            with pytest.raises(NotSkewHermitian):
+                Metric._of_ints(num, 2)
+
+    def test_x_is_a_copy(self, rng):
+        metric = sample_positive_metric(rng, 3)
+        twin = Metric(metric.x)
+        view = metric.x
+        view[0][1] = view[1][0] = cr(7)
+        view[2] = []
+        assert metric.x == twin.x
+        assert metric.fundamental_form() == twin.fundamental_form()
+        for rows, cols in (((1,), (0,)), ((0, 1), (0, 2)), ((0, 1, 2), (0, 1, 2))):
+            assert metric.minor(rows, cols) == twin.minor(rows, cols)
+
     def test_positivity_examples(self):
         assert Metric.diagonal(3).is_positive()
         assert not Metric.diagonal(3, [-1, 1, 1]).is_positive()
