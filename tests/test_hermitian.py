@@ -51,9 +51,9 @@ class TestMetric:
     def test_x_is_a_copy(self, rng):
         metric = sample_positive_metric(rng, 3)
         twin = Metric(metric.x)
-        view = metric.x
-        view[0][1] = view[1][0] = cr(7)
-        view[2] = []
+        rows = metric.x
+        rows[0][1] = rows[1][0] = cr(7)
+        rows[2] = []
         assert metric.x == twin.x
         assert metric.fundamental_form() == twin.fundamental_form()
         for rows, cols in (((1,), (0,)), ((0, 1), (0, 2)), ((0, 1, 2), (0, 1, 2))):
