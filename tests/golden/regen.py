@@ -1,0 +1,244 @@
+"""The byte-identity corpus of the gauduchon CLI: one sha256 per command line.
+
+Every command line runs in process through ``gauduchon.cli.main``, in a
+scratch directory, in the order listed here; its digest covers the exit
+code, stdout and stderr.  The corpus covers:
+
+  * ``catalog list``, and ``catalog emit`` of every catalog point below and
+    of both contact entries (the emitted text is saved and used as input);
+  * ``bundle-extend`` of both contact entries, as text and ``--json``;
+  * ``classify``, as text and ``--json``, for METRICS metrics per point;
+  * ``search`` for every target and k, at SEEDS with budget BUDGET;
+  * ``verify-paper --json``, with every claim's elapsed time set to 0.
+
+The metric files are written here from this script's own seeded draws, so
+they do not depend on the package.  Argparse usage errors are left out:
+their text differs between Python versions.  A few outputs are also kept
+literally (LITERAL), for a reader to inspect.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python tests/golden/regen.py          # rewrite the corpus
+    PYTHONPATH=src python tests/golden/regen.py --check  # exit 1 on the first drift
+
+A change that moves an output on purpose commits the rewritten digests and
+quotes the old and new output in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shlex
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "cli_digests.txt"
+
+# (file stem, family, --param values): catalog points the verify claims
+# share, plus a nilpotent6 point with complex parameters; n = 4 for family8
+POINTS = [
+    ("iwasawa", "iwasawa", []),
+    ("nonnilpotent6-0p", "nonnilpotent6", ["eps=0", "sign=1"]),
+    ("nonnilpotent6-1m", "nonnilpotent6", ["eps=1", "sign=-1"]),
+    ("reduced6", "reduced6", ["rho=0", "B=0", "x=1", "y=0"]),
+    ("jt-half", "jt", ["t=1/2"]),
+    ("nilpotent6-a", "nilpotent6", ["eps=1", "rho=1", "A=0", "B=1", "C=1", "D=0"]),
+    ("nilpotent6-b", "nilpotent6", ["eps=0", "rho=1", "A=1", "B=1/2i", "C=0", "D=-1+2i"]),
+    ("abelian-3", "abelian", ["n=3"]),
+    ("family8-a", "family8", ["p=1", "q=0"]),
+    ("family8-b", "family8", ["p=-1", "q=2"]),
+]
+CONTACTS = ("solvable5", "heisenberg5")
+METRICS = 6
+SEEDS = (1, 2)
+BUDGET = 100
+
+# command line -> file holding its stdout verbatim
+LITERAL = {
+    "gauduchon catalog list": "catalog-list.out",
+    "gauduchon classify --structure jt-half.dsl --metric jt-half.m2.json":
+        "classify-jt-half.out",
+    "gauduchon search --structure family8-a.dsl --target gauduchon1=0 --budget 100 --seed 1":
+        "search-family8-a.out",
+    "gauduchon bundle-extend --contact solvable5.json": "bundle-extend-solvable5.out",
+}
+
+
+def _run(argv: list) -> tuple:
+    from gauduchon.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _metric_json(rng: random.Random, n: int, i: int) -> str:
+    """Metric file i of a point: X = iH with H = 1, diag(1..n) or LL*/2 + 1.
+
+    L is lower triangular with Gaussian-integer entries, so H is Hermitian
+    positive definite with half-integer entries.
+    """
+    if i < 2:
+        h = [[(Fraction(j + 1 if i else 1) if j == k else Fraction(0), Fraction(0))
+              for k in range(n)] for j in range(n)]
+    else:
+        low = [[(rng.randint(-2, 2), rng.randint(-2, 2)) if k <= j else (0, 0)
+                for k in range(n)] for j in range(n)]
+        h = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                re = sum(a * c + b * e for (a, b), (c, e) in zip(low[j], low[k]))
+                im = sum(b * c - a * e for (a, b), (c, e) in zip(low[j], low[k]))
+                row.append((Fraction(re, 2) + (j == k), Fraction(im, 2)))
+            h.append(row)
+    # x_jk = i h_jk
+    x = [[{"re": str(-im), "im": str(re)} for re, im in row] for row in h]
+    return json.dumps({"n": n, "X": x}, indent=2, sort_keys=True) + "\n"
+
+
+def _targets(n: int) -> list:
+    per_k = [f"gamma{k}<0" for k in range(1, n)] + [f"gamma{k}>0" for k in range(1, n)]
+    return per_k + [f"gauduchon{k}=0" for k in range(1, n)] + ["skt", "balanced"]
+
+
+def _zero_elapsed(text: str) -> str:
+    doc = json.loads(text)
+    for record in doc["records"]:
+        record["elapsed"] = 0
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def outputs():
+    """Yield (command line, exit code, stdout, stderr); runs in the current directory."""
+
+    def run(argv: list) -> tuple:
+        code, out, err = _run(argv)
+        return (shlex.join(["gauduchon"] + argv), code, out, err)
+
+    yield run(["catalog", "list"])
+    for name in CONTACTS:
+        emitted = run(["catalog", "emit", name])
+        yield emitted
+        Path(f"{name}.json").write_text(emitted[2])
+        for extra in ([], ["--json"]):
+            yield run(["bundle-extend", "--contact", f"{name}.json", *extra])
+    for stem, family, params in POINTS:
+        emitted = run(["catalog", "emit", family] + [a for p in params for a in ("--param", p)])
+        yield emitted
+        structure = f"{stem}.dsl"
+        Path(structure).write_text(emitted[2])
+        n = int(emitted[2].split("\n", 1)[0].removeprefix("n:"))
+        rng = random.Random(stem)
+        for i in range(METRICS):
+            metric = f"{stem}.m{i}.json"
+            Path(metric).write_text(_metric_json(rng, n, i))
+            for extra in ([], ["--json"]):
+                yield run(["classify", "--structure", structure, "--metric", metric, *extra])
+        for t, target in enumerate(_targets(n)):
+            for seed in SEEDS:
+                searched = run(["search", "--structure", structure, "--target", target,
+                                "--budget", str(BUDGET), "--seed", str(seed)])
+                yield searched
+                witness = json.loads(searched[2])["witness"]
+                if seed == SEEDS[0] and witness is not None:
+                    # the witnesses reach the labels that the drawn metrics miss
+                    metric = f"{stem}.w{t}.json"
+                    Path(metric).write_text(json.dumps(witness))
+                    for extra in ([], ["--json"]):
+                        yield run(["classify", "--structure", structure, "--metric", metric,
+                                   *extra])
+    line, code, out, err = run(["verify-paper", "--json"])
+    yield line + "  # elapsed zeroed", code, _zero_elapsed(out), err
+
+
+def digest(code: int, out: str, err: str) -> str:
+    blob = f"{code}\n{out}\0{err}".encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _in_scratch_dir(fn):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            return fn()
+        finally:
+            os.chdir(cwd)
+
+
+def read_digests() -> list:
+    """[(digest, command line)] as committed."""
+    pairs = []
+    for row in DIGESTS.read_text(encoding="utf-8").splitlines():
+        sha, _, line = row.partition("  ")
+        pairs.append((sha, line))
+    return pairs
+
+
+def first_drift():
+    """None if every output matches the committed corpus, else a one-line reason."""
+
+    def check():
+        expected = read_digests()
+        got = 0
+        for i, (line, code, out, err) in enumerate(outputs()):
+            got += 1
+            if i >= len(expected) or expected[i][1] != line:
+                return f"command line {i + 1} is {line!r}, the corpus has a different list"
+            if digest(code, out, err) != expected[i][0]:
+                return f"output of {line!r} drifted"
+            literal = LITERAL.get(line)
+            if literal is not None and (HERE / literal).read_text(encoding="utf-8") != out:
+                return f"stdout of {line!r} differs from {literal}"
+        if got != len(expected):
+            return f"the corpus lists {len(expected)} command lines, the run made {got}"
+        return None
+
+    return _in_scratch_dir(check)
+
+
+def rewrite() -> int:
+    """Rewrite the digests and the literal files from this tree's outputs."""
+
+    def collect():
+        rows = []
+        for line, code, out, err in outputs():
+            rows.append(f"{digest(code, out, err)}  {line}\n")
+            if line in LITERAL:
+                (HERE / LITERAL[line]).write_text(out, encoding="utf-8")
+        return rows
+
+    rows = _in_scratch_dir(collect)
+    DIGESTS.write_text("".join(rows), encoding="utf-8")
+    return len(rows)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed corpus instead of rewriting it")
+    args = parser.parse_args(argv)
+    if args.check:
+        drift = first_drift()
+        if drift is not None:
+            print(f"golden corpus: {drift}", file=sys.stderr)
+            return 1
+        print(f"golden corpus: {len(read_digests())} command lines match")
+        return 0
+    print(f"golden corpus: wrote {rewrite()} digests to {DIGESTS.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
