@@ -28,7 +28,8 @@ from .scalars import ComplexRational, _make, _to_ints, cr, format_complex
 Monomial = Tuple[int, ...]
 
 _new = object.__new__
-_RANKS: Dict[int, Monomial] = {}  # rank bitmask -> monomial, see _form_of_sums
+# rank bitmask -> monomial (_ranks): at most 2^(2n) entries in n complex dimensions
+_RANKS: Dict[int, Monomial] = {}
 
 
 def _mask(mon: Monomial) -> int:
@@ -53,29 +54,20 @@ def _parity_mask(mon: Monomial) -> int:
 
 
 def _ranks(mask: int) -> Monomial:
-    """The monomial of a rank bitmask, ranks ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The monomial of a rank bitmask, ranks ascending, memoised in _RANKS."""
+    mon = _RANKS.get(mask)
+    if mon is None:
+        mon = _RANKS[mask] = tuple(r for r in range(mask.bit_length()) if mask >> r & 1)
+    return mon
 
 
 def _form_of_sums(degree: Optional[int], sums: dict, d: int) -> "Form":
-    """The form sum (re + i im)/d over {mask: [re, im]}, zero sums dropped.
-
-    Each mask's tuple is memoised in _RANKS, which holds at most one entry
-    per monomial the process has produced (2^(2n) for n complex dimensions).
-    """
+    """The form sum (re + i im)/d over {mask: [re, im]}, zero sums dropped."""
     ranks = _RANKS
     terms = {}
     for m, (re, im) in sums.items():
         if re or im:
-            mon = ranks.get(m)
-            if mon is None:
-                mon = ranks[m] = _ranks(m)
-            terms[mon] = _make(re, im, d)
+            terms[ranks.get(m) or _ranks(m)] = _make(re, im, d)
     f = _new(Form)
     f.degree = degree if terms else None
     f.terms = terms

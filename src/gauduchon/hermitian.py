@@ -36,14 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
-from .forms import Form, Monomial, _form_of_sums, _mask, conj_rank, holo_rank, sort_ranks, wedge
+from .forms import Form, Monomial, _form_of_sums, _mask, _ranks, conj_rank, holo_rank, sort_ranks
+from .forms import wedge
 from .scalars import I, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
-from .structures import StructureEquations
+from .structures import StructureEquations, _derive
 
 
 class Metric:
@@ -286,12 +287,14 @@ class CompiledMaps:
     p-minors (ddbar(Omega) over X itself, which decides SKT), d(Omega^{n-1})
     one over the cofactors, and the top coefficient of the k-th Gauduchon
     form ddbar(Omega^k) ^ Omega^{n-k-1} is a short sum of
-    c * det X_a * det X_b.  The linear maps come from the engine's own ddbar
-    and d of the basis monomials, and a top term pairs a monomial of
-    ddbar(Omega^k) with the basis monomial on the complementary ranks by the
-    sign of their concatenation.  Every map is one int table, built on first
-    use; the object is cached on the structure (CompiledMaps.of).  A metric
-    then computes only the minors the maps name (Metric.minor), once.
+    c * det X_a * det X_b.  Each basis monomial passes, as a signed rank
+    mask, through the structure's derivation kernel (structures._derive):
+    dbar then del, or d; no Form is built per monomial.  A top term pairs a
+    monomial of ddbar(Omega^k) with the basis monomial on the complementary
+    ranks by the sign of their concatenation.  Every map is one int table,
+    built on first use; the object is cached on the structure
+    (CompiledMaps.of).  A metric then computes only the minors the maps
+    name (Metric.minor), once.
     """
 
     __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
@@ -311,29 +314,30 @@ class CompiledMaps:
         self._tops: Dict[int, tuple] = {}
         self._d_top: Optional[tuple] = None
 
-    def _linear_map(self, op, p: int) -> tuple:
-        """op(Omega^p) as (p, D, {monomial: [(p-minor index, a, b)]}).
-
-        Each coefficient is (a + ib)/D, so the image coefficient on a
-        monomial is sum (a + ib) det X_index / D.
+    def _linear_map(self, tables: tuple, p: int) -> tuple:
+        """Omega^p through the rank tables in order, as (p, D, {monomial:
+        [(p-minor index, a, b)]}): the image coefficient on a monomial is
+        sum (a + ib) det X_index / D.  Each m_JK enters the kernel as its
+        rank mask carrying p! times the sign that sorts its ranks.
         """
-        out: Dict[Monomial, list] = {}
+        scale = factorial(p)
+        out: Dict[int, list] = {}
         for rows in combinations(range(self.n), p):
             for cols in combinations(range(self.n), p):
-                basis = Form.monomial(r for j, k in zip(rows, cols)
-                                      for r in (holo_rank(j + 1), conj_rank(k + 1)))
-                for mon, c in op(basis).terms.items():
-                    out.setdefault(mon, []).append(((rows, cols), c))
-        d, nums = _to_ints(((mon, key), c) for mon, entries in out.items() for key, c in entries)
-        scale = factorial(p)
-        lmap: Dict[Monomial, list] = {}
-        for (mon, key), a, b in nums:
-            lmap.setdefault(mon, []).append((key, a * scale, b * scale))
-        return p, d, lmap
+                mask = sign = 0
+                for j, k in zip(rows, cols):
+                    for r in (2 * j + 1, 2 * k + 2):  # w^(j+1), ~w^(k+1)
+                        sign ^= (mask >> r).bit_count()  # ranks above r, placed before it
+                        mask |= 1 << r
+                sums, den = _derive({mask: (-scale if sign & 1 else scale, 0)}, tables)
+                for m, (a, b) in sums.items():
+                    if a or b:
+                        out.setdefault(m, []).append(((rows, cols), a, b))
+        return p, prod(dt for dt, _ in tables), {_ranks(m): e for m, e in out.items()}
 
     def _ddbar_map(self, p: int) -> tuple:
         if p not in self._ddbar:
-            self._ddbar[p] = self._linear_map(self.se.ddbar, p)
+            self._ddbar[p] = self._linear_map((self.se._dbar_rank, self.se._del_rank), p)
         return self._ddbar[p]
 
     def top_terms(self, k: int) -> tuple:
@@ -400,7 +404,7 @@ class CompiledMaps:
     def d_top(self, metric: Metric) -> Form:
         """d(Omega^{n-1}); zero exactly on balanced metrics."""
         if self._d_top is None:
-            self._d_top = self._linear_map(self.se.d, self.n - 1)
+            self._d_top = self._linear_map((self.se._d_rank,), self.n - 1)
         return self._evaluate(self._d_top, 2 * self.n - 1, metric)
 
 

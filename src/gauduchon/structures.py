@@ -7,10 +7,11 @@ over a real coframe e1..em, optionally carrying an almost complex
 structure J, and complex_frame_from_real converts (coframe, J) into a
 complex coframe with d transported.
 
-The derivation is a Gaussian-integer kernel: each structure converts its
-rank differentials to int numerators over one denominator once
-(_rank_table), and a call accumulates every product as plain ints with
-bitmask merges, as forms.wedge does.
+The derivation is one Gaussian-integer kernel, _derive: each structure
+converts its rank differentials to ints over one denominator once
+(_rank_table), and the kernel maps int sums over rank bitmasks to int sums,
+as forms.wedge does.  d, partial, dbar and ddbar wrap it for Forms, and
+hermitian.CompiledMaps feeds it the basis monomials of Omega^p as masks.
 """
 
 from __future__ import annotations
@@ -27,20 +28,13 @@ from .errors import (
     NotIntegrable,
     ensure,
 )
-from .forms import (
-    Form,
-    _form_of_sums,
-    _mask,
-    _parity_mask,
-    conj_rank,
-    holo_rank,
-    substitute,
-)
+from .forms import Form, _form_of_sums, _mask, _parity_mask, _ranks, conj_rank, holo_rank
+from .forms import substitute
 from .scalars import I, ONE, _to_ints, cr
 
 
 def _rank_table(d_of_rank: List[Form]) -> tuple:
-    """Rank-level differentials as ints over one denominator, for _derivation.
+    """Rank-level differentials as ints over one denominator, for _derive.
 
     Returns (D, rows): rows[r] lists (mask, parity mask, a, b) for every
     term (a + ib)/D of the differential of rank r (rows[0] is unused).
@@ -53,37 +47,44 @@ def _rank_table(d_of_rank: List[Form]) -> tuple:
     return d, rows
 
 
-def _derivation(f: Form, table: tuple, max_rank: int) -> Form:
-    """Extend rank-level differentials (a _rank_table) to an odd derivation on forms."""
+def _derive(sums: Dict[int, list], tables: tuple) -> tuple:
+    """The derivation kernel: int sums {mask: [re, im]} through each _rank_table
+    in turn, as (image sums, the product of the tables' denominators)."""
+    den = 1
+    for dt, rows in tables:
+        out: Dict[int, list] = {}
+        for mask, (x, y) in sums.items():
+            for t, rank in enumerate(_ranks(mask)):
+                rest = mask ^ (1 << rank)
+                # d(rank) has even degree, so moving it to the front costs no
+                # sign; taking rank out of position t costs (-1)^t
+                for m2, p2, u, v in rows[rank]:
+                    if m2 & rest:
+                        continue
+                    if (t + (p2 & rest).bit_count()) & 1:
+                        u, v = -u, -v
+                    re, im = x * u - y * v, x * v + y * u
+                    m = m2 | rest
+                    acc = out.get(m)
+                    if acc is None:
+                        out[m] = [re, im]
+                    else:
+                        acc[0] += re
+                        acc[1] += im
+        sums, den = out, den * dt
+    return sums, den
+
+
+def _derivation(f: Form, tables: tuple, max_rank: int) -> Form:
+    """Apply the odd derivations of rank-level differentials (_rank_tables) in order."""
     if f.is_zero:
         return Form.zero()
     if f.max_rank() > max_rank:
-        raise DimensionMismatch(
-            f"form uses rank {f.max_rank()} but the coframe has {max_rank} generators"
-        )
-    dt, rows = table
+        raise DimensionMismatch(f"form uses rank {f.max_rank()} but the coframe has "
+                                f"{max_rank} generators")
     df, terms = _to_ints(f.terms.items())
-    sums: Dict[int, list] = {}
-    for mon, x, y in terms:
-        mask = _mask(mon)
-        for t, rank in enumerate(mon):
-            rest = mask ^ (1 << rank)
-            # d(rank) has even degree, so moving it to the front costs no
-            # sign; taking rank out of position t costs (-1)^t
-            for m2, p2, u, v in rows[rank]:
-                if m2 & rest:
-                    continue
-                if (t + (p2 & rest).bit_count()) & 1:
-                    u, v = -u, -v
-                re, im = x * u - y * v, x * v + y * u
-                m = m2 | rest
-                acc = sums.get(m)
-                if acc is None:
-                    sums[m] = [re, im]
-                else:
-                    acc[0] += re
-                    acc[1] += im
-    return _form_of_sums(f.degree + 1, sums, df * dt)
+    sums, den = _derive({_mask(mon): (x, y) for mon, x, y in terms}, tables)
+    return _form_of_sums(f.degree + len(tables), sums, df * den)
 
 
 def _is_unimodular(d, m: int) -> bool:
@@ -145,18 +146,19 @@ class StructureEquations:
     # -- differentials -----------------------------------------------------
 
     def d(self, f: Form) -> Form:
-        return _derivation(f, self._d_rank, 2 * self.n)
+        return _derivation(f, (self._d_rank,), 2 * self.n)
 
     def partial(self, f: Form) -> Form:
         """The (p+1,q)-part of d on each pure-(p,q) component."""
-        return _derivation(f, self._del_rank, 2 * self.n)
+        return _derivation(f, (self._del_rank,), 2 * self.n)
 
     def dbar(self, f: Form) -> Form:
         """The (p,q+1)-part of d on each pure-(p,q) component."""
-        return _derivation(f, self._dbar_rank, 2 * self.n)
+        return _derivation(f, (self._dbar_rank,), 2 * self.n)
 
     def ddbar(self, f: Form) -> Form:
-        return self.partial(self.dbar(f))
+        """partial(dbar(f)), both in one kernel call."""
+        return _derivation(f, (self._dbar_rank, self._del_rank), 2 * self.n)
 
     # -- global properties ---------------------------------------------------
 
@@ -214,7 +216,7 @@ class RealLieAlgebra:
                 raise NotAlmostComplex("J^2 != -Id")
 
     def d(self, f: Form) -> Form:
-        return _derivation(f, self._d_rank, self.m)
+        return _derivation(f, (self._d_rank,), self.m)
 
     def is_unimodular(self) -> bool:
         return _is_unimodular(self.d, self.m)

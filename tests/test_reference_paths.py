@@ -21,7 +21,7 @@ import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -347,6 +347,46 @@ class TestCompiledMaps:
         x, memo = metric.x, {}
         for rows, cols in index_pairs(n):
             assert metric.minor(rows, cols) == ref_minor(x, rows, cols, memo)
+
+
+def map_by_basis_monomials(se, op, p):
+    """op(Omega^p) by the per-monomial compile the kernel replaced:
+    {monomial: {(rows, cols): coefficient}}, op applied to the Form of each
+    basis monomial m_JK and scaled by p!."""
+    out = {}
+    for rows in itertools.combinations(range(se.n), p):
+        for cols in itertools.combinations(range(se.n), p):
+            basis = Form.monomial(r for j, k in zip(rows, cols)
+                                  for r in (forms.holo_rank(j + 1), forms.conj_rank(k + 1)))
+            for mon, c in op(basis).terms.items():
+                out.setdefault(mon, {})[(rows, cols)] = c * factorial(p)
+    return out
+
+
+def map_as_rationals(lmap):
+    """A compiled (p, D, {monomial: [(index, a, b)]}) as {monomial: {index: (a + ib)/D}}."""
+    _, d, entries_of = lmap
+    return {mon: {key: ComplexRational(Fraction(a, d), Fraction(b, d)) for key, a, b in entries}
+            for mon, entries in entries_of.items()}
+
+
+class TestKernelCompile:
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_maps_match_the_per_monomial_compile(self, name, se):
+        n = se.n
+        maps = CompiledMaps.of(se)
+        for p in range(1, n):
+            assert map_as_rationals(maps._ddbar_map(p)) == map_by_basis_monomials(
+                se, se.ddbar, p), (name, p)
+        maps.d_top(hermitian.Metric.diagonal(n))
+        assert map_as_rationals(maps._d_top) == map_by_basis_monomials(se, se.d, n - 1), name
+
+    def test_entries_exercise_nonzero_maps_of_every_kind(self):
+        entries = dict(compiled_entries())
+        n5, nonuni, jt = entries["bench/n5.dsl"], entries["non-unimodular3"], entries["jt(1/2)"]
+        assert all(map_by_basis_monomials(n5, n5.ddbar, p) for p in (1, 2, 3))
+        assert map_by_basis_monomials(nonuni, nonuni.ddbar, 2)  # p = n - 1
+        assert map_by_basis_monomials(jt, jt.d, 2)
 
 
 class TestBumpDiagonal:
