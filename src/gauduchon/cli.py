@@ -58,6 +58,8 @@ def _load_json(path: str, build):
             raise BadParams(f"malformed JSON in {path}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise BadParams(f"malformed JSON in {path}: {exc}") from None
+        except ZeroDivisionError:
+            raise BadParams(f"malformed JSON in {path}: a zero denominator") from None
 
 
 def _load_structure(path: str):
@@ -126,6 +128,25 @@ def cmd_search(args) -> int:
     return 0
 
 
+# the value parser of each parameter type that catalog.list_families() declares
+_PARAM_PARSERS = {"0|1": int, "1|-1": int, "int": int, "rational": Fraction,
+                  "nonzero rational": Fraction, "complex": dsl.parse_complex_literal}
+
+
+def _family_params(name: str, declared: dict, items: list) -> dict:
+    """--param key=value items, each value parsed by the type declared for key."""
+    params = {}
+    for item in items:
+        key, _, value = item.partition("=")
+        try:
+            params[key] = _PARAM_PARSERS[declared[key]](value)
+        except (BadInput, KeyError, ValueError, ZeroDivisionError):
+            takes = ", ".join(f"{k} ({kind})" for k, kind in declared.items())
+            raise BadParams(f"catalog emit {name}: bad --param {item}; {name} takes "
+                            f"{takes or 'no parameters'}") from None
+    return params
+
+
 def cmd_catalog(args) -> int:
     if args.action == "list":
         listing = catalog.list_families()
@@ -140,16 +161,9 @@ def cmd_catalog(args) -> int:
         contact = catalog.CONTACT_ENTRIES[name]()
         _write(_dump(sasakian.contact_to_json(contact)) + "\n", args.out)
         return 0
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if key in ("eps", "rho", "n", "sign"):
-            params[key] = int(value)
-        elif key in ("x", "y", "t", "p", "q"):
-            params[key] = Fraction(value)
-        else:
-            params[key] = dsl.parse_complex_literal(value)
-    se = catalog.build(name, **params)
+    spec = catalog.list_families().get(name)
+    params = _family_params(name, spec["params"], args.param or []) if spec else {}
+    se = catalog.build(name, **params)  # an unknown family raises here
     text = dsl.format_structure(se)
     _write(text, args.out)
     return 0

@@ -450,6 +450,46 @@ class TestInputErrors:
         assert main(["catalog", "emit", "jt", "--param", "t=1/0"]) == 2
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, line", [
+        (["catalog", "emit", "jt", "--param", "t=1/0"],
+         "catalog emit jt: bad --param t=1/0; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "jt", "--param", "t"],
+         "catalog emit jt: bad --param t; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "jt", "--param", "t=abc"],
+         "catalog emit jt: bad --param t=abc; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "abelian", "--param", "n=abc"],
+         "catalog emit abelian: bad --param n=abc; abelian takes n (int)"),
+        (["catalog", "emit", "abelian", "--param", "n=1/2"],
+         "catalog emit abelian: bad --param n=1/2; abelian takes n (int)"),
+        (["catalog", "emit", "reduced6", "--param", "x=1/0"],
+         "catalog emit reduced6: bad --param x=1/0; reduced6 takes rho (0|1), B (complex), "
+         "x (rational), y (rational)"),
+        (["catalog", "emit", "nilpotent6", "--param", "A=1/0"],
+         "catalog emit nilpotent6: bad --param A=1/0; nilpotent6 takes eps (0|1), rho (0|1), "
+         "A (complex), B (complex), C (complex), D (complex)"),
+        (["catalog", "emit", "nonnilpotent6", "--param", "sign=+"],
+         "catalog emit nonnilpotent6: bad --param sign=+; nonnilpotent6 takes eps (0|1), "
+         "sign (1|-1)"),
+        (["catalog", "emit", "family8", "--param", "p=1+i"],
+         "catalog emit family8: bad --param p=1+i; family8 takes p (rational), q (rational)"),
+        (["catalog", "emit", "jt", "--param", "x=1"],
+         "catalog emit jt: bad --param x=1; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "iwasawa", "--param", "t=1"],
+         "catalog emit iwasawa: bad --param t=1; iwasawa takes no parameters"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_bad_param_line_names_the_family_and_parameter(self, capsys, argv, line):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("cell", [{"re": "0", "im": "1/0"}, {"re": "1/0", "im": "1"}])
+    def test_zero_denominator_in_a_metric_names_the_file(self, jt_file, tmp_path, capsys, cell):
+        cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
+        cells[1][2] = cell
+        path = write(tmp_path / "zero-den.json", json.dumps({"n": 3, "X": cells}))
+        assert main(["classify", "--structure", jt_file, "--metric", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed JSON in {path}: a zero denominator\n")
+
     @pytest.mark.parametrize(
         "command, flag, doc",
         [
