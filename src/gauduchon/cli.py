@@ -138,9 +138,12 @@ def _family_params(name: str, declared: dict, items: list) -> dict:
     params = {}
     for item in items:
         key, _, value = item.partition("=")
+        kind = declared.get(key)
         try:
-            params[key] = _PARAM_PARSERS[declared[key]](value)
-        except (BadInput, KeyError, ValueError, ZeroDivisionError):
+            if kind is None:
+                raise ValueError(f"no parameter {key}")
+            params[key] = _PARAM_PARSERS[kind](value)
+        except (BadInput, ValueError, ZeroDivisionError):
             takes = ", ".join(f"{k} ({kind})" for k, kind in declared.items())
             raise BadParams(f"catalog emit {name}: bad --param {item}; {name} takes "
                             f"{takes or 'no parameters'}") from None

@@ -481,6 +481,13 @@ class TestInputErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 
+    def test_every_declared_parameter_type_has_a_parser(self):
+        from gauduchon.cli import _PARAM_PARSERS
+
+        kinds = {kind for spec in catalog.list_families().values()
+                 for kind in spec["params"].values()}
+        assert kinds == set(_PARAM_PARSERS)
+
     @pytest.mark.parametrize("cell", [{"re": "0", "im": "1/0"}, {"re": "1/0", "im": "1"}])
     def test_zero_denominator_in_a_metric_names_the_file(self, jt_file, tmp_path, capsys, cell):
         cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
