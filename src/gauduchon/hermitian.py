@@ -329,7 +329,7 @@ class CompiledMaps:
                     for r in (2 * j + 1, 2 * k + 2):  # w^(j+1), ~w^(k+1)
                         sign ^= (mask >> r).bit_count()  # ranks above r, placed before it
                         mask |= 1 << r
-                sums, den = _derive({mask: (-scale if sign & 1 else scale, 0)}, tables)
+                sums, _ = _derive({mask: (-scale if sign & 1 else scale, 0)}, tables)
                 for m, (a, b) in sums.items():
                     if a or b:
                         out.setdefault(m, []).append(((rows, cols), a, b))
