@@ -128,13 +128,28 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _checked(parse, accept):
+    """parse, raising ValueError on a value that accept rejects."""
+    def parse_checked(text):
+        value = parse(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+    return parse_checked
+
+
 # the value parser of each parameter type that catalog.list_families() declares
-_PARAM_PARSERS = {"0|1": int, "1|-1": int, "int": int, "rational": Fraction,
-                  "nonzero rational": Fraction, "complex": dsl.parse_complex_literal}
+_PARAM_PARSERS = {"0|1": _checked(int, lambda v: v in (0, 1)),
+                  "1|-1": _checked(int, lambda v: v in (1, -1)),
+                  "int": int, "rational": Fraction,
+                  "nonzero rational": _checked(Fraction, bool),
+                  "complex": dsl.parse_complex_literal}
 
 
 def _family_params(name: str, declared: dict, items: list) -> dict:
-    """--param key=value items, each value parsed by the type declared for key."""
+    """--param key=value items, each value parsed by the type declared for key;
+    every declared parameter is required."""
+    takes = ", ".join(f"{k} ({kind})" for k, kind in declared.items()) or "no parameters"
     params = {}
     for item in items:
         key, _, value = item.partition("=")
@@ -144,9 +159,12 @@ def _family_params(name: str, declared: dict, items: list) -> dict:
                 raise ValueError(f"no parameter {key}")
             params[key] = _PARAM_PARSERS[kind](value)
         except (BadInput, ValueError, ZeroDivisionError):
-            takes = ", ".join(f"{k} ({kind})" for k, kind in declared.items())
             raise BadParams(f"catalog emit {name}: bad --param {item}; {name} takes "
-                            f"{takes or 'no parameters'}") from None
+                            f"{takes}") from None
+    missing = [key for key in declared if key not in params]
+    if missing:
+        raise BadParams(f"catalog emit {name}: missing --param {', '.join(missing)}; "
+                        f"{name} takes {takes}")
     return params
 
 
@@ -165,8 +183,13 @@ def cmd_catalog(args) -> int:
         _write(_dump(sasakian.contact_to_json(contact)) + "\n", args.out)
         return 0
     spec = catalog.list_families().get(name)
-    params = _family_params(name, spec["params"], args.param or []) if spec else {}
-    se = catalog.build(name, **params)  # an unknown family raises here
+    items = args.param or []
+    params = _family_params(name, spec["params"], items) if spec else {}
+    try:
+        se = catalog.build(name, **params)  # an unknown family raises UnknownFamily here
+    except BadParams as exc:  # a domain check of the family's builder
+        given = " ".join(f"--param {item}" for item in items)
+        raise BadParams(f"catalog emit {name}: {exc} ({given})") from None
     text = dsl.format_structure(se)
     _write(text, args.out)
     return 0

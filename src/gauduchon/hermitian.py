@@ -99,21 +99,24 @@ class Metric:
         """The metric with x_jj raised by i*amount.
 
         A minor involves x_jj only if j is among both its rows and its
-        columns, so every other memoised minor carries over, rescaled by
-        (D'/D)^p when the bump's denominator raises D to D'.
+        columns, so every other memoised minor carries over as it is, or
+        rescaled by (D'/D)^p, with the powers listed once, when the bump's
+        denominator raises D to D'.
         """
         num, den = self._num, self._den
         p, q = _rational_parts(amount)
         new_den = lcm(den, q)
         f = new_den // den
+        minors = {key: val for key, val in self._minors.items()
+                  if j not in key[0] or j not in key[1]}
         if f != 1:
             num = [[(a * f, b * f) for a, b in r] for r in num]
+            scale = [f ** t for t in range(self.n + 1)]
+            minors = {(rows, cols): (re * scale[len(rows)], im * scale[len(rows)])
+                      for (rows, cols), (re, im) in minors.items()}
         row = num[j][:]
         a, b = row[j]
         row[j] = (a, b + p * (new_den // q))
-        minors = {(rows, cols): (re * f ** len(rows), im * f ** len(rows))
-                  for (rows, cols), (re, im) in self._minors.items()
-                  if j not in rows or j not in cols}
         return Metric._of_ints(num[:j] + [row] + num[j + 1:], new_den, minors)
 
     @staticmethod
@@ -415,9 +418,24 @@ def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
     return CompiledMaps.of(se).top(metric, k)
 
 
+# i (-i)^n (a + ib) as (re, im), for n mod 4
+_QUARTER_TURNS = (
+    lambda a, b: (-b, a),
+    lambda a, b: (a, b),
+    lambda a, b: (b, -a),
+    lambda a, b: (-a, -b),
+)
+
+
 def _numerator(top: ComplexRational, n: int) -> Fraction:
-    """The real scalar (i/2) (-i)^n top."""
-    return ((I / cr(2)) * (-I) ** n * top).real_part()
+    """The real scalar (i/2) (-i)^n top, read off top's ints (a + ib)/d.
+
+    i (-i)^n is one of i, 1, -i, -1, so the product's real and imaginary
+    parts are a and b up to sign and order; the imaginary part must vanish.
+    """
+    re, im = _QUARTER_TURNS[n & 3](top._a, top._b)
+    ensure(not im, "the Gauduchon numerator is not real")
+    return Fraction(re, 2 * top._d)
 
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:

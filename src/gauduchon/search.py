@@ -2,14 +2,17 @@
 
 Sampling draws -iX = M M* + delta I with small rational M, which is positive
 definite by construction and computed in plain ints (4M is Gaussian-integral).
+The entries of M are drawn straight from rng.getrandbits, with the calls that
+randint(-8, 8) and choice((1, 2, 4)) make, so a seed gives the same stream.
 Every sample is tested in exact arithmetic, with the target's predicate first
 and the positivity check (Sylvester's criterion on the metric's minors) only
 on a hit.  For targets asking a scalar to
 vanish, the closing move raises one diagonal entry, which keeps positivity.
-The Gauduchon numerator is affine in x_jj unless j is in the rows and the
-columns of both minors of some term c det X_a det X_b, so the affine root
-along that line is only a candidate, and the exact re-check decides.
-Each bumped metric carries over the minors the bump leaves unchanged.
+The Gauduchon numerator, read off the top coefficient's ints, is affine in
+x_jj unless j is in the rows and the columns of both minors of some term
+c det X_a det X_b, so the affine root along that line is only a candidate,
+and the exact re-check decides.  Each bumped metric carries over the minors
+the bump leaves unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric
@@ -121,18 +124,27 @@ class SearchOutcome:
 def sample_positive_metric(rng: random.Random, n: int) -> Metric:
     """X = i (M M* + delta I) with small rational M; exactly positive.
 
-    Each entry p/q + i r/s of M has q, s in {1, 2, 4}, so 4M is a matrix of
-    Gaussian integers and D H = (D/16) (4M)(4M)* + I, for delta = 1/D, is
-    plain int arithmetic; X = iH is handed to the Metric as Gaussian-int
+    Each entry p/q + i r/s of M has p, r in -8..8 and q, s in {1, 2, 4},
+    drawn in the order p, q, r, s as randint(-8, 8) and choice((1, 2, 4))
+    draw them, but straight from rng.getrandbits: the same calls, so the
+    same stream (a 5-bit draw redrawn while >= 17, then a 2-bit draw redrawn
+    while 3).  4M is then a matrix of Gaussian integers, 4 p/q = p << (2 - e)
+    for q = 2**e, and D H = (D/16) (4M)(4M)* + I, for delta = 1/D, is plain
+    int arithmetic; X = iH is handed to the Metric as Gaussian-int
     numerators over D, skew-Hermitian by construction.
     """
-    def entry():
-        # p/q + i r/s, drawn in this order, as the Gaussian integer 4(p/q + i r/s)
-        p, q = rng.randint(-8, 8), rng.choice((1, 2, 4))
-        r, s = rng.randint(-8, 8), rng.choice((1, 2, 4))
-        return 4 // q * p, 4 // s * r
-
-    g = [[entry() for _ in range(n)] for _ in range(n)]
+    bits = rng.getrandbits
+    parts = []  # 4p/q, 4r/s, ... for the entries of M row by row
+    for _ in range(2 * n * n):
+        p = bits(5)
+        while p >= 17:
+            p = bits(5)
+        e = bits(2)
+        while e == 3:
+            e = bits(2)
+        parts.append((p - 8) << (2 - e))
+    entries = list(zip(parts[::2], parts[1::2]))
+    g = [entries[n * j:n * (j + 1)] for j in range(n)]
     d = POSITIVITY_PADDING.denominator
     x = [[None] * n for _ in range(n)]
     for j in range(n):
@@ -183,20 +195,20 @@ def close_scalar_zero(
 ) -> Optional[Metric]:
     """Exact zero of the scalar along a diagonal ray, or None.
 
-    Raising a diagonal entry of -iX preserves positivity.  Where the scalar
-    and its unit difference in some u_j = -i x_{jj} have opposite signs, the
-    affine root is a candidate; the scalar may be quadratic in u_j, so the
-    candidate is kept only if it is positive and the scalar there is zero.
+    Raising a diagonal entry of -iX preserves positivity.  Where a unit
+    bump of some u_j = -i x_{jj} moves the scalar from the base strictly in
+    the direction of zero, the affine root base / (base - moved) is a candidate; the
+    scalar may be quadratic in u_j, so the candidate is kept only if it is
+    positive and the scalar there is zero.
     """
     base = scalar(metric)
     if base == 0:
         return metric
-    n = metric.n
-    for j in range(n):
-        slope = scalar(metric.bump_diagonal(j, 1)) - base
-        if slope != 0 and (slope > 0) != (base > 0):
-            root = -base / slope
-            candidate = metric.bump_diagonal(j, root)
+    rising = base < 0  # the root lies where a unit bump moves the scalar up
+    for j in range(metric.n):
+        moved = scalar(metric.bump_diagonal(j, 1))
+        if base < moved if rising else moved < base:
+            candidate = metric.bump_diagonal(j, base / (base - moved))
             if candidate.is_positive() and scalar(candidate) == 0:
                 return candidate
     return None

@@ -476,6 +476,23 @@ class TestInputErrors:
          "catalog emit jt: bad --param x=1; jt takes t (nonzero rational)"),
         (["catalog", "emit", "iwasawa", "--param", "t=1"],
          "catalog emit iwasawa: bad --param t=1; iwasawa takes no parameters"),
+        (["catalog", "emit", "nonnilpotent6", "--param", "eps=2"],
+         "catalog emit nonnilpotent6: bad --param eps=2; nonnilpotent6 takes eps (0|1), "
+         "sign (1|-1)"),
+        (["catalog", "emit", "nonnilpotent6", "--param", "eps=1", "--param", "sign=0"],
+         "catalog emit nonnilpotent6: bad --param sign=0; nonnilpotent6 takes eps (0|1), "
+         "sign (1|-1)"),
+        (["catalog", "emit", "nonnilpotent6", "--param", "eps=1"],
+         "catalog emit nonnilpotent6: missing --param sign; nonnilpotent6 takes eps (0|1), "
+         "sign (1|-1)"),
+        (["catalog", "emit", "family8"],
+         "catalog emit family8: missing --param p, q; family8 takes p (rational), q (rational)"),
+        (["catalog", "emit", "jt", "--param", "t=0"],
+         "catalog emit jt: bad --param t=0; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "jt", "--param", "t=0/5"],
+         "catalog emit jt: bad --param t=0/5; jt takes t (nonzero rational)"),
+        (["catalog", "emit", "abelian", "--param", "n=0"],
+         "catalog emit abelian: n must be at least 1, got 0 (--param n=0)"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_bad_param_line_names_the_family_and_parameter(self, capsys, argv, line):
         assert main(argv) == 2

@@ -13,13 +13,19 @@ and the LDL* pivots are plain-int arithmetic; their references are the
 Fraction formulas and the Fraction-pivot LDL* they replaced.  wedge, the
 derivations, the Lefschetz contraction and the metric minors are
 Gaussian-integer kernels; their references are the per-term
-ComplexRational loops and the LDL* positivity test they replaced.
+ComplexRational loops and the LDL* positivity test they replaced.  The
+search's sampler draws from getrandbits, the Gauduchon numerator is read
+off the top coefficient's ints and the closing move compares the bumped
+scalar with the base; their references are the randint/choice sampler,
+the ComplexRational product and the -base/slope rule they replaced.
 """
 
 import dataclasses
 import importlib.util
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
 from pathlib import Path
@@ -29,7 +35,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import BadParams, NotPositive, ensure
+from gauduchon.errors import BadParams, ClaimFailure, NotPositive, ensure
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     CompiledMaps,
@@ -407,6 +413,158 @@ class TestBumpDiagonal:
                 for rows, cols in pairs:
                     want = ref_minor(x, rows, cols, memo)
                     assert bumped.minor(rows, cols) == fresh.minor(rows, cols) == want
+
+
+def randint_sample_positive_metric(rng, n):
+    """The sampler as it drew through randint(-8, 8) and choice((1, 2, 4))."""
+    def entry():
+        p, q = rng.randint(-8, 8), rng.choice((1, 2, 4))
+        r, s = rng.randint(-8, 8), rng.choice((1, 2, 4))
+        return 4 // q * p, 4 // s * r
+
+    g = [[entry() for _ in range(n)] for _ in range(n)]
+    d = search.POSITIVITY_PADDING.denominator
+    x = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            re = im = 0
+            for (a, b), (c, e) in zip(g[j], g[k]):
+                re += a * c + b * e
+                im += b * c - a * e
+            re, im = d // 16 * re + (j == k), d // 16 * im
+            x[j][k] = (-im, re)
+            if j != k:
+                x[k][j] = (im, re)
+    return hermitian.Metric._of_ints(x, d)
+
+
+class TestSamplerDraws:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_getrandbits_draws_match_randint_and_choice(self, n):
+        for seed in range(200):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):  # the second call starts mid-stream
+                new = sample_positive_metric(new_rng, n)
+                old = randint_sample_positive_metric(old_rng, n)
+                assert (new._num, new._den) == (old._num, old._den), (n, seed)
+                assert new_rng.getstate() == old_rng.getstate(), (n, seed)
+
+    def test_one_sample_literally(self):
+        metric = sample_positive_metric(random.Random(1), 3)
+        assert metric._den == 1024
+        assert metric._num == [
+            [(0, 48641), (-25984, 19968), (-14848, 14592)],
+            [(25984, 19968), (0, 37761), (27776, 37120)],
+            [(14848, 14592), (-27776, 37120), (0, 91393)],
+        ]
+
+
+def numerator_by_product(top, n):
+    """(i/2) (-i)^n top, multiplied out in ComplexRational."""
+    return ((I / cr(2)) * (-I) ** n * top).real_part()
+
+
+class TestNumerator:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])  # every n mod 4, and 0 again
+    def test_matches_the_complex_product(self, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            value = rand_rational(rng)
+            # top = 2 (-i)^-n (-i) value makes (i/2) (-i)^n top = value real
+            top = cr(2) * cr(value) * I ** n * (-I)
+            assert hermitian._numerator(top, n) == numerator_by_product(top, n) == value
+        assert hermitian._numerator(ZERO, n) == 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_non_real_product_fails_the_check(self, n):
+        top = cr(2) * I ** n * (-I) * ComplexRational(1, Fraction(1, 3))
+        with pytest.raises(ClaimFailure):
+            hermitian._numerator(top, n)
+        with pytest.raises(ValueError):
+            numerator_by_product(top, n)
+
+    def test_non_real_product_fails_under_python_O(self):
+        src = str(Path(hermitian.__file__).resolve().parents[1])
+        code = ("from gauduchon import hermitian\n"
+                "from gauduchon.errors import ClaimFailure\n"
+                "from gauduchon.scalars import ComplexRational\n"
+                "for n in range(4):\n"
+                "    try:\n"
+                "        hermitian._numerator(ComplexRational(1, 1), n)\n"
+                "    except ClaimFailure:\n"
+                "        continue\n"
+                "    raise SystemExit(f'no ClaimFailure at n = {n}')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def close_by_slope(metric, scalar):
+    """close_scalar_zero as it tested a separate slope Fraction and took -base/slope."""
+    base = scalar(metric)
+    if base == 0:
+        return metric
+    for j in range(metric.n):
+        slope = scalar(metric.bump_diagonal(j, 1)) - base
+        if slope != 0 and (slope > 0) != (base > 0):
+            candidate = metric.bump_diagonal(j, -base / slope)
+            if candidate.is_positive() and scalar(candidate) == 0:
+                return candidate
+    return None
+
+
+def last_diagonal(offset, sign):
+    """sign (u_n - offset) for -iX = (u_jk): flat along every other diagonal entry."""
+    def scalar(metric):
+        return sign * (metric.minus_i_x()[-1][-1].real_part() - offset)
+    return scalar
+
+
+class TestClosingStep:
+    @pytest.mark.parametrize("sign", [1, -1], ids=["rising", "falling"])
+    def test_flat_slopes_come_before_the_root(self, sign):
+        rng = random.Random(7)
+        for n in (2, 3, 4):
+            for _ in range(5):
+                metric = sample_positive_metric(rng, n)
+                u = metric.minus_i_x()[-1][-1].real_part()
+                for offset in (u + Fraction(5, 3), u - Fraction(1, 7)):
+                    scalar = last_diagonal(offset, sign)
+                    out = search.close_scalar_zero(metric, scalar)
+                    ref = close_by_slope(metric, scalar)
+                    if offset > u and sign == 1 or offset < u and sign == -1:
+                        assert scalar(metric) < 0
+                    else:
+                        assert scalar(metric) > 0
+                    if offset > u:  # raising u_n reaches the zero
+                        assert out is not None and out == ref and scalar(out) == 0
+                    else:
+                        assert out is None and ref is None
+
+    def test_zero_base_returns_the_metric(self):
+        metric = sample_positive_metric(random.Random(3), 3)
+        u = metric.minus_i_x()[-1][-1].real_part()
+        assert search.close_scalar_zero(metric, last_diagonal(u, 1)) is metric
+
+    @pytest.mark.parametrize("se, k, sign, closes", [
+        pytest.param(catalog.family8(2, 0), 1, 1, True, id="family8(2,0) falling"),
+        pytest.param(catalog.family8(2, 0), 1, -1, True, id="family8(2,0) rising"),
+        pytest.param(catalog.family8(-1, 1), 1, 1, False, id="family8(-1,1) no slope rises"),
+        pytest.param(sasakian.bundle_extend(catalog.solvable5_contact()).structure, 1, 1, False,
+                     id="solvable5-bundle quadratic along x_33"),
+        pytest.param(dsl.parse_structure((BENCH / "n5.dsl").read_text()), 2, 1, False,
+                     id="bench/n5.dsl"),
+    ])
+    def test_gamma_numerator_zeros_match_the_slope_rule(self, se, k, sign, closes):
+        rng = random.Random(11)
+        scalar = lambda m: sign * gamma_numerator(m, k, se)  # noqa: E731
+        for _ in range(8):
+            metric = sample_positive_metric(rng, se.n)
+            out = search.close_scalar_zero(metric, scalar)
+            assert out == close_by_slope(metric, scalar)
+            assert (out is not None) is closes
+            if closes:
+                assert out.is_positive() and scalar(out) == 0 != scalar(metric)
 
 
 def target_by_reference(se, target, metric, ref):
