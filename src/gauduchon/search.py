@@ -197,9 +197,9 @@ def close_scalar_zero(
 
     Raising a diagonal entry of -iX preserves positivity.  Where a unit
     bump of some u_j = -i x_{jj} moves the scalar from the base strictly in
-    the direction of zero, the affine root base / (base - moved) is a candidate; the
-    scalar may be quadratic in u_j, so the candidate is kept only if it is
-    positive and the scalar there is zero.
+    the direction of zero, the affine root base / (base - moved) is a
+    candidate; the scalar may be quadratic in u_j, so the candidate is kept
+    only if it is positive and the scalar there is zero.
     """
     base = scalar(metric)
     if base == 0:

@@ -521,8 +521,10 @@ def last_diagonal(offset, sign):
 
 
 class TestClosingStep:
-    @pytest.mark.parametrize("sign", [1, -1], ids=["rising", "falling"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["u_n - c", "c - u_n"])
     def test_flat_slopes_come_before_the_root(self, sign):
+        # every bump but u_n's is flat; the base is negative for sign 1 and c
+        # above u_n, or sign -1 and c below, and positive otherwise
         rng = random.Random(7)
         for n in (2, 3, 4):
             for _ in range(5):
@@ -531,15 +533,10 @@ class TestClosingStep:
                 for offset in (u + Fraction(5, 3), u - Fraction(1, 7)):
                     scalar = last_diagonal(offset, sign)
                     out = search.close_scalar_zero(metric, scalar)
-                    ref = close_by_slope(metric, scalar)
-                    if offset > u and sign == 1 or offset < u and sign == -1:
-                        assert scalar(metric) < 0
-                    else:
-                        assert scalar(metric) > 0
-                    if offset > u:  # raising u_n reaches the zero
-                        assert out is not None and out == ref and scalar(out) == 0
-                    else:
-                        assert out is None and ref is None
+                    assert out == close_by_slope(metric, scalar)
+                    # raising u_n reaches the zero only when c lies above u_n
+                    assert (out is not None) is (offset > u)
+                    assert out is None or scalar(out) == 0
 
     def test_zero_base_returns_the_metric(self):
         metric = sample_positive_metric(random.Random(3), 3)
