@@ -2,9 +2,11 @@
 
 Subcommands: check, classify, search, catalog, bundle-extend, verify-paper.
 JSON is the machine interface (--json where applicable); outputs use exact
-rational strings and stable key order.  Exit codes: 0 ok; 1 a check failed
-on well-formed input; 2 bad input (a BadInput error, an unreadable path or
-malformed JSON), reported on one "error:" line.
+rational strings and stable key order.  The error type alone decides the
+exit code: 0 ok; 2 a BadInput or OSError (bad input, an unreadable path), on
+one "error:" line; 1 any other GauduchonError (a check failed on well-formed
+input), on one "check failed:" line.  Anything else is a program fault and
+propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search metric space for a target")
     p.add_argument("--structure", required=True)
     p.add_argument("--target", required=True,
-                   help="gamma1<0 | gamma1>0 | gauduchon1=0 | skt | balanced")
+                   help=" | ".join(spelling.format(k=1)
+                                   for spelling, _ in search._TARGETS.values()))
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--seed", type=_seed, default=search.DEFAULT_SEED)
     p.add_argument("--family", default=None,
@@ -285,16 +288,12 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (BadInput, OSError, ZeroDivisionError) as exc:
+    except (BadInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GauduchonError as exc:
-        # structural checks that failed on well-formed input
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: bad input ({exc})", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ a name is [A-Za-z]+.  Blanks, tabs, CR and '#' comments (to the end of the
 line) may sit between any two tokens, and a newline or ';' ends a statement:
 
     source  := stmt (separator stmt)*
-    stmt    := "n" ":" INT  |  "dw" INT ":" expr
+    stmt    := "n" ":" INT  |  "dw" INT ":" expr      (expr 0 or a 2-form)
     expr    := "0" | term (("+" | "-") term)*     (nonzero terms of one degree)
     term    := [coef "*"] mono
     mono    := gen ("^" gen)*
@@ -86,6 +86,7 @@ class _Parser:
     def parse_source(self) -> Tuple[int, Dict[int, Form]]:
         n = None
         equations: Dict[int, Form] = {}
+        offsets: Dict[int, int] = {}  # j -> offset of its 'dw' token
         while True:
             while self.peek()[0] == ";":
                 self.take()
@@ -109,6 +110,7 @@ class _Parser:
                 if j in equations:
                     self.fail(tok[2], f"duplicate dw{j}")
                 equations[j] = self.parse_expr(n)
+                offsets[j] = tok[2]
             else:
                 self.fail(tok[2], f"expected 'n' or 'dw<j>', found {tok[1]!r}")
         if n is None:
@@ -118,6 +120,10 @@ class _Parser:
         if missing:
             names = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
             raise DslSyntaxError(1, 1, f"missing equations for dw[{names}]")
+        # checked once the whole source parses, so a syntax error comes first
+        for j, form in equations.items():
+            if form and form.degree != 2:
+                self.fail(offsets[j], f"dw{j} must be a 2-form, got degree {form.degree}")
         return n, equations
 
     def parse_expr(self, n: int) -> Form:

@@ -264,7 +264,9 @@ def top_coefficient(f: Form, n: int) -> ComplexRational:
 
 
 def omega_power(omega: Form, k: int) -> Form:
-    """Omega^k; Omega^0 is the exact constant 1."""
+    """Omega^k for k >= 0; Omega^0 is the exact constant 1."""
+    if k < 0:
+        raise BadK(f"Omega^k needs k >= 0, got {k}")
     out = omega if k else Form.scalar(1)
     for _ in range(k - 1):
         out = wedge(out, omega)
@@ -576,7 +578,8 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     structure's compiled maps, sharing the metric's minors across k.  The Lee form is
     Lambda(d Omega) of the d Omega that decides Kahler, and balanced is read
     off it: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta does,
-    since L^{n-1} is injective on 1-forms.
+    since L^{n-1} is injective on 1-forms.  The report carries theta anyway;
+    search, which needs no theta, reads the cheaper compiled d(Omega^{n-1}).
     """
     _require_same_n(metric, se)
     maps = CompiledMaps.of(se)

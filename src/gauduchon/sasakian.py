@@ -29,7 +29,7 @@ from typing import Optional
 from .dsl import _index, real_form_from_json, real_form_to_json
 from .errors import BadParams, DimensionMismatch, NotQuasiSasakian
 from .forms import Form, wedge
-from .hermitian import Metric, metric_from_form
+from .hermitian import Metric, metric_from_form, omega_power
 from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros
 from .scalars import I, ONE, ZERO, cr
 from .structures import ComplexFrame, RealLieAlgebra, complex_frame_from_real
@@ -193,6 +193,8 @@ class ContactData:
             raise BadParams(f"contact data needs odd dimension >= 3, got {self.m}")
         if len(xi) != self.m or len(phi) != self.m or any(len(r) != self.m for r in phi):
             raise DimensionMismatch(f"xi needs {self.m} entries and phi {self.m} x {self.m}")
+        if F and F.degree != 2:  # the extension's d(theta) = F
+            raise BadParams(f"F must be a 2-form, got degree {F.degree}")
         self.eta = eta
         self.xi = [cr(v) for v in xi]
         self.phi = mat(phi)
@@ -330,10 +332,7 @@ def bundle_extend(contact: ContactData) -> BundleExtension:
 
     d_eta = contact.algebra.d(contact.eta)
     crit = wedge(d_eta, d_eta) + wedge(contact.F, contact.F)
-    phi_pow = Form.scalar(1)
-    for _ in range(n - 3):
-        phi_pow = wedge(phi_pow, contact.Phi)
-    crit = wedge(crit, phi_pow)
+    crit = wedge(crit, omega_power(contact.Phi, max(n - 3, 0)))
 
     # scalar against the complex orientation: crit ^ eta ^ theta compared
     # with the positively oriented real volume i^n sigma

@@ -4,9 +4,13 @@ Sampling draws -iX = M M* + delta I with small rational M, which is positive
 definite by construction and computed in plain ints (4M is Gaussian-integral).
 The entries of M are drawn straight from rng.getrandbits, with the calls that
 randint(-8, 8) and choice((1, 2, 4)) make, so a seed gives the same stream.
-Every sample is tested in exact arithmetic, with the target's predicate first
-and the positivity check (Sylvester's criterion on the metric's minors) only
-on a hit.  For targets asking a scalar to
+Each target kind is one entry of _TARGETS: its CLI spelling and its exact
+test.  Every sample is tested in exact arithmetic, with the target's test
+first and the positivity check (Sylvester's criterion on the metric's minors)
+only on a hit.  Balanced reads the compiled d(Omega^{n-1}) map; classify
+reads the Lee form instead, which cost 1.9-2.6 ms against 0.39-0.53 ms for
+one structure plus 8 samples when compiled (one probe, 2-vCPU VM), and the
+reference tests check that the two agree.  For targets asking a scalar to
 vanish, the closing move raises one diagonal entry, which keeps positivity.
 The Gauduchon numerator, read off the top coefficient's ints, is affine in
 x_jj unless j is in the rows and the columns of both minors of some term
@@ -45,13 +49,15 @@ DEFAULT_SEED = 0x5EED
 POSITIVITY_PADDING = Fraction(1, 1024)
 
 
-# Each target kind and its CLI spelling; "{k}" stands for the Gauduchon index.
+# kind -> (CLI spelling, "{k}" standing for the Gauduchon index; exact test on
+# (structure, metric, k), positivity aside).  gamma_numerator has the sign of
+# gamma_k, as n! det(-iX) > 0, and vanishes exactly with the Gauduchon form.
 _TARGETS = {
-    "gamma_negative": "gamma{k}<0",
-    "gamma_positive": "gamma{k}>0",
-    "gauduchon_zero": "gauduchon{k}=0",
-    "skt": "skt",
-    "balanced": "balanced",
+    "gamma_negative": ("gamma{k}<0", lambda se, m, k: gamma_numerator(m, k, se) < 0),
+    "gamma_positive": ("gamma{k}>0", lambda se, m, k: gamma_numerator(m, k, se) > 0),
+    "gauduchon_zero": ("gauduchon{k}=0", lambda se, m, k: gamma_numerator(m, k, se) == 0),
+    "skt": ("skt", lambda se, m, k: CompiledMaps.of(se).ddbar_power(m, 1).is_zero),
+    "balanced": ("balanced", lambda se, m, k: balanced_defect(m, se).is_zero),
 }
 
 
@@ -69,17 +75,17 @@ class Target:
     def __post_init__(self):
         if self.kind not in _TARGETS:
             raise BadParams(f"unknown target kind {self.kind!r}")
-        if "{k}" in _TARGETS[self.kind] and self.k is None:
+        if "{k}" in _TARGETS[self.kind][0] and self.k is None:
             raise BadParams(f"target {self.kind} needs k")
 
     def describe(self) -> str:
-        return _TARGETS[self.kind].format(k=self.k)
+        return _TARGETS[self.kind][0].format(k=self.k)
 
 
 def parse_target(text: str) -> Target:
     """Parse CLI target syntax: gamma1<0, gamma2>0, gauduchon1=0, skt, balanced."""
     text = text.strip()
-    for kind, spelling in _TARGETS.items():
+    for kind, (spelling, _) in _TARGETS.items():
         head, has_k, tail = spelling.partition("{k}")
         if not has_k and text == spelling:
             return Target(kind)
@@ -166,24 +172,8 @@ def sample_positive_metric(rng: random.Random, n: int) -> Metric:
 
 
 def _holds(se: StructureEquations, target: Target, metric: Metric) -> bool:
-    """The target's exact predicate, positivity aside.
-
-    The gamma targets read gamma_numerator, which has the sign of gamma_k
-    because n! det(-iX) > 0 on positive metrics, and vanishes exactly with
-    the Gauduchon form; skt reads ddbar(Omega) and balanced d(Omega^{n-1})
-    off the structure's compiled maps over X and over the cofactors.
-    """
-    if target.kind == "gamma_negative":
-        return gamma_numerator(metric, target.k, se) < 0
-    if target.kind == "gamma_positive":
-        return gamma_numerator(metric, target.k, se) > 0
-    if target.kind == "gauduchon_zero":
-        return gamma_numerator(metric, target.k, se) == 0
-    if target.kind == "skt":
-        return CompiledMaps.of(se).ddbar_power(metric, 1).is_zero
-    if target.kind == "balanced":
-        return balanced_defect(metric, se).is_zero
-    raise BadParams(target.kind)
+    """The target's exact test from _TARGETS, positivity aside."""
+    return _TARGETS[target.kind][1](se, metric, target.k)
 
 
 def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:

@@ -18,7 +18,7 @@ from math import factorial
 from typing import List, Optional
 
 from . import catalog, dsl, linalg, sasakian, search
-from .errors import ClaimFailure, NotIntegrable, ensure
+from .errors import BadParams, ClaimFailure, NotIntegrable, ensure
 from .forms import Form, wedge
 from .hermitian import (
     CompiledMaps,
@@ -667,5 +667,5 @@ def run_verify_paper(seed: int = DEFAULT_SEED, only: Optional[str] = None) -> Re
             )
         report.records.append(record)
     if only is not None and not report.records:
-        raise ValueError(f"unknown claim id {only!r}")
+        raise BadParams(f"unknown claim id {only!r}")
     return report

@@ -9,12 +9,14 @@ code, stdout and stderr.  The corpus covers:
   * ``bundle-extend`` of both contact entries, as text and ``--json``;
   * ``classify``, as text and ``--json``, for METRICS metrics per point;
   * ``search`` for every target and k, at SEEDS with budget BUDGET;
-  * ``verify-paper --json``, with every claim's elapsed time set to 0.
+  * ``verify-paper --json``, with every claim's elapsed time set to 0;
+  * one bad input per error route (BAD_INPUTS), each ending in one line on
+    stderr with exit 2, or exit 1 for the metric that is not positive.
 
 The metric files are written here from this script's own seeded draws, so
-they do not depend on the package.  Argparse usage errors are left out:
-their text differs between Python versions.  A few outputs are also kept
-literally (LITERAL), for a reader to inspect.
+they do not depend on the package.  Argparse usage errors and OSError lines
+are left out: their text differs between Python versions and systems.  A
+few outputs are also kept literally (LITERAL), for a reader to inspect.
 
 Usage, from the root of a checkout:
 
@@ -61,6 +63,41 @@ CONTACTS = ("solvable5", "heisenberg5")
 METRICS = 6
 SEEDS = (1, 2)
 BUDGET = 100
+
+
+def _cells(n: int, diagonal: str) -> list:
+    """The X rows of the metric i * diagonal * Id."""
+    return [[{"re": "0", "im": diagonal if j == k else "0"} for k in range(n)]
+            for j in range(n)]
+
+
+_ZERO_DEN = _cells(3, "1")
+_ZERO_DEN[1][2] = {"re": "0", "im": "1/0"}
+_W1 = {"re": "1", "im": "0", "mon": [["w", 1]]}
+# file name -> text, written before the BAD_INPUTS run; jt-half.dsl is the
+# corpus's own file, and bad-curvature.json its solvable5.json with the
+# closed 1-form e1 as the curvature F
+BAD_FILES = {
+    "bad-syntax.dsl": "n:2\ndw1: w1^^w2\ndw2: 0\n",
+    "bad-degree.dsl": "n: 2\ndw1: 0\ndw2: w1\n",
+    "bad-degree.json": json.dumps({"n": 2, "equations": [[], [_W1]]}),
+    "zero-den.json": json.dumps({"n": 3, "X": _ZERO_DEN}),
+    "wrong-n.json": json.dumps({"n": 2, "X": _cells(2, "1")}),
+    "negative.json": json.dumps({"n": 3, "X": _cells(3, "-1")}),
+}
+BAD_INPUTS = [
+    ["check", "--structure", "bad-syntax.dsl"],
+    ["check", "--structure", "bad-degree.dsl"],
+    ["check", "--structure", "bad-degree.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "zero-den.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "wrong-n.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "negative.json"],
+    ["search", "--structure", "jt-half.dsl", "--target", "gamma<0"],
+    ["search", "--structure", "jt-half.dsl", "--target", "skt", "--budget", "0"],
+    ["catalog", "emit", "jt", "--param", "t=0"],
+    ["verify-paper", "--only", "nope"],
+    ["bundle-extend", "--contact", "bad-curvature.json"],
+]
 
 # command line -> file holding its stdout verbatim
 LITERAL = {
@@ -160,6 +197,13 @@ def outputs():
                                    *extra])
     line, code, out, err = run(["verify-paper", "--json"])
     yield line + "  # elapsed zeroed", code, _zero_elapsed(out), err
+    for name, text in BAD_FILES.items():
+        Path(name).write_text(text)
+    contact = json.loads(Path("solvable5.json").read_text())
+    contact["F"] = [{"coef": "1", "mon": [1]}]
+    Path("bad-curvature.json").write_text(json.dumps(contact))
+    for argv in BAD_INPUTS:
+        yield run(argv)
 
 
 def digest(code: int, out: str, err: str) -> str:

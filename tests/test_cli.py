@@ -623,6 +623,25 @@ class TestInputErrors:
         assert main(["bundle-extend", "--contact", path]) == 2
         self.assert_one_line_error(capsys)
 
+    def test_differential_not_a_2_form(self, tmp_path, capsys):
+        path = write(tmp_path / "deg1.dsl", "n: 2\ndw1: 0\ndw2: w1\n")
+        assert main(["check", "--structure", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3, col 1: dw2 must be a 2-form, got degree 1\n")
+
+    def test_unknown_claim_id(self, capsys):
+        assert main(["verify-paper", "--only", "nope"]) == 2
+        assert capsys.readouterr().err == "error: unknown claim id 'nope'\n"
+
+    def test_contact_curvature_not_a_2_form(self, tmp_path, capsys):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.heisenberg5_contact())
+        doc["F"] = [{"coef": "1", "mon": [1]}]  # closed, so only its degree is wrong
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
+        assert capsys.readouterr().err == "error: F must be a 2-form, got degree 1\n"
+
     @pytest.mark.parametrize("cut", [
         lambda doc: doc["xi"].pop(),
         lambda doc: doc["phi"].pop(),
@@ -636,6 +655,21 @@ class TestInputErrors:
         path = write(tmp_path / "contact.json", json.dumps(doc))
         assert main(["bundle-extend", "--contact", path]) == 2
         self.assert_one_line_error(capsys)
+
+
+class TestEngineFaults:
+    """Only the error type decides the exit code: a builtin exception raised
+    by the engine on good input is a program fault, not bad input."""
+
+    @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError, KeyError])
+    def test_fault_in_the_compiled_maps_propagates(self, jt_file, diag_metric_file,
+                                                   monkeypatch, fault):
+        def top(self, metric, k):
+            raise fault("engine fault")
+
+        monkeypatch.setattr(gauduchon.hermitian.CompiledMaps, "top", top)
+        with pytest.raises(fault, match="engine fault"):
+            main(["classify", "--structure", jt_file, "--metric", diag_metric_file])
 
 
 class TestReplay:

@@ -89,6 +89,8 @@ GOLDEN = [
     ('n:2\ndw1: 0\n\tdw2: w1 ^ w2 \x0c', (3, 15, "unexpected character '\\x0c'")),
     ('n:2; dw1: 0; dw2: w1^w2 )', (1, 25, "expected 'name', found ')'")),
     ('n:2; dw1: 0; dw2: w1 w2', (1, 22, "expected 'n' or 'dw<j>', found 'w'")),
+    # a differential that is not a 2-form, reported at its dw token
+    ('n:2; dw1:0; dw2: w1', (1, 13, 'dw2 must be a 2-form, got degree 1')),
     ('n:2; dw1: 0; dw2: --w1^w2', (1, 20, "expected 'name', found '-'")),
     ('n:2; dw1:0; dw2: ~w1^~w2', NotIntegrable),
     ('n:3; dw1: w2^w3; dw2: w1^w3; dw3: 0', 'n: 3\ndw1: w2^w3\ndw2: w1^w3\ndw3: 0\n'),

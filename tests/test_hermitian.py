@@ -94,6 +94,13 @@ class TestMetric:
                 assert m.det_minus_i_x() > 0
 
 
+    def test_omega_power_needs_nonnegative_k(self):
+        omega = Metric.diagonal(2).fundamental_form()
+        assert omega_power(omega, 0) == Form.scalar(1)
+        with pytest.raises(BadK, match="got -1"):
+            omega_power(omega, -1)
+
+
 class TestGamma:
     def test_bad_k(self):
         with pytest.raises(BadK):

@@ -261,6 +261,20 @@ class TestBundleExtension:
             else:
                 assert (gamma > 0) == (ext.criterion_scalar > 0)
 
+    def test_three_dimensional_contact_data(self):
+        # Heisenberg 3: de3 = e12, eta = e3; the extension has n = 2, where
+        # d eta ^ d eta + F ^ F is a 4-form on three generators, so zero
+        phi = [[cr(0)] * 3 for _ in range(3)]
+        phi[1][0], phi[0][1] = cr(1), cr(-1)
+        e12 = Form(2, {(1, 2): cr(1)})
+        algebra = RealLieAlgebra(3, [Form.zero(), Form.zero(), e12])
+        contact = ContactData(algebra, Form(1, {(3,): cr(1)}), [cr(0), cr(0), cr(1)], phi,
+                              e12, e12.scale(cr(2)))
+        ext = bundle_extend(contact)
+        assert ext.structure.n == 2
+        assert ext.criterion_form.is_zero and ext.criterion_scalar == 0
+        assert ext.metric.is_positive()
+
     def test_positive_metric_and_unimodular(self):
         for contact in (catalog.solvable5_contact(), catalog.heisenberg5_contact()):
             ext = bundle_extend(contact)
