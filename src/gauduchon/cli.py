@@ -68,7 +68,11 @@ def _load_structure(path: str):
     if path.endswith(".json"):
         return _load_json(path, dsl.structure_from_json)
     with open(path, "r", encoding="utf-8") as fh:
-        return dsl.parse_structure(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
+    return dsl.parse_structure(text)
 
 
 def _load_metric(path: str) -> Metric:
@@ -192,8 +196,7 @@ def cmd_catalog(args) -> int:
     except BadParams as exc:  # a domain check of the family's builder
         given = " ".join(f"--param {item}" for item in items)
         raise BadParams(f"catalog emit {name}: {exc} ({given})") from None
-    text = dsl.format_structure(se)
-    _write(text, args.out)
+    _write(dsl.format_structure(se), args.out)
     return 0
 
 
@@ -223,8 +226,7 @@ def cmd_verify_paper(args) -> int:
         print(report.to_text())
     if report.overall:
         return 0
-    failure = report.first_failure()
-    print(f"first failing claim: {failure.claim}", file=sys.stderr)
+    print(f"first failing claim: {report.first_failure().claim}", file=sys.stderr)
     return 1
 
 

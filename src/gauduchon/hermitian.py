@@ -265,8 +265,7 @@ def top_coefficient(f: Form, n: int) -> ComplexRational:
 
 def omega_power(omega: Form, k: int) -> Form:
     """Omega^k for k >= 0; Omega^0 is the exact constant 1."""
-    if k < 0:
-        raise BadK(f"Omega^k needs k >= 0, got {k}")
+    ensure(k >= 0, "Omega^k needs k >= 0")  # every caller derives k itself
     out = omega if k else Form.scalar(1)
     for _ in range(k - 1):
         out = wedge(out, omega)

@@ -74,9 +74,9 @@ def _cells(n: int, diagonal: str) -> list:
 _ZERO_DEN = _cells(3, "1")
 _ZERO_DEN[1][2] = {"re": "0", "im": "1/0"}
 _W1 = {"re": "1", "im": "0", "mon": [["w", 1]]}
-# file name -> text, written before the BAD_INPUTS run; jt-half.dsl is the
-# corpus's own file, and bad-curvature.json its solvable5.json with the
-# closed 1-form e1 as the curvature F
+# file name -> text or bytes, written before the BAD_INPUTS run; jt-half.dsl
+# is the corpus's own file, and bad-curvature.json its solvable5.json with
+# the closed 1-form e1 as the curvature F
 BAD_FILES = {
     "bad-syntax.dsl": "n:2\ndw1: w1^^w2\ndw2: 0\n",
     "bad-degree.dsl": "n: 2\ndw1: 0\ndw2: w1\n",
@@ -84,6 +84,7 @@ BAD_FILES = {
     "zero-den.json": json.dumps({"n": 3, "X": _ZERO_DEN}),
     "wrong-n.json": json.dumps({"n": 2, "X": _cells(2, "1")}),
     "negative.json": json.dumps({"n": 3, "X": _cells(3, "-1")}),
+    "bad-encoding.dsl": b"n: 2\ndw1: 0\ndw2: 0 \xff\n",
 }
 BAD_INPUTS = [
     ["check", "--structure", "bad-syntax.dsl"],
@@ -97,6 +98,7 @@ BAD_INPUTS = [
     ["catalog", "emit", "jt", "--param", "t=0"],
     ["verify-paper", "--only", "nope"],
     ["bundle-extend", "--contact", "bad-curvature.json"],
+    ["check", "--structure", "bad-encoding.dsl"],
 ]
 
 # command line -> file holding its stdout verbatim
@@ -198,7 +200,7 @@ def outputs():
     line, code, out, err = run(["verify-paper", "--json"])
     yield line + "  # elapsed zeroed", code, _zero_elapsed(out), err
     for name, text in BAD_FILES.items():
-        Path(name).write_text(text)
+        Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
     contact = json.loads(Path("solvable5.json").read_text())
     contact["F"] = [{"coef": "1", "mon": [1]}]
     Path("bad-curvature.json").write_text(json.dumps(contact))

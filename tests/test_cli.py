@@ -629,6 +629,19 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             "error: line 3, col 1: dw2 must be a 2-form, got degree 1\n")
 
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["classify", "--metric", "m.json"],
+        ["search", "--target", "skt", "--budget", "5"],
+    ], ids=["check", "classify", "search"])
+    def test_structure_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "bytes.dsl"
+        path.write_bytes(b"\xff")
+        assert main(command + ["--structure", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n")
+
     def test_unknown_claim_id(self, capsys):
         assert main(["verify-paper", "--only", "nope"]) == 2
         assert capsys.readouterr().err == "error: unknown claim id 'nope'\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gauduchon import catalog
-from gauduchon.errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian
+from gauduchon.errors import BadK, ClaimFailure, DimensionMismatch, NotPositive, NotSkewHermitian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     Lefschetz,
@@ -93,11 +93,11 @@ class TestMetric:
                 assert got == expected == volume_coefficient(m)
                 assert m.det_minus_i_x() > 0
 
-
     def test_omega_power_needs_nonnegative_k(self):
+        # k is never user input, so k < 0 is a program fault (CLI exit 1)
         omega = Metric.diagonal(2).fundamental_form()
         assert omega_power(omega, 0) == Form.scalar(1)
-        with pytest.raises(BadK, match="got -1"):
+        with pytest.raises(ClaimFailure, match="k >= 0"):
             omega_power(omega, -1)
 
 
