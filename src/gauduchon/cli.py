@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import catalog, dsl, sasakian, search, verify
 from .errors import BadInput, BadParams, GauduchonError
 from .forms import format_real_form
-from .hermitian import Metric, classify
+from .hermitian import classify
 from .search import parse_target
 
 
@@ -75,14 +75,6 @@ def _load_structure(path: str):
     return dsl.parse_structure(text)
 
 
-def _load_metric(path: str) -> Metric:
-    return _load_json(path, dsl.metric_from_json)
-
-
-def _load_contact(path: str) -> sasakian.ContactData:
-    return _load_json(path, sasakian.contact_from_json)
-
-
 def cmd_check(args) -> int:
     se = _load_structure(args.structure)  # raises on Jacobi/integrability
     payload = {
@@ -100,7 +92,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     se = _load_structure(args.structure)
-    metric = _load_metric(args.metric)
+    metric = _load_json(args.metric, dsl.metric_from_json)
     report = classify(metric, se)
     if args.json:
         print(_dump(report.to_json()))
@@ -201,7 +193,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_bundle_extend(args) -> int:
-    contact = _load_contact(args.contact)
+    contact = _load_json(args.contact, sasakian.contact_from_json)
     ext = sasakian.bundle_extend(contact)
     payload = {
         "structure_dsl": dsl.format_structure(ext.structure),
@@ -231,22 +223,29 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its .commands maps each subcommand to its own parser."""
     parser = argparse.ArgumentParser(
         prog="gauduchon",
         description="exact invariant Hermitian geometry on Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("check", help="validate a structure-equation file")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(command=name)
+        return p
+
+    p = command("check", help="validate a structure-equation file")
     p.add_argument("--structure", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify", help="full metric-class report")
+    p = command("classify", help="full metric-class report")
     p.add_argument("--structure", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("search", help="search metric space for a target")
+    p = command("search", help="search metric space for a target")
     p.add_argument("--structure", required=True)
     p.add_argument("--target", required=True,
                    help=" | ".join(spelling.format(k=1)
@@ -259,18 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "structure: " + " | ".join(catalog.CLOSED_FORM_FAMILIES))
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("catalog", help="list families or emit DSL text")
+    p = command("catalog", help="list families or emit DSL text")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
     p.add_argument("--param", action="append",
                    help="key=value; repeat per parameter (e.g. --param t=1/2)")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("bundle-extend", help="extend contact data by a curvature form")
+    p = command("bundle-extend", help="extend contact data by a curvature form")
     p.add_argument("--contact", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-paper", help="run the bundled reproduction suite")
+    p = command("verify-paper", help="run the bundled reproduction suite")
     p.add_argument("--only", default=None, help="run a single claim id")
     p.add_argument("--seed", type=_seed, default=verify.DEFAULT_SEED)
     p.add_argument("--json", action="store_true")
@@ -284,7 +283,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    # argv that starts with a subcommand goes straight to that subcommand's
+    # parser; anything else (-h, no command, an unknown one) to the top level
+    sub = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     # looked up per call, so the cached parser holds no command function and a
     # rebinding of cmd_* in this module (e.g. by a profiler) takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]

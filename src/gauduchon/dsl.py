@@ -16,6 +16,10 @@ line) may sit between any two tokens, and a newline or ';' ends a statement:
     rat     := ["-"] INT ["/" INT]
 
 Example:  n:3; dw1:0; dw2:0; dw3: w1^w2 + w1^~w1 + (1/2+1/4i)*w1^~w2
+
+Each INT is converted once, by the tokenizer.  The grammar and the JSON
+readers sum the terms of a form into one dict (_add_term) and build one
+Form from it; a structure-JSON error names its field, as equations[j][t].re.
 """
 
 from __future__ import annotations
@@ -27,10 +31,34 @@ from itertools import islice
 from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatch, DslSyntaxError
-from .forms import Form, conj_rank, format_form, holo_rank
+from .forms import Form, conj_rank, format_form, holo_rank, sort_ranks
 from .hermitian import Metric
-from .scalars import ComplexRational
+from .scalars import I, ZERO, ComplexRational
 from .structures import StructureEquations
+
+
+def _add_term(terms: dict, ranks, coeff: ComplexRational) -> None:
+    """Add coeff times the wedge of ranks to the sum terms as Form + Form would:
+    a zero term adds nothing, a coefficient that cancels drops out, and a
+    term of another degree than the sum raises ValueError."""
+    sorted_ = sort_ranks(ranks)
+    if sorted_ is None or not coeff:
+        return
+    sign, mon = sorted_
+    degree = len(next(iter(terms), mon))
+    if len(mon) != degree:
+        raise ValueError(f"cannot add forms of degrees {degree} and {len(mon)}")
+    coeff = terms.get(mon, ZERO) + (coeff if sign > 0 else -coeff)
+    if coeff:
+        terms[mon] = coeff
+    else:
+        del terms[mon]
+
+
+def _form(terms: dict) -> Form:
+    """The Form of a sum that _add_term built."""
+    return Form(len(next(iter(terms))) if terms else None, terms)
+
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -48,22 +76,23 @@ _TOKEN = re.compile(
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        # (kind, text, offset) tuples; kind is 'int', 'name', 'end' or the punctuation
+        # (kind, text, offset, int value or None); kind is 'int', 'name', 'end' or the punctuation
         self.tokens: List[tuple] = []
         for m in _TOKEN.finditer(text):
             kind, tok = m.lastgroup, m.group()
+            value = None
             if kind == "bad":
                 self.fail(m.start(), f"unexpected character {tok!r}")
             if kind == "int":
                 try:
-                    int(tok)
+                    value = int(tok)
                 except ValueError:  # beyond the interpreter's int-string limit
                     self.fail(m.start(), f"integer literal too long ({len(tok)} digits)")
             if kind == "punct":
                 kind = tok = ";" if tok == "\n" else tok
             if kind is not None:
-                self.tokens.append((kind, tok, m.start()))
-        self.tokens.append(("end", "", len(text)))
+                self.tokens.append((kind, tok, m.start(), value))
+        self.tokens.append(("end", "", len(text), None))
         self.pos = 0
 
     def peek(self) -> tuple:
@@ -97,11 +126,11 @@ class _Parser:
                 self.take(":")
                 if n is not None:
                     self.fail(tok[2], "duplicate 'n' header")
-                n = int(self.take("int")[1])
+                n = self.take("int")[3]
                 if n < 1:
                     self.fail(tok[2], "n must be >= 1")
             elif tok[1] == "dw":
-                j = int(self.take("int")[1])
+                j = self.take("int")[3]
                 self.take(":")
                 if n is None:
                     self.fail(tok[2], "'n' header must come first")
@@ -127,7 +156,7 @@ class _Parser:
         return n, equations
 
     def parse_expr(self, n: int) -> Form:
-        kind, text, _ = self.peek()
+        kind, text = self.peek()[:2]
         if kind == "int" and text == "0" and self.tokens[self.pos + 1][0] in (";", "end"):
             self.take()
             return Form.zero()
@@ -135,17 +164,20 @@ class _Parser:
         if kind == "-":
             self.take()
             sign = -1
-        out = self.parse_term(n, sign)
+        terms: Dict[tuple, ComplexRational] = {}
+        _add_term(terms, *self.parse_term(n, sign))
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.take()[0] == "+" else -1
             offset = self.peek()[2]
-            term = self.parse_term(n, sign)
-            if out and term and term.degree != out.degree:
-                self.fail(offset, f"cannot add forms of degrees {out.degree} and {term.degree}")
-            out = out + term
-        return out
+            ranks, coeff = self.parse_term(n, sign)
+            try:
+                _add_term(terms, ranks, coeff)
+            except ValueError as exc:  # a term of another degree than the sum
+                self.fail(offset, str(exc))
+        return _form(terms)
 
-    def parse_term(self, n: int, sign: int) -> Form:
+    def parse_term(self, n: int, sign: int) -> tuple:
+        """(ranks, coefficient) of one term."""
         coeff = ComplexRational(sign)
         kind = self.peek()[0]
         if kind == "(":
@@ -156,15 +188,14 @@ class _Parser:
         elif kind == "int":
             coeff = coeff * self.parse_complex()
             self.take("*")
-        mono = self.parse_mono(n)
-        return mono.scale(coeff)
+        return self.parse_mono(n), coeff
 
-    def parse_mono(self, n: int) -> Form:
+    def parse_mono(self, n: int) -> list:
         ranks = [self.parse_gen(n)]
         while self.peek()[0] == "^":
             self.take()
             ranks.append(self.parse_gen(n))
-        return Form.monomial(ranks)
+        return ranks
 
     def parse_gen(self, n: int) -> int:
         conj = False
@@ -174,7 +205,7 @@ class _Parser:
         tok = self.take("name")
         if tok[1] != "w":
             self.fail(tok[2], f"expected generator, found {tok[1]!r}")
-        j = int(self.take("int")[1])
+        j = self.take("int")[3]
         if not 1 <= j <= n:
             self.fail(tok[2], f"generator w{j} outside 1..{n}")
         return conj_rank(j) if conj else holo_rank(j)
@@ -216,10 +247,10 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             sign = -1
-        num = int(self.take("int")[1])
+        num = self.take("int")[3]
         if self.peek()[0] == "/":
             self.take()
-            den = int(self.take("int")[1])
+            den = self.take("int")[3]
             if den == 0:
                 self.fail(self.peek()[2], "zero denominator")
             return Fraction(sign * num, den)
@@ -271,16 +302,29 @@ def _index(value) -> int:
     return j
 
 
-def _mon_from_json(spec) -> tuple:
+def _field(where: str, read):
+    """read(); a missing, mistyped or unreadable value raises ValueError
+    naming the field where."""
+    try:
+        return read()
+    except KeyError:
+        raise ValueError(f"{where}: missing") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: a zero denominator") from None
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _mon_from_json(spec, n: int) -> list:
     ranks = []
     for kind, j in spec:
-        if kind == "w":
-            ranks.append(holo_rank(_index(j)))
-        elif kind == "cw":
-            ranks.append(conj_rank(_index(j)))
-        else:
+        if kind not in ("w", "cw"):
             raise ValueError(f"bad generator kind {kind!r}")
-    return tuple(ranks)
+        j = _index(j)
+        if j > n:
+            raise ValueError(f"generator w{j} outside 1..{n}")
+        ranks.append(holo_rank(j) if kind == "w" else conj_rank(j))
+    return ranks
 
 
 def form_to_json(f: Form) -> list:
@@ -295,12 +339,18 @@ def form_to_json(f: Form) -> list:
     ]
 
 
-def form_from_json(spec) -> Form:
-    out = Form.zero()
-    for term in spec:
-        c = ComplexRational(term["re"], term["im"])
-        out = out + Form.monomial(_mon_from_json(term["mon"]), c)
-    return out
+def form_from_json(spec, n: int, j: int) -> Form:
+    """dw^j over n generators from its JSON terms {"re", "im", "mon"}."""
+    terms: Dict[tuple, ComplexRational] = {}
+    for t, term in enumerate(spec):
+        at = f"equations[{j - 1}][{t}]"
+        re = _field(at + ".re", lambda: ComplexRational(term["re"]))
+        im = _field(at + ".im", lambda: ComplexRational(term["im"]))
+        mon = _field(at + ".mon", lambda: _mon_from_json(term["mon"], n))
+        if len(mon) != 2:
+            raise ValueError(f"{at}.mon: dw{j} must be a 2-form, got degree {len(mon)}")
+        _add_term(terms, mon, re + I * im)
+    return _form(terms)
 
 
 def structure_to_json(se: StructureEquations) -> dict:
@@ -308,8 +358,11 @@ def structure_to_json(se: StructureEquations) -> dict:
 
 
 def structure_from_json(spec) -> StructureEquations:
-    n = _index(spec["n"])
-    return StructureEquations(n, [form_from_json(e) for e in spec["equations"]])
+    """A field that is missing or does not read raises ValueError naming it:
+    n, or equations[j][t].re, .im or .mon (j and t from 0)."""
+    n = _field("n", lambda: _index(spec["n"]))
+    return StructureEquations(n, [form_from_json(e, n, j)
+                                  for j, e in enumerate(spec["equations"], start=1)])
 
 
 def real_form_to_json(f: Form) -> list:
@@ -321,13 +374,10 @@ def real_form_to_json(f: Form) -> list:
 
 
 def real_form_from_json(spec) -> Form:
-    out = Form.zero()
+    terms: Dict[tuple, ComplexRational] = {}
     for term in spec:
-        out = out + Form.monomial(
-            tuple(_index(r) for r in term["mon"]),
-            ComplexRational(term["coef"]),
-        )
-    return out
+        _add_term(terms, [_index(r) for r in term["mon"]], ComplexRational(term["coef"]))
+    return _form(terms)
 
 
 def metric_to_json(metric: Metric) -> dict:

@@ -602,17 +602,7 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
                  if flag]
         names += [f"gauduchon{k}" for k, flag in sorted(gauduchon.items()) if flag]
         label = "+".join(names) if names else "hermitian"
-    return ClassReport(
-        n=n,
-        kahler=kahler,
-        skt=skt,
-        astheno=astheno,
-        balanced=balanced,
-        gauduchon=gauduchon,
-        gamma=gamma,
-        lee=lee,
-        label=label,
-    )
+    return ClassReport(n, kahler, skt, astheno, balanced, gauduchon, gamma, lee, label)
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +614,7 @@ def _binom_general(a: int, k: int) -> Fraction:
     """Binomial coefficient with integer (possibly negative) upper index."""
     if k < 0:
         return Fraction(0)
-    num = 1
-    for t in range(k):
-        num *= a - t
-    den = 1
-    for t in range(1, k + 1):
-        den *= t
-    return Fraction(num, den)
+    return Fraction(prod(a - t for t in range(k)), factorial(k))
 
 
 class Lefschetz:

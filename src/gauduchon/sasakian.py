@@ -342,12 +342,7 @@ def bundle_extend(contact: ContactData) -> BundleExtension:
     raw = top.terms.get(full, ZERO)
     orientation = _orientation_sign(frame, n, dim)
     scalar = (raw * orientation).real_part()
-    return BundleExtension(
-        frame=frame,
-        metric=metric,
-        criterion_form=crit,
-        criterion_scalar=scalar,
-    )
+    return BundleExtension(frame, metric, crit, scalar)
 
 
 def _orientation_sign(frame: ComplexFrame, n: int, dim: int) -> Fraction:

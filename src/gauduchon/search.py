@@ -110,16 +110,8 @@ class SearchOutcome:
     replay: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "target": self.target,
-            "seed": self.seed,
-            "budget": self.budget,
-            "samples_used": self.samples_used,
-            "witness": None if self.witness is None else metric_to_json(self.witness),
-            "certificate": self.certificate,
-            "replay": self.replay,
-        }
+        witness = None if self.witness is None else metric_to_json(self.witness)
+        return {**vars(self), "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +219,7 @@ def find_metric(
     used = 0
 
     def finish(status, witness=None, cert=None):
-        return SearchOutcome(
-            status=status,
-            target=target.describe(),
-            seed=seed,
-            budget=budget,
-            samples_used=used,
-            witness=witness,
-            certificate=cert,
-        )
+        return SearchOutcome(status, target.describe(), seed, budget, used, witness, cert)
 
     facts = certified(family, params)
     if target.describe() in facts:

@@ -7,11 +7,13 @@ over a real coframe e1..em, optionally carrying an almost complex
 structure J, and complex_frame_from_real converts (coframe, J) into a
 complex coframe with d transported.
 
-The derivation is one Gaussian-integer kernel, _derive: each structure
-converts its rank differentials to ints over one denominator once
-(_rank_table), and the kernel maps int sums over rank bitmasks to int sums,
-as forms.wedge does.  d, partial, dbar and ddbar wrap it for Forms, and
-hermitian.CompiledMaps feeds it the basis monomials of Omega^p as masks.
+The derivation is one Gaussian-integer kernel, _derive, which maps int sums
+over rank bitmasks to int sums through a table of the rank differentials in
+ints over one denominator, as forms.wedge does.  StructureEquations builds
+its table in one pass over the terms of the dw^j, conjugate rows derived on
+the ints, and checks integrability and Jacobi on it; RealLieAlgebra converts
+its Forms (_rank_table).  d, partial, dbar and ddbar wrap the kernel for
+Forms, and hermitian.CompiledMaps feeds it the basis monomials of Omega^p.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
     NotIntegrable,
     ensure,
 )
-from .forms import Form, _form_of_sums, _mask, _parity_mask, _ranks, conj_rank, holo_rank
-from .forms import substitute
+from .forms import Form, _form_of_sums, _mask, _parity_mask, _ranks, conj_rank, conjugate_rank
+from .forms import holo_rank, substitute
 from .scalars import I, ONE, _to_ints, cr
 
 
@@ -114,29 +116,36 @@ class StructureEquations:
         if len(d_of) != n:
             raise ValueError(f"need {n} differentials, got {len(d_of)}")
         self.n = n
-        self.d_of = list(d_of)
-        for j, df in enumerate(self.d_of, start=1):
-            if not df.is_zero and df.degree != 2:
-                raise ValueError(f"dw{j} must be a 2-form, got degree {df.degree}")
-            if df.max_rank() > 2 * n:
+        self.d_of = d_of = list(d_of)
+        # rows[2j-1] holds the terms of dw^j and rows[2j] those of its conjugate
+        den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of, start=1)
+                              for mon, c in df.terms.items())
+        rows = [[] for _ in range(2 * n + 1)]
+        flat = 0  # the first generator whose differential has a (0,2) term
+        for (j, mon), a, b in terms:
+            if len(mon) != 2:
+                raise ValueError(f"dw{j} must be a 2-form, got degree {len(mon)}")
+            r, s = mon
+            if s > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
-        # d_rank[r-1] is d of rank r; d~w^j is the conjugate of dw^j
-        d_rank = []
-        for df in self.d_of:
-            d_rank += [df, df.conjugate()]
-        self._d_rank = _rank_table(d_rank)
-        for j, df in enumerate(self.d_of, start=1):
-            res = df.component(0, 2)
-            if not res.is_zero:
-                raise NotIntegrable(j, res)
-        for j, df in enumerate(self.d_of, start=1):
-            res = self.d(df)
-            if not res.is_zero:
-                raise JacobiViolation(j, res)
+            if not (r | s) & 1:
+                flat = flat or j
+            rows[2 * j - 1].append((1 << r | 1 << s, (1 << s) - (1 << r), a, b))
+            if s == r + 1 and r & 1:  # w^k^~w^k conjugates to ~w^k^w^k = -w^k^~w^k
+                a, b = -a, -b
+            else:  # conjugation keeps the order of the ranks of two generators
+                r, s = conjugate_rank(r), conjugate_rank(s)
+            rows[2 * j].append((1 << r | 1 << s, (1 << s) - (1 << r), a, -b))
+        self._d_rank = den, rows
+        if flat:
+            raise NotIntegrable(flat, d_of[flat - 1].component(0, 2))
+        for j in range(1, n + 1):
+            sums, _ = _derive({m: (a, b) for m, _, a, b in rows[2 * j - 1]}, (self._d_rank,))
+            if any(re or im for re, im in sums.values()):
+                raise JacobiViolation(j, self.d(d_of[j - 1]))
         # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p):
         # the terms of its differential with p+1, or p, holomorphic ranks
         holo = sum(1 << r for r in range(1, 2 * n, 2))
-        den, rows = self._d_rank
         self._del_rank = den, [[e for e in row if (e[0] & holo).bit_count() == (rank & 1) + 1]
                                for rank, row in enumerate(rows)]
         self._dbar_rank = den, [[e for e in row if (e[0] & holo).bit_count() == rank & 1]

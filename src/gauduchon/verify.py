@@ -12,7 +12,7 @@ import functools
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional
@@ -150,33 +150,29 @@ def check_lemma_33ii(seed: int) -> dict:
 
 def check_prop_35(seed: int) -> dict:
     """Negative-gamma witnesses exist exactly for the h2, h3, h4, h5 points."""
-    feasible_points = [
-        ("a1", catalog.Reduced6Params(1, cr(1), Fraction(2), Fraction(1)), "h2"),
-        ("a2", catalog.Reduced6Params(0, cr(0), Fraction(1), Fraction(0)), "h3"),
-        ("b2", catalog.Reduced6Params(1, cr(0), Fraction(2), Fraction(3, 2)), "h4"),
-        ("b3", catalog.Reduced6Params(1, cr(0), Fraction(2), Fraction(0)), "h5"),
-    ]
-    target = Target("gamma_negative", 1)
-    for case, params, label in feasible_points:
-        ensure(catalog.classify_reduced6(params) == label, case)
-        se = catalog.reduced6(params.rho, params.B, params.x, params.y)
-        outcome = find_metric(se, target, seed=seed, family="reduced6", params=params)
-        ensure(outcome.status == "witness", case)
-        ensure(gamma_scalar(outcome.witness, 1, se) < 0)
-        feas = search.reduced6_feasibility(params)
-        ensure(feas.feasible and feas.label == label)
-    infeasible_points = [
+    points = [  # (case, params, label, the certificate's K or None for a witness)
+        ("a1", catalog.Reduced6Params(1, cr(1), Fraction(2), Fraction(1)), "h2", None),
+        ("a2", catalog.Reduced6Params(0, cr(0), Fraction(1), Fraction(0)), "h3", None),
+        ("b2", catalog.Reduced6Params(1, cr(0), Fraction(2), Fraction(3, 2)), "h4", None),
+        ("b3", catalog.Reduced6Params(1, cr(0), Fraction(2), Fraction(0)), "h5", None),
         ("a4", catalog.Reduced6Params(1, cr(1), Fraction(0), Fraction(0)), "h6", 2),
         ("a5", catalog.Reduced6Params(0, cr(0), Fraction(0), Fraction(0)), "h8", 0),
     ]
-    for case, params, label, kval in infeasible_points:
+    target = Target("gamma_negative", 1)
+    for case, params, label, kval in points:
         ensure(catalog.classify_reduced6(params) == label, case)
         se = catalog.reduced6(params.rho, params.B, params.x, params.y)
         outcome = find_metric(se, target, seed=seed, family="reduced6", params=params)
-        ensure(outcome.status == "infeasible_certified", case)
-        ensure(Fraction(outcome.certificate["K"]) == kval)
-        ensure(not search.reduced6_feasibility(params).feasible)
-    return {"samples": len(feasible_points) + len(infeasible_points)}
+        feas = search.reduced6_feasibility(params)
+        if kval is None:
+            ensure(outcome.status == "witness", case)
+            ensure(gamma_scalar(outcome.witness, 1, se) < 0)
+            ensure(feas.feasible and feas.label == label)
+        else:
+            ensure(outcome.status == "infeasible_certified", case)
+            ensure(Fraction(outcome.certificate["K"]) == kval)
+            ensure(not feas.feasible)
+    return {"samples": len(points)}
 
 
 def check_example_38(seed: int) -> dict:
@@ -586,14 +582,7 @@ class ClaimRecord:
     message: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "title": self.title,
-            "status": self.status,
-            "samples": self.samples,
-            "elapsed": round(self.elapsed, 3),
-            "message": self.message,
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
 
 
 @dataclass
@@ -610,10 +599,7 @@ class ReproductionReport:
         return sum(r.elapsed for r in self.records)
 
     def first_failure(self) -> Optional[ClaimRecord]:
-        for r in self.records:
-            if r.status != "pass":
-                return r
-        return None
+        return next((r for r in self.records if r.status != "pass"), None)
 
     def to_json(self) -> dict:
         return {
@@ -645,27 +631,13 @@ def run_verify_paper(seed: int = DEFAULT_SEED, only: Optional[str] = None) -> Re
     for claim_id, title, fn in CLAIMS:
         if only is not None and claim_id != only:
             continue
-        claim_seed = seed ^ zlib.crc32(claim_id.encode())
         start = time.perf_counter()
         try:
-            info = fn(claim_seed)
-            record = ClaimRecord(
-                claim=claim_id,
-                title=title,
-                status="pass",
-                samples=info.get("samples", 0),
-                elapsed=time.perf_counter() - start,
-            )
+            status, info, message = "pass", fn(seed ^ zlib.crc32(claim_id.encode())), None
         except Exception as exc:  # a claim failure, not a crash of the runner
-            record = ClaimRecord(
-                claim=claim_id,
-                title=title,
-                status="fail",
-                samples=0,
-                elapsed=time.perf_counter() - start,
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        report.records.append(record)
+            status, info, message = "fail", {}, f"{type(exc).__name__}: {exc}"
+        report.records.append(ClaimRecord(claim_id, title, status, info.get("samples", 0),
+                                          time.perf_counter() - start, message))
     if only is not None and not report.records:
         raise BadParams(f"unknown claim id {only!r}")
     return report

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,13 @@ from gauduchon import linalg
 from gauduchon.forms import Form, conj_rank, holo_rank, substitute, wedge
 from gauduchon.hermitian import top_coefficient
 from gauduchon.scalars import I, ZERO, ComplexRational, cr
+
+
+# the golden CLI corpus's script (tests/golden/regen.py), loaded as a module
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 @pytest.fixture

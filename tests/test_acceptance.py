@@ -10,6 +10,9 @@ import time
 import pytest
 
 from gauduchon import verify
+from gauduchon.cli import main
+
+from conftest import regen
 
 _CRITERIA = {
     "lemma-3.3i": "criterion 1: collapsed ddbar form, 200 exact draws, < 5 s",
@@ -49,10 +52,16 @@ def test_criterion(claim_id):
         assert record.samples >= _MIN_SAMPLES[claim_id]
 
 
-def test_full_suite_under_sixty_seconds():
+def test_full_suite_under_sixty_seconds(capsys):
+    """The one full-suite run of tier-1: `verify-paper --json` from the CLI,
+    which also checks the golden corpus's verify-paper line."""
     start = time.perf_counter()
-    report = verify.run_verify_paper()
+    code = main(["verify-paper", "--json"])
     elapsed = time.perf_counter() - start
-    print(f"[{'PASS' if report.overall else 'FAIL'}] full verify-paper in {elapsed:.2f}s")
-    assert report.overall
+    out, err = capsys.readouterr()
+    print(f"[{'PASS' if code == 0 else 'FAIL'}] full verify-paper in {elapsed:.2f}s")
+    assert code == 0, err
     assert elapsed < 60.0
+    expected = dict((line, sha) for sha, line in regen.read_digests())[regen.VERIFY_LINE]
+    assert regen.digest(*regen.verify_paper_output((code, out, err))) == expected, (
+        "verify-paper --json drifted from the golden corpus (tests/golden/regen.py)")

@@ -9,7 +9,7 @@ import pytest
 
 import gauduchon
 from gauduchon import catalog, dsl, verify
-from gauduchon.cli import main
+from gauduchon.cli import build_parser, main
 from gauduchon.hermitian import Metric
 from gauduchon.scalars import I, ComplexRational, cr
 
@@ -253,6 +253,73 @@ class TestParserReuse:
             assert (code, out, err) == self.fresh(argv, tmp_path), argv
             codes.append(code)
         assert codes == [0, 0, 2, 0] and "label:" in out
+
+
+class TestDispatch:
+    """argv that starts with a subcommand goes straight to that subcommand's
+    parser; anything else goes to the top-level parser, as every argv did."""
+
+    # the fewest arguments each subcommand parses
+    MINIMAL = {
+        "check": ["--structure", "s.dsl"],
+        "classify": ["--structure", "s.dsl", "--metric", "m.json"],
+        "search": ["--structure", "s.dsl", "--target", "skt"],
+        "catalog": ["list"],
+        "bundle-extend": ["--contact", "c.json"],
+        "verify-paper": [],
+    }
+
+    def run(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a help or usage error this way
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def top_level(self, argv, capsys):
+        """argv through a fresh top-level parser, as main parsed every argv before."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    def test_every_subcommand_has_a_parser(self):
+        assert set(build_parser().commands) == set(self.MINIMAL)
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: gauduchon [-h]"),
+        (["classify", "-h"], "usage: gauduchon classify [-h]"),
+    ], ids=["top-level", "classify"])
+    def test_help(self, argv, usage, capsys):
+        got = self.run(argv, capsys)
+        assert got == self.top_level(argv, capsys)
+        assert got[0] == 0 and got[1].startswith(usage) and got[2] == ""
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["classif", "--structure", "s.dsl"],
+                                      ["--bogus", "catalog", "list"]],
+                             ids=["no-command", "unknown", "prefix", "option-first"])
+    def test_anything_else_goes_to_the_top_level(self, argv, capsys):
+        got = self.run(argv, capsys)
+        assert got == self.top_level(argv, capsys)
+        assert got[0] == 2 and got[2].splitlines()[-1].startswith("gauduchon: error: ")
+
+    @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_unknown_option_after_a_subcommand(self, command, capsys):
+        code, out, err = self.run([command, *self.MINIMAL[command], "--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: gauduchon {command} ")
+        assert err.splitlines()[-1] == (
+            f"gauduchon {command}: error: unrecognized arguments: --bogus")
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
+        expected = self.run(["catalog", "list"], capsys)
+        monkeypatch.setattr(sys, "argv", ["gauduchon", "catalog", "list"])
+        assert self.run(None, capsys) == expected and expected[0] == 0
+        monkeypatch.setattr(sys, "argv", ["gauduchon", "catalog", "list", "--bogus"])
+        code, _, err = self.run(None, capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == "gauduchon catalog: error: unrecognized arguments: --bogus"
 
 
 class TestCatalog:

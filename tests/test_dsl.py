@@ -233,14 +233,15 @@ class TestJsonIntegers:
 
     @pytest.mark.parametrize("j", [0, -1])
     def test_generator_index_below_one(self, j):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=rf"^equations\[1\]\[0\]\.mon: expected an "
+                                             rf"integer >= 1, found {j}$"):
             dsl.structure_from_json(self.abelian2([["w", j], ["cw", 1]]))
 
     @pytest.mark.parametrize("bad", [1.9, 1.0, "1", None])
     def test_index_that_is_not_an_int(self, bad):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^equations\[1\]\[0\]\.mon: "):
             dsl.structure_from_json(self.abelian2([["w", bad], ["cw", 1]]))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^n: "):
             dsl.structure_from_json({"n": bad, "equations": [[]]})
 
     def test_real_form_rank_below_one(self):

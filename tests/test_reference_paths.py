@@ -35,7 +35,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import BadParams, ClaimFailure, NotPositive, ensure
+from gauduchon.errors import (BadParams, ClaimFailure, DimensionMismatch, JacobiViolation,
+                              NotIntegrable, NotPositive, ensure)
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     CompiledMaps,
@@ -52,7 +53,7 @@ from gauduchon.search import Target, find_metric, sample_positive_metric
 from gauduchon.structures import StructureEquations
 from gauduchon.verify import _standard_entries
 
-from conftest import GauduchonForms, UnitaryFrame, rand_form
+from conftest import GauduchonForms, UnitaryFrame, rand_coeff, rand_form
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -393,6 +394,120 @@ class TestKernelCompile:
         assert all(map_by_basis_monomials(n5, n5.ddbar, p) for p in (1, 2, 3))
         assert map_by_basis_monomials(nonuni, nonuni.ddbar, 2)  # p = n - 1
         assert map_by_basis_monomials(jt, jt.d, 2)
+
+
+def tables_by_forms(n, d_of):
+    """The constructor's tables by the route it replaced: each dw^j and its
+    conjugate Form through _rank_table, then the (0,2) components and the
+    Form d(dw^j); (d, del, dbar) tables, or the NotIntegrable or
+    JacobiViolation raised, as (type, generator, residual)."""
+    d_rank = []
+    for df in d_of:
+        d_rank += [df, df.conjugate()]
+    table = structures._rank_table(d_rank)
+    for j, df in enumerate(d_of, start=1):
+        if df.component(0, 2):
+            return NotIntegrable, j, df.component(0, 2)
+    for j, df in enumerate(d_of, start=1):
+        res = structures._derivation(df, (table,), 2 * n)
+        if res:
+            return JacobiViolation, j, res
+    holo = sum(1 << r for r in range(1, 2 * n, 2))
+    den, rows = table
+    return table, *((den, [[e for e in row if (e[0] & holo).bit_count() == (rank & 1) + p]
+                           for rank, row in enumerate(rows)]) for p in (1, 0))
+
+
+def tables_by_constructor(n, d_of):
+    """tables_by_forms(n, d_of), from StructureEquations."""
+    try:
+        se = StructureEquations(n, d_of)
+    except (NotIntegrable, JacobiViolation) as exc:
+        return type(exc), exc.generator, exc.residual
+    return se._d_rank, se._del_rank, se._dbar_rank
+
+
+def random_structure(rng, n):
+    """Structure equations with random Gaussian-rational coefficients.
+
+    Either two-step nilpotent (dw^j = 0 for j <= k, and the other dw^j in the
+    2-forms of w1..wk, so Jacobi holds), sometimes with a (0,2) term; or dw^j
+    in the 2-forms of the generators below j, where Jacobi mostly fails.
+    """
+    k = rng.randint(1, n)
+    low = range(1, 2 * k + 1) if rng.random() < 0.6 else None
+    d_of = []
+    for j in range(1, n + 1):
+        ranks = range(1, 2 * j - 1) if low is None else (low if j > k else ())
+        df = Form.zero()
+        for _ in range(rng.randint(0, 4) if len(ranks) > 1 else 0):
+            df = df + Form.monomial(rng.sample(ranks, 2), rand_coeff(rng))
+        d_of.append(df)
+    if rng.random() < 0.2:  # a (0,2) term on one generator
+        j = rng.randint(1, n)
+        d_of[j - 1] = d_of[j - 1] + Form.monomial(
+            [forms.conj_rank(rng.randint(1, n)), forms.conj_rank(rng.randint(1, n))],
+            rand_coeff(rng))
+    return d_of
+
+
+def sampled_catalog_points(rng):
+    for _ in range(6):
+        yield catalog.nilpotent6(rng.randint(0, 1), rng.randint(0, 1),
+                                 *(rand_coeff(rng) for _ in range(4)))
+        yield catalog.reduced6(rng.randint(0, 1), rand_coeff(rng), rand_coeff(rng).re,
+                               rand_coeff(rng).im)
+        yield catalog.family8(rand_coeff(rng).re, rand_coeff(rng).im)
+        yield catalog.jt(rand_coeff(rng).re or 1)
+
+
+class TestConstructorTables:
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_every_entry_matches_the_form_route(self, name, se):
+        assert tables_by_forms(se.n, se.d_of) == tables_by_constructor(se.n, se.d_of), name
+
+    def test_sampled_catalog_points_match_the_form_route(self):
+        for se in sampled_catalog_points(random.Random(19)):
+            assert tables_by_forms(se.n, se.d_of) == tables_by_constructor(se.n, se.d_of), se
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_structures_match_the_form_route(self, n):
+        rng = random.Random(n)
+        kinds = set()
+        for _ in range(150):
+            d_of = random_structure(rng, n)
+            expected = tables_by_forms(n, d_of)
+            assert tables_by_constructor(n, d_of) == expected, d_of
+            kinds.add(expected[0] if isinstance(expected[0], type) else "valid")
+        # a (0,2) term needs two generators, and a Jacobi failure three
+        assert kinds == {"valid", *[NotIntegrable, JacobiViolation][:n - 1]}
+
+    @pytest.mark.parametrize("d_of, error, generator, residual", [
+        pytest.param([Form.zero(), Form(2, {(2, 4): ONE})], NotIntegrable, 2,
+                     Form(2, {(2, 4): ONE}), id="dw2 = ~w1^~w2"),
+        pytest.param([Form(2, {(4, 6): I}), Form.zero(), Form(2, {(2, 4): ONE, (1, 2): ONE})],
+                     NotIntegrable, 1, Form(2, {(4, 6): I}), id="the first of two"),
+        # d(w2^~w2) = w1^~w1^~w2 + w1^~w1^w2, so only the last generator fails
+        pytest.param([Form.zero(), Form(2, {(1, 2): ONE}), Form(2, {(3, 4): ONE})],
+                     JacobiViolation, 3, Form(3, {(1, 2, 4): ONE, (1, 2, 3): ONE}),
+                     id="dw3 = w2^~w2"),
+        pytest.param([Form.zero(), Form(2, {(1, 2): ONE}), Form(2, {(1, 4): ONE}),
+                      Form(2, {(3, 6): ONE})],
+                     JacobiViolation, 4, Form(3, {(1, 2, 6): ONE}),
+                     id="dw4 = w2^~w3"),
+    ])
+    def test_crafted_failures_raise_as_before(self, d_of, error, generator, residual):
+        expected = (error, generator, residual)
+        assert tables_by_forms(len(d_of), d_of) == expected
+        assert tables_by_constructor(len(d_of), d_of) == expected
+
+    def test_size_errors_come_before_integrability(self):
+        # dw1 has a (0,2) term; dw2 reaches past the coframe, dw3 is a 1-form
+        d_of = [Form(2, {(2, 4): ONE}), Form(2, {(1, 7): ONE}), Form(1, {(1,): ONE})]
+        with pytest.raises(DimensionMismatch, match="^dw2 uses ranks beyond the coframe$"):
+            StructureEquations(3, d_of)
+        with pytest.raises(ValueError, match="^dw3 must be a 2-form, got degree 1$"):
+            StructureEquations(3, d_of[:1] + [Form.zero()] + d_of[2:])
 
 
 class TestBumpDiagonal:
