@@ -73,12 +73,13 @@ class Reduced6Params:
         )
 
 
-# the monomials of the six-dimensional builders, in canonical rank order
+# the monomials of the builders, in canonical rank order
 _W12 = (holo_rank(1), holo_rank(2))
 _W1B1 = (holo_rank(1), conj_rank(1))
 _W1B2 = (holo_rank(1), conj_rank(2))
 _B1W2 = (conj_rank(1), holo_rank(2))
 _W2B2 = (holo_rank(2), conj_rank(2))
+_W3B3 = (holo_rank(3), conj_rank(3))
 
 
 def nilpotent6(eps: int, rho: int, A, B, C, D) -> StructureEquations:
@@ -99,19 +100,10 @@ def nilpotent6(eps: int, rho: int, A, B, C, D) -> StructureEquations:
 def nonnilpotent6(eps: int, sign: int) -> StructureEquations:
     if eps not in (0, 1) or sign not in (1, -1):
         raise BadParams("eps in {0,1}, sign in {+1,-1}")
-    dw2 = Form(
-        2, {(holo_rank(1), holo_rank(3)): ONE, (holo_rank(1), conj_rank(3)): ONE}
-    )
+    dw2 = Form(2, {(holo_rank(1), holo_rank(3)): ONE, (holo_rank(1), conj_rank(3)): ONE})
     s = cr(sign) * I
-    dw3 = Form(
-        2,
-        {
-            (holo_rank(1), conj_rank(1)): I * cr(eps),
-            (holo_rank(1), conj_rank(2)): s,
-            # - sign * i * w2^~w1 = + sign * i * (~w1 ^ w2) in canonical order
-            (conj_rank(1), holo_rank(2)): s,
-        },
-    )
+    # - sign * i * w2^~w1 = + sign * i * (~w1 ^ w2) in canonical order
+    dw3 = Form(2, {_W1B1: I * cr(eps), _W1B2: s, _B1W2: s})
     return StructureEquations(3, [Form.zero(), dw2, dw3])
 
 
@@ -133,15 +125,7 @@ def iwasawa() -> StructureEquations:
 
 
 def family8(p, q) -> StructureEquations:
-    A = ComplexRational(Fraction(p), Fraction(q))
-    dw4 = Form(
-        2,
-        {
-            (holo_rank(1), conj_rank(1)): A,
-            (holo_rank(2), conj_rank(2)): -ONE,
-            (holo_rank(3), conj_rank(3)): -ONE,
-        },
-    )
+    dw4 = Form(2, {_W1B1: ComplexRational(Fraction(p), Fraction(q)), _W2B2: -ONE, _W3B3: -ONE})
     return StructureEquations(4, [Form.zero(), Form.zero(), Form.zero(), dw4])
 
 
@@ -197,13 +181,14 @@ def list_families() -> Dict[str, dict]:
 
 
 def build(name: str, **params) -> StructureEquations:
+    """The family's build at params, which must name its declared parameters."""
     spec = _FAMILIES.get(name)
     if spec is None:
         raise UnknownFamily(f"unknown family {name!r}; see list_families()")
-    try:
-        return spec["builder"](**params)
-    except TypeError as exc:
-        raise BadParams(str(exc)) from None
+    if params.keys() != spec["params"].keys():
+        raise BadParams(f"{name} takes {', '.join(spec['params']) or 'no parameters'}, "
+                        f"not {', '.join(params) or 'none'}")
+    return spec["builder"](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +437,9 @@ CLOSED_FORM_FAMILIES = {
     "nilpotent6": (3, _read_nilpotent6,
                    lambda p: [nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)]),
     "reduced6": (3, _read_reduced6, lambda p: [reduced6(p.rho, p.B, p.x, p.y)]),
-    "jt": (3, lambda se: 1 / _read_nilpotent6(se).D.re, lambda t: [jt(t)]),
+    # D = 1/t: D = 0 reads as no t, which builds nothing
+    "jt": (3, lambda se: 1 / D if (D := _read_nilpotent6(se).D.re) else None,
+           lambda t: [jt(t)] if t else []),
     "family8": (4, _read_family8, lambda pq: [family8(*pq)]),
     # its closed form holds for every eps and sign, so it takes no params
     "nonnilpotent6": (3, lambda se: None,
@@ -460,13 +447,13 @@ CLOSED_FORM_FAMILIES = {
 }
 
 
-def family_params(family: str, se: StructureEquations):
-    """The params the family's closed forms take, read off the structure.
+def family_params(family: str, se: StructureEquations, params=None):
+    """The params the family's closed forms take at se, confirmed by rebuilding.
 
-    nilpotent6, reduced6 and jt are read from the dw2 and dw3 coefficients,
-    family8 from the w1^~w1 coefficient of dw4; nonnilpotent6 has none.  The
-    reading is confirmed by rebuilding: a structure that is not a build of
-    the family raises BadParams.
+    Left out, they are read off the structure: nilpotent6, reduced6 and jt
+    from the dw2 and dw3 coefficients, family8 from the w1^~w1 coefficient
+    of dw4; nonnilpotent6 has none.  Given or read, se must be among their
+    builds (not equal params: with eps = 1 nilpotent6 drops A and D).
     """
     spec = CLOSED_FORM_FAMILIES.get(family)
     if spec is None:
@@ -475,10 +462,11 @@ def family_params(family: str, se: StructureEquations):
     n, read, builds = spec
     try:
         if se.n == n:
-            params = read(se)
+            if params is None:
+                params = read(se)
             if se in builds(params):
                 return params
-    except (BadParams, ZeroDivisionError):
+    except BadParams:  # params outside the family's domain
         pass
     raise BadParams(f"the structure is not a build of {family}")
 

@@ -6,7 +6,8 @@ rational strings and stable key order.  The error type alone decides the
 exit code: 0 ok; 2 a BadInput or OSError (bad input, an unreadable path), on
 one "error:" line; 1 any other GauduchonError (a check failed on well-formed
 input), on one "check failed:" line.  Anything else is a program fault and
-propagates as a traceback.
+propagates as a traceback.  Every input file goes through _load, which puts
+its name in front of any BadInput its reader raises.
 """
 
 from __future__ import annotations
@@ -46,33 +47,37 @@ def _write(text: str, path) -> None:
         print(text, end="")
 
 
-def _load_json(path: str, build):
-    """build(the JSON document at path).
-
-    Text that is not JSON, a missing field, a value of the wrong type or
-    one that does not parse (a number past the int-string limit included)
-    is bad input, reported on one line that names the file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+def _json(reader):
+    """The read of a JSON file for _load: the text decoded, then reader(document)."""
+    def read(text: str):
         try:
-            return build(json.load(fh))
-        except KeyError as exc:
-            raise BadParams(f"malformed JSON in {path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise BadParams(f"malformed JSON in {path}: {exc}") from None
-        except ZeroDivisionError:
-            raise BadParams(f"malformed JSON in {path}: a zero denominator") from None
+            document = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # not JSON, too long a number, too deep
+            raise BadParams(f"not JSON: {exc}") from None
+        return reader(document)
+    return read
 
 
-def _load_structure(path: str):
-    if path.endswith(".json"):
-        return _load_json(path, dsl.structure_from_json)
+def _load(path: str, read):
+    """read(the UTF-8 text of the file at path).
+
+    Text that is not UTF-8 and any BadInput that read raises are reported
+    as BadParams on one line that starts with the file name.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
-    return dsl.parse_structure(text)
+            raise BadParams(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return read(text)
+    except BadInput as exc:
+        raise BadParams(f"{path}: {exc}") from None
+
+
+def _load_structure(path: str):
+    read = _json(dsl.structure_from_json) if path.endswith(".json") else dsl.parse_structure
+    return _load(path, read)
 
 
 def cmd_check(args) -> int:
@@ -92,7 +97,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     se = _load_structure(args.structure)
-    metric = _load_json(args.metric, dsl.metric_from_json)
+    metric = _load(args.metric, _json(dsl.metric_from_json))
     report = classify(metric, se)
     if args.json:
         print(_dump(report.to_json()))
@@ -109,39 +114,23 @@ def cmd_classify(args) -> int:
 def cmd_search(args) -> int:
     se = _load_structure(args.structure)
     target = parse_target(args.target)
-    family = args.family
-    params = catalog.family_params(family, se) if family is not None else None
     if args.out:
         # a bad path fails here, before sampling; appending leaves an existing file intact
         open(args.out, "a", encoding="utf-8").close()
-    outcome = search.find_metric(
-        se, target, budget=args.budget, seed=args.seed, family=family, params=params
-    )
+    outcome = search.find_metric(se, target, args.budget, args.seed, args.family)
     replay = ["gauduchon", "search", "--structure", args.structure, "--target", args.target,
               "--budget", str(args.budget), "--seed", str(args.seed)]
-    if family is not None:
-        replay += ["--family", family]
+    if args.family is not None:
+        replay += ["--family", args.family]
     outcome.replay = shlex.join(replay)
     _write(_dump(outcome.to_json()) + "\n", args.out)
     return 0
 
 
-def _checked(parse, accept):
-    """parse, raising ValueError on a value that accept rejects."""
-    def parse_checked(text):
-        value = parse(text)
-        if not accept(value):
-            raise ValueError(text)
-        return value
-    return parse_checked
-
-
-# the value parser of each parameter type that catalog.list_families() declares
-_PARAM_PARSERS = {"0|1": _checked(int, lambda v: v in (0, 1)),
-                  "1|-1": _checked(int, lambda v: v in (1, -1)),
-                  "int": int, "rational": Fraction,
-                  "nonzero rational": _checked(Fraction, bool),
-                  "complex": dsl.parse_complex_literal}
+# the literal parser of each parameter type that catalog.list_families()
+# declares; the family's builder checks the value's domain
+_PARAM_PARSERS = {"0|1": int, "1|-1": int, "int": int, "rational": Fraction,
+                  "nonzero rational": Fraction, "complex": dsl.parse_complex_literal}
 
 
 def _family_params(name: str, declared: dict, items: list) -> dict:
@@ -151,14 +140,13 @@ def _family_params(name: str, declared: dict, items: list) -> dict:
     params = {}
     for item in items:
         key, _, value = item.partition("=")
-        kind = declared.get(key)
+        bad = BadParams(f"catalog emit {name}: bad --param {item}; {name} takes {takes}")
+        if key not in declared:
+            raise bad
         try:
-            if kind is None:
-                raise ValueError(f"no parameter {key}")
-            params[key] = _PARAM_PARSERS[kind](value)
+            params[key] = _PARAM_PARSERS[declared[key]](value)
         except (BadInput, ValueError, ZeroDivisionError):
-            raise BadParams(f"catalog emit {name}: bad --param {item}; {name} takes "
-                            f"{takes}") from None
+            raise bad from None
     missing = [key for key in declared if key not in params]
     if missing:
         raise BadParams(f"catalog emit {name}: missing --param {', '.join(missing)}; "
@@ -193,7 +181,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_bundle_extend(args) -> int:
-    contact = _load_json(args.contact, sasakian.contact_from_json)
+    contact = _load(args.contact, _json(sasakian.contact_from_json))
     ext = sasakian.bundle_extend(contact)
     payload = {
         "structure_dsl": dsl.format_structure(ext.structure),

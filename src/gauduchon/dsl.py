@@ -19,7 +19,9 @@ Example:  n:3; dw1:0; dw2:0; dw3: w1^w2 + w1^~w1 + (1/2+1/4i)*w1^~w2
 
 Each INT is converted once, by the tokenizer.  The grammar and the JSON
 readers sum the terms of a form into one dict (_add_term) and build one
-Form from it; a structure-JSON error names its field, as equations[j][t].re.
+Form from it.  A source error is a DslSyntaxError at its line and column;
+the JSON readers read each value through _field, which names the field
+(equations[j][t].re, X[j][k].im; indices from 0) in a BadParams.
 """
 
 from __future__ import annotations
@@ -30,24 +32,24 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Tuple
 
-from .errors import DimensionMismatch, DslSyntaxError
+from .errors import BadInput, BadParams, DimensionMismatch, DslSyntaxError
 from .forms import Form, conj_rank, format_form, holo_rank, sort_ranks
 from .hermitian import Metric
-from .scalars import I, ZERO, ComplexRational
+from .scalars import ZERO, ComplexRational, _make, _rational_parts
 from .structures import StructureEquations
 
 
 def _add_term(terms: dict, ranks, coeff: ComplexRational) -> None:
     """Add coeff times the wedge of ranks to the sum terms as Form + Form would:
     a zero term adds nothing, a coefficient that cancels drops out, and a
-    term of another degree than the sum raises ValueError."""
+    term of another degree than the sum raises BadParams."""
     sorted_ = sort_ranks(ranks)
     if sorted_ is None or not coeff:
         return
     sign, mon = sorted_
     degree = len(next(iter(terms), mon))
     if len(mon) != degree:
-        raise ValueError(f"cannot add forms of degrees {degree} and {len(mon)}")
+        raise BadParams(f"cannot add forms of degrees {degree} and {len(mon)}")
     coeff = terms.get(mon, ZERO) + (coeff if sign > 0 else -coeff)
     if coeff:
         terms[mon] = coeff
@@ -172,7 +174,7 @@ class _Parser:
             ranks, coeff = self.parse_term(n, sign)
             try:
                 _add_term(terms, ranks, coeff)
-            except ValueError as exc:  # a term of another degree than the sum
+            except BadParams as exc:  # a term of another degree than the sum
                 self.fail(offset, str(exc))
         return _form(terms)
 
@@ -302,27 +304,41 @@ def _index(value) -> int:
     return j
 
 
+def _array(value) -> list:
+    """A JSON array field; anything else raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, found {type(value).__name__}")
+    return value
+
+
 def _field(where: str, read):
-    """read(); a missing, mistyped or unreadable value raises ValueError
-    naming the field where."""
+    """read(), which reads the one value of the field where: a missing key, a
+    wrong type, a bad literal or a zero denominator is BadParams naming it."""
     try:
         return read()
     except KeyError:
-        raise ValueError(f"{where}: missing") from None
+        raise BadParams(f"{where}: missing") from None
     except ZeroDivisionError:
-        raise ValueError(f"{where}: a zero denominator") from None
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise BadParams(f"{where}: a zero denominator") from None
+    except (TypeError, ValueError, BadInput) as exc:
+        raise BadParams(f"{where}: {exc}") from None
+
+
+def _complex(at: str, spec) -> ComplexRational:
+    """The number {"re": ..., "im": ...} spec, its parts read as at.re and at.im."""
+    p, q = _field(at + ".re", lambda: _rational_parts(spec["re"]))
+    r, s = _field(at + ".im", lambda: _rational_parts(spec["im"]))
+    return _make(p * s, r * q, q * s)
 
 
 def _mon_from_json(spec, n: int) -> list:
     ranks = []
     for kind, j in spec:
         if kind not in ("w", "cw"):
-            raise ValueError(f"bad generator kind {kind!r}")
+            raise BadParams(f"bad generator kind {kind!r}")
         j = _index(j)
         if j > n:
-            raise ValueError(f"generator w{j} outside 1..{n}")
+            raise DimensionMismatch(f"generator w{j} outside 1..{n}")
         ranks.append(holo_rank(j) if kind == "w" else conj_rank(j))
     return ranks
 
@@ -341,15 +357,15 @@ def form_to_json(f: Form) -> list:
 
 def form_from_json(spec, n: int, j: int) -> Form:
     """dw^j over n generators from its JSON terms {"re", "im", "mon"}."""
+    where = f"equations[{j - 1}]"
     terms: Dict[tuple, ComplexRational] = {}
-    for t, term in enumerate(spec):
-        at = f"equations[{j - 1}][{t}]"
-        re = _field(at + ".re", lambda: ComplexRational(term["re"]))
-        im = _field(at + ".im", lambda: ComplexRational(term["im"]))
+    for t, term in enumerate(_field(where, lambda: _array(spec))):
+        at = f"{where}[{t}]"
+        coeff = _complex(at, term)
         mon = _field(at + ".mon", lambda: _mon_from_json(term["mon"], n))
         if len(mon) != 2:
-            raise ValueError(f"{at}.mon: dw{j} must be a 2-form, got degree {len(mon)}")
-        _add_term(terms, mon, re + I * im)
+            raise BadParams(f"{at}.mon: dw{j} must be a 2-form, got degree {len(mon)}")
+        _add_term(terms, mon, coeff)
     return _form(terms)
 
 
@@ -358,11 +374,12 @@ def structure_to_json(se: StructureEquations) -> dict:
 
 
 def structure_from_json(spec) -> StructureEquations:
-    """A field that is missing or does not read raises ValueError naming it:
-    n, or equations[j][t].re, .im or .mon (j and t from 0)."""
+    """A field that is missing or does not read raises BadParams naming it:
+    n, equations, equations[j], or equations[j][t].re, .im or .mon."""
     n = _field("n", lambda: _index(spec["n"]))
+    equations = _field("equations", lambda: _array(spec["equations"]))
     return StructureEquations(n, [form_from_json(e, n, j)
-                                  for j, e in enumerate(spec["equations"], start=1)])
+                                  for j, e in enumerate(equations, start=1)])
 
 
 def real_form_to_json(f: Form) -> list:
@@ -392,12 +409,12 @@ def metric_to_json(metric: Metric) -> dict:
 
 
 def metric_from_json(spec) -> Metric:
-    rows = spec["X"]
-    if "n" in spec and _index(spec["n"]) != len(rows):
-        raise DimensionMismatch(f"metric has n = {spec['n']} but {len(rows)} rows")
-    for j, row in enumerate(rows):
-        if len(row) != len(rows):
-            raise DimensionMismatch(f"metric row {j} has {len(row)} entries, not {len(rows)}")
-    return Metric(
-        [[ComplexRational(cell["re"], cell["im"]) for cell in row] for row in rows]
-    )
+    """A field that is missing or does not read raises BadParams naming it:
+    n, X, X[j], or X[j][k].re or .im; a ragged X is Metric's DimensionMismatch."""
+    n = _field("n", lambda: _index(spec["n"]))
+    rows = _field("X", lambda: _array(spec["X"]))
+    if len(rows) != n:
+        raise DimensionMismatch(f"n is {n} but X has {len(rows)} rows")
+    return Metric([[_complex(f"X[{j}][{k}]", cell)
+                    for k, cell in enumerate(_field(f"X[{j}]", lambda: _array(row)))]
+                   for j, row in enumerate(rows)])

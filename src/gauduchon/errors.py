@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the package.
 
 BadInput and its subclasses mean the input is outside what the library
-accepts; the CLI exits 2 on them, as on an OSError (an unreadable path).
-Every other GauduchonError is a check that failed on well-formed input, and
-the CLI exits 1 on it.  Any other exception is a program fault, which the
-CLI lets propagate as a traceback.
+accepts; readers and builders raise them where they read a value, and the
+CLI exits 2 on them, as on an OSError (an unreadable path).  Every other
+GauduchonError is a check that failed on well-formed input (exit 1).  Any
+other exception is a program fault, which the CLI lets propagate.
 """
 
 from __future__ import annotations

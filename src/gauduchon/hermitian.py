@@ -76,7 +76,7 @@ class Metric:
     def _init(self, num: list, den: int, minors: dict):
         n = len(num)
         if any(len(row) != n for row in num):
-            raise NotSkewHermitian("coefficient matrix must be square")
+            raise DimensionMismatch(f"X has {n} rows of lengths {[len(r) for r in num]}")
         for j, row in enumerate(num):  # (j, k) and (k, j) state the same condition
             for k in range(j, n):
                 (a, b), (c, e) = row[k], num[k][j]
@@ -588,7 +588,8 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     lee = _lee(lef, d_omega)
     kahler = d_omega.is_zero
     skt = maps.ddbar_power(metric, 1).is_zero
-    astheno = maps.ddbar_power(metric, n - 2).is_zero if n >= 3 else True
+    # for n = 3 astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
+    astheno = maps.ddbar_power(metric, n - 2).is_zero if n > 3 else n < 3 or skt
     balanced = lee.is_zero
     tops = {k: maps.top(metric, k) for k in range(1, n)}
     gauduchon = {k: not top for k, top in tops.items()}

@@ -26,11 +26,11 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional
 
-from .dsl import _index, real_form_from_json, real_form_to_json
+from .dsl import _array, _field, _index, real_form_from_json, real_form_to_json
 from .errors import BadParams, DimensionMismatch, NotQuasiSasakian
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form, omega_power
-from .linalg import Matrix, identity, ldl, mat, mat_add, mat_eq, mat_mul, transpose, zeros
+from .linalg import Matrix, identity, mat, mat_add, mat_eq, mat_mul, transpose, zeros
 from .scalars import I, ONE, ZERO, cr
 from .structures import ComplexFrame, RealLieAlgebra, complex_frame_from_real
 
@@ -178,7 +178,7 @@ class ContactData:
     the compatible metric g = Phi(., phi .) + eta ⊗ eta is derived.
     Construction verifies the quasi-Sasakian-level identities:
       eta(xi) = 1, phi(xi) = 0, eta∘phi = 0, phi^2 = -Id + xi ⊗ eta,
-      g symmetric positive definite (which gives Phi = g(phi ., .)),
+      g symmetric positive definite (Sylvester), which gives Phi = g(phi ., .),
       dPhi = 0, dF = 0, F(xi, .) = 0, F(phi X, Y) + F(X, phi Y) = 0,
       and (d eta)(xi, .) = 0.
     Normality is not checked directly; the bundle extension surfaces its
@@ -230,10 +230,8 @@ class ContactData:
         g = mat_add(mat_mul(Phi, phi), mat_mul(transpose(eta), eta))
         if not mat_eq(g, transpose(g)) or any(not v.is_real for row in g for v in row):
             raise NotQuasiSasakian("derived metric is not symmetric real")
-        try:
-            ldl(g)
-        except ValueError:
-            raise NotQuasiSasakian("derived metric is not positive definite") from None
+        if not Metric([[I * v for v in row] for row in g]).is_positive():
+            raise NotQuasiSasakian("derived metric is not positive definite")
         self.g = g
         if not self.algebra.d(self.Phi).is_zero:
             raise NotQuasiSasakian("dPhi != 0")
@@ -278,16 +276,19 @@ def contact_to_json(contact: "ContactData") -> dict:
 
 
 def contact_from_json(spec: dict) -> "ContactData":
-    dim = _index(spec["dim"])
-    algebra = RealLieAlgebra(dim, [real_form_from_json(e) for e in spec["d"]])
-    return ContactData(
-        algebra=algebra,
-        eta=real_form_from_json(spec["eta"]),
-        xi=[cr(v) for v in spec["xi"]],
-        phi=[[cr(v) for v in row] for row in spec["phi"]],
-        Phi=real_form_from_json(spec["Phi"]),
-        F=real_form_from_json(spec["F"]),
-    )
+    """A field that is missing or does not read raises BadParams naming it:
+    dim, d, d[j], eta, xi, xi[j], phi, phi[j], phi[j][k], Phi or F."""
+    dim = _field("dim", lambda: _index(spec["dim"]))
+    d = [_field(f"d[{j}]", lambda: real_form_from_json(e))
+         for j, e in enumerate(_field("d", lambda: _array(spec["d"])))]
+    eta, Phi, F = (_field(key, lambda: real_form_from_json(spec[key]))
+                   for key in ("eta", "Phi", "F"))
+    xi = [_field(f"xi[{j}]", lambda: cr(v))
+          for j, v in enumerate(_field("xi", lambda: _array(spec["xi"])))]
+    phi = [[_field(f"phi[{j}][{k}]", lambda: cr(v))
+            for k, v in enumerate(_field(f"phi[{j}]", lambda: _array(row)))]
+           for j, row in enumerate(_field("phi", lambda: _array(spec["phi"])))]
+    return ContactData(RealLieAlgebra(dim, d), eta, xi, phi, Phi, F)
 
 
 @dataclass

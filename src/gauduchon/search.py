@@ -37,6 +37,7 @@ from .catalog import (
     certified,
     classify_reduced6,
     closing_scalar,
+    family_params,
     skt_scalar_nilpotent6,
 )
 from .dsl import metric_to_json
@@ -206,16 +207,18 @@ def find_metric(
 ) -> SearchOutcome:
     """Deterministic search for a positive metric meeting the target.
 
-    family and params, as catalog.family_params reads them off se, let the
-    catalog's closed forms certify the answer without sampling, and give
-    family8's balanced target its closing scalar.  They are trusted: se must
-    be that build.  Witnesses always pass the exact predicate; sampling
-    failure is reported as 'exhausted', never as nonexistence.
+    family and its params let the catalog's closed forms certify the answer
+    without sampling, and give family8's balanced target its closing scalar.
+    se must be the family's build at params, read off se when left out
+    (catalog.family_params), or BadParams is raised.  Witnesses always pass
+    the exact predicate; sampling failure is 'exhausted', never nonexistence.
     """
     if budget <= 0:
         raise BadParams("budget must be positive")
     if target.k is not None and not 1 <= target.k <= se.n - 1:
         raise BadK(f"target {target.describe()}: k must be in 1..{se.n - 1}")
+    if family is not None:
+        params = family_params(family, se, params)
     used = 0
 
     def finish(status, witness=None, cert=None):

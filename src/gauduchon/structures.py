@@ -114,7 +114,7 @@ class StructureEquations:
         if n < 1:
             raise BadParams(f"n must be at least 1, got {n}")
         if len(d_of) != n:
-            raise ValueError(f"need {n} differentials, got {len(d_of)}")
+            raise DimensionMismatch(f"need {n} differentials, got {len(d_of)}")
         self.n = n
         self.d_of = d_of = list(d_of)
         # rows[2j-1] holds the terms of dw^j and rows[2j] those of its conjugate
@@ -124,7 +124,7 @@ class StructureEquations:
         flat = 0  # the first generator whose differential has a (0,2) term
         for (j, mon), a, b in terms:
             if len(mon) != 2:
-                raise ValueError(f"dw{j} must be a 2-form, got degree {len(mon)}")
+                raise BadParams(f"dw{j} must be a 2-form, got degree {len(mon)}")
             r, s = mon
             if s > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
@@ -197,17 +197,17 @@ class RealLieAlgebra:
 
     def __init__(self, m: int, d_of: List[Form], J: Optional[list] = None):
         if len(d_of) != m:
-            raise ValueError(f"need {m} differentials, got {len(d_of)}")
+            raise DimensionMismatch(f"need {m} differentials, got {len(d_of)}")
         self.m = m
         self.d_of = list(d_of)
         for j, df in enumerate(self.d_of, start=1):
             if not df.is_zero and df.degree != 2:
-                raise ValueError(f"de{j} must be a 2-form")
+                raise BadParams(f"de{j} must be a 2-form")
             if df.max_rank() > m:
                 raise DimensionMismatch(f"de{j} uses ranks beyond the coframe")
             for c in df.terms.values():
                 if not c.is_real:
-                    raise ValueError(f"de{j} has a non-real coefficient")
+                    raise BadParams(f"de{j} has a non-real coefficient")
         self._d_rank = _rank_table(self.d_of)
         for j in range(1, m + 1):
             res = self.d(self.d_of[j - 1])
@@ -266,7 +266,7 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
         raise NotAlmostComplex(f"odd-dimensional algebra (m={m}) has no coframe")
     n = m // 2
     if len(rows) != n or any(len(r) != m for r in rows):
-        raise ValueError(f"coframe must be {n} rows of length {m}")
+        raise DimensionMismatch(f"coframe must be {n} rows of length {m}")
     rows = [[cr(v) for v in row] for row in rows]
     stacked = rows + [[v.conjugate() for v in row] for row in rows]
     inv = linalg.mat_inverse(stacked)

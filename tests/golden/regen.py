@@ -9,6 +9,8 @@ code, stdout and stderr.  The corpus covers:
   * ``bundle-extend`` of both contact entries, as text and ``--json``;
   * ``classify``, as text and ``--json``, for METRICS metrics per point;
   * ``search`` for every target and k, at SEEDS with budget BUDGET;
+  * ``search --family`` on a point of each closed-form family, for a target
+    its closed forms certify and one they leave to sampling (FAMILY_SEARCHES);
   * ``verify-paper --json``, with every claim's elapsed time set to 0;
   * one bad input per error route (BAD_INPUTS), each ending in one line on
     stderr with exit 2, or exit 1 for the metric that is not positive.
@@ -23,8 +25,9 @@ Usage, from the root of a checkout:
     PYTHONPATH=src python tests/golden/regen.py          # rewrite the corpus
     PYTHONPATH=src python tests/golden/regen.py --check  # exit 1 on the first drift
 
-A change that moves an output on purpose commits the rewritten digests and
-quotes the old and new output in CHANGES.md.
+--check names the first command line that drifted, with its exit code and
+stderr.  A change that moves an output on purpose commits the rewritten
+digests and quotes the old and new output in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ POINTS = [
     ("abelian-3", "abelian", ["n=3"]),
     ("family8-a", "family8", ["p=1", "q=0"]),
     ("family8-b", "family8", ["p=-1", "q=2"]),
+]
+# (point stem, family, a target its closed forms certify, a sampled target)
+FAMILY_SEARCHES = [
+    ("nilpotent6-b", "nilpotent6", "gamma1<0", "balanced"),
+    ("reduced6", "reduced6", "gamma1>0", "balanced"),
+    ("jt-half", "jt", "skt", "gamma2<0"),
+    ("family8-a", "family8", "skt", "balanced"),
+    ("nonnilpotent6-0p", "nonnilpotent6", "gamma1>0", "balanced"),
 ]
 CONTACTS = ("solvable5", "heisenberg5")
 METRICS = 6
@@ -94,9 +105,12 @@ STRUCTURE_JSON = {
     "count.json": json.dumps({"n": 3, "equations": [[], []]}),
     "n-zero.json": json.dumps({"n": 0, "equations": []}),
 }
+_RAGGED = _cells(3, "1")
+_RAGGED[2].pop()
+_BAD_CELL = _cells(3, "1")
+_BAD_CELL[0][1] = {"re": "x", "im": "0"}
 # file name -> text or bytes, written before the BAD_INPUTS run; jt-half.dsl
-# is the corpus's own file, and bad-curvature.json its solvable5.json with
-# the closed 1-form e1 as the curvature F
+# and family8-a.dsl are the corpus's own files
 BAD_FILES = {
     "bad-syntax.dsl": "n:2\ndw1: w1^^w2\ndw2: 0\n",
     "bad-degree.dsl": "n: 2\ndw1: 0\ndw2: w1\n",
@@ -104,8 +118,19 @@ BAD_FILES = {
     "zero-den.json": json.dumps({"n": 3, "X": _ZERO_DEN}),
     "wrong-n.json": json.dumps({"n": 2, "X": _cells(2, "1")}),
     "negative.json": json.dumps({"n": 3, "X": _cells(3, "-1")}),
+    "bad-cell.json": json.dumps({"n": 3, "X": _BAD_CELL}),
+    "missing-n.json": json.dumps({"X": _cells(3, "1")}),
+    "ragged.json": json.dumps({"n": 3, "X": _RAGGED}),
     "bad-encoding.dsl": b"n: 2\ndw1: 0\ndw2: 0 \xff\n",
     **STRUCTURE_JSON,
+}
+# the corpus's solvable5.json with one field set (None: removed);
+# bad-curvature.json has the closed 1-form e1 as the curvature F
+BAD_CONTACTS = {
+    "bad-curvature.json": ("F", [{"coef": "1", "mon": [1]}]),
+    "zero-den-xi.json": ("xi", ["0", "0", "0", "0", "1/0"]),
+    "missing-phi.json": ("phi", None),
+    "bad-eta.json": ("eta", [{"coef": "1", "mon": ["e5"]}]),
 }
 BAD_INPUTS = [
     ["check", "--structure", "bad-syntax.dsl"],
@@ -120,7 +145,14 @@ BAD_INPUTS = [
     ["verify-paper", "--only", "nope"],
     ["bundle-extend", "--contact", "bad-curvature.json"],
     ["check", "--structure", "bad-encoding.dsl"],
-] + [["check", "--structure", name] for name in STRUCTURE_JSON]
+] + [["check", "--structure", name] for name in STRUCTURE_JSON] + [
+    ["classify", "--structure", "jt-half.dsl", "--metric", "bad-cell.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "missing-n.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "ragged.json"],
+    ["search", "--structure", "family8-a.dsl", "--target", "skt", "--family", "jt"],
+    ["catalog", "emit", "nonnilpotent6", "--param", "eps=2", "--param", "sign=1"],
+] + [["bundle-extend", "--contact", name]
+      for name in ("zero-den-xi.json", "missing-phi.json", "bad-eta.json")]
 
 # command line -> file holding its stdout verbatim
 LITERAL = {
@@ -228,15 +260,23 @@ def outputs(skip_verify: bool = False):
                     for extra in ([], ["--json"]):
                         yield run(["classify", "--structure", structure, "--metric", metric,
                                    *extra])
+    for stem, family, *targets in FAMILY_SEARCHES:
+        for target in targets:
+            yield run(["search", "--structure", f"{stem}.dsl", "--target", target,
+                       "--budget", str(BUDGET), "--seed", str(SEEDS[0]), "--family", family])
     if skip_verify:
         yield VERIFY_LINE, None, None, None
     else:
         yield VERIFY_LINE, *verify_paper_output(_run(["verify-paper", "--json"]))
     for name, text in BAD_FILES.items():
         Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    contact = json.loads(Path("solvable5.json").read_text())
-    contact["F"] = [{"coef": "1", "mon": [1]}]
-    Path("bad-curvature.json").write_text(json.dumps(contact))
+    for name, (key, value) in BAD_CONTACTS.items():
+        contact = json.loads(Path("solvable5.json").read_text())
+        if value is None:
+            del contact[key]
+        else:
+            contact[key] = value
+        Path(name).write_text(json.dumps(contact))
     for argv in BAD_INPUTS:
         yield run(argv)
 
@@ -279,7 +319,7 @@ def first_drift(skip_verify: bool = False):
             if i >= len(expected) or expected[i][1] != line:
                 return f"command line {i + 1} is {line!r}, the corpus has a different list"
             if code is not None and digest(code, out, err) != expected[i][0]:
-                return f"output of {line!r} drifted"
+                return f"output of {line!r} drifted; it now exits {code} with stderr {err!r}"
             literal = LITERAL.get(line)
             if literal is not None and (HERE / literal).read_text(encoding="utf-8") != out:
                 return f"stdout of {line!r} differs from {literal}"

@@ -45,6 +45,14 @@ class TestBuilders:
         with pytest.raises(BadParams):
             catalog.build("jt", s=1)
 
+    @pytest.mark.parametrize("name, params", [
+        ("jt", {}), ("jt", {"t": 1, "s": 1}), ("iwasawa", {"t": 1}),
+        ("family8", {"p": 1}),
+    ])
+    def test_build_takes_exactly_the_declared_params(self, name, params):
+        with pytest.raises(BadParams, match=f"^{name} takes "):
+            catalog.build(name, **params)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_abelian_needs_positive_n(self, n):
         with pytest.raises(BadParams):

@@ -543,21 +543,26 @@ class TestInputErrors:
          "catalog emit jt: bad --param x=1; jt takes t (nonzero rational)"),
         (["catalog", "emit", "iwasawa", "--param", "t=1"],
          "catalog emit iwasawa: bad --param t=1; iwasawa takes no parameters"),
-        (["catalog", "emit", "nonnilpotent6", "--param", "eps=2"],
-         "catalog emit nonnilpotent6: bad --param eps=2; nonnilpotent6 takes eps (0|1), "
-         "sign (1|-1)"),
+        # a value outside the declared type's domain is the builder's BadParams
+        (["catalog", "emit", "nonnilpotent6", "--param", "eps=2", "--param", "sign=1"],
+         "catalog emit nonnilpotent6: eps in {0,1}, sign in {+1,-1} (--param eps=2 "
+         "--param sign=1)"),
         (["catalog", "emit", "nonnilpotent6", "--param", "eps=1", "--param", "sign=0"],
-         "catalog emit nonnilpotent6: bad --param sign=0; nonnilpotent6 takes eps (0|1), "
-         "sign (1|-1)"),
+         "catalog emit nonnilpotent6: eps in {0,1}, sign in {+1,-1} (--param eps=1 "
+         "--param sign=0)"),
         (["catalog", "emit", "nonnilpotent6", "--param", "eps=1"],
          "catalog emit nonnilpotent6: missing --param sign; nonnilpotent6 takes eps (0|1), "
          "sign (1|-1)"),
         (["catalog", "emit", "family8"],
          "catalog emit family8: missing --param p, q; family8 takes p (rational), q (rational)"),
         (["catalog", "emit", "jt", "--param", "t=0"],
-         "catalog emit jt: bad --param t=0; jt takes t (nonzero rational)"),
+         "catalog emit jt: t must be nonzero (--param t=0)"),
         (["catalog", "emit", "jt", "--param", "t=0/5"],
-         "catalog emit jt: bad --param t=0/5; jt takes t (nonzero rational)"),
+         "catalog emit jt: t must be nonzero (--param t=0/5)"),
+        (["catalog", "emit", "nilpotent6", "--param", "eps=0", "--param", "rho=2", "--param",
+          "A=0", "--param", "B=0", "--param", "C=0", "--param", "D=0"],
+         "catalog emit nilpotent6: eps and rho must be 0 or 1 (--param eps=0 --param rho=2 "
+         "--param A=0 --param B=0 --param C=0 --param D=0)"),
         (["catalog", "emit", "abelian", "--param", "n=0"],
          "catalog emit abelian: n must be at least 1, got 0 (--param n=0)"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
@@ -572,14 +577,15 @@ class TestInputErrors:
                  for kind in spec["params"].values()}
         assert kinds == set(_PARAM_PARSERS)
 
-    @pytest.mark.parametrize("cell", [{"re": "0", "im": "1/0"}, {"re": "1/0", "im": "1"}])
-    def test_zero_denominator_in_a_metric_names_the_file(self, jt_file, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("cell, field", [({"re": "0", "im": "1/0"}, "im"),
+                                             ({"re": "1/0", "im": "1"}, "re")])
+    def test_zero_denominator_in_a_metric_names_the_file(self, jt_file, tmp_path, capsys, cell,
+                                                         field):
         cells = [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)] for j in range(3)]
         cells[1][2] = cell
         path = write(tmp_path / "zero-den.json", json.dumps({"n": 3, "X": cells}))
         assert main(["classify", "--structure", jt_file, "--metric", path]) == 2
-        assert capsys.readouterr().err == (
-            f"error: malformed JSON in {path}: a zero denominator\n")
+        assert capsys.readouterr().err == f"error: {path}: X[1][2].{field}: a zero denominator\n"
 
     @pytest.mark.parametrize(
         "command, flag, doc",
@@ -603,21 +609,26 @@ class TestInputErrors:
         assert main(argv) == 2
         self.assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("command, flag, name, text", [
+    @pytest.mark.parametrize("command, flag, name, text, reason", [
         ("classify", "--metric", "huge.json",
-         json.dumps({"n": 1, "X": [[{"re": "0", "im": "7" * 5000}]]})),
-        ("check", "--structure", "no-equations.json", json.dumps({"n": 3})),
-        ("check", "--structure", "not-json.json", "{not json"),
-    ], ids=["5000-digit-cell", "missing-field", "invalid-json"])
+         json.dumps({"n": 1, "X": [[{"re": "0", "im": "7" * 5000}]]}), "X[0][0].im: Exceeds"),
+        ("classify", "--metric", "huge-number.json", '{"n": 1, "X": %s}' % ("7" * 5000),
+         "not JSON: Exceeds"),
+        ("check", "--structure", "no-equations.json", json.dumps({"n": 3}),
+         "equations: missing"),
+        ("check", "--structure", "not-json.json", "{not json", "not JSON: Expecting"),
+        ("bundle-extend", "--contact", "deep.json", "[" * 100_000 + "]" * 100_000,
+         "not JSON: maximum recursion depth exceeded"),
+    ], ids=["5000-digit-cell", "5000-digit-number", "missing-field", "invalid-json", "too-deep"])
     def test_json_error_names_the_file(self, jt_file, tmp_path, capsys, command, flag, name,
-                                       text):
+                                       text, reason):
         path = write(tmp_path / name, text)
         argv = [command, flag, path]
         if command == "classify":
             argv += ["--structure", jt_file]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: malformed JSON in {path}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", [
         ["check", "--structure", "{dir}"],
@@ -694,7 +705,7 @@ class TestInputErrors:
         path = write(tmp_path / "deg1.dsl", "n: 2\ndw1: 0\ndw2: w1\n")
         assert main(["check", "--structure", path]) == 2
         assert capsys.readouterr().err == (
-            "error: line 3, col 1: dw2 must be a 2-form, got degree 1\n")
+            f"error: {path}: line 3, col 1: dw2 must be a 2-form, got degree 1\n")
 
     @pytest.mark.parametrize("command", [
         ["check"],
@@ -706,7 +717,7 @@ class TestInputErrors:
         path.write_bytes(b"\xff")
         assert main(command + ["--structure", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+            f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
             " in position 0: invalid start byte\n")
 
     def test_unknown_claim_id(self, capsys):
@@ -720,7 +731,7 @@ class TestInputErrors:
         doc["F"] = [{"coef": "1", "mon": [1]}]  # closed, so only its degree is wrong
         path = write(tmp_path / "contact.json", json.dumps(doc))
         assert main(["bundle-extend", "--contact", path]) == 2
-        assert capsys.readouterr().err == "error: F must be a 2-form, got degree 1\n"
+        assert capsys.readouterr().err == f"error: {path}: F must be a 2-form, got degree 1\n"
 
     @pytest.mark.parametrize("cut", [
         lambda doc: doc["xi"].pop(),
@@ -750,6 +761,121 @@ class TestEngineFaults:
         monkeypatch.setattr(gauduchon.hermitian.CompiledMaps, "top", top)
         with pytest.raises(fault, match="engine fault"):
             main(["classify", "--structure", jt_file, "--metric", diag_metric_file])
+
+    # how to make the code that loads an input raise, and a command that loads it
+    LOAD_PHASE = {
+        "derive-json": (lambda mp, f: mp.setattr(gauduchon.structures, "_derive", f),
+                        ["check", "--structure", "{jt_json}"]),
+        "derive-dsl": (lambda mp, f: mp.setattr(gauduchon.structures, "_derive", f),
+                       ["check", "--structure", "{jt}"]),
+        "metric-init": (lambda mp, f: mp.setattr(Metric, "_init", f),
+                        ["classify", "--structure", "{jt}", "--metric", "{metric}"]),
+        "contact-check": (lambda mp, f: mp.setattr(gauduchon.sasakian.ContactData, "_check", f),
+                          ["bundle-extend", "--contact", "{contact}"]),
+        "contact-positivity": (lambda mp, f: mp.setattr(Metric, "is_positive", f),
+                               ["bundle-extend", "--contact", "{contact}"]),
+        "catalog-builder": (lambda mp, f: mp.setitem(catalog._FAMILIES["jt"], "builder", f),
+                            ["catalog", "emit", "jt", "--param", "t=1/2"]),
+        "family-reader": (lambda mp, f: mp.setitem(
+            catalog.CLOSED_FORM_FAMILIES, "jt", (3, f, catalog.CLOSED_FORM_FAMILIES["jt"][2])),
+            ["search", "--structure", "{jt}", "--target", "skt", "--family", "jt"]),
+    }
+
+    @pytest.mark.parametrize("where", list(LOAD_PHASE))
+    @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError, KeyError, TypeError])
+    def test_fault_while_loading_propagates(self, jt_file, diag_metric_file, tmp_path,
+                                            monkeypatch, where, fault):
+        def raising(*args, **kwargs):
+            raise fault("engine fault")
+
+        patch, command = self.LOAD_PHASE[where]
+        files = {"jt": jt_file, "metric": diag_metric_file,
+                 "jt_json": write(tmp_path / "jt.json",
+                                  json.dumps(dsl.structure_to_json(catalog.jt(1)))),
+                 "contact": write(tmp_path / "solvable5.json", json.dumps(
+                     gauduchon.sasakian.contact_to_json(catalog.solvable5_contact())))}
+        patch(monkeypatch, raising)
+        with pytest.raises(fault, match="engine fault"):
+            main([word.format(**files) for word in command])
+
+
+_MISSING = object()
+
+
+def _set(doc, path, value):
+    """Put value at path; _MISSING deletes a key, or puts null in an array slot."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is _MISSING and isinstance(last, str):
+        del doc[last]
+    else:
+        doc[last] = None if value is _MISSING else value
+
+
+def _term(coef, mon):
+    return [{"coef": coef, "mon": mon}]
+
+
+# (command with {file}, the document, [(path to a field, its name in the
+# error, a malformed value, a value with a zero denominator)]); every field
+# is also given a 5000-digit literal and left out
+_STRUCTURE = dsl.structure_to_json(catalog.jt(Fraction(1, 2)))
+_METRIC = {"n": 3, "X": [[{"re": "0", "im": "1" if j == k else "0"} for k in range(3)]
+                         for j in range(3)]}
+_ZERO_CELL = {"re": "1/0", "im": "0"}
+JSON_FIELDS = {
+    "structure": (["check", "--structure", "{file}"], _STRUCTURE, [
+        (("n",), "n", "x", "1/0"),
+        (("equations",), "equations", "x",
+         [[{"re": "1/0", "im": "0", "mon": [["w", 1], ["w", 2]]}]] * 3),
+        (("equations", 2), "equations[2]", "x",
+         [{"re": "1/0", "im": "0", "mon": [["w", 1], ["w", 2]]}]),
+        (("equations", 2, 0, "re"), "equations[2][0].re", "x", "1/0"),
+        (("equations", 2, 0, "im"), "equations[2][0].im", "1+", "2/0"),
+        (("equations", 2, 0, "mon"), "equations[2][0].mon", "x", [["w", "1/0"], ["w", 2]]),
+    ]),
+    "metric": (["classify", "--structure", "{jt}", "--metric", "{file}"], _METRIC, [
+        (("n",), "n", "x", "1/0"),
+        (("X",), "X", "x", [[_ZERO_CELL] * 3] * 3),
+        (("X", 1), "X[1]", "x", [_ZERO_CELL] * 3),
+        (("X", 1, 2, "re"), "X[1][2].re", "x", "1/0"),
+        (("X", 1, 2, "im"), "X[1][2].im", "x", "-3/0"),
+    ]),
+    "contact": (["bundle-extend", "--contact", "{file}"],
+                gauduchon.sasakian.contact_to_json(catalog.solvable5_contact()), [
+        (("dim",), "dim", "x", "1/0"),
+        (("d",), "d", "x", [_term("1/0", [1, 2])] * 5),
+        (("d", 4), "d[4]", "x", _term("1/0", [1, 4])),
+        (("eta",), "eta", "x", _term("1/0", [5])),
+        (("xi",), "xi", "x", ["1/0"] * 5),
+        (("xi", 4), "xi[4]", "x", "1/0"),
+        (("phi",), "phi", "x", [["1/0"] * 5] * 5),
+        (("phi", 2), "phi[2]", "x", ["1/0"] * 5),
+        (("phi", 2, 1), "phi[2][1]", "x", "1/0"),
+        (("Phi",), "Phi", "x", _term("1/0", [1, 4])),
+        (("F",), "F", "x", _term("1/0", [1, 4])),
+    ]),
+}
+JSON_FIELD_CASES = [
+    pytest.param(kind, path, name, value, id=f"{kind}-{name}-{how}")
+    for kind, (_, _, fields) in JSON_FIELDS.items()
+    for path, name, malformed, zero in fields
+    for how, value in (("malformed", malformed), ("zero-denominator", zero),
+                       ("over-long", "7" * 5000), ("missing", _MISSING))
+]
+
+
+@pytest.mark.parametrize("kind, path, name, value", JSON_FIELD_CASES)
+def test_bad_json_field_names_the_file_and_the_field(jt_file, tmp_path, capsys, kind, path,
+                                                     name, value):
+    command, doc, _ = JSON_FIELDS[kind]
+    doc = json.loads(json.dumps(doc))
+    _set(doc, path, value)
+    path = write(tmp_path / f"{kind}.json", json.dumps(doc))
+    assert main([word.format(file=path, jt=jt_file) for word in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {name}") and err.count("\n") == 1, err
 
 
 class TestReplay:

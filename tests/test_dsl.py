@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl
-from gauduchon.errors import DimensionMismatch, DslSyntaxError, JacobiViolation, NotIntegrable
+from gauduchon.errors import (BadParams, DimensionMismatch, DslSyntaxError, JacobiViolation,
+                              NotIntegrable)
 from gauduchon.forms import Form
 from gauduchon.scalars import ComplexRational, cr
 
@@ -233,15 +234,15 @@ class TestJsonIntegers:
 
     @pytest.mark.parametrize("j", [0, -1])
     def test_generator_index_below_one(self, j):
-        with pytest.raises(ValueError, match=rf"^equations\[1\]\[0\]\.mon: expected an "
+        with pytest.raises(BadParams, match=rf"^equations\[1\]\[0\]\.mon: expected an "
                                              rf"integer >= 1, found {j}$"):
             dsl.structure_from_json(self.abelian2([["w", j], ["cw", 1]]))
 
     @pytest.mark.parametrize("bad", [1.9, 1.0, "1", None])
     def test_index_that_is_not_an_int(self, bad):
-        with pytest.raises(ValueError, match=r"^equations\[1\]\[0\]\.mon: "):
+        with pytest.raises(BadParams, match=r"^equations\[1\]\[0\]\.mon: "):
             dsl.structure_from_json(self.abelian2([["w", bad], ["cw", 1]]))
-        with pytest.raises(ValueError, match="^n: "):
+        with pytest.raises(BadParams, match="^n: "):
             dsl.structure_from_json({"n": bad, "equations": [[]]})
 
     def test_real_form_rank_below_one(self):
@@ -249,5 +250,5 @@ class TestJsonIntegers:
             dsl.real_form_from_json([{"coef": "1", "mon": [0, 2]}])
 
     def test_metric_n_below_one(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(BadParams, match="^n: expected an integer >= 1, found 0$"):
             dsl.metric_from_json({"n": 0, "X": []})

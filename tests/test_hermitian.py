@@ -6,6 +6,7 @@ from gauduchon import catalog
 from gauduchon.errors import BadK, ClaimFailure, DimensionMismatch, NotPositive, NotSkewHermitian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
+    CompiledMaps,
     Lefschetz,
     Metric,
     classify,
@@ -43,10 +44,11 @@ class TestMetric:
         Metric._of_ints([[(0, 2), (1, 1)], [(-1, 1), (0, 4)]], 2)
         for num in ([[(0, 2), (1, 1)], [(1, 1), (0, 4)]],  # conj(x21) = -x12 fails
                     [[(0, 2), (0, 1)], [(0, -1), (0, 4)]],  # ... on the imaginary part
-                    [[(1, 2), (0, 0)], [(0, 0), (0, 4)]],  # x11 is not imaginary
-                    [[(0, 2), (0, 0)]]):  # not square
+                    [[(1, 2), (0, 0)], [(0, 0), (0, 4)]]):  # x11 is not imaginary
             with pytest.raises(NotSkewHermitian):
                 Metric._of_ints(num, 2)
+        with pytest.raises(DimensionMismatch, match=r"^X has 1 rows of lengths \[2\]$"):
+            Metric._of_ints([[(0, 2), (0, 0)]], 2)
 
     def test_x_is_a_copy(self, rng):
         metric = sample_positive_metric(rng, 3)
@@ -181,6 +183,23 @@ class TestClassify:
         report = classify(Metric.diagonal(3), catalog.jt(1))
         assert report.skt and report.gauduchon[1]
         assert report.gamma[1] == 0
+
+    @pytest.mark.parametrize("se, powers", [(catalog.jt(1), [1]),
+                                            (catalog.family8(1, 0), [1, 2])])
+    def test_ddbar_powers_evaluated_once_each(self, rng, monkeypatch, se, powers):
+        # for n = 3, astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
+        calls = []
+        ddbar_power = CompiledMaps.ddbar_power
+
+        def counted(self, metric, p):
+            calls.append(p)
+            return ddbar_power(self, metric, p)
+
+        monkeypatch.setattr(CompiledMaps, "ddbar_power", counted)
+        metric = sample_positive_metric(rng, se.n)
+        report = classify(metric, se)
+        assert calls == powers
+        assert report.astheno == ddbar_power(CompiledMaps.of(se), metric, se.n - 2).is_zero
 
     def test_json_shape(self):
         data = classify(Metric.diagonal(3), catalog.iwasawa()).to_json()

@@ -506,7 +506,7 @@ class TestConstructorTables:
         d_of = [Form(2, {(2, 4): ONE}), Form(2, {(1, 7): ONE}), Form(1, {(1,): ONE})]
         with pytest.raises(DimensionMismatch, match="^dw2 uses ranks beyond the coframe$"):
             StructureEquations(3, d_of)
-        with pytest.raises(ValueError, match="^dw3 must be a 2-form, got degree 1$"):
+        with pytest.raises(BadParams, match="^dw3 must be a 2-form, got degree 1$"):
             StructureEquations(3, d_of[:1] + [Form.zero()] + d_of[2:])
 
 

@@ -139,6 +139,31 @@ class TestCertificates:
         assert out.status == "witness"
 
 
+class TestFamilyParams:
+    """find_metric certifies only from params that rebuild its structure."""
+
+    def test_params_of_another_build_are_rejected(self):
+        # diagonal gamma1 of jt(1/2) is -1/6, while K = 1 at these params
+        se = catalog.jt(Fraction(1, 2))
+        assert gamma_scalar(hermitian.Metric.diagonal(3), 1, se) == Fraction(-1, 6)
+        with pytest.raises(BadParams, match="not a build of reduced6"):
+            find_metric(se, Target("gamma_negative", 1), family="reduced6",
+                        params=Reduced6Params(1, 0, 0, 0))
+
+    def test_nilpotent6_with_eps_one_ignores_a_and_d(self):
+        # eps = 1 drops A and D from the build, so these params rebuild se
+        params = catalog.Nilpotent6Params(1, 1, cr(5), cr(1), cr(0), cr(3))
+        se = catalog.nilpotent6(1, 1, 0, 1, 0, 0)
+        out = find_metric(se, Target("gamma_positive", 1), family="nilpotent6", params=params)
+        assert out.status == "witness" and out.samples_used == 0
+
+    def test_params_left_out_are_read_off_the_structure(self):
+        se = catalog.jt(Fraction(1, 2))
+        out = find_metric(se, Target("skt"), family="jt")
+        assert out.status == "infeasible_certified"
+        assert Fraction(out.certificate["K"]) == -2
+
+
 class TestWitnessSearch:
     def test_gauduchon_zero_witness_family8(self):
         se = catalog.family8(1, 0)
