@@ -21,7 +21,9 @@ Each INT is converted once, by the tokenizer.  The grammar and the JSON
 readers sum the terms of a form into one dict (_add_term) and build one
 Form from it.  A source error is a DslSyntaxError at its line and column;
 the JSON readers read each value through _field, which names the field
-(equations[j][t].re, X[j][k].im; indices from 0) in a BadParams.
+(equations[j][t].re, X[j][k].im; indices from 0) in a BadParams; a JSON
+boolean is neither an integer nor a rational.  The metric reader reads X in
+one pass into the ints that Metric._of_ints takes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import operator
 import re
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import BadInput, BadParams, DimensionMismatch, DslSyntaxError
@@ -298,6 +301,8 @@ def _mon_to_json(mon) -> list:
 
 def _index(value) -> int:
     """A JSON integer field (n, dim, a generator index or rank): an int >= 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer >= 1, found {str(value).lower()}")
     j = operator.index(value)  # a float or a string raises TypeError
     if j < 1:
         raise DimensionMismatch(f"expected an integer >= 1, found {j}")
@@ -311,17 +316,25 @@ def _array(value) -> list:
     return value
 
 
+_READ_ERRORS = (KeyError, ZeroDivisionError, TypeError, ValueError, BadInput)
+
+
+def _bad(where: str, exc: Exception) -> BadParams:
+    """The BadParams naming the field where for one of _READ_ERRORS."""
+    if isinstance(exc, KeyError):
+        return BadParams(f"{where}: missing")
+    if isinstance(exc, ZeroDivisionError):
+        return BadParams(f"{where}: a zero denominator")
+    return BadParams(f"{where}: {exc}")
+
+
 def _field(where: str, read):
     """read(), which reads the one value of the field where: a missing key, a
     wrong type, a bad literal or a zero denominator is BadParams naming it."""
     try:
         return read()
-    except KeyError:
-        raise BadParams(f"{where}: missing") from None
-    except ZeroDivisionError:
-        raise BadParams(f"{where}: a zero denominator") from None
-    except (TypeError, ValueError, BadInput) as exc:
-        raise BadParams(f"{where}: {exc}") from None
+    except _READ_ERRORS as exc:
+        raise _bad(where, exc) from None
 
 
 def _complex(at: str, spec) -> ComplexRational:
@@ -409,12 +422,32 @@ def metric_to_json(metric: Metric) -> dict:
 
 
 def metric_from_json(spec) -> Metric:
-    """A field that is missing or does not read raises BadParams naming it:
-    n, X, X[j], or X[j][k].re or .im; a ragged X is Metric's DimensionMismatch."""
+    """The metric, read in one pass into the ints that Metric._of_ints takes:
+    D is the lcm of the reduced denominators of the cells' parts, as in
+    Metric(x).  A field that is missing or does not read raises BadParams
+    naming it, the name built only then: n, X, X[j], or X[j][k].re or .im; a
+    ragged X is Metric's DimensionMismatch."""
     n = _field("n", lambda: _index(spec["n"]))
     rows = _field("X", lambda: _array(spec["X"]))
     if len(rows) != n:
         raise DimensionMismatch(f"n is {n} but X has {len(rows)} rows")
-    return Metric([[_complex(f"X[{j}][{k}]", cell)
-                    for k, cell in enumerate(_field(f"X[{j}]", lambda: _array(row)))]
-                   for j, row in enumerate(rows)])
+    cells, dens = [], {1}  # cells[j][k] = (p, q, r, s) for x_jk = p/q + i r/s
+    j = k = part = None
+    try:
+        for j, row in enumerate(rows):
+            k = None
+            out = []
+            for k, cell in enumerate(_array(row)):
+                part = "re"
+                p, q = _rational_parts(cell["re"])
+                part = "im"
+                r, s = _rational_parts(cell["im"])
+                out.append((p, q, r, s))
+                dens.add(q)
+                dens.add(s)
+            cells.append(out)
+    except _READ_ERRORS as exc:
+        raise _bad(f"X[{j}]" if k is None else f"X[{j}][{k}].{part}", exc) from None
+    den = lcm(*dens)
+    return Metric._of_ints([[(p * (den // q), r * (den // s)) for p, q, r, s in row]
+                            for row in cells], den)

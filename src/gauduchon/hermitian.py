@@ -26,9 +26,12 @@ Gaussian-int numerators over one denominator D, and its minors as ints
 over D^p; the ComplexRational matrix x is a copy built on each read.  Each
 map is one int table, summed in ints, and positivity is Sylvester's
 criterion on the trailing principal minors of -iX, the last of which is
-det(-iX): one determinant path.  The Lefschetz contraction table is
--i (-iX)^-1 = X^-1, read off the cofactors of X, and the contraction is a
-Gaussian-integer kernel like forms.wedge.
+det(-iX): one determinant path.  The Lefschetz contraction is one
+Gaussian-integer kernel over rank masks (_contract) with the table
+-i (-iX)^-1 = X^-1, read off the cofactors of X (_cofactor_table).
+classify and lee_form stay in ints from the metric to theta: Omega's int
+sums pass once through the d table, and the image decides Kahler and
+contracts into theta, with no Lefschetz built.
 """
 
 from __future__ import annotations
@@ -200,21 +203,8 @@ class Metric:
         return _make(re, im, self._den ** len(rows))
 
     def fundamental_form(self) -> Form:
-        """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id.
-
-        w^j ^ ~w^k is canonical for j <= k; otherwise it is -~w^k ^ w^j.
-        """
-        den = self._den
-        terms: Dict[Monomial, ComplexRational] = {}
-        for j, row in enumerate(self._num, 1):
-            for k, (a, b) in enumerate(row, 1):
-                if not (a or b):
-                    continue
-                if j <= k:
-                    terms[(holo_rank(j), conj_rank(k))] = _make(a, b, den)
-                else:
-                    terms[(conj_rank(k), holo_rank(j))] = _make(-a, -b, den)
-        return Form(2, terms)
+        """Omega = sum_{j,k} x_{jk} w^j ^ ~w^k; real in the sense conj = id."""
+        return _form_of_sums(2, _omega_sums(self._num), self._den)
 
     def scale(self, c) -> "Metric":
         return Metric([[v * cr(c) for v in row] for row in self.x])
@@ -476,11 +466,92 @@ def balanced_defect(metric: Metric, se: StructureEquations) -> Form:
 # ---------------------------------------------------------------------------
 
 
-def _lee(lef: "Lefschetz", d_omega: Form) -> Form:
-    """theta = Lambda(d Omega) with Lambda the bare adjoint of L."""
-    theta = lef.adjoint(d_omega)
+def _omega_sums(num: list) -> dict:
+    """Omega as int sums {rank mask: (a, b)} over the metric's D, num[j][k] = (a, b).
+
+    w^j ^ ~w^k is canonical for j <= k; otherwise it is -~w^k ^ w^j.
+    """
+    sums = {}
+    for j, row in enumerate(num):
+        for k, (a, b) in enumerate(row):
+            if a or b:
+                sums[1 << 2 * j + 1 | 1 << 2 * k + 2] = (a, b) if j <= k else (-a, -b)
+    return sums
+
+
+def _cofactor_table(metric: Metric) -> tuple:
+    """(table, denominator) of the contraction with -i (H^-1)_{ba}, H = -iX.
+
+    -i (H^-1)_{ba} = (X^-1)_{ba} = C_ab / det X is the factor of contracting
+    w^a with ~w^b, where C_ab is the (a, b) cofactor of X.  With the minors
+    of the metric, det X = (R + i S)/D^n and each cofactor (c + ie)/D^{n-1},
+    it is D (c + ie)(R - i S) / (R^2 + S^2).  The table maps the rank of
+    w^a to [(rank of ~w^b, re, im)] over the denominator R^2 + S^2.
+    """
+    full = tuple(range(metric.n))
+    big_r, big_s = metric._minor_ints(full, full)
+    den = metric._den
+    table = {}
+    for a in full:
+        rows = full[:a] + full[a + 1:]
+        for b in full:
+            c, e = metric._minor_ints(rows, full[:b] + full[b + 1:])
+            if not (c or e):
+                continue
+            if (a + b) & 1:
+                c, e = -c, -e
+            table.setdefault(holo_rank(a + 1), []).append(
+                (conj_rank(b + 1), den * (c * big_r + e * big_s), den * (e * big_r - c * big_s)))
+    return table, big_r * big_r + big_s * big_s
+
+
+def _contract(sums: dict, table: dict) -> dict:
+    """The bare adjoint of L on int sums {rank mask: (re, im)}, over _cofactor_table.
+
+    -i sum_{a,b} (H^-1)_{ba} i(d/d~w_b) i(d/dw_a): for every monomial and
+    every pair (w^a at position p, ~w^b at position q of the rest) it drops
+    the pair with the factor -i (H^-1)_{ba} (-1)^{p+q}.
+    """
+    out: Dict[int, list] = {}
+    for mask, (x, y) in sums.items():
+        if not (x or y):
+            continue
+        for p, r in enumerate(_ranks(mask)):
+            row = table.get(r)
+            if row is None:
+                continue
+            for s_rank, u, v in row:
+                bit = 1 << s_rank
+                if not mask & bit:
+                    continue
+                # ~w^b sits at position q of the rest of mon, after w^a is dropped
+                q = (mask & (bit - 1) & ~(1 << r)).bit_count()
+                if (p + q) & 1:
+                    u, v = -u, -v
+                re, im = x * u - y * v, x * v + y * u
+                m = mask ^ (1 << r) ^ bit
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = [re, im]
+                else:
+                    acc[0] += re
+                    acc[1] += im
+    return out
+
+
+def _kahler_lee(metric: Metric, se: StructureEquations) -> tuple:
+    """(d Omega == 0, theta) for a positive metric, in ints up to theta's Form.
+
+    Omega's int sums pass once through the structure's d table, the kernel
+    behind se.d; Kahler is an image with no nonzero sum, and theta =
+    Lambda(d Omega) contracts the image sums with the cofactor table of X.
+    """
+    metric.require_positive()
+    d_sums, dt = _derive(_omega_sums(metric._num), (se._d_rank,))
+    table, table_den = _cofactor_table(metric)
+    theta = _form_of_sums(1, _contract(d_sums, table), metric._den * dt * table_den)
     ensure(theta.conjugate() == theta, "Lee form must be real")
-    return theta
+    return not any(re or im for re, im in d_sums.values()), theta
 
 
 def lee_form(metric: Metric, se: StructureEquations) -> Form:
@@ -488,10 +559,11 @@ def lee_form(metric: Metric, se: StructureEquations) -> Form:
 
     d Omega = (d Omega)_0 + theta ^ Omega / (n-1) with (d Omega)_0 primitive,
     and [Lambda, L] = n - p on p-forms, so Lambda(d Omega) is the unique
-    1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}.
+    1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}.  Computed in
+    ints (_kahler_lee); a metric that is not positive raises NotPositive.
     """
     _require_same_n(metric, se)
-    return _lee(Lefschetz(metric), se.d(metric.fundamental_form()))
+    return _kahler_lee(metric, se)[1]
 
 
 def _rank_pairing(h_inv: list, r: int, s: int) -> ComplexRational:
@@ -574,19 +646,18 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
     The Gauduchon forms, ddbar(Omega) and ddbar(Omega^{n-2}) come from the
-    structure's compiled maps, sharing the metric's minors across k.  The Lee form is
-    Lambda(d Omega) of the d Omega that decides Kahler, and balanced is read
-    off it: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta does,
-    since L^{n-1} is injective on 1-forms.  The report carries theta anyway;
-    search, which needs no theta, reads the cheaper compiled d(Omega^{n-1}).
+    structure's compiled maps, sharing the metric's minors across k.  Kahler
+    and the Lee form theta = Lambda(d Omega) come from one int pass over d
+    Omega (_kahler_lee), its cofactors among the same minors.  Balanced is
+    read off theta: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta
+    does, since L^{n-1} is injective on 1-forms.  The report carries theta
+    anyway; search, which needs no theta, reads the cheaper compiled
+    d(Omega^{n-1}).
     """
     _require_same_n(metric, se)
     maps = CompiledMaps.of(se)
-    lef = Lefschetz(metric)
     n = se.n
-    d_omega = se.d(lef.omega)
-    lee = _lee(lef, d_omega)
-    kahler = d_omega.is_zero
+    kahler, lee = _kahler_lee(metric, se)
     skt = maps.ddbar_power(metric, 1).is_zero
     # for n = 3 astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
     astheno = maps.ddbar_power(metric, n - 2).is_zero if n > 3 else n < 3 or skt
@@ -638,65 +709,19 @@ class Lefschetz:
         self.metric = metric
         self.n = metric.n
         self.omega = metric.fundamental_form()
-        # -i (H^-1)_{ba} = (X^-1)_{ba} = C_ab / det X, the factor of contracting
-        # w^a with ~w^b, where C_ab is the (a, b) cofactor of X.  With the
-        # minors of the metric, det X = (R + i S)/D^n and each cofactor
-        # (c + ie)/D^{n-1}, it is D (c + ie)(R - i S) / (R^2 + S^2).
-        full = tuple(range(self.n))
-        big_r, big_s = metric._minor_ints(full, full)
-        den = metric._den
-        self._lam_den = big_r * big_r + big_s * big_s
-        self._lam = {}  # rank of w^a -> [(rank of ~w^b, re, im)] over _lam_den
-        for a in full:
-            rows = full[:a] + full[a + 1:]
-            for b in full:
-                c, e = metric._minor_ints(rows, full[:b] + full[b + 1:])
-                if not (c or e):
-                    continue
-                if (a + b) & 1:
-                    c, e = -c, -e
-                self._lam.setdefault(holo_rank(a + 1), []).append(
-                    (conj_rank(b + 1), den * (c * big_r + e * big_s), den * (e * big_r - c * big_s)))
-        ensure(self.adjoint(self.omega) == Form.scalar(self.n),
-               "the adjoint of L must send Omega to n")
+        self._lam, self._lam_den = _cofactor_table(metric)
 
     def L(self, f: Form) -> Form:
         return wedge(self.omega, f)
 
     def adjoint(self, f: Form) -> Form:
-        """The bare adjoint of L (no calibration factor).
-
-        -i sum_{a,b} (H^-1)_{ba} i(d/d~w_b) i(d/dw_a): for every monomial and
-        every pair (w^a at position p, ~w^b at position q of the rest) it
-        drops the pair with the factor -i (H^-1)_{ba} (-1)^{p+q}.
-        """
+        """The bare adjoint of L (no calibration factor): the contraction
+        kernel _contract over the metric's cofactor table.  It sends Omega to
+        the constant n."""
         if f.is_zero or f.degree < 2:
             return Form.zero()
-        lam = self._lam
         df, terms = _to_ints(f.terms.items())
-        sums: Dict[int, list] = {}
-        for mon, x, y in terms:
-            mask = _mask(mon)
-            for p, r in enumerate(mon):
-                row = lam.get(r)
-                if row is None:
-                    continue
-                for s_rank, u, v in row:
-                    bit = 1 << s_rank
-                    if not mask & bit:
-                        continue
-                    # ~w^b sits at position q of the rest of mon, after w^a is dropped
-                    q = (mask & (bit - 1) & ~(1 << r)).bit_count()
-                    if (p + q) & 1:
-                        u, v = -u, -v
-                    re, im = x * u - y * v, x * v + y * u
-                    m = mask ^ (1 << r) ^ bit
-                    acc = sums.get(m)
-                    if acc is None:
-                        sums[m] = [re, im]
-                    else:
-                        acc[0] += re
-                        acc[1] += im
+        sums = _contract({_mask(mon): (x, y) for mon, x, y in terms}, self._lam)
         return _form_of_sums(f.degree - 2, sums, df * self._lam_den)
 
     def Lstar(self, f: Form) -> Form:

@@ -27,9 +27,9 @@ def _rational_parts(value: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) in lowest terms, denominator > 0.
 
     Accepts what ``Fraction(value)`` accepts, with the same errors, except
-    a float, which raises TypeError like a float operand does (a string
-    such as "0.1" stays exact); ints, Fractions and plain "p" / "p/q"
-    strings never build a Fraction.
+    a float or a bool, which raise TypeError like a float operand does (a
+    string such as "0.1" stays exact, and a JSON true is not 1); ints,
+    Fractions and plain "p" / "p/q" strings never build a Fraction.
     """
     if type(value) is int:
         return value, 1
@@ -41,6 +41,8 @@ def _rational_parts(value: RationalLike) -> tuple[int, int]:
         if q:
             g = gcd(p, q)
             return p // g, q // g
+    if isinstance(value, bool):
+        raise TypeError(f"boolean {str(value).lower()} is not an exact rational")
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact rational")
     value = Fraction(value)  # raises Fraction's own error on bad input or "p/0"

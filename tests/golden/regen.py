@@ -109,6 +109,8 @@ _RAGGED = _cells(3, "1")
 _RAGGED[2].pop()
 _BAD_CELL = _cells(3, "1")
 _BAD_CELL[0][1] = {"re": "x", "im": "0"}
+_BOOL_CELL = _cells(3, "1")  # a JSON boolean is not the number 0 or 1
+_BOOL_CELL[0][0] = {"re": False, "im": True}
 # file name -> text or bytes, written before the BAD_INPUTS run; jt-half.dsl
 # and family8-a.dsl are the corpus's own files
 BAD_FILES = {
@@ -122,6 +124,8 @@ BAD_FILES = {
     "missing-n.json": json.dumps({"X": _cells(3, "1")}),
     "ragged.json": json.dumps({"n": 3, "X": _RAGGED}),
     "bad-encoding.dsl": b"n: 2\ndw1: 0\ndw2: 0 \xff\n",
+    "bool-n.json": json.dumps({"n": True, "equations": [[]]}),
+    "bool-cell.json": json.dumps({"n": 3, "X": _BOOL_CELL}),
     **STRUCTURE_JSON,
 }
 # the corpus's solvable5.json with one field set (None: removed);
@@ -131,6 +135,7 @@ BAD_CONTACTS = {
     "zero-den-xi.json": ("xi", ["0", "0", "0", "0", "1/0"]),
     "missing-phi.json": ("phi", None),
     "bad-eta.json": ("eta", [{"coef": "1", "mon": ["e5"]}]),
+    "bool-xi.json": ("xi", ["0", "0", "0", "0", True]),
 }
 BAD_INPUTS = [
     ["check", "--structure", "bad-syntax.dsl"],
@@ -152,7 +157,11 @@ BAD_INPUTS = [
     ["search", "--structure", "family8-a.dsl", "--target", "skt", "--family", "jt"],
     ["catalog", "emit", "nonnilpotent6", "--param", "eps=2", "--param", "sign=1"],
 ] + [["bundle-extend", "--contact", name]
-      for name in ("zero-den-xi.json", "missing-phi.json", "bad-eta.json")]
+      for name in ("zero-den-xi.json", "missing-phi.json", "bad-eta.json")] + [
+    ["check", "--structure", "bool-n.json"],
+    ["classify", "--structure", "jt-half.dsl", "--metric", "bool-cell.json"],
+    ["bundle-extend", "--contact", "bool-xi.json"],
+]
 
 # command line -> file holding its stdout verbatim
 LITERAL = {

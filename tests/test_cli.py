@@ -857,12 +857,30 @@ JSON_FIELDS = {
         (("F",), "F", "x", _term("1/0", [1, 4])),
     ]),
 }
+# (path to an integer or rational leaf, the field named in the error); each
+# leaf is also given true and false, which no JSON reader takes as 1 or 0
+JSON_LEAVES = {
+    "structure": [(("n",), "n"), (("equations", 2, 0, "re"), "equations[2][0].re"),
+                  (("equations", 2, 0, "im"), "equations[2][0].im"),
+                  (("equations", 2, 0, "mon", 0, 1), "equations[2][0].mon")],
+    "metric": [(("n",), "n"), (("X", 0, 0, "im"), "X[0][0].im"), (("X", 1, 2, "re"), "X[1][2].re"),
+               (("X", 1, 2, "im"), "X[1][2].im")],
+    "contact": [(("dim",), "dim"), (("d", 4, 0, "coef"), "d[4]"), (("d", 4, 1, "mon", 0), "d[4]"),
+                (("eta", 0, "coef"), "eta"), (("eta", 0, "mon", 0), "eta"), (("xi", 4), "xi[4]"),
+                (("phi", 2, 1), "phi[2][1]"), (("Phi", 0, "coef"), "Phi"),
+                (("Phi", 1, "mon", 1), "Phi"), (("F", 0, "coef"), "F"), (("F", 1, "mon", 0), "F")],
+}
 JSON_FIELD_CASES = [
     pytest.param(kind, path, name, value, id=f"{kind}-{name}-{how}")
     for kind, (_, _, fields) in JSON_FIELDS.items()
     for path, name, malformed, zero in fields
     for how, value in (("malformed", malformed), ("zero-denominator", zero),
                        ("over-long", "7" * 5000), ("missing", _MISSING))
+] + [
+    pytest.param(kind, path, name, value, id=f"{kind}-{'.'.join(map(str, path))}-{value}")
+    for kind, leaves in JSON_LEAVES.items()
+    for path, name in leaves
+    for value in (True, False)
 ]
 
 
@@ -875,7 +893,8 @@ def test_bad_json_field_names_the_file_and_the_field(jt_file, tmp_path, capsys, 
     path = write(tmp_path / f"{kind}.json", json.dumps(doc))
     assert main([word.format(file=path, jt=jt_file) for word in command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: {name}") and err.count("\n") == 1, err
+    head = f"error: {path}: {name}"  # the field, or one inside it: "n: ", not "need"
+    assert err.startswith(head) and err[len(head)] in ":[." and err.count("\n") == 1, err
 
 
 class TestReplay:

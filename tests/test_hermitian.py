@@ -255,6 +255,14 @@ class TestLefschetz:
                 cr(32 * n * (n - 1))
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_adjoint_sends_omega_to_n(self, n, rng):
+        """[Lambda, L] = n on functions: the identity the constructor no longer checks."""
+        metrics = [Metric.diagonal(n), Metric.diagonal(n, range(1, n + 1))]
+        metrics += [sample_positive_metric(rng, n) for _ in range(3)]
+        for m in metrics:
+            assert Lefschetz(m).adjoint(m.fundamental_form()) == Form.scalar(n)
+
     def test_lstar_requires_positive(self):
         with pytest.raises(NotPositive):
             Lefschetz(Metric.diagonal(2, [1, -1]))

@@ -17,7 +17,9 @@ ComplexRational loops and the LDL* positivity test they replaced.  The
 search's sampler draws from getrandbits, the Gauduchon numerator is read
 off the top coefficient's ints and the closing move compares the bumped
 scalar with the base; their references are the randint/choice sampler,
-the ComplexRational product and the -base/slope rule they replaced.
+the ComplexRational product and the -base/slope rule they replaced.  The
+metric reader reads JSON in one pass into the metric's ints; its reference
+is Metric of the ComplexRational cells.
 """
 
 import dataclasses
@@ -289,6 +291,7 @@ class TestLeeContraction:
             assert lee_form(metric, se) == theta, name
             report = classify(metric, se)
             assert report.lee == theta, name
+            assert report.kahler == se.d(metric.fundamental_form()).is_zero, name
             balanced = se.d(omega_power(metric.fundamental_form(), se.n - 1)).is_zero
             assert report.balanced == balanced == theta.is_zero, name
             assert search._holds(se, Target("balanced"), metric) == balanced, name
@@ -297,6 +300,54 @@ class TestLeeContraction:
         verdicts = {lee_form(hermitian.Metric.diagonal(se.n), se).is_zero
                     for _, se in lee_entries()}
         assert verdicts == {True, False}
+        kahler = {classify(hermitian.Metric.diagonal(se.n), se).kahler for _, se in lee_entries()}
+        assert kahler == {True, False}
+
+
+def spell(rng, value):
+    """value as one of the JSON rationals the metric reader takes: a JSON
+    integer, an unreduced "p/q", a decimal string, "-0" or the plain string."""
+    p, q = value.numerator, value.denominator
+    kind = rng.randrange(5)
+    if kind == 0 and q == 1:
+        return p
+    if kind == 1:
+        f = rng.randint(2, 6)
+        return f"{p * f}/{q * f}"
+    if kind == 2 and 10**6 % q == 0:
+        digits = f"{abs(p) * (10**6 // q):07d}"
+        return ("-" if p < 0 else "") + digits[:-6] + "." + digits[-6:]
+    if kind == 3 and p == 0:
+        return "-0"
+    return str(value)
+
+
+class TestMetricReader:
+    """The one-pass reader stores what Metric() of the ComplexRational cells stores."""
+
+    @staticmethod
+    def assert_reads_as_the_cells(cells):
+        metric = dsl.metric_from_json({"n": len(cells), "X": [
+            [{"re": re, "im": im} for re, im in row] for row in cells]})
+        ref = hermitian.Metric([[ComplexRational(re, im) for re, im in row] for row in cells])
+        assert (metric._num, metric._den) == (ref._num, ref._den)
+
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_sampled_metrics(self, n, seed):
+        rng = random.Random(seed)
+        value = lambda: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 5, 7, 8, 10)))
+        x = [[None] * n for _ in range(n)]
+        for j in range(n):  # x_kj = -conj(x_jk), so re x_jj = 0
+            for k in range(j, n):
+                re, im = (Fraction(0) if j == k else value()), value()
+                x[j][k], x[k][j] = (re, im), (-re, im)
+        self.assert_reads_as_the_cells([[(spell(rng, re), spell(rng, im)) for re, im in row]
+                                        for row in x])
+
+    def test_every_spelling(self):
+        self.assert_reads_as_the_cells([[(0, 3), ("6/4", "-0.25")],
+                                        [("-6/4", "-0.25"), ("-0", "0.1")]])
+        self.assert_reads_as_the_cells([[("-0", "10/4")]])
 
 
 def compiled_entries():
