@@ -8,6 +8,8 @@ code, stdout and stderr.  The corpus covers:
     of both contact entries (the emitted text is saved and used as input);
   * ``bundle-extend`` of both contact entries, as text and ``--json``;
   * ``classify``, as text and ``--json``, for METRICS metrics per point;
+  * the same classify lines, with no search block, for the structures of
+    CLASSIFY_ONLY, which reach branches the points miss;
   * ``search`` for every target and k, at SEEDS with budget BUDGET;
   * ``search --family`` on a point of each closed-form family, for a target
     its closed forms certify and one they leave to sampling (FAMILY_SEARCHES);
@@ -69,6 +71,13 @@ FAMILY_SEARCHES = [
     ("jt-half", "jt", "skt", "gamma2<0"),
     ("family8-a", "family8", "skt", "balanced"),
     ("nonnilpotent6-0p", "nonnilpotent6", "gamma1>0", "balanced"),
+]
+# (file stem, catalog emit argv or DSL text): abelian n = 2 has only k = 1,
+# with no Omega^{n-3} term; N5 is the non-Kahler n = 5 structure of bench/n5.dsl
+N5 = "n: 5\ndw1: 0\ndw2: w1^~w1\ndw3: w1^~w1\ndw4: w1^w2\ndw5: w1^~w2\n"
+CLASSIFY_ONLY = [
+    ("abelian-2", ["catalog", "emit", "abelian", "--param", "n=2"]),
+    ("n5", N5),
 ]
 CONTACTS = ("solvable5", "heisenberg5")
 METRICS = 6
@@ -237,6 +246,15 @@ def outputs(skip_verify: bool = False):
         code, out, err = _run(argv)
         return (shlex.join(["gauduchon"] + argv), code, out, err)
 
+    def classify_drawn(stem: str, n: int):
+        """classify, as text and --json, of stem.dsl on METRICS drawn metrics."""
+        rng = random.Random(stem)
+        for i in range(METRICS):
+            metric = f"{stem}.m{i}.json"
+            Path(metric).write_text(_metric_json(rng, n, i))
+            for extra in ([], ["--json"]):
+                yield run(["classify", "--structure", f"{stem}.dsl", "--metric", metric, *extra])
+
     yield run(["catalog", "list"])
     for name in CONTACTS:
         emitted = run(["catalog", "emit", name])
@@ -250,12 +268,7 @@ def outputs(skip_verify: bool = False):
         structure = f"{stem}.dsl"
         Path(structure).write_text(emitted[2])
         n = int(emitted[2].split("\n", 1)[0].removeprefix("n:"))
-        rng = random.Random(stem)
-        for i in range(METRICS):
-            metric = f"{stem}.m{i}.json"
-            Path(metric).write_text(_metric_json(rng, n, i))
-            for extra in ([], ["--json"]):
-                yield run(["classify", "--structure", structure, "--metric", metric, *extra])
+        yield from classify_drawn(stem, n)
         for t, target in enumerate(_targets(n)):
             for seed in SEEDS:
                 searched = run(["search", "--structure", structure, "--target", target,
@@ -269,6 +282,13 @@ def outputs(skip_verify: bool = False):
                     for extra in ([], ["--json"]):
                         yield run(["classify", "--structure", structure, "--metric", metric,
                                    *extra])
+    for stem, source in CLASSIFY_ONLY:
+        if isinstance(source, list):
+            emitted = run(source)
+            yield emitted
+            source = emitted[2]
+        Path(f"{stem}.dsl").write_text(source)
+        yield from classify_drawn(stem, int(source.split("\n", 1)[0].removeprefix("n:")))
     for stem, family, *targets in FAMILY_SEARCHES:
         for target in targets:
             yield run(["search", "--structure", f"{stem}.dsl", "--target", target,
