@@ -69,13 +69,15 @@ def _form(terms: dict) -> Form:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-# One group per token kind; blanks and comments match no group, and any
-# other character is "bad".  A newline ends a statement, as ';' does.
+# One match per token, with the blanks and comment after it (_LEAD skips any
+# before the first token); the group that matched is the token's kind, and
+# any other character is "bad".  A newline ends a statement, as ';' does.
 _TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])"
-    r"|[ \t\r]+|#[^\n]*|(?P<bad>.)",
+    r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])|(?P<bad>.))"
+    r"[ \t\r]*(?:#[^\n]*)?",
     re.DOTALL,
 )
+_LEAD = re.compile(r"[ \t\r]*(?:#[^\n]*)?")
 
 
 class _Parser:
@@ -83,20 +85,20 @@ class _Parser:
         self.text = text
         # (kind, text, offset, int value or None); kind is 'int', 'name', 'end' or the punctuation
         self.tokens: List[tuple] = []
-        for m in _TOKEN.finditer(text):
-            kind, tok = m.lastgroup, m.group()
+        for m in _TOKEN.finditer(text, _LEAD.match(text).end()):
+            kind = m.lastgroup
+            tok = m[kind]
             value = None
-            if kind == "bad":
-                self.fail(m.start(), f"unexpected character {tok!r}")
             if kind == "int":
                 try:
                     value = int(tok)
                 except ValueError:  # beyond the interpreter's int-string limit
                     self.fail(m.start(), f"integer literal too long ({len(tok)} digits)")
-            if kind == "punct":
+            elif kind == "punct":
                 kind = tok = ";" if tok == "\n" else tok
-            if kind is not None:
-                self.tokens.append((kind, tok, m.start(), value))
+            elif kind == "bad":
+                self.fail(m.start(), f"unexpected character {tok!r}")
+            self.tokens.append((kind, tok, m.start(), value))
         self.tokens.append(("end", "", len(text), None))
         self.pos = 0
 

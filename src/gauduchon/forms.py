@@ -12,11 +12,11 @@ never call the complex-specific methods.  Coefficients are ComplexRational.
 The products are Gaussian-integer kernels.  wedge (and, in structures and
 hermitian, the derivations and the Lefschetz contraction) scales each input
 to (re, im) int numerators over one shared denominator (scalars._to_ints),
-accumulates the products as plain ints and reduces each output coefficient
-once (scalars._make).  Inside a kernel a monomial is a rank bitmask: two
-monomials meet iff their masks share a bit, and the shuffle sign of a
-merge is the parity of the second mask's bits under the first one's parity
-mask (_parity_mask).  Form keys stay tuples.
+accumulates the products as plain ints (_wedge_sums, also run by hermitian)
+and reduces each output coefficient once (scalars._make).  In a kernel a
+monomial is a rank bitmask: two monomials meet iff their masks share a
+bit, and the shuffle sign of a merge is the parity of the second mask's
+bits under the first one's parity mask (_parity_mask).  Form keys stay tuples.
 """
 
 from __future__ import annotations
@@ -248,17 +248,15 @@ class Form:
         return format_form(self)
 
 
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; bilinear, associative, graded-commutative."""
-    if a.is_zero or b.is_zero:
-        return Form.zero()
-    da, left = _to_ints(a.terms.items())
-    db, right = _to_ints(b.terms.items())
-    right = [(_mask(mon), u, v) for mon, u, v in right]
+def _wedge_sums(left: dict, right: dict) -> dict:
+    """The wedge kernel on int sums {rank mask: (re, im)}: the product as
+    {mask: [re, im]}, over the product of the two sums' denominators."""
+    right = [(mb, u, v) for mb, (u, v) in right.items() if u or v]
     sums: Dict[int, list] = {}
-    for mon, x, y in left:
-        ma = _mask(mon)
-        pa = _parity_mask(mon)
+    for ma, (x, y) in left.items():
+        if not (x or y):
+            continue
+        pa = _parity_mask(_RANKS.get(ma) or _ranks(ma))
         for mb, u, v in right:
             if ma & mb:
                 continue
@@ -272,6 +270,17 @@ def wedge(a: Form, b: Form) -> Form:
             else:
                 acc[0] += re
                 acc[1] += im
+    return sums
+
+
+def wedge(a: Form, b: Form) -> Form:
+    """Exterior product; bilinear, associative, graded-commutative."""
+    if a.is_zero or b.is_zero:
+        return Form.zero()
+    da, left = _to_ints(a.terms.items())
+    db, right = _to_ints(b.terms.items())
+    sums = _wedge_sums({_mask(mon): (x, y) for mon, x, y in left},
+                       {_mask(mon): (u, v) for mon, u, v in right})
     return _form_of_sums(a.degree + b.degree, sums, da * db)
 
 

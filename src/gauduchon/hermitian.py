@@ -10,34 +10,28 @@ and the Lefschetz operator pair with its commutation identities.  The
 adjoints L* and d* are taken in the inner product that (-iX)^-1 induces on
 forms, in the coframe the forms are written in.
 
-The Omega-power quantities are not wedged out per metric.  Since
-Omega^p = p! sum det X_{JK} w^{j_1} ^ ~w^{k_1} ^ ... and d, ddbar are
-linear, each structure compiles them once, on first use, into sparse maps
-over the minors of X (CompiledMaps, cached in a slot of the
-StructureEquations): the top coefficient of every Gauduchon form as
-sum c det X_a det X_b, ddbar(Omega^p) over the p-minors (p = 1 decides
-SKT, p = n-2 astheno) and d(Omega^{n-1}) over the cofactors.  A metric
-evaluates them from the minors they name, memoised on the Metric so that
-all k share them.  So every ddbar(Omega^p) predicate has one path; d Omega
-stays a single derivation, the Kahler test and the Lee form's input.
+No Omega-power quantity is wedged out per metric.  classify is one-shot:
+Omega's int sums pass once through the d table and split into del Omega
+and dbar Omega, one del pass gives ddbar Omega, and by Leibniz every
+Gauduchon top coefficient is k A + k(k-1) B, A and B pairing ddbar Omega
+and del Omega ^ dbar Omega with the minors of X on the complementary ranks.
+Callers that evaluate one structure on many metrics (search, gamma_scalar,
+gauduchon_form, balanced_defect) read CompiledMaps instead: sparse int maps
+over the minors of X, compiled once per structure.
 
 The metric layer is integer arithmetic.  A Metric stores X once, as
-Gaussian-int numerators over one denominator D, and its minors as ints
-over D^p; the ComplexRational matrix x is a copy built on each read.  Each
-map is one int table, summed in ints, and positivity is Sylvester's
-criterion on the trailing principal minors of -iX, the last of which is
-det(-iX): one determinant path.  The Lefschetz contraction is one
-Gaussian-integer kernel over rank masks (_contract) with the table
+Gaussian-int numerators over one denominator D, and its memoised minors as
+ints over D^p.  Positivity is Sylvester's criterion on the trailing
+principal minors of -iX, the last of which is det(-iX).  The Lefschetz
+contraction is one Gaussian-int kernel over rank masks (_contract) with
 -i (-iX)^-1 = X^-1, read off the cofactors of X (_cofactor_table).
-classify and lee_form stay in ints from the metric to theta: Omega's int
-sums pass once through the d table, and the image decides Kahler and
-contracts into theta, with no Lefschetz built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Dict, Optional
@@ -45,7 +39,7 @@ from typing import Dict, Optional
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
 from .forms import Form, Monomial, _form_of_sums, _mask, _ranks, conj_rank, holo_rank, sort_ranks
-from .forms import wedge
+from .forms import _wedge_sums, wedge
 from .scalars import I, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
 from .structures import StructureEquations, _derive
 
@@ -254,12 +248,15 @@ def top_coefficient(f: Form, n: int) -> ComplexRational:
 
 
 def omega_power(omega: Form, k: int) -> Form:
-    """Omega^k for k >= 0; Omega^0 is the exact constant 1."""
+    """Omega^k for k >= 0, one loop of the int wedge kernel; Omega^0 is the exact 1."""
     ensure(k >= 0, "Omega^k needs k >= 0")  # every caller derives k itself
-    out = omega if k else Form.scalar(1)
+    if not k:
+        return Form.scalar(1)
+    d, terms = _to_ints(omega.terms.items())
+    base = sums = {_mask(mon): (x, y) for mon, x, y in terms}
     for _ in range(k - 1):
-        out = wedge(out, omega)
-    return out
+        sums = _wedge_sums(sums, base)
+    return _form_of_sums((omega.degree or 0) * k, sums, d ** k)
 
 
 def volume_coefficient(metric: Metric) -> ComplexRational:
@@ -272,23 +269,30 @@ def _require_same_n(metric: Metric, se: StructureEquations):
         raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
 
 
-class CompiledMaps:
-    """The Omega-power predicates of one structure as sparse maps over minors of X.
+@lru_cache(maxsize=None)  # at most 2^(2n) masks for each n
+def _complement(mask: int, n: int) -> tuple:
+    """(b, sign) with coeff(m ^ Omega^q) = sign q! det X_b, m the monomial of
+    the mask and q = n - deg(m)/2: b = (rows, cols) indexes the basis monomial
+    of Omega^q on the ranks m leaves out, sign sorts m's ranks, then b's."""
+    rest = [r for r in range(1, 2 * n + 1) if not mask >> r & 1]
+    holo = [r for r in rest if r & 1]
+    anti = [r for r in rest if not r & 1]
+    b = (tuple((r - 1) // 2 for r in holo), tuple((r - 1) // 2 for r in anti))
+    return b, sort_ranks(_ranks(mask) + tuple(r for pair in zip(holo, anti) for r in pair))[0]
 
-    Omega^p = p! sum_{|J|=|K|=p} det X_{JK} m_{JK}, where m_{JK} is the
-    basis monomial w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p}, and d and
-    ddbar are linear.  So ddbar(Omega^p) is a fixed linear map over the
-    p-minors (ddbar(Omega) over X itself, which decides SKT), d(Omega^{n-1})
-    one over the cofactors, and the top coefficient of the k-th Gauduchon
-    form ddbar(Omega^k) ^ Omega^{n-k-1} is a short sum of
-    c * det X_a * det X_b.  Each basis monomial passes, as a signed rank
-    mask, through the structure's derivation kernel (structures._derive):
-    dbar then del, or d; no Form is built per monomial.  A top term pairs a
-    monomial of ddbar(Omega^k) with the basis monomial on the complementary
-    ranks by the sign of their concatenation.  Every map is one int table,
-    built on first use; the object is cached on the structure
-    (CompiledMaps.of).  A metric then computes only the minors the maps
-    name (Metric.minor), once.
+
+class CompiledMaps:
+    """The Omega-power predicates of one structure as sparse maps over minors
+    of X, for evaluating one structure on many metrics (classify needs none).
+
+    Omega^p = p! sum_{|J|=|K|=p} det X_{JK} m_{JK} over the basis monomials
+    m_{JK} = w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p}, and d and ddbar
+    are linear, so ddbar(Omega^p) is a fixed map over the p-minors,
+    d(Omega^{n-1}) one over the cofactors, and the top coefficient of
+    ddbar(Omega^k) ^ Omega^{n-k-1} a short sum of c det X_a det X_b.  Each
+    m_{JK} passes as a signed rank mask through structures._derive.  Every
+    map is one int table built on first use; the object is cached on the
+    structure (CompiledMaps.of).
     """
 
     __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
@@ -338,22 +342,15 @@ class CompiledMaps:
         """(D, [(a, b, u, v)]) with coeff(ddbar Omega^k ^ Omega^{n-k-1})
         = sum (u + iv)/D det X_a det X_b.
 
-        Each monomial of ddbar(Omega^k) pairs with the one basis monomial of
-        Omega^{n-k-1} on the complementary ranks, b = (rows, cols), with the
-        factor (n-k-1)! times the sign that sorts the monomial's ranks
-        followed by the interleaved ranks of b.
+        Each monomial of ddbar(Omega^k) pairs with (n-k-1)! det X_b on its
+        complementary ranks (_complement).
         """
         if k not in self._tops:
-            n = self.n
             _, d, lmap = self._ddbar_map(k)
-            scale = factorial(n - k - 1)
+            scale = factorial(self.n - k - 1)
             terms = []
             for mon, entries in lmap.items():
-                rest = [r for r in range(1, 2 * n + 1) if r not in mon]
-                holo = [r for r in rest if r & 1]
-                anti = [r for r in rest if not r & 1]
-                b = (tuple((r - 1) // 2 for r in holo), tuple((r - 1) // 2 for r in anti))
-                sign = sort_ranks(mon + tuple(r for pair in zip(holo, anti) for r in pair))[0]
+                b, sign = _complement(_mask(mon), self.n)
                 c = sign * scale
                 terms += [(a, b, u * c, v * c) for a, u, v in entries]
             self._tops[k] = (d, terms)
@@ -409,22 +406,14 @@ def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
     return CompiledMaps.of(se).top(metric, k)
 
 
-# i (-i)^n (a + ib) as (re, im), for n mod 4
-_QUARTER_TURNS = (
-    lambda a, b: (-b, a),
-    lambda a, b: (a, b),
-    lambda a, b: (b, -a),
-    lambda a, b: (-a, -b),
-)
-
-
 def _numerator(top: ComplexRational, n: int) -> Fraction:
     """The real scalar (i/2) (-i)^n top, read off top's ints (a + ib)/d.
 
     i (-i)^n is one of i, 1, -i, -1, so the product's real and imaginary
     parts are a and b up to sign and order; the imaginary part must vanish.
     """
-    re, im = _QUARTER_TURNS[n & 3](top._a, top._b)
+    a, b = top._a, top._b
+    re, im = ((-b, a), (a, b), (b, -a), (-a, -b))[n & 3]  # i (-i)^n (a + ib), n mod 4
     ensure(not im, "the Gauduchon numerator is not real")
     return Fraction(re, 2 * top._d)
 
@@ -539,19 +528,13 @@ def _contract(sums: dict, table: dict) -> dict:
     return out
 
 
-def _kahler_lee(metric: Metric, se: StructureEquations) -> tuple:
-    """(d Omega == 0, theta) for a positive metric, in ints up to theta's Form.
-
-    Omega's int sums pass once through the structure's d table, the kernel
-    behind se.d; Kahler is an image with no nonzero sum, and theta =
-    Lambda(d Omega) contracts the image sums with the cofactor table of X.
-    """
-    metric.require_positive()
-    d_sums, dt = _derive(_omega_sums(metric._num), (se._d_rank,))
+def _lee(metric: Metric, d_sums: dict, dt: int) -> Form:
+    """theta = Lambda(d Omega) from d Omega's int sums over D dt: the image
+    contracted with the cofactor table of X."""
     table, table_den = _cofactor_table(metric)
     theta = _form_of_sums(1, _contract(d_sums, table), metric._den * dt * table_den)
     ensure(theta.conjugate() == theta, "Lee form must be real")
-    return not any(re or im for re, im in d_sums.values()), theta
+    return theta
 
 
 def lee_form(metric: Metric, se: StructureEquations) -> Form:
@@ -560,10 +543,11 @@ def lee_form(metric: Metric, se: StructureEquations) -> Form:
     d Omega = (d Omega)_0 + theta ^ Omega / (n-1) with (d Omega)_0 primitive,
     and [Lambda, L] = n - p on p-forms, so Lambda(d Omega) is the unique
     1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}.  Computed in
-    ints (_kahler_lee); a metric that is not positive raises NotPositive.
+    ints (_lee); a metric that is not positive raises NotPositive.
     """
     _require_same_n(metric, se)
-    return _kahler_lee(metric, se)[1]
+    metric.require_positive()
+    return _lee(metric, *_derive(_omega_sums(metric._num), (se._d_rank,)))
 
 
 def _rank_pairing(h_inv: list, r: int, s: int) -> ComplexRational:
@@ -642,38 +626,83 @@ class ClassReport:
         }
 
 
+def _derivatives(metric: Metric, se: StructureEquations) -> tuple:
+    """(Omega, d Omega, ddbar Omega, P, dt) as int sums {rank mask: (re, im)}:
+    Omega over D, d Omega over D dt from one pass through the d table, split
+    into del Omega (two holomorphic ranks) and dbar Omega (one);
+    ddbar Omega = del(dbar Omega) over D dt^2, P = del Omega ^ dbar Omega
+    over D^2 dt^2, both without zero sums."""
+    omega = _omega_sums(metric._num)
+    d_sums, dt = _derive(omega, (se._d_rank,))
+    holo = sum(1 << r for r in range(1, 2 * se.n, 2))
+    dbar, dl = parts = ({}, {})  # one and two holomorphic ranks
+    for m, (re, im) in d_sums.items():
+        if re or im:
+            parts[(m & holo).bit_count() - 1][m] = (re, im)
+    ddbar = {m: v for m, v in _derive(dbar, (se._del_rank,))[0].items() if v[0] or v[1]}
+    p = {m: v for m, v in _wedge_sums(dl, dbar).items() if v[0] or v[1]}
+    return omega, d_sums, ddbar, p, dt
+
+
+def _paired(sums: dict, metric: Metric, q: int) -> tuple:
+    """(re, im) of the top coefficient of sums ^ Omega^q, in ints over the
+    sums' denominator times D^q: each monomial meets q! det X_b (_complement)."""
+    minor, n = metric._minor_ints, metric.n
+    re = im = 0
+    for mask, (x, y) in sums.items():
+        b, sign = _complement(mask, n)
+        u, v = minor(*b)
+        re += sign * (x * u - y * v)
+        im += sign * (x * v + y * u)
+    scale = factorial(max(q, 0))  # q < 0 only for sums of too high a degree, all empty
+    return re * scale, im * scale
+
+
+def _astheno_sums(omega: dict, ddbar: dict, p: dict, n: int) -> dict:
+    """Omega^{n-4} ^ (Omega ^ ddbar Omega + (n-3) P) = ddbar(Omega^{n-2})/(n-2),
+    n >= 4, in ints over D^{n-2} dt^2 (the sums of _derivatives)."""
+    sums = _wedge_sums(omega, ddbar)
+    for m, (re, im) in p.items():
+        acc = sums.setdefault(m, [0, 0])
+        acc[0] += (n - 3) * re
+        acc[1] += (n - 3) * im
+    for _ in range(n - 4):
+        sums = _wedge_sums(sums, omega)
+    return sums
+
+
 def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
-    The Gauduchon forms, ddbar(Omega) and ddbar(Omega^{n-2}) come from the
-    structure's compiled maps, sharing the metric's minors across k.  Kahler
-    and the Lee form theta = Lambda(d Omega) come from one int pass over d
-    Omega (_kahler_lee), its cofactors among the same minors.  Balanced is
-    read off theta: d(Omega^{n-1}) = theta ^ Omega^{n-1} vanishes iff theta
-    does, since L^{n-1} is injective on 1-forms.  The report carries theta
-    anyway; search, which needs no theta, reads the cheaper compiled
-    d(Omega^{n-1}).
+    One-shot, every quantity from _derivatives, with no CompiledMaps.  By
+    Leibniz ddbar(Omega^k) = k Omega^{k-1} ddbar Omega + k(k-1) Omega^{k-2} P,
+    so the k-th Gauduchon top coefficient is k A + k(k-1) B, with
+    A = coeff(ddbar Omega ^ Omega^{n-2}) and B = coeff(P ^ Omega^{n-3}) over
+    dt^2 D^{n-1}.  Balanced is theta = 0: d(Omega^{n-1}) = theta ^ Omega^{n-1}
+    and L^{n-1} is injective on 1-forms.
     """
     _require_same_n(metric, se)
-    maps = CompiledMaps.of(se)
+    metric.require_positive()
     n = se.n
-    kahler, lee = _kahler_lee(metric, se)
-    skt = maps.ddbar_power(metric, 1).is_zero
-    # for n = 3 astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
-    astheno = maps.ddbar_power(metric, n - 2).is_zero if n > 3 else n < 3 or skt
+    omega, d_sums, ddbar, p, dt = _derivatives(metric, se)
+    lee = _lee(metric, d_sums, dt)
+    kahler = not any(re or im for re, im in d_sums.values())
+    skt = not ddbar
+    if n < 4:  # for n = 3 astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
+        astheno = n < 3 or skt
+    else:
+        astheno = not any(re or im for re, im in _astheno_sums(omega, ddbar, p, n).values())
+    a, b = _paired(ddbar, metric, n - 2), _paired(p, metric, n - 3)
+    den = dt * dt * metric._den ** (n - 1)
+    tops = {k: _make(k * a[0] + k * (k - 1) * b[0], k * a[1] + k * (k - 1) * b[1], den)
+            for k in range(1, n)}
     balanced = lee.is_zero
-    tops = {k: maps.top(metric, k) for k in range(1, n)}
     gauduchon = {k: not top for k, top in tops.items()}
     volume = factorial(n) * metric.det_minus_i_x()
     gamma = {k: _numerator(top, n) / volume for k, top in tops.items()}
-    if kahler:
-        label = "kahler"
-    else:
-        names = [name for name, flag in
-                 (("skt", skt), ("balanced", balanced), ("astheno", astheno))
-                 if flag]
-        names += [f"gauduchon{k}" for k, flag in sorted(gauduchon.items()) if flag]
-        label = "+".join(names) if names else "hermitian"
+    names = [name for name, flag in (("skt", skt), ("balanced", balanced), ("astheno", astheno))
+             if flag] + [f"gauduchon{k}" for k, flag in sorted(gauduchon.items()) if flag]
+    label = "kahler" if kahler else "+".join(names) or "hermitian"
     return ClassReport(n, kahler, skt, astheno, balanced, gauduchon, gamma, lee, label)
 
 

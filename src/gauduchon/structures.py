@@ -13,7 +13,7 @@ ints over one denominator, as forms.wedge does.  StructureEquations builds
 its table in one pass over the terms of the dw^j, conjugate rows derived on
 the ints, and checks integrability and Jacobi on it; RealLieAlgebra converts
 its Forms (_rank_table).  d, partial, dbar and ddbar wrap the kernel for
-Forms, and hermitian.CompiledMaps feeds it the basis monomials of Omega^p.
+Forms; hermitian runs it on Omega's sums and CompiledMaps' basis monomials.
 """
 
 from __future__ import annotations

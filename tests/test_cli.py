@@ -753,12 +753,12 @@ class TestEngineFaults:
     by the engine on good input is a program fault, not bad input."""
 
     @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError, KeyError])
-    def test_fault_in_the_compiled_maps_propagates(self, jt_file, diag_metric_file,
-                                                   monkeypatch, fault):
-        def top(self, metric, k):
+    def test_fault_in_the_classify_kernel_propagates(self, jt_file, diag_metric_file,
+                                                     monkeypatch, fault):
+        def paired(sums, metric, q):
             raise fault("engine fault")
 
-        monkeypatch.setattr(gauduchon.hermitian.CompiledMaps, "top", top)
+        monkeypatch.setattr(gauduchon.hermitian, "_paired", paired)
         with pytest.raises(fault, match="engine fault"):
             main(["classify", "--structure", jt_file, "--metric", diag_metric_file])
 

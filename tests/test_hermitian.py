@@ -6,7 +6,6 @@ from gauduchon import catalog
 from gauduchon.errors import BadK, ClaimFailure, DimensionMismatch, NotPositive, NotSkewHermitian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
-    CompiledMaps,
     Lefschetz,
     Metric,
     classify,
@@ -184,22 +183,11 @@ class TestClassify:
         assert report.skt and report.gauduchon[1]
         assert report.gamma[1] == 0
 
-    @pytest.mark.parametrize("se, powers", [(catalog.jt(1), [1]),
-                                            (catalog.family8(1, 0), [1, 2])])
-    def test_ddbar_powers_evaluated_once_each(self, rng, monkeypatch, se, powers):
-        # for n = 3, astheno's ddbar(Omega^{n-2}) is SKT's ddbar(Omega)
-        calls = []
-        ddbar_power = CompiledMaps.ddbar_power
-
-        def counted(self, metric, p):
-            calls.append(p)
-            return ddbar_power(self, metric, p)
-
-        monkeypatch.setattr(CompiledMaps, "ddbar_power", counted)
-        metric = sample_positive_metric(rng, se.n)
-        report = classify(metric, se)
-        assert calls == powers
-        assert report.astheno == ddbar_power(CompiledMaps.of(se), metric, se.n - 2).is_zero
+    @pytest.mark.parametrize("se", [catalog.jt(1), catalog.family8(1, 0), catalog.abelian(2)])
+    def test_compiles_no_maps(self, rng, se):
+        report = classify(sample_positive_metric(rng, se.n), se)
+        assert se._compiled is None
+        assert len(report.gamma) == se.n - 1
 
     def test_json_shape(self):
         data = classify(Metric.diagonal(3), catalog.iwasawa()).to_json()

@@ -1,7 +1,9 @@
 """Each collapsed computation path against the slower definition it replaced.
 
 partial/dbar are single derivations over per-structure tables, classify
-computes every Gauduchon quantity in one pass, the search screens samples
+reads every Gauduchon quantity off del Omega, dbar Omega and ddbar Omega by
+the Leibniz split, and omega_power is one loop of the int wedge kernel
+(their references are the wedged powers), the search screens samples
 with the targets' exact predicates, L* and d* are contractions with
 (-iX)^-1 in the structure's own coframe, the Lee form is the contraction
 Lambda(d Omega) and det(-iX) is the last of the Sylvester minors; the
@@ -19,13 +21,16 @@ off the top coefficient's ints and the closing move compares the bumped
 scalar with the base; their references are the randint/choice sampler,
 the ComplexRational product and the -base/slope rule they replaced.  The
 metric reader reads JSON in one pass into the metric's ints; its reference
-is Metric of the ComplexRational cells.
+is Metric of the ComplexRational cells.  The DSL tokenizer makes one match
+per token; its reference is the regex that matched blanks and comments on
+their own.
 """
 
 import dataclasses
 import importlib.util
 import itertools
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,8 +42,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import (BadParams, ClaimFailure, DimensionMismatch, JacobiViolation,
-                              NotIntegrable, NotPositive, ensure)
+from gauduchon.errors import (BadParams, ClaimFailure, DimensionMismatch, DslSyntaxError,
+                              JacobiViolation, NotIntegrable, NotPositive, ensure)
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     CompiledMaps,
@@ -350,6 +355,41 @@ class TestMetricReader:
         self.assert_reads_as_the_cells([[("-0", "10/4")]])
 
 
+# the tokenizer the one-match-per-token regex replaced: blanks and comments
+# were matches of their own, with no group
+OLD_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])"
+                       r"|[ \t\r]+|#[^\n]*|(?P<bad>.)", re.DOTALL)
+
+
+def tokens_by_old_regex(text):
+    """(kind, text, offset, int value) of every token, or the first bad character's offset."""
+    tokens = []
+    for m in OLD_TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            return m.start()
+        if kind == "punct":
+            kind = tok = ";" if tok == "\n" else tok
+        if kind is not None:
+            tokens.append((kind, tok, m.start(), int(tok) if kind == "int" else None))
+    return tokens + [("end", "", len(text), None)]
+
+
+class TestTokenizer:
+    @given(st.text(alphabet=" \t\r\n#;:^*+-/()~w0123456789dwni@\x0b", max_size=60))
+    @example("  # lead\n n: 2 # tail\r\ndw1: 0;dw2:0   ")
+    def test_tokens_match_the_old_regex(self, text):
+        ref = tokens_by_old_regex(text)
+        try:
+            got = dsl._Parser(text).tokens
+        except DslSyntaxError as exc:
+            assert isinstance(ref, int), text
+            line_start = text.rfind("\n", 0, ref) + 1
+            assert (exc.line, exc.col) == (text.count("\n", 0, ref) + 1, ref - line_start + 1)
+        else:
+            assert got == ref, text
+
+
 def compiled_entries():
     """Every catalog family, abelian(1..5), both non-unimodular algebras, both
     circle-bundle extensions and the n = 5 bench structure."""
@@ -405,6 +445,95 @@ class TestCompiledMaps:
         x, memo = metric.x, {}
         for rows, cols in index_pairs(n):
             assert metric.minor(rows, cols) == ref_minor(x, rows, cols, memo)
+
+
+def leibniz_forms(metric, se):
+    """classify's d Omega, ddbar Omega and P = del Omega ^ dbar Omega as Forms,
+    from the int sums of hermitian._derivatives."""
+    _, d_sums, ddbar, p, dt = hermitian._derivatives(metric, se)
+    den = metric._den
+    return (forms._form_of_sums(3, d_sums, den * dt),
+            forms._form_of_sums(4, ddbar, den * dt * dt),
+            forms._form_of_sums(6, p, den * den * dt * dt))
+
+
+def astheno_form(metric, se):
+    """Omega^{n-4} ^ (Omega ^ ddbar Omega + (n-3) P) from classify's int sums, n >= 4."""
+    n = se.n
+    omega, _, ddbar, p, dt = hermitian._derivatives(metric, se)
+    sums = hermitian._astheno_sums(omega, ddbar, p, n)
+    return forms._form_of_sums(2 * n - 2, sums, metric._den ** (n - 2) * dt * dt)
+
+
+def family8_astheno_metrics(rng, count):
+    """Non-Kahler astheno-Kahler metrics at n = 4, built as prop-4.7 builds
+    them: family8(p, 0) with p > 0 at a zero of the obstruction V."""
+    out = []
+    while len(out) < count:
+        p = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        zero = search.close_scalar_zero(
+            sample_positive_metric(rng, 4),
+            lambda m: catalog.gauduchon_obstruction_family8(p, 0, m))
+        if zero is not None:
+            out.append((catalog.family8(p, 0), zero))
+    return out
+
+
+class TestLeibniz:
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_split_matches_the_wedged_powers(self, name, se):
+        rng = random.Random(name)
+        n = se.n
+        metrics = [hermitian.Metric.diagonal(n, range(1, n + 1))]
+        metrics += [sample_positive_metric(rng, n) for _ in range(2 if n > 4 else 3)]
+        for metric in metrics:
+            ref = GauduchonForms(metric, se)
+            omega = ref.power(1)
+            d_omega, ddbar, p = leibniz_forms(metric, se)
+            assert d_omega == se.d(omega), name
+            assert ddbar == se.ddbar(omega) == ref.ddbar(1), name
+            assert p == wedge(se.partial(omega), se.dbar(omega)), name
+            for k in range(1, n):
+                split = wedge(ref.power(k - 1), ddbar).scale(cr(k))
+                if k > 1:
+                    split = split + wedge(ref.power(k - 2), p).scale(cr(k * (k - 1)))
+                assert split == ref.ddbar(k), (name, k)
+            if n >= 4:
+                assert astheno_form(metric, se) == ref.ddbar(n - 2).scale(
+                    cr(Fraction(1, n - 2))), name
+
+    def test_entries_exercise_both_terms(self):
+        entries = dict(compiled_entries())
+        for name in ("family8(-1,2)", "bench/n5.dsl", "jt(1/2)"):
+            se = entries[name]
+            _, ddbar, p = leibniz_forms(hermitian.Metric.diagonal(se.n), se)
+            assert ddbar and p, name
+
+    def test_astheno_metrics_that_are_not_kahler(self):
+        for se, metric in family8_astheno_metrics(random.Random(47), 4):
+            report = classify(metric, se)
+            assert report.astheno and not report.kahler and not report.skt
+            ref = GauduchonForms(metric, se)
+            assert astheno_form(metric, se).is_zero and ref.ddbar(2).is_zero
+            _, ddbar, p = leibniz_forms(metric, se)
+            assert p and wedge(ref.power(1), ddbar) == -p
+            for k in range(1, 4):
+                assert report.gamma[k] == ref.gamma(k), k
+
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_omega_power_matches_repeated_wedge(self, name, se):
+        omega = sample_positive_metric(random.Random(name), se.n).fundamental_form()
+        power = Form.scalar(1)
+        for k in range(se.n + 1):
+            assert omega_power(omega, k) == power, (name, k)
+            power = wedge(power, omega)
+
+    def test_omega_power_of_other_forms(self, rng):
+        one_form = rand_form(rng, 3, 1, terms=3)
+        assert omega_power(one_form, 2).is_zero and omega_power(one_form, 1) == one_form
+        assert omega_power(Form.zero(), 3).is_zero and omega_power(Form.zero(), 0) == Form.scalar(1)
+        three = rand_form(rng, 4, 2, terms=3)
+        assert omega_power(three, 3) == wedge(wedge(three, three), three)
 
 
 def map_by_basis_monomials(se, op, p):
