@@ -532,8 +532,8 @@ class TestLeibniz:
         one_form = rand_form(rng, 3, 1, terms=3)
         assert omega_power(one_form, 2).is_zero and omega_power(one_form, 1) == one_form
         assert omega_power(Form.zero(), 3).is_zero and omega_power(Form.zero(), 0) == Form.scalar(1)
-        three = rand_form(rng, 4, 2, terms=3)
-        assert omega_power(three, 3) == wedge(wedge(three, three), three)
+        two_form = rand_form(rng, 4, 2, terms=3)
+        assert omega_power(two_form, 3) == wedge(wedge(two_form, two_form), two_form)
 
 
 def map_by_basis_monomials(se, op, p):
