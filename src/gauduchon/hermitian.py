@@ -17,7 +17,8 @@ Gauduchon top coefficient is k A + k(k-1) B, A and B pairing ddbar Omega
 and del Omega ^ dbar Omega with the minors of X on the complementary ranks.
 Callers that evaluate one structure on many metrics (search, gamma_scalar,
 gauduchon_form, balanced_defect) read CompiledMaps instead: sparse int maps
-over the minors of X, compiled once per structure.
+over the minors of X, compiled once per structure, whose Gauduchon top
+pairs the ddbar(Omega^k) map's image through classify's _complement.
 
 The metric layer is integer arithmetic.  A Metric stores X once, as
 Gaussian-int numerators over one denominator D, and its memoised minors as
@@ -287,15 +288,13 @@ class CompiledMaps:
 
     Omega^p = p! sum_{|J|=|K|=p} det X_{JK} m_{JK} over the basis monomials
     m_{JK} = w^{j_1} ^ ~w^{k_1} ^ ... ^ w^{j_p} ^ ~w^{k_p}, and d and ddbar
-    are linear, so ddbar(Omega^p) is a fixed map over the p-minors,
-    d(Omega^{n-1}) one over the cofactors, and the top coefficient of
-    ddbar(Omega^k) ^ Omega^{n-k-1} a short sum of c det X_a det X_b.  Each
-    m_{JK} passes as a signed rank mask through structures._derive.  Every
-    map is one int table built on first use; the object is cached on the
-    structure (CompiledMaps.of).
+    are linear, so ddbar(Omega^p) is a fixed map over the p-minors and
+    d(Omega^{n-1}) one over the cofactors, each one int table keyed by rank
+    mask, built on first use and cached on the structure (CompiledMaps.of).
+    The Gauduchon tops are read off the ddbar(Omega^k) maps (top).
     """
 
-    __slots__ = ("se", "n", "_ddbar", "_tops", "_d_top")
+    __slots__ = ("se", "n", "_ddbar", "_d_top")
 
     @staticmethod
     def of(se: StructureEquations) -> "CompiledMaps":
@@ -309,11 +308,10 @@ class CompiledMaps:
         self.se = se
         self.n = se.n
         self._ddbar: Dict[int, tuple] = {}
-        self._tops: Dict[int, tuple] = {}
         self._d_top: Optional[tuple] = None
 
     def _linear_map(self, tables: tuple, p: int) -> tuple:
-        """Omega^p through the rank tables in order, as (p, D, {monomial:
+        """Omega^p through the rank tables in order, as (D, {rank mask:
         [(p-minor index, a, b)]}): the image coefficient on a monomial is
         sum (a + ib) det X_index / D.  Each m_JK enters the kernel as its
         rank mask carrying p! times the sign that sorts its ranks.
@@ -331,72 +329,61 @@ class CompiledMaps:
                 for m, (a, b) in sums.items():
                     if a or b:
                         out.setdefault(m, []).append(((rows, cols), a, b))
-        return p, prod(dt for dt, _ in tables), {_ranks(m): e for m, e in out.items()}
+        return prod(dt for dt, _ in tables), out
 
     def _ddbar_map(self, p: int) -> tuple:
         if p not in self._ddbar:
             self._ddbar[p] = self._linear_map((self.se._dbar_rank, self.se._del_rank), p)
         return self._ddbar[p]
 
-    def top_terms(self, k: int) -> tuple:
-        """(D, [(a, b, u, v)]) with coeff(ddbar Omega^k ^ Omega^{n-k-1})
-        = sum (u + iv)/D det X_a det X_b.
-
-        Each monomial of ddbar(Omega^k) pairs with (n-k-1)! det X_b on its
-        complementary ranks (_complement).
-        """
-        if k not in self._tops:
-            _, d, lmap = self._ddbar_map(k)
-            scale = factorial(self.n - k - 1)
-            terms = []
-            for mon, entries in lmap.items():
-                b, sign = _complement(_mask(mon), self.n)
-                c = sign * scale
-                terms += [(a, b, u * c, v * c) for a, u, v in entries]
-            self._tops[k] = (d, terms)
-        return self._tops[k]
-
     def top(self, metric: Metric, k: int) -> ComplexRational:
         """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial.
 
-        sum c det X_a det X_b in ints: every a is a k-minor and every b an
-        (n-k-1)-minor, so the sum has the one denominator D_c D^{n-1}.
+        Each monomial's nonzero sum over the k-minors in the ddbar(Omega^k)
+        map meets (n-k-1)! det X_b on its complementary ranks (_complement).
         """
-        d, terms = self.top_terms(k)
-        minor = metric._minor_ints
+        d, entries_of = self._ddbar_map(k)
+        minor, minors, n = metric._minor_ints, metric._minors, self.n
         re = im = 0
-        for a, b, u, v in terms:
-            ar, ai = minor(*a)
-            br, bi = minor(*b)
-            pr, pi = ar * br - ai * bi, ar * bi + ai * br
-            re += u * pr - v * pi
-            im += u * pi + v * pr
-        return _make(re, im, d * metric._den ** (self.n - 1))
+        for mask, entries in entries_of.items():
+            x = y = 0
+            for key, u, v in entries:
+                mr, mi = minors.get(key) or minor(*key)
+                x += u * mr - v * mi
+                y += u * mi + v * mr
+            if x or y:
+                b, sign = _complement(mask, n)
+                u, v = minors.get(b) or minor(*b)
+                re += sign * (x * u - y * v)
+                im += sign * (x * v + y * u)
+        scale = factorial(n - k - 1)
+        return _make(re * scale, im * scale, d * metric._den ** (n - 1))
 
-    def _evaluate(self, lmap: tuple, degree: int, metric: Metric) -> Form:
-        p, d, entries_of = lmap
-        minor = metric._minor_ints
-        den = d * metric._den ** p
-        terms = {}
-        for mon, entries in entries_of.items():
+    @staticmethod
+    def _image(entries_of: dict, metric: Metric) -> dict:
+        """A map's int sums {rank mask: (re, im)} at the metric, over D_c D^p."""
+        minor, minors = metric._minor_ints, metric._minors
+        sums = {}
+        for mask, entries in entries_of.items():
             re = im = 0
             for key, u, v in entries:
-                mr, mi = minor(*key)
+                mr, mi = minors.get(key) or minor(*key)
                 re += u * mr - v * mi
                 im += u * mi + v * mr
-            if re or im:
-                terms[mon] = _make(re, im, den)
-        return Form(degree, terms)
+            sums[mask] = (re, im)
+        return sums
 
     def ddbar_power(self, metric: Metric, p: int) -> Form:
         """ddbar(Omega^p), p >= 0."""
-        return self._evaluate(self._ddbar_map(p), 2 * p + 2, metric)
+        d, entries_of = self._ddbar_map(p)
+        return _form_of_sums(2 * p + 2, self._image(entries_of, metric), d * metric._den ** p)
 
     def d_top(self, metric: Metric) -> Form:
         """d(Omega^{n-1}); zero exactly on balanced metrics."""
         if self._d_top is None:
             self._d_top = self._linear_map((self.se._d_rank,), self.n - 1)
-        return self._evaluate(self._d_top, 2 * self.n - 1, metric)
+        n, (d, entries_of) = self.n, self._d_top
+        return _form_of_sums(2 * n - 1, self._image(entries_of, metric), d * metric._den ** (n - 1))
 
 
 def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
@@ -427,8 +414,8 @@ def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}).
 
     Equal to gamma_scalar times the positive quantity n! det(-iX).  A sum of
-    c det X_a det X_b, it is affine in x_jj unless j is in the rows and the
-    columns of both minors of a term, where it can be quadratic.
+    c det X_a det X_b (CompiledMaps.top), it is affine in x_jj unless j is in
+    the rows and the columns of both minors of a term, where it can be quadratic.
     """
     return _numerator(_top(metric, k, se), se.n)
 
@@ -530,11 +517,14 @@ def _contract(sums: dict, table: dict) -> dict:
 
 def _lee(metric: Metric, d_sums: dict, dt: int) -> Form:
     """theta = Lambda(d Omega) from d Omega's int sums over D dt: the image
-    contracted with the cofactor table of X."""
+    contracted with the cofactor table of X.  theta is real iff each ~w^j
+    sum is the conjugate of the w^j sum, over the one positive denominator."""
     table, table_den = _cofactor_table(metric)
-    theta = _form_of_sums(1, _contract(d_sums, table), metric._den * dt * table_den)
-    ensure(theta.conjugate() == theta, "Lee form must be real")
-    return theta
+    sums = _contract(d_sums, table)
+    for j in range(metric.n):  # the masks of w^{j+1} (rank 2j + 1) and ~w^{j+1}
+        (re, im), (x, y) = sums.get(2 << 2 * j, (0, 0)), sums.get(4 << 2 * j, (0, 0))
+        ensure(x == re and y == -im, "Lee form must be real")
+    return _form_of_sums(1, sums, metric._den * dt * table_den)
 
 
 def lee_form(metric: Metric, se: StructureEquations) -> Form:

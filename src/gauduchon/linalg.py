@@ -3,9 +3,9 @@
 Matrices are lists of row lists.  Sizes never exceed 2n <= 8, so plain
 exact elimination is entirely adequate.  One Gauss-Jordan routine,
 _eliminate, serves rref, solve and mat_inverse: it reports the pivot
-columns.  ldl is the separate positivity test; its pivots stay
-ComplexRational until it returns them as Fractions.  A metric's
-determinants are its memoised minors (hermitian.Metric), not taken here.
+columns.  ldl (exact L D L*) has no caller in the package; the tests'
+unitary-coframe reference and the bench's scaling cases use it.  A metric's
+positivity and determinants come from its memoised minors (hermitian.Metric).
 """
 
 from __future__ import annotations

@@ -762,6 +762,17 @@ class TestEngineFaults:
         with pytest.raises(fault, match="engine fault"):
             main(["classify", "--structure", jt_file, "--metric", diag_metric_file])
 
+    @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError, KeyError])
+    def test_fault_in_the_compiled_pairing_propagates(self, tmp_path, monkeypatch, fault):
+        # CompiledMaps.top, which search reads, pairs through _complement as classify does
+        def complement(mask, n):
+            raise fault("engine fault")
+
+        se_file = write(tmp_path / "family8.dsl", dsl.format_structure(catalog.family8(1, 0)))
+        monkeypatch.setattr(gauduchon.hermitian, "_complement", complement)
+        with pytest.raises(fault, match="engine fault"):
+            main(["search", "--structure", se_file, "--target", "gamma1<0", "--budget", "4"])
+
     # how to make the code that loads an input raise, and a command that loads it
     LOAD_PHASE = {
         "derive-json": (lambda mp, f: mp.setattr(gauduchon.structures, "_derive", f),

@@ -1,8 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gauduchon import catalog
+from gauduchon import catalog, hermitian
 from gauduchon.errors import BadK, ClaimFailure, DimensionMismatch, NotPositive, NotSkewHermitian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
@@ -21,6 +24,7 @@ from gauduchon.hermitian import (
 )
 from gauduchon.scalars import ComplexRational, cr
 from gauduchon.search import sample_positive_metric
+from gauduchon.structures import _derive
 
 I = ComplexRational(0, 1)
 
@@ -215,6 +219,36 @@ class TestLeeForm:
                 theta = lee_form(m, se)
                 assert wedge(theta, omega2) == se.d(omega2)
                 assert theta.conjugate() == theta
+
+    # reduced6(0, 0, 1, 0) at the diagonal metric has theta = 2 w3 + 2 ~w3, real
+    # coefficients; jt(3/4) at a sampled metric has non-real ones
+    @pytest.mark.parametrize("se, sampled", [(catalog.reduced6(0, 0, 1, 0), False),
+                                             (catalog.jt(Fraction(3, 4)), True)])
+    def test_non_real_d_sums_fail_the_reality_check(self, rng, se, sampled):
+        m = sample_positive_metric(rng, 3) if sampled else Metric.diagonal(3)
+        d_sums, dt = _derive(hermitian._omega_sums(m._num), (se._d_rank,))
+        theta = hermitian._lee(m, d_sums, dt)
+        assert theta == lee_form(m, se) and not theta.is_zero
+        assert any(c.im for c in theta.terms.values()) == sampled
+        i_d_sums = {mask: (-im, re) for mask, (re, im) in d_sums.items()}  # i d Omega
+        with pytest.raises(ClaimFailure, match="Lee form must be real"):
+            hermitian._lee(m, i_d_sums, dt)
+
+    def test_non_real_d_sums_fail_under_python_O(self):
+        src = str(Path(hermitian.__file__).resolve().parents[1])
+        code = ("from gauduchon import catalog, hermitian\n"
+                "from gauduchon.errors import ClaimFailure\n"
+                "from gauduchon.structures import _derive\n"
+                "se, m = catalog.reduced6(0, 0, 1, 0), hermitian.Metric.diagonal(3)\n"
+                "d_sums, dt = _derive(hermitian._omega_sums(m._num), (se._d_rank,))\n"
+                "try:\n"
+                "    hermitian._lee(m, {k: (-y, x) for k, (x, y) in d_sums.items()}, dt)\n"
+                "except ClaimFailure:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit('no ClaimFailure for i d Omega')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_balanced_iff_lee_zero(self, rng):
         se = catalog.reduced6(1, 0, 1, 0)

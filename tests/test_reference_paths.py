@@ -426,7 +426,7 @@ class TestCompiledMaps:
                     se, target, metric, ref), (name, target)
 
     def test_entries_exercise_nonzero_maps(self):
-        sizes = {name: len(CompiledMaps.of(se).top_terms(1)[1])
+        sizes = {name: sum(map(len, CompiledMaps.of(se)._ddbar_map(1)[1].values()))
                  for name, se in compiled_entries() if se.n >= 3}
         assert sizes["abelian(5)"] == 0
         assert sizes["family8(1,0)"] > 0 and sizes["bench/n5.dsl"] > 0
@@ -437,7 +437,7 @@ class TestCompiledMaps:
         gamma_scalar(hermitian.Metric.diagonal(4), 1, se)
         assert CompiledMaps.of(se) is maps
         assert CompiledMaps.of(catalog.family8(1, 2)) is not maps
-        assert maps.top_terms(2) is maps.top_terms(2)
+        assert maps._ddbar_map(2) is maps._ddbar_map(2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_minors_match_elimination(self, n):
@@ -551,10 +551,11 @@ def map_by_basis_monomials(se, op, p):
 
 
 def map_as_rationals(lmap):
-    """A compiled (p, D, {monomial: [(index, a, b)]}) as {monomial: {index: (a + ib)/D}}."""
-    _, d, entries_of = lmap
-    return {mon: {key: ComplexRational(Fraction(a, d), Fraction(b, d)) for key, a, b in entries}
-            for mon, entries in entries_of.items()}
+    """A compiled (D, {rank mask: [(index, a, b)]}) as {monomial: {index: (a + ib)/D}}."""
+    d, entries_of = lmap
+    return {forms._ranks(mask): {key: ComplexRational(Fraction(a, d), Fraction(b, d))
+                                 for key, a, b in entries}
+            for mask, entries in entries_of.items()}
 
 
 class TestKernelCompile:
