@@ -17,8 +17,11 @@ Gauduchon top coefficient is k A + k(k-1) B, A and B pairing ddbar Omega
 and del Omega ^ dbar Omega with the minors of X on the complementary ranks.
 Callers that evaluate one structure on many metrics (search, gamma_scalar,
 gauduchon_form, balanced_defect) read CompiledMaps instead: sparse int maps
-over the minors of X, compiled once per structure, whose Gauduchon top
-pairs the ddbar(Omega^k) map's image through classify's _complement.
+over the minors of X, compiled once per structure.  Each ddbar(Omega^k) map
+lists, per image monomial, the complementary minor that classify's
+_complement names, and the Gauduchon top pairs the map's image with it; the
+same pass, with each minor's derivative in x_jj, gives the top along every
+diagonal ray as a quadratic, which the search's closing move reads.
 
 The metric layer is integer arithmetic.  A Metric stores X once, as
 Gaussian-int numerators over one denominator D, and its memoised minors as
@@ -282,6 +285,19 @@ def _complement(mask: int, n: int) -> tuple:
     return b, sort_ranks(_ranks(mask) + tuple(r for pair in zip(holo, anti) for r in pair))[0]
 
 
+def _cofactors(key: tuple) -> list:
+    """[(j, sub, sign)] for each j among both the rows and the columns of the
+    minor key = (rows, cols): d det X_key / d x_jj = sign det X_sub."""
+    rows, cols = key
+    out = []
+    for r, j in enumerate(rows):
+        if j in cols:
+            c = cols.index(j)
+            out.append((j, (rows[:r] + rows[r + 1:], cols[:c] + cols[c + 1:]),
+                        -1 if (r + c) & 1 else 1))
+    return out
+
+
 class CompiledMaps:
     """The Omega-power predicates of one structure as sparse maps over minors
     of X, for evaluating one structure on many metrics (classify needs none).
@@ -291,10 +307,13 @@ class CompiledMaps:
     are linear, so ddbar(Omega^p) is a fixed map over the p-minors and
     d(Omega^{n-1}) one over the cofactors, each one int table keyed by rank
     mask, built on first use and cached on the structure (CompiledMaps.of).
-    The Gauduchon tops are read off the ddbar(Omega^k) maps (top).
+    Each ddbar(Omega^k) map carries, per image monomial, the minor on its
+    complementary ranks and sign (n-k-1)!, from which the Gauduchon top is
+    read (top_ints); the diagonal rays of that top (rays) read sub-minor
+    lists that are built only when a closing move first asks for them.
     """
 
-    __slots__ = ("se", "n", "_ddbar", "_d_top")
+    __slots__ = ("se", "n", "_ddbar", "_d_top", "_rays")
 
     @staticmethod
     def of(se: StructureEquations) -> "CompiledMaps":
@@ -309,6 +328,7 @@ class CompiledMaps:
         self.n = se.n
         self._ddbar: Dict[int, tuple] = {}
         self._d_top: Optional[tuple] = None
+        self._rays: Dict[int, list] = {}
 
     def _linear_map(self, tables: tuple, p: int) -> tuple:
         """Omega^p through the rank tables in order, as (D, {rank mask:
@@ -332,32 +352,108 @@ class CompiledMaps:
         return prod(dt for dt, _ in tables), out
 
     def _ddbar_map(self, p: int) -> tuple:
+        """(D, {rank mask: entries}, pairs) for ddbar(Omega^p): the map and,
+        per image monomial, (entries, b, c) with coeff(m ^ Omega^{n-p-1}) =
+        c det X_b for c = sign (n-p-1)! (_complement)."""
         if p not in self._ddbar:
-            self._ddbar[p] = self._linear_map((self.se._dbar_rank, self.se._del_rank), p)
+            n = self.n
+            d, entries_of = self._linear_map((self.se._dbar_rank, self.se._del_rank), p)
+            pairs = []
+            for mask, entries in entries_of.items():
+                b, sign = _complement(mask, n)
+                pairs.append((entries, b, sign * factorial(n - p - 1)))
+            self._ddbar[p] = d, entries_of, pairs
         return self._ddbar[p]
 
-    def top(self, metric: Metric, k: int) -> ComplexRational:
-        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial.
+    def _d_top_map(self) -> tuple:
+        if self._d_top is None:
+            self._d_top = self._linear_map((self.se._d_rank,), self.n - 1)
+        return self._d_top
 
-        Each monomial's nonzero sum over the k-minors in the ddbar(Omega^k)
-        map meets (n-k-1)! det X_b on its complementary ranks (_complement).
+    def top_ints(self, metric: Metric, k: int) -> tuple:
+        """(re, im, den): the coefficient of ddbar(Omega^k) ^ Omega^{n-k-1}
+        on the top monomial is (re + i im)/den, den > 0.  Each monomial's
+        nonzero sum over the k-minors meets c det X_b from the map's pairs.
         """
-        d, entries_of = self._ddbar_map(k)
-        minor, minors, n = metric._minor_ints, metric._minors, self.n
+        d, _, pairs = self._ddbar_map(k)
+        minor, minors = metric._minor_ints, metric._minors
         re = im = 0
-        for mask, entries in entries_of.items():
+        for entries, b, c in pairs:
             x = y = 0
             for key, u, v in entries:
                 mr, mi = minors.get(key) or minor(*key)
                 x += u * mr - v * mi
                 y += u * mi + v * mr
             if x or y:
-                b, sign = _complement(mask, n)
                 u, v = minors.get(b) or minor(*b)
-                re += sign * (x * u - y * v)
-                im += sign * (x * v + y * u)
-        scale = factorial(n - k - 1)
-        return _make(re * scale, im * scale, d * metric._den ** (n - 1))
+                re += c * (x * u - y * v)
+                im += c * (x * v + y * u)
+        return re, im, d * metric._den ** (self.n - 1)
+
+    def top(self, metric: Metric, k: int) -> ComplexRational:
+        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial."""
+        return _make(*self.top_ints(metric, k))
+
+    def _ray_table(self, k: int) -> list:
+        """Per pair of the ddbar(Omega^k) map, the diagonal derivatives of its
+        minors: ([(j, [(sub, a, b)])], [(j, sub, sign)]) for the entries and
+        for b, with d det X_key / d x_jj = sign det X_sub (_cofactors)."""
+        table = self._rays.get(k)
+        if table is None:
+            table = self._rays[k] = []
+            for entries, b, _ in self._ddbar_map(k)[2]:
+                by_j: Dict[int, list] = {}
+                for key, u, v in entries:
+                    for j, sub, sign in _cofactors(key):
+                        by_j.setdefault(j, []).append((sub, sign * u, sign * v))
+                table.append((list(by_j.items()), _cofactors(b)))
+        return table
+
+    def rays(self, metric: Metric, k: int) -> tuple:
+        """(den, T0, [(T1_j, T2_j) for j < n]), Gaussian ints (re, im) with
+        top(metric.bump_diagonal(j, t), k) = (T0 + T1_j t + T2_j t^2)/den for
+        every rational t, den = top_ints' denominator at the metric.
+
+        A minor with j among its rows and its columns moves by
+        i D sign det X_sub per unit of t (over D^p), every other minor stays,
+        so each pair S c det X_b of top_ints is a quadratic in t: one pass
+        over the map gives the coefficients of every ray at once.
+        """
+        d, _, pairs = self._ddbar_map(k)
+        minor, minors, n = metric._minor_ints, metric._minors, self.n
+        r0 = i0 = 0
+        r1, i1, r2, i2 = [0] * n, [0] * n, [0] * n, [0] * n  # over i D and -D^2
+        for (entries, b, c), (moves, b_moves) in zip(pairs, self._ray_table(k)):
+            x = y = 0
+            for key, u, v in entries:
+                mr, mi = minors.get(key) or minor(*key)
+                x += u * mr - v * mi
+                y += u * mi + v * mr
+            u0, v0 = minors.get(b) or minor(*b)
+            r0 += c * (x * u0 - y * v0)
+            i0 += c * (x * v0 + y * u0)
+            slopes = {}  # j -> the derivative of the entries' sum, over i D
+            for j, subs in moves:
+                sx = sy = 0
+                for sub, u, v in subs:
+                    mr, mi = minors.get(sub) or minor(*sub)
+                    sx += u * mr - v * mi
+                    sy += u * mi + v * mr
+                slopes[j] = sx, sy
+                r1[j] += c * (sx * u0 - sy * v0)
+                i1[j] += c * (sx * v0 + sy * u0)
+            for j, sub, sign in b_moves:
+                mr, mi = minors.get(sub) or minor(*sub)
+                u, v = sign * c * mr, sign * c * mi
+                r1[j] += x * u - y * v
+                i1[j] += x * v + y * u
+                sx, sy = slopes.get(j, (0, 0))
+                r2[j] += sx * u - sy * v
+                i2[j] += sx * v + sy * u
+        den = metric._den
+        sq = den * den
+        return (d * den ** (n - 1), (r0, i0),
+                [((-den * i1[j], den * r1[j]), (-sq * r2[j], -sq * i2[j])) for j in range(n)])
 
     @staticmethod
     def _image(entries_of: dict, metric: Metric) -> dict:
@@ -375,15 +471,14 @@ class CompiledMaps:
 
     def ddbar_power(self, metric: Metric, p: int) -> Form:
         """ddbar(Omega^p), p >= 0."""
-        d, entries_of = self._ddbar_map(p)
+        d, entries_of, _ = self._ddbar_map(p)
         return _form_of_sums(2 * p + 2, self._image(entries_of, metric), d * metric._den ** p)
 
     def d_top(self, metric: Metric) -> Form:
         """d(Omega^{n-1}); zero exactly on balanced metrics."""
-        if self._d_top is None:
-            self._d_top = self._linear_map((self.se._d_rank,), self.n - 1)
-        n, (d, entries_of) = self.n, self._d_top
-        return _form_of_sums(2 * n - 1, self._image(entries_of, metric), d * metric._den ** (n - 1))
+        d, entries_of = self._d_top_map()
+        return _form_of_sums(2 * self.n - 1, self._image(entries_of, metric),
+                             d * metric._den ** (self.n - 1))
 
 
 def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
@@ -393,16 +488,20 @@ def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
     return CompiledMaps.of(se).top(metric, k)
 
 
-def _numerator(top: ComplexRational, n: int) -> Fraction:
-    """The real scalar (i/2) (-i)^n top, read off top's ints (a + ib)/d.
+def _turned(a: int, b: int, n: int) -> int:
+    """The real part of i (-i)^n (a + ib); the imaginary part must vanish.
 
     i (-i)^n is one of i, 1, -i, -1, so the product's real and imaginary
-    parts are a and b up to sign and order; the imaginary part must vanish.
+    parts are a and b up to sign and order.
     """
-    a, b = top._a, top._b
     re, im = ((-b, a), (a, b), (b, -a), (-a, -b))[n & 3]  # i (-i)^n (a + ib), n mod 4
     ensure(not im, "the Gauduchon numerator is not real")
-    return Fraction(re, 2 * top._d)
+    return re
+
+
+def _numerator(top: ComplexRational, n: int) -> Fraction:
+    """The real scalar (i/2) (-i)^n top, read off top's ints (a + ib)/d."""
+    return Fraction(_turned(top._a, top._b, n), 2 * top._d)
 
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
@@ -414,8 +513,9 @@ def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}).
 
     Equal to gamma_scalar times the positive quantity n! det(-iX).  A sum of
-    c det X_a det X_b (CompiledMaps.top), it is affine in x_jj unless j is in
-    the rows and the columns of both minors of a term, where it can be quadratic.
+    c det X_a det X_b (CompiledMaps.top_ints) with every minor affine in x_jj,
+    it is N0 + N1 t + N2 t^2 along x_jj + it (CompiledMaps.rays), affine unless
+    j is in the rows and the columns of both minors of some term.
     """
     return _numerator(_top(metric, k, se), se.n)
 

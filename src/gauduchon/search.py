@@ -11,11 +11,15 @@ only on a hit.  Balanced reads the compiled d(Omega^{n-1}) map; classify
 reads the Lee form instead, which cost 1.9-2.6 ms against 0.39-0.53 ms for
 one structure plus 8 samples when compiled (one probe, 2-vCPU VM), and the
 reference tests check that the two agree.  For targets asking a scalar to
-vanish, the closing move raises one diagonal entry, which keeps positivity.
-The Gauduchon numerator, read off the top coefficient's ints, is affine in
-x_jj unless j is in the rows and the columns of both minors of some term
-c det X_a det X_b, so the affine root along that line is only a candidate,
-and the exact re-check decides.  Each bumped metric carries over the minors
+vanish, the closing move raises one diagonal entry, which keeps positivity;
+_close is its one rule.  Along x_jj + it the Gauduchon numerator is
+N0 + N1 t + N2 t^2, and one pass over the compiled ddbar(Omega^k) map gives
+every ray's coefficients in ints (CompiledMaps.rays), so a sample builds a
+bumped metric only at an exact zero.  N2 vanishes unless j is in the rows
+and the columns of both minors of some term c det X_a det X_b, so the affine
+root is only a candidate, and the exact zero test decides; the witness is
+then re-checked on the top path.  The catalog's oracle scalars close through
+close_scalar_zero, on bumped metrics, each of which carries over the minors
 the bump leaves unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
@@ -42,7 +46,7 @@ from .catalog import (
 )
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
-from .hermitian import CompiledMaps, Metric, balanced_defect, gamma_numerator
+from .hermitian import CompiledMaps, Metric, _turned
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -50,15 +54,27 @@ DEFAULT_SEED = 0x5EED
 POSITIVITY_PADDING = Fraction(1, 1024)
 
 
+def _numerator_int(se: StructureEquations, metric: Metric, k: int) -> int:
+    """The Gauduchon numerator in ints over its positive denominator, which
+    it shares with top_ints'; it has the sign of gamma_k, as n! det(-iX) > 0."""
+    re, im, _ = CompiledMaps.of(se).top_ints(metric, k)
+    return _turned(re, im, se.n)
+
+
+def _vanishes(entries_of: dict, metric: Metric) -> bool:
+    """Whether every int sum of a compiled map is zero at the metric."""
+    return not any(re or im for re, im in CompiledMaps._image(entries_of, metric).values())
+
+
 # kind -> (CLI spelling, "{k}" standing for the Gauduchon index; exact test on
-# (structure, metric, k), positivity aside).  gamma_numerator has the sign of
-# gamma_k, as n! det(-iX) > 0, and vanishes exactly with the Gauduchon form.
+# (structure, metric, k), positivity aside), each read off the compiled maps'
+# ints.  The numerator vanishes exactly with the Gauduchon form.
 _TARGETS = {
-    "gamma_negative": ("gamma{k}<0", lambda se, m, k: gamma_numerator(m, k, se) < 0),
-    "gamma_positive": ("gamma{k}>0", lambda se, m, k: gamma_numerator(m, k, se) > 0),
-    "gauduchon_zero": ("gauduchon{k}=0", lambda se, m, k: gamma_numerator(m, k, se) == 0),
-    "skt": ("skt", lambda se, m, k: CompiledMaps.of(se).ddbar_power(m, 1).is_zero),
-    "balanced": ("balanced", lambda se, m, k: balanced_defect(m, se).is_zero),
+    "gamma_negative": ("gamma{k}<0", lambda se, m, k: _numerator_int(se, m, k) < 0),
+    "gamma_positive": ("gamma{k}>0", lambda se, m, k: _numerator_int(se, m, k) > 0),
+    "gauduchon_zero": ("gauduchon{k}=0", lambda se, m, k: _numerator_int(se, m, k) == 0),
+    "skt": ("skt", lambda se, m, k: _vanishes(CompiledMaps.of(se)._ddbar_map(1)[1], m)),
+    "balanced": ("balanced", lambda se, m, k: _vanishes(CompiledMaps.of(se)._d_top_map()[1], m)),
 }
 
 
@@ -173,28 +189,65 @@ def _verify(se: StructureEquations, target: Target, metric: Metric) -> bool:
     return metric.is_positive() and _holds(se, target, metric)
 
 
-def close_scalar_zero(
-    metric: Metric, scalar: Callable[[Metric], Fraction]
-) -> Optional[Metric]:
-    """Exact zero of the scalar along a diagonal ray, or None.
+def _close(metric: Metric, base, moves, zero_at) -> Optional[Metric]:
+    """The closing rule on a scalar along the diagonal rays of a metric.
 
-    Raising a diagonal entry of -iX preserves positivity.  Where a unit
-    bump of some u_j = -i x_{jj} moves the scalar from the base strictly in
-    the direction of zero, the affine root base / (base - moved) is a
-    candidate; the scalar may be quadratic in u_j, so the candidate is kept
-    only if it is positive and the scalar there is zero.
+    base is the scalar at the metric, moves yields (j, moved) with moved the
+    scalar one unit along x_jj + it, and zero_at(j, t) is the metric bumped
+    by t along ray j where the scalar vanishes there, else None.  Raising a
+    diagonal entry of -iX preserves positivity.  Where a unit bump moves the
+    scalar from the base strictly in the direction of zero, the affine root
+    t = base / (base - moved) > 0 is a candidate; the scalar may be quadratic
+    in t, so the candidate is kept only if the scalar is zero there and the
+    bumped metric is positive.
     """
-    base = scalar(metric)
     if base == 0:
         return metric
     rising = base < 0  # the root lies where a unit bump moves the scalar up
-    for j in range(metric.n):
-        moved = scalar(metric.bump_diagonal(j, 1))
+    for j, moved in moves:
         if base < moved if rising else moved < base:
-            candidate = metric.bump_diagonal(j, base / (base - moved))
-            if candidate.is_positive() and scalar(candidate) == 0:
+            candidate = zero_at(j, Fraction(base, base - moved))
+            if candidate is not None and candidate.is_positive():
                 return candidate
     return None
+
+
+def close_scalar_zero(
+    metric: Metric, scalar: Callable[[Metric], Fraction]
+) -> Optional[Metric]:
+    """Exact zero of the scalar along a diagonal ray, or None (_close).
+
+    The scalar is evaluated on the metric, on each unit bump until a root
+    is taken, and on each candidate; the oracle scalars of catalog and
+    verify close this way.
+    """
+    def zero_at(j, t):
+        candidate = metric.bump_diagonal(j, t)
+        return candidate if scalar(candidate) == 0 else None
+
+    moves = ((j, scalar(metric.bump_diagonal(j, 1))) for j in range(metric.n))
+    return _close(metric, scalar(metric), moves, zero_at)
+
+
+def _close_gauduchon(maps: CompiledMaps, metric: Metric, k: int) -> Optional[Metric]:
+    """close_scalar_zero on the gamma_k numerator, read off maps.rays in ints.
+
+    Along ray j the numerator is N0 + N1 t + N2 t^2 over one positive
+    denominator, so base and moved are ints, and at t = p/q the zero test is
+    N0 q^2 + N1 p q + N2 p^2 = 0; a Metric is built only where it holds.
+    """
+    n = metric.n
+    _, t0, rays = maps.rays(metric, k)
+    base = _turned(*t0, n)
+    slopes = [(_turned(*t1, n), _turned(*t2, n)) for t1, t2 in rays]
+
+    def zero_at(j, t):
+        n1, n2 = slopes[j]
+        p, q = t.numerator, t.denominator
+        return metric.bump_diagonal(j, t) if (base * q + n1 * p) * q + n2 * p * p == 0 else None
+
+    moves = ((j, base + n1 + n2) for j, (n1, n2) in enumerate(slopes))
+    return _close(metric, base, moves, zero_at)
 
 
 def find_metric(
@@ -237,14 +290,16 @@ def find_metric(
     n = se.n
 
     scalar_fn = closing_scalar(family, params, target.describe())
+    close = None if scalar_fn is None else lambda m: close_scalar_zero(m, scalar_fn)
     if target.kind == "gauduchon_zero":
-        scalar_fn = lambda m: gamma_numerator(m, target.k, se)  # noqa: E731
+        maps = CompiledMaps.of(se)
+        close = lambda m: _close_gauduchon(maps, m, target.k)  # noqa: E731
 
     for _ in range(budget):
         used += 1
         metric = sample_positive_metric(rng, n)
-        if scalar_fn is not None:
-            witness = close_scalar_zero(metric, scalar_fn)
+        if close is not None:
+            witness = close(metric)
             if witness is not None and _verify(se, target, witness):
                 return finish("witness", witness)
         elif _holds(se, target, metric) and metric.is_positive():

@@ -764,7 +764,7 @@ class TestEngineFaults:
 
     @pytest.mark.parametrize("fault", [ZeroDivisionError, ValueError, KeyError])
     def test_fault_in_the_compiled_pairing_propagates(self, tmp_path, monkeypatch, fault):
-        # CompiledMaps.top, which search reads, pairs through _complement as classify does
+        # the compiled ddbar(Omega^k) map, which search reads, pairs through _complement
         def complement(mask, n):
             raise fault("engine fault")
 

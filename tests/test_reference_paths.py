@@ -187,6 +187,14 @@ class TestExactScreen:
         assert search._holds(se, Target("gauduchon_zero", 2), metric)
         assert not search._verify(se, Target("gauduchon_zero", 2), metric)
 
+    def test_non_real_top_fails_the_gamma_targets(self, monkeypatch):
+        se, metric = catalog.family8(1, 0), hermitian.Metric.diagonal(4)
+        monkeypatch.setattr(CompiledMaps, "top_ints", lambda maps, m, k: (1, 1, 1))
+        for target in every_target(4):
+            if target.k is not None:
+                with pytest.raises(ClaimFailure, match="not real"):
+                    search._holds(se, target, metric)
+
     def test_top_index_is_exercised_off_zero(self):
         se = non_unimodular3()
         metric = sample_positive_metric(random.Random(5), 3)
@@ -447,6 +455,65 @@ class TestCompiledMaps:
             assert metric.minor(rows, cols) == ref_minor(x, rows, cols, memo)
 
 
+def ray_value(den, t0, t1, t2, t):
+    """(T0 + T1 t + T2 t^2)/den for Gaussian-int pairs (re, im)."""
+    re, im = (a + b * t + c * t * t for a, b, c in zip(t0, t1, t2))
+    return ComplexRational(Fraction(re) / den, Fraction(im) / den)
+
+
+class TestRays:
+    """CompiledMaps.rays against top at the bumped metrics, and the search's
+    ray closing against close_scalar_zero on gamma_numerator."""
+
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_ray_polynomials_match_the_bumped_tops(self, name, se):
+        rng = random.Random(name)
+        n = se.n
+        maps = CompiledMaps.of(se)
+        for metric in (hermitian.Metric.diagonal(n, range(1, n + 1)),
+                       sample_positive_metric(rng, n)):
+            for k in range(1, n):
+                den, t0, rays = maps.rays(metric, k)
+                assert len(rays) == n
+                assert ray_value(den, t0, (0, 0), (0, 0), 0) == maps.top(metric, k), (name, k)
+                for j, (t1, t2) in enumerate(rays):
+                    for t in (1, 2, Fraction(1, 3), Fraction(7, 2)):
+                        bumped = metric.bump_diagonal(j, t)
+                        assert ray_value(den, t0, t1, t2, t) == maps.top(bumped, k), (name, k, j, t)
+
+    def test_entries_exercise_every_ray_term(self):
+        # a quadratic ray (the solvable5 bundle along x_33), and linear terms
+        # from the entries' minors and from the complement's on family8
+        entries = dict(compiled_entries())
+        metric = sample_positive_metric(random.Random(2), 3)
+        _, _, rays = CompiledMaps.of(entries["solvable5-bundle"]).rays(metric, 1)
+        assert [t2 != (0, 0) for _, t2 in rays] == [False, False, True]
+        metric = sample_positive_metric(random.Random(2), 4)
+        _, _, rays = CompiledMaps.of(entries["family8(1,0)"]).rays(metric, 1)
+        assert all(t1 != (0, 0) for t1, _ in rays)
+
+    @pytest.mark.parametrize("name, se", [e for e in compiled_entries() if e[1].n >= 2] + [
+        ("family8(2,0)", catalog.family8(2, 0)), ("family8(1,1)", catalog.family8(1, 1))])
+    def test_ray_closing_matches_close_scalar_zero(self, name, se):
+        # only family8 with p > 0 has a Gaussian-rational zero off the base;
+        # the solvable5 bundle's quadratic ray yields candidates that miss
+        rng = random.Random(name)
+        maps = CompiledMaps.of(se)
+        closed = 0
+        for k in range(1, se.n):
+            scalar = lambda m: gamma_numerator(m, k, se)  # noqa: E731
+            for _ in range(60):
+                metric = sample_positive_metric(rng, se.n)
+                got = search._close_gauduchon(maps, metric, k)
+                want = search.close_scalar_zero(metric, scalar)
+                assert (got is None) is (want is None), (name, k)
+                if got is not None:
+                    assert (got._num, got._den) == (want._num, want._den), (name, k)
+                    assert search._verify(se, Target("gauduchon_zero", k), got), (name, k)
+                    closed += got is not metric
+        assert (closed > 0) is (name in ("family8(1,0)", "family8(2,0)", "family8(1,1)")), name
+
+
 def leibniz_forms(metric, se):
     """classify's d Omega, ddbar Omega and P = del Omega ^ dbar Omega as Forms,
     from the int sums of hermitian._derivatives."""
@@ -551,8 +618,8 @@ def map_by_basis_monomials(se, op, p):
 
 
 def map_as_rationals(lmap):
-    """A compiled (D, {rank mask: [(index, a, b)]}) as {monomial: {index: (a + ib)/D}}."""
-    d, entries_of = lmap
+    """A compiled (D, {rank mask: [(index, a, b)]}, ...) as {monomial: {index: (a + ib)/D}}."""
+    d, entries_of = lmap[:2]
     return {forms._ranks(mask): {key: ComplexRational(Fraction(a, d), Fraction(b, d))
                                  for key, a, b in entries}
             for mask, entries in entries_of.items()}

@@ -221,20 +221,25 @@ class TestWitnessSearch:
             m = sample_positive_metric(rng, 3)
             assert [second_difference(m, j) for j in range(3)] == [0, 0, Fraction(-3, 2)]
 
-    def test_closing_evaluates_the_base_once(self, monkeypatch):
-        # for p < 0 no diagonal slope opposes the base, so each sample costs
-        # the base and one bump per diagonal entry, and no candidate is built
+    def test_closing_reads_one_ray_evaluation_per_sample(self, monkeypatch):
+        # for p < 0 no diagonal ray points toward zero, so an exhausted sample
+        # costs one evaluation of the compiled rays and builds no bumped metric
         se, budget, calls = catalog.family8(-1, 1), 6, []
-        numerator = search.gamma_numerator
+        rays, bump = hermitian.CompiledMaps.rays, hermitian.Metric.bump_diagonal
 
-        def counting(metric, k, se):
-            calls.append(k)
-            return numerator(metric, k, se)
+        def counting_rays(maps, metric, k):
+            calls.append("rays")
+            return rays(maps, metric, k)
 
-        monkeypatch.setattr(search, "gamma_numerator", counting)
+        def counting_bump(metric, j, amount):
+            calls.append("bump")
+            return bump(metric, j, amount)
+
+        monkeypatch.setattr(hermitian.CompiledMaps, "rays", counting_rays)
+        monkeypatch.setattr(hermitian.Metric, "bump_diagonal", counting_bump)
         out = find_metric(se, Target("gauduchon_zero", 1), budget=budget)
         assert out.status == "exhausted"
-        assert len(calls) == budget * (se.n + 1)
+        assert calls == ["rays"] * budget
 
 
 class TestFeasibility:
