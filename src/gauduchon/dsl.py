@@ -12,15 +12,16 @@ line) may sit between any two tokens, and a newline or ';' ends a statement:
     mono    := gen ("^" gen)*
     gen     := "w" INT | "~w" INT
     coef    := "(" complex ")" | complex      (unbracketed, it starts with INT)
-    complex := rat | [rat] "i" | rat ("+"|"-") [rat] "i"
+    complex := rat | [rat | "-"] "i" | rat ("+"|"-") [rat] "i"
     rat     := ["-"] INT ["/" INT]
 
 Example:  n:3; dw1:0; dw2:0; dw3: w1^w2 + w1^~w1 + (1/2+1/4i)*w1^~w2
 
-Each INT is converted once, by the tokenizer.  The grammar and the JSON
-readers sum the terms of a form into one dict (_add_term) and build one
-Form from it.  A source error is a DslSyntaxError at its line and column;
-the JSON readers read each value through _field, which names the field
+The tokenizer is one findall of the token strings, which the grammar walks
+by index; both structure readers sum each dw^j in ints (_add_term) into the
+rows that StructureEquations._validate takes.  Only a failed read finds the
+tokens' offsets, for its DslSyntaxError's line and column (_syntax_error).
+The JSON readers read each value through _field, which names the field
 (equations[j][t].re, X[j][k].im; indices from 0) in a BadParams; a JSON
 boolean is neither an integer nor a rational.  The metric reader reads X in
 one pass into the ints that Metric._of_ints takes.
@@ -30,252 +31,285 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from itertools import islice
-from math import lcm
-from typing import Dict, List, Tuple
+from math import gcd, lcm
+from typing import Dict, List
 
 from .errors import BadInput, BadParams, DimensionMismatch, DslSyntaxError
 from .forms import Form, conj_rank, format_form, holo_rank, sort_ranks
 from .hermitian import Metric
-from .scalars import ZERO, ComplexRational, _make, _rational_parts
+from .scalars import ComplexRational, _make, _rational_parts
 from .structures import StructureEquations
 
 
-def _add_term(terms: dict, ranks, coeff: ComplexRational) -> None:
-    """Add coeff times the wedge of ranks to the sum terms as Form + Form would:
-    a zero term adds nothing, a coefficient that cancels drops out, and a
-    term of another degree than the sum raises BadParams."""
-    sorted_ = sort_ranks(ranks)
-    if sorted_ is None or not coeff:
+def _add_term(terms: dict, ranks, a: int, b: int, d: int) -> None:
+    """Add (a + ib)/d times the wedge of ranks to the int sums terms
+    {mon: (a, b, d)}, each (a + ib)/d unreduced, as Form + Form would: a zero
+    term adds nothing, a sum that cancels drops out, and a term of another
+    degree than the sum raises BadParams."""
+    if len(ranks) == 2:  # most terms: sorted here, without sort_ranks' loops
+        r, s = ranks
+        sorted_ = (1, (r, s)) if r < s else (-1, (s, r)) if r > s else None
+    else:
+        sorted_ = sort_ranks(ranks)
+    if sorted_ is None or not (a or b):
         return
     sign, mon = sorted_
     degree = len(next(iter(terms), mon))
     if len(mon) != degree:
         raise BadParams(f"cannot add forms of degrees {degree} and {len(mon)}")
-    coeff = terms.get(mon, ZERO) + (coeff if sign > 0 else -coeff)
-    if coeff:
-        terms[mon] = coeff
+    if sign < 0:
+        a, b = -a, -b
+    acc = terms.get(mon)
+    if acc is not None:
+        x, y, e = acc
+        a, b, d = (x + a, y + b, d) if e == d else (x * d + a * e, y * d + b * e, e * d)
+    if a or b:
+        terms[mon] = a, b, d
     else:
         del terms[mon]
 
 
-def _form(terms: dict) -> Form:
-    """The Form of a sum that _add_term built."""
-    return Form(len(next(iter(terms))) if terms else None, terms)
+def _structure(n: int, sums: list) -> StructureEquations:
+    """The structure of _add_term's sums of each dw^j as int rows over den, the
+    lcm of their own denominators, over gcd(den, numerators), as from Forms."""
+    den = lcm(*{d for terms in sums for _, _, d in terms.values()})
+    rows = [[(r, s, a * (den // d), b * (den // d)) for (r, s), (a, b, d) in terms.items()]
+            for terms in sums]
+    if den != 1:
+        g = gcd(den, *(x for row in rows for _, _, a, b in row for x in (a, b)))
+        if g != 1:
+            den //= g
+            rows = [[(r, s, a // g, b // g) for r, s, a, b in row] for row in rows]
+    se = object.__new__(StructureEquations)
+    se._validate(n, den, rows)
+    return se
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokenizer and grammar: each grammar reader takes the token list and the
+# index it starts at, and returns what it read and the index after it
 # ---------------------------------------------------------------------------
 
-# One match per token, with the blanks and comment after it (_LEAD skips any
-# before the first token); the group that matched is the token's kind, and
-# any other character is "bad".  A newline ends a statement, as ';' does.
-_TOKEN = re.compile(
-    r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])|(?P<bad>.))"
-    r"[ \t\r]*(?:#[^\n]*)?",
-    re.DOTALL,
-)
-_LEAD = re.compile(r"[ \t\r]*(?:#[^\n]*)?")
+# One match per token: blanks match nothing, a comment is a match that
+# _tokens drops, and a character that starts no other token is a token of its
+# own, and a bad one.  A newline ends a statement, as ';' does.
+_PUNCT = "-+*^:()/;~\n"
+_TOKEN = re.compile(r"[" + re.escape(_PUNCT) + r"]|[0-9]+|[A-Za-z]+|#[^\n]*|[^ \t\r]")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        # (kind, text, offset, int value or None); kind is 'int', 'name', 'end' or the punctuation
-        self.tokens: List[tuple] = []
-        for m in _TOKEN.finditer(text, _LEAD.match(text).end()):
-            kind = m.lastgroup
-            tok = m[kind]
-            value = None
-            if kind == "int":
-                try:
-                    value = int(tok)
-                except ValueError:  # beyond the interpreter's int-string limit
-                    self.fail(m.start(), f"integer literal too long ({len(tok)} digits)")
-            elif kind == "punct":
-                kind = tok = ";" if tok == "\n" else tok
-            elif kind == "bad":
-                self.fail(m.start(), f"unexpected character {tok!r}")
-            self.tokens.append((kind, tok, m.start(), value))
-        self.tokens.append(("end", "", len(text), None))
-        self.pos = 0
+def _tokens(text: str) -> List[str]:
+    """The token strings of text, then "" for its end."""
+    tokens = _TOKEN.findall(text)
+    return ([tok for tok in tokens if tok[0] != "#"] if "#" in text else tokens) + [""]
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
 
-    def take(self, kind=None) -> tuple:
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            self.fail(tok[2], f"expected {kind!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
+class _Fail(Exception):
+    """A grammar failure: (index of the token it is reported at, message)."""
 
-    def fail(self, offset: int, msg: str):
-        """Raise DslSyntaxError at the 1-based line and column of text[offset]."""
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        raise DslSyntaxError(self.text.count("\n", 0, offset) + 1, offset - line_start + 1, msg)
 
-    # -- grammar -------------------------------------------------------------
+def _syntax_error(text: str, index: int, message: str) -> DslSyntaxError:
+    """The DslSyntaxError of a read that failed with message at token index:
+    the first bad character or INT too long to convert anywhere in text, as a
+    whole-text tokenizer meets it, else message at the token's position."""
+    offset = len(text)
+    for k, m in enumerate(m for m in _TOKEN.finditer(text) if m[0][0] != "#"):
+        tok = m[0]
+        if not (tok.isascii() and (tok.isalnum() or tok in _PUNCT)):
+            return _error_at(text, m.start(), f"unexpected character {tok!r}")
+        if tok.isdigit():
+            try:
+                int(tok)
+            except ValueError:  # beyond the interpreter's int-string limit
+                return _error_at(text, m.start(), f"integer literal too long ({len(tok)} digits)")
+        if k == index:
+            offset = m.start()
+    return _error_at(text, offset, message)
 
-    def parse_source(self) -> Tuple[int, Dict[int, Form]]:
-        n = None
-        equations: Dict[int, Form] = {}
-        offsets: Dict[int, int] = {}  # j -> offset of its 'dw' token
-        while True:
-            while self.peek()[0] == ";":
-                self.take()
-            if self.peek()[0] == "end":
+
+def _error_at(text: str, offset: int, message: str) -> DslSyntaxError:
+    """message at the 1-based line and column of text[offset]."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return DslSyntaxError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message)
+
+
+def _expected(what: str, tokens: list, i: int, name: bool = False) -> _Fail:
+    """The failure at token i, which is not what, or not a 'name' when what is
+    one; a newline shows as ';', the end as ''."""
+    tok = tokens[i]
+    if name and not tok.isalpha():
+        what = "'name'"
+    shown = ";" if tok == "\n" else tok
+    return _Fail(i, f"expected {what}, found {shown!r}")
+
+
+def _take(want: str, tokens: list, i: int) -> int:
+    """The index after token i, which must be want."""
+    if tokens[i] != want:
+        raise _expected(repr(want), tokens, i)
+    return i + 1
+
+
+def _int(tokens: list, i: int) -> int:
+    tok = tokens[i]
+    if tok.isascii():  # int() also reads the digits of other scripts
+        try:
+            return int(tok)
+        except ValueError:  # not an INT, or one too long to convert
+            pass
+    raise _expected("'int'", tokens, i)
+
+
+def _rational(tokens: list, i: int) -> tuple:
+    """(p, q, i) for rat: p/q, q > 0 and not reduced."""
+    sign = -1 if tokens[i] == "-" else 1
+    i += sign < 0
+    p = sign * _int(tokens, i)
+    if tokens[i + 1] != "/":
+        return p, 1, i + 1
+    q = _int(tokens, i + 2)
+    if not q:
+        raise _Fail(i + 3, "zero denominator")
+    return p, q, i + 3
+
+
+def _complex(tokens: list, i: int) -> tuple:
+    """(a, b, d, i) for complex: (a + ib)/d, d > 0 and not reduced."""
+    tok = tokens[i]
+    if tok == "i":
+        return 0, 1, 1, i + 1
+    if tok == "-" and tokens[i + 1] == "i":
+        return 0, -1, 1, i + 2
+    p, q, i = _rational(tokens, i)
+    tok = tokens[i]
+    if tok == "i":
+        return 0, p, q, i + 1
+    if tok == "+" or tok == "-":
+        # '[rat] i' continues the literal; anything else ends it before the sign
+        if tokens[i + 1] == "i":
+            return p, q if tok == "+" else -q, q, i + 2
+        try:
+            r, s, j = _rational(tokens, i + 1)
+        except _Fail:
+            return p, 0, q, i
+        if tokens[j] == "i":
+            return p * s, (r if tok == "+" else -r) * q, q * s, j + 1
+    return p, 0, q, i
+
+
+def _expr(tokens: list, i: int, n: int) -> tuple:
+    """(sums, i) for expr: _add_term's sums of its terms."""
+    terms: Dict[tuple, tuple] = {}
+    if tokens[i] == "0" and tokens[i + 1] in (";", "\n", ""):
+        return terms, i + 1
+    sign = -1 if tokens[i] == "-" else 1
+    i += sign < 0
+    while True:
+        start = i
+        tok = tokens[i]
+        if tok == "(":
+            a, b, d, i = _complex(tokens, i + 1)
+            i = _take("*", tokens, _take(")", tokens, i))
+        elif tok.isdigit():  # unbracketed, a coefficient starts with INT
+            a, b, d, i = _complex(tokens, i)
+            i = _take("*", tokens, i)
+        else:
+            a, b, d = 1, 0, 1
+        ranks = []
+        while True:  # mono: gen ("^" gen)*, gen := ["~"] "w" INT
+            conj = tokens[i] == "~"
+            i += conj
+            if tokens[i] != "w":
+                raise _expected("generator", tokens, i, name=True)
+            j = _int(tokens, i + 1)
+            if not 1 <= j <= n:
+                raise _Fail(i, f"generator w{j} outside 1..{n}")
+            ranks.append(2 * j if conj else 2 * j - 1)
+            i += 2
+            if tokens[i] != "^":
                 break
-            tok = self.take("name")
-            if tok[1] == "n":
-                self.take(":")
-                if n is not None:
-                    self.fail(tok[2], "duplicate 'n' header")
-                n = self.take("int")[3]
-                if n < 1:
-                    self.fail(tok[2], "n must be >= 1")
-            elif tok[1] == "dw":
-                j = self.take("int")[3]
-                self.take(":")
-                if n is None:
-                    self.fail(tok[2], "'n' header must come first")
-                if not 1 <= j <= n:
-                    self.fail(tok[2], f"generator w{j} outside 1..{n}")
-                if j in equations:
-                    self.fail(tok[2], f"duplicate dw{j}")
-                equations[j] = self.parse_expr(n)
-                offsets[j] = tok[2]
-            else:
-                self.fail(tok[2], f"expected 'n' or 'dw<j>', found {tok[1]!r}")
-        if n is None:
-            raise DslSyntaxError(1, 1, "missing 'n' header")
-        # name the first eight; the first missing index is at most len(equations) + 1
-        missing = list(islice((j for j in range(1, n + 1) if j not in equations), 9))
-        if missing:
-            names = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
-            raise DslSyntaxError(1, 1, f"missing equations for dw[{names}]")
-        # checked once the whole source parses, so a syntax error comes first
-        for j, form in equations.items():
-            if form and form.degree != 2:
-                self.fail(offsets[j], f"dw{j} must be a 2-form, got degree {form.degree}")
-        return n, equations
+            i += 1
+        try:
+            _add_term(terms, ranks, sign * a, sign * b, d)
+        except BadParams as exc:  # a term of another degree than the sum
+            raise _Fail(start, str(exc)) from None
+        tok = tokens[i]
+        if tok != "+" and tok != "-":
+            return terms, i
+        sign = 1 if tok == "+" else -1
+        i += 1
 
-    def parse_expr(self, n: int) -> Form:
-        kind, text = self.peek()[:2]
-        if kind == "int" and text == "0" and self.tokens[self.pos + 1][0] in (";", "end"):
-            self.take()
-            return Form.zero()
-        sign = 1
-        if kind == "-":
-            self.take()
-            sign = -1
-        terms: Dict[tuple, ComplexRational] = {}
-        _add_term(terms, *self.parse_term(n, sign))
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.take()[0] == "+" else -1
-            offset = self.peek()[2]
-            ranks, coeff = self.parse_term(n, sign)
-            try:
-                _add_term(terms, ranks, coeff)
-            except BadParams as exc:  # a term of another degree than the sum
-                self.fail(offset, str(exc))
-        return _form(terms)
 
-    def parse_term(self, n: int, sign: int) -> tuple:
-        """(ranks, coefficient) of one term."""
-        coeff = ComplexRational(sign)
-        kind = self.peek()[0]
-        if kind == "(":
-            self.take()
-            coeff = coeff * self.parse_complex()
-            self.take(")")
-            self.take("*")
-        elif kind == "int":
-            coeff = coeff * self.parse_complex()
-            self.take("*")
-        return self.parse_mono(n), coeff
-
-    def parse_mono(self, n: int) -> list:
-        ranks = [self.parse_gen(n)]
-        while self.peek()[0] == "^":
-            self.take()
-            ranks.append(self.parse_gen(n))
-        return ranks
-
-    def parse_gen(self, n: int) -> int:
-        conj = False
-        if self.peek()[0] == "~":
-            self.take()
-            conj = True
-        tok = self.take("name")
-        if tok[1] != "w":
-            self.fail(tok[2], f"expected generator, found {tok[1]!r}")
-        j = self.take("int")[3]
-        if not 1 <= j <= n:
-            self.fail(tok[2], f"generator w{j} outside 1..{n}")
-        return conj_rank(j) if conj else holo_rank(j)
-
-    def _take_bare_i(self) -> bool:
-        if self.peek()[:2] == ("name", "i"):
-            self.take()
-            return True
-        return False
-
-    def parse_complex(self) -> ComplexRational:
-        if self._take_bare_i():
-            return ComplexRational(0, 1)
-        if self.peek()[0] == "-" and self.tokens[self.pos + 1][1] == "i":
-            self.take()
-            self.take()
-            return ComplexRational(0, -1)
-        first = self.parse_signed_rational()
-        if self._take_bare_i():
-            return ComplexRational(0, first)
-        if self.peek()[0] in ("+", "-"):
-            # lookahead: '[rat] i' continues the literal, else back off
-            save = self.pos
-            sign = 1 if self.take()[0] == "+" else -1
-            if self._take_bare_i():
-                return ComplexRational(first, sign)
-            try:
-                second = self.parse_signed_rational()
-            except DslSyntaxError:
-                self.pos = save
-                return ComplexRational(first)
-            if self._take_bare_i():
-                return ComplexRational(first, sign * second)
-            self.pos = save
-        return ComplexRational(first)
-
-    def parse_signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        num = self.take("int")[3]
-        if self.peek()[0] == "/":
-            self.take()
-            den = self.take("int")[3]
-            if den == 0:
-                self.fail(self.peek()[2], "zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+def _source(tokens: list) -> tuple:
+    """(n, sums of dw^1..dw^n) for source."""
+    n = None
+    equations: Dict[int, dict] = {}
+    at: Dict[int, int] = {}  # j -> index of its 'dw' token
+    i = 0
+    while True:
+        tok = tokens[i]
+        if tok == ";" or tok == "\n":
+            i += 1
+        elif tok == "n":
+            _take(":", tokens, i + 1)
+            if n is not None:
+                raise _Fail(i, "duplicate 'n' header")
+            n = _int(tokens, i + 2)
+            if n < 1:
+                raise _Fail(i, "n must be >= 1")
+            i += 3
+        elif tok == "dw":
+            j = _int(tokens, i + 1)
+            _take(":", tokens, i + 2)
+            if n is None:
+                raise _Fail(i, "'n' header must come first")
+            if not 1 <= j <= n:
+                raise _Fail(i, f"generator w{j} outside 1..{n}")
+            if j in equations:
+                raise _Fail(i, f"duplicate dw{j}")
+            at[j] = i
+            equations[j], i = _expr(tokens, i + 3, n)
+        elif tok:
+            raise _expected("'n' or 'dw<j>'", tokens, i, name=True)
+        else:
+            break
+    if n is None:
+        raise DslSyntaxError(1, 1, "missing 'n' header")
+    # name the first eight; the first missing index is at most len(equations) + 1
+    missing = list(islice((j for j in range(1, n + 1) if j not in equations), 9))
+    if missing:
+        names = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+        raise DslSyntaxError(1, 1, f"missing equations for dw[{names}]")
+    # checked once the whole source parses, so a syntax error comes first
+    for j, terms in equations.items():
+        mon = next(iter(terms), None)
+        if mon is not None and len(mon) != 2:
+            raise _Fail(at[j], f"dw{j} must be a 2-form, got degree {len(mon)}")
+    return n, [equations[j] for j in range(1, n + 1)]
 
 
 def parse_structure(text: str) -> StructureEquations:
     """Parse DSL source; validates Jacobi and integrability on construction."""
-    n, equations = _Parser(text).parse_source()
-    return StructureEquations(n, [equations[j] for j in range(1, n + 1)])
+    try:
+        n, sums = _source(_tokens(text))
+    except _Fail as fail:
+        raise _syntax_error(text, *fail.args) from None
+    return _structure(n, sums)
 
 
 def parse_complex_literal(text: str) -> ComplexRational:
-    """Parse a standalone complex literal such as '1/2+1/4i' or '-2i'."""
-    parser = _Parser(text)
-    value = parser.parse_complex()
-    parser.take("end")
-    return value
+    """Parse a standalone complex literal such as '1/2+1/4i' or '-2i'.  It is
+    one literal, not DSL source, so a '#' is a bad character, not a comment."""
+    if "#" in text:
+        raise _error_at(text, text.index("#"), "unexpected character '#'")
+    tokens = _tokens(text)
+    try:
+        a, b, d, i = _complex(tokens, 0)
+        if tokens[i]:
+            raise _expected("'end'", tokens, i)
+    except _Fail as fail:
+        raise _syntax_error(text, *fail.args) from None
+    return _make(a, b, d)
 
 
 def format_structure(se: StructureEquations) -> str:
@@ -339,11 +373,11 @@ def _field(where: str, read):
         raise _bad(where, exc) from None
 
 
-def _complex(at: str, spec) -> ComplexRational:
-    """The number {"re": ..., "im": ...} spec, its parts read as at.re and at.im."""
+def _number(at: str, spec) -> tuple:
+    """(a, b, d): (a + ib)/d is {"re": ..., "im": ...} spec, read as at.re, at.im."""
     p, q = _field(at + ".re", lambda: _rational_parts(spec["re"]))
     r, s = _field(at + ".im", lambda: _rational_parts(spec["im"]))
-    return _make(p * s, r * q, q * s)
+    return p * s, r * q, q * s
 
 
 def _mon_from_json(spec, n: int) -> list:
@@ -370,18 +404,18 @@ def form_to_json(f: Form) -> list:
     ]
 
 
-def form_from_json(spec, n: int, j: int) -> Form:
-    """dw^j over n generators from its JSON terms {"re", "im", "mon"}."""
+def _sums_from_json(spec, n: int, j: int) -> dict:
+    """_add_term's sums of dw^j over n generators from its {"re", "im", "mon"} terms."""
     where = f"equations[{j - 1}]"
-    terms: Dict[tuple, ComplexRational] = {}
+    terms: Dict[tuple, tuple] = {}
     for t, term in enumerate(_field(where, lambda: _array(spec))):
         at = f"{where}[{t}]"
-        coeff = _complex(at, term)
+        a, b, d = _number(at, term)
         mon = _field(at + ".mon", lambda: _mon_from_json(term["mon"], n))
         if len(mon) != 2:
             raise BadParams(f"{at}.mon: dw{j} must be a 2-form, got degree {len(mon)}")
-        _add_term(terms, mon, coeff)
-    return _form(terms)
+        _add_term(terms, mon, a, b, d)
+    return terms
 
 
 def structure_to_json(se: StructureEquations) -> dict:
@@ -393,8 +427,10 @@ def structure_from_json(spec) -> StructureEquations:
     n, equations, equations[j], or equations[j][t].re, .im or .mon."""
     n = _field("n", lambda: _index(spec["n"]))
     equations = _field("equations", lambda: _array(spec["equations"]))
-    return StructureEquations(n, [form_from_json(e, n, j)
-                                  for j, e in enumerate(equations, start=1)])
+    sums = [_sums_from_json(e, n, j) for j, e in enumerate(equations, start=1)]
+    if len(sums) != n:
+        raise DimensionMismatch(f"need {n} differentials, got {len(sums)}")
+    return _structure(n, sums)
 
 
 def real_form_to_json(f: Form) -> list:
@@ -406,10 +442,12 @@ def real_form_to_json(f: Form) -> list:
 
 
 def real_form_from_json(spec) -> Form:
-    terms: Dict[tuple, ComplexRational] = {}
+    terms: Dict[tuple, tuple] = {}
     for term in spec:
-        _add_term(terms, [_index(r) for r in term["mon"]], ComplexRational(term["coef"]))
-    return _form(terms)
+        p, q = _rational_parts(term["coef"])
+        _add_term(terms, [_index(r) for r in term["mon"]], p, 0, q)
+    return Form(len(next(iter(terms))) if terms else None,
+                {mon: _make(a, b, d) for mon, (a, b, d) in terms.items()})
 
 
 def metric_to_json(metric: Metric) -> dict:

@@ -10,10 +10,11 @@ complex coframe with d transported.
 The derivation is one Gaussian-integer kernel, _derive, which maps int sums
 over rank bitmasks to int sums through a table of the rank differentials in
 ints over one denominator, as forms.wedge does.  StructureEquations builds
-its table in one pass over the terms of the dw^j, conjugate rows derived on
-the ints, and checks integrability and Jacobi on it; RealLieAlgebra converts
-its Forms (_rank_table).  d, partial, dbar and ddbar wrap the kernel for
-Forms; hermitian runs it on Omega's sums and CompiledMaps' basis monomials.
+its table and its dw^j in one pass over int rows of their terms (_validate),
+conjugate rows derived on the ints, and checks integrability and Jacobi on
+it; RealLieAlgebra converts its Forms (_rank_table).  d, partial, dbar and
+ddbar wrap the kernel for Forms; hermitian runs it on Omega's sums and
+CompiledMaps' basis monomials.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .forms import Form, _form_of_sums, _mask, _parity_mask, _ranks, conj_rank, conjugate_rank
 from .forms import holo_rank, substitute
-from .scalars import I, ONE, _to_ints, cr
+from .scalars import I, ONE, _make, _to_ints, cr
 
 
 def _rank_table(d_of_rank: List[Form]) -> tuple:
@@ -104,8 +105,10 @@ class StructureEquations:
     The differential of each rank is split once into its del and delbar
     parts, which integrability makes sum to d; del and delbar are then
     single derivations over the one int table of the rank differentials,
-    converted once, here.  Instances are immutable.  The _compiled slot holds
-    the structure's hermitian.CompiledMaps once a metric quantity needs them.
+    built by _validate from int rows: __init__ converts its Forms, and the
+    readers read text straight into them.  Instances are immutable.  The
+    _compiled slot holds the structure's hermitian.CompiledMaps once a metric
+    quantity needs them.
     """
 
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
@@ -115,41 +118,59 @@ class StructureEquations:
             raise BadParams(f"n must be at least 1, got {n}")
         if len(d_of) != n:
             raise DimensionMismatch(f"need {n} differentials, got {len(d_of)}")
-        self.n = n
-        self.d_of = d_of = list(d_of)
-        # rows[2j-1] holds the terms of dw^j and rows[2j] those of its conjugate
         den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of, start=1)
                               for mon, c in df.terms.items())
-        rows = [[] for _ in range(2 * n + 1)]
-        flat = 0  # the first generator whose differential has a (0,2) term
+        rows = [[] for _ in range(n)]
         for (j, mon), a, b in terms:
             if len(mon) != 2:
                 raise BadParams(f"dw{j} must be a 2-form, got degree {len(mon)}")
-            r, s = mon
-            if s > 2 * n:
+            if mon[1] > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
-            if not (r | s) & 1:
-                flat = flat or j
-            rows[2 * j - 1].append((1 << r | 1 << s, (1 << s) - (1 << r), a, b))
-            if s == r + 1 and r & 1:  # w^k^~w^k conjugates to ~w^k^w^k = -w^k^~w^k
-                a, b = -a, -b
-            else:  # conjugation keeps the order of the ranks of two generators
-                r, s = conjugate_rank(r), conjugate_rank(s)
-            rows[2 * j].append((1 << r | 1 << s, (1 << s) - (1 << r), a, -b))
-        self._d_rank = den, rows
+            rows[j - 1].append((*mon, a, b))
+        self._validate(n, den, rows)
+
+    def _validate(self, n: int, den: int, rows: list) -> None:
+        """Build and check the structure of the terms (r, s, a, b), r < s, in
+        rows[j-1] of dw^j = sum (a + ib)/den w^r^w^s over their least common
+        denominator: d_of, the rank table and its del and delbar split."""
+        self.n = n
+        self.d_of = d_of = []
+        # table[2j-1] holds the terms of dw^j and table[2j] those of its
+        # conjugate; dels and dbars hold the del and delbar part of each row
+        table, dels, dbars = [[]], [[]], [[]]
+        flat = 0  # the first generator whose differential has a (0,2) term
+        for j, row in enumerate(rows, start=1):
+            terms, holo, conj = {}, [], []
+            parts = [], [], [], []  # del and delbar of dw^j, then of its conjugate
+            for r, s, a, b in row:
+                terms[r, s] = _make(a, b, den)
+                if not (r | s) & 1:
+                    flat = flat or j
+                k = 0 if r & s & 1 else 1  # (2,0): del of dw^j, delbar of its conjugate
+                e = (1 << r | 1 << s, (1 << s) - (1 << r), a, b)
+                if s == r + 1 and r & 1:  # w^k^~w^k conjugates to ~w^k^w^k = -w^k^~w^k
+                    c = (e[0], e[1], -a, b)
+                else:  # conjugation keeps the order of the ranks of two generators
+                    r, s = conjugate_rank(r), conjugate_rank(s)
+                    c = (1 << r | 1 << s, (1 << s) - (1 << r), a, -b)
+                holo.append(e)
+                conj.append(c)
+                parts[k].append(e)
+                parts[3 - k].append(c)
+            d_of.append(Form(2, terms))
+            table += holo, conj
+            dels += parts[0], parts[2]
+            dbars += parts[1], parts[3]
+        self._d_rank = den, table
         if flat:
             raise NotIntegrable(flat, d_of[flat - 1].component(0, 2))
         for j in range(1, n + 1):
-            sums, _ = _derive({m: (a, b) for m, _, a, b in rows[2 * j - 1]}, (self._d_rank,))
-            if any(re or im for re, im in sums.values()):
-                raise JacobiViolation(j, self.d(d_of[j - 1]))
-        # a rank of bidegree (p, 1-p) has del part (p+1, 1-p), delbar (p, 2-p):
-        # the terms of its differential with p+1, or p, holomorphic ranks
-        holo = sum(1 << r for r in range(1, 2 * n, 2))
-        self._del_rank = den, [[e for e in row if (e[0] & holo).bit_count() == (rank & 1) + 1]
-                               for rank, row in enumerate(rows)]
-        self._dbar_rank = den, [[e for e in row if (e[0] & holo).bit_count() == rank & 1]
-                                for rank, row in enumerate(rows)]
+            if table[2 * j - 1]:
+                sums, _ = _derive({m: (a, b) for m, _, a, b in table[2 * j - 1]}, (self._d_rank,))
+                if any(re or im for re, im in sums.values()):
+                    raise JacobiViolation(j, self.d(d_of[j - 1]))
+        self._del_rank = den, dels
+        self._dbar_rank = den, dbars
         self._compiled = None
 
     # -- differentials -----------------------------------------------------

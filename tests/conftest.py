@@ -5,11 +5,18 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gauduchon import linalg
 from gauduchon.forms import Form, conj_rank, holo_rank, substitute, wedge
 from gauduchon.hermitian import top_coefficient
 from gauduchon.scalars import I, ZERO, ComplexRational, cr
+
+
+# the CI's tier-1 steps run pytest --hypothesis-profile=ci, which prints the
+# @reproduce_failure line that replays a failing example; the default profile
+# stays as it is
+settings.register_profile("ci", print_blob=True)
 
 
 # the golden CLI corpus's script (tests/golden/regen.py), loaded as a module

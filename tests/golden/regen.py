@@ -170,6 +170,8 @@ BAD_INPUTS = [
     ["check", "--structure", "bool-n.json"],
     ["classify", "--structure", "jt-half.dsl", "--metric", "bool-cell.json"],
     ["bundle-extend", "--contact", "bool-xi.json"],
+    ["catalog", "emit", "nilpotent6", "--param", "eps=0", "--param", "rho=0", "--param",
+     "A=1#+5i", "--param", "B=1", "--param", "C=0", "--param", "D=0"],
 ]
 
 # command line -> file holding its stdout verbatim

@@ -534,6 +534,11 @@ class TestInputErrors:
         (["catalog", "emit", "nilpotent6", "--param", "A=1/0"],
          "catalog emit nilpotent6: bad --param A=1/0; nilpotent6 takes eps (0|1), rho (0|1), "
          "A (complex), B (complex), C (complex), D (complex)"),
+        # a value is one literal, in which '#' starts no comment
+        (["catalog", "emit", "nilpotent6", "--param", "eps=0", "--param", "rho=0", "--param",
+          "A=1#+5i", "--param", "B=1", "--param", "C=0", "--param", "D=0"],
+         "catalog emit nilpotent6: bad --param A=1#+5i; nilpotent6 takes eps (0|1), rho (0|1), "
+         "A (complex), B (complex), C (complex), D (complex)"),
         (["catalog", "emit", "nonnilpotent6", "--param", "sign=+"],
          "catalog emit nonnilpotent6: bad --param sign=+; nonnilpotent6 takes eps (0|1), "
          "sign (1|-1)"),

@@ -21,9 +21,12 @@ off the top coefficient's ints and the closing move compares the bumped
 scalar with the base; their references are the randint/choice sampler,
 the ComplexRational product and the -base/slope rule they replaced.  The
 metric reader reads JSON in one pass into the metric's ints; its reference
-is Metric of the ComplexRational cells.  The DSL tokenizer makes one match
-per token; its reference is the regex that matched blanks and comments on
-their own.
+is Metric of the ComplexRational cells.  The DSL reader is one findall
+tokenizer and a grammar that reads its coefficients and sums as ints, and
+the JSON structure reader sums in the same ints; their references are the
+token-tuple parser they replaced (RefParser, whose Forms StructureEquations
+converts), the regex that matched blanks and comments on their own, and
+StructureEquations of the Forms.
 """
 
 import dataclasses
@@ -38,12 +41,13 @@ from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
 from gauduchon.errors import (BadParams, ClaimFailure, DimensionMismatch, DslSyntaxError,
-                              JacobiViolation, NotIntegrable, NotPositive, ensure)
+                              GauduchonError, JacobiViolation, NotIntegrable, NotPositive,
+                              ensure)
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     CompiledMaps,
@@ -370,32 +374,384 @@ OLD_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/
 
 
 def tokens_by_old_regex(text):
-    """(kind, text, offset, int value) of every token, or the first bad character's offset."""
+    """The text of every token up to the first bad character, then the bad
+    character's offset, or None."""
     tokens = []
     for m in OLD_TOKEN.finditer(text):
-        kind, tok = m.lastgroup, m.group()
-        if kind == "bad":
-            return m.start()
-        if kind == "punct":
-            kind = tok = ";" if tok == "\n" else tok
-        if kind is not None:
-            tokens.append((kind, tok, m.start(), int(tok) if kind == "int" else None))
-    return tokens + [("end", "", len(text), None)]
+        if m.lastgroup == "bad":
+            return tokens, m.start()
+        if m.lastgroup is not None:
+            tokens.append(m.group())
+    return tokens, None
 
 
 class TestTokenizer:
+    """The findall tokenizer yields the old regex's tokens, then "" for the
+    end; a bad character is a token of its own, which the read reports."""
+
     @given(st.text(alphabet=" \t\r\n#;:^*+-/()~w0123456789dwni@\x0b", max_size=60))
     @example("  # lead\n n: 2 # tail\r\ndw1: 0;dw2:0   ")
     def test_tokens_match_the_old_regex(self, text):
-        ref = tokens_by_old_regex(text)
-        try:
-            got = dsl._Parser(text).tokens
-        except DslSyntaxError as exc:
-            assert isinstance(ref, int), text
-            line_start = text.rfind("\n", 0, ref) + 1
-            assert (exc.line, exc.col) == (text.count("\n", 0, ref) + 1, ref - line_start + 1)
+        ref, bad = tokens_by_old_regex(text)
+        got = dsl._tokens(text)
+        if bad is None:
+            assert got == ref + [""], text
+            return
+        assert got[:len(ref) + 1] == ref + [text[bad]], text
+        with pytest.raises(DslSyntaxError) as info:
+            dsl.parse_structure(text)
+        line_start = text.rfind("\n", 0, bad) + 1
+        assert (info.value.line, info.value.col, info.value.message) == (
+            text.count("\n", 0, bad) + 1, bad - line_start + 1,
+            f"unexpected character {text[bad]!r}")
+
+
+# The token-tuple parser that the findall tokenizer and the int grammar
+# replaced: a (kind, text, offset, int value) tuple per token, a Fraction and
+# a ComplexRational per coefficient and a Form per differential, which
+# StructureEquations(n, d_of) then converts to its int rows.
+REF_TOKEN = re.compile(
+    r"(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^:()/;~\n])|(?P<bad>.))"
+    r"[ \t\r]*(?:#[^\n]*)?",
+    re.DOTALL,
+)
+REF_LEAD = re.compile(r"[ \t\r]*(?:#[^\n]*)?")
+
+
+def ref_add_term(terms, ranks, coeff):
+    sorted_ = forms.sort_ranks(ranks)
+    if sorted_ is None or not coeff:
+        return
+    sign, mon = sorted_
+    degree = len(next(iter(terms), mon))
+    if len(mon) != degree:
+        raise BadParams(f"cannot add forms of degrees {degree} and {len(mon)}")
+    coeff = terms.get(mon, ZERO) + (coeff if sign > 0 else -coeff)
+    if coeff:
+        terms[mon] = coeff
+    else:
+        del terms[mon]
+
+
+class RefParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        for m in REF_TOKEN.finditer(text, REF_LEAD.match(text).end()):
+            kind = m.lastgroup
+            tok = m[kind]
+            value = None
+            if kind == "int":
+                try:
+                    value = int(tok)
+                except ValueError:  # beyond the interpreter's int-string limit
+                    self.fail(m.start(), f"integer literal too long ({len(tok)} digits)")
+            elif kind == "punct":
+                kind = tok = ";" if tok == "\n" else tok
+            elif kind == "bad":
+                self.fail(m.start(), f"unexpected character {tok!r}")
+            self.tokens.append((kind, tok, m.start(), value))
+        self.tokens.append(("end", "", len(text), None))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            self.fail(tok[2], f"expected {kind!r}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
+
+    def fail(self, offset, msg):
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        raise DslSyntaxError(self.text.count("\n", 0, offset) + 1, offset - line_start + 1, msg)
+
+    def parse_source(self):
+        n = None
+        equations = {}
+        offsets = {}
+        while True:
+            while self.peek()[0] == ";":
+                self.take()
+            if self.peek()[0] == "end":
+                break
+            tok = self.take("name")
+            if tok[1] == "n":
+                self.take(":")
+                if n is not None:
+                    self.fail(tok[2], "duplicate 'n' header")
+                n = self.take("int")[3]
+                if n < 1:
+                    self.fail(tok[2], "n must be >= 1")
+            elif tok[1] == "dw":
+                j = self.take("int")[3]
+                self.take(":")
+                if n is None:
+                    self.fail(tok[2], "'n' header must come first")
+                if not 1 <= j <= n:
+                    self.fail(tok[2], f"generator w{j} outside 1..{n}")
+                if j in equations:
+                    self.fail(tok[2], f"duplicate dw{j}")
+                equations[j] = self.parse_expr(n)
+                offsets[j] = tok[2]
+            else:
+                self.fail(tok[2], f"expected 'n' or 'dw<j>', found {tok[1]!r}")
+        if n is None:
+            raise DslSyntaxError(1, 1, "missing 'n' header")
+        missing = list(itertools.islice((j for j in range(1, n + 1) if j not in equations), 9))
+        if missing:
+            names = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+            raise DslSyntaxError(1, 1, f"missing equations for dw[{names}]")
+        for j, form in equations.items():
+            if form and form.degree != 2:
+                self.fail(offsets[j], f"dw{j} must be a 2-form, got degree {form.degree}")
+        return n, equations
+
+    def parse_expr(self, n):
+        kind, text = self.peek()[:2]
+        if kind == "int" and text == "0" and self.tokens[self.pos + 1][0] in (";", "end"):
+            self.take()
+            return Form.zero()
+        sign = 1
+        if kind == "-":
+            self.take()
+            sign = -1
+        terms = {}
+        ref_add_term(terms, *self.parse_term(n, sign))
+        while self.peek()[0] in ("+", "-"):
+            sign = 1 if self.take()[0] == "+" else -1
+            offset = self.peek()[2]
+            ranks, coeff = self.parse_term(n, sign)
+            try:
+                ref_add_term(terms, ranks, coeff)
+            except BadParams as exc:
+                self.fail(offset, str(exc))
+        return Form(len(next(iter(terms))) if terms else None, terms)
+
+    def parse_term(self, n, sign):
+        coeff = ComplexRational(sign)
+        kind = self.peek()[0]
+        if kind == "(":
+            self.take()
+            coeff = coeff * self.parse_complex()
+            self.take(")")
+            self.take("*")
+        elif kind == "int":
+            coeff = coeff * self.parse_complex()
+            self.take("*")
+        return self.parse_mono(n), coeff
+
+    def parse_mono(self, n):
+        ranks = [self.parse_gen(n)]
+        while self.peek()[0] == "^":
+            self.take()
+            ranks.append(self.parse_gen(n))
+        return ranks
+
+    def parse_gen(self, n):
+        conj = False
+        if self.peek()[0] == "~":
+            self.take()
+            conj = True
+        tok = self.take("name")
+        if tok[1] != "w":
+            self.fail(tok[2], f"expected generator, found {tok[1]!r}")
+        j = self.take("int")[3]
+        if not 1 <= j <= n:
+            self.fail(tok[2], f"generator w{j} outside 1..{n}")
+        return forms.conj_rank(j) if conj else forms.holo_rank(j)
+
+    def _take_bare_i(self):
+        if self.peek()[:2] == ("name", "i"):
+            self.take()
+            return True
+        return False
+
+    def parse_complex(self):
+        if self._take_bare_i():
+            return ComplexRational(0, 1)
+        if self.peek()[0] == "-" and self.tokens[self.pos + 1][1] == "i":
+            self.take()
+            self.take()
+            return ComplexRational(0, -1)
+        first = self.parse_signed_rational()
+        if self._take_bare_i():
+            return ComplexRational(0, first)
+        if self.peek()[0] in ("+", "-"):
+            save = self.pos
+            sign = 1 if self.take()[0] == "+" else -1
+            if self._take_bare_i():
+                return ComplexRational(first, sign)
+            try:
+                second = self.parse_signed_rational()
+            except DslSyntaxError:
+                self.pos = save
+                return ComplexRational(first)
+            if self._take_bare_i():
+                return ComplexRational(first, sign * second)
+            self.pos = save
+        return ComplexRational(first)
+
+    def parse_signed_rational(self):
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        num = self.take("int")[3]
+        if self.peek()[0] == "/":
+            self.take()
+            den = self.take("int")[3]
+            if den == 0:
+                self.fail(self.peek()[2], "zero denominator")
+            return Fraction(sign * num, den)
+        return Fraction(sign * num)
+
+
+def ref_parse_structure(text):
+    n, equations = RefParser(text).parse_source()
+    return StructureEquations(n, [equations[j] for j in range(1, n + 1)])
+
+
+def ref_parse_complex_literal(text):
+    parser = RefParser(text)
+    value = parser.parse_complex()
+    parser.take("end")
+    return value
+
+
+def read_outcome(parse, text):
+    """parse(text), or what it raised: a DslSyntaxError as (line, col,
+    message), any other library error as its class."""
+    try:
+        return parse(text)
+    except DslSyntaxError as exc:
+        return exc.line, exc.col, exc.message
+    except GauduchonError as exc:
+        return type(exc)
+
+
+def assert_reads_as_the_reference(text):
+    """The reader and the reference read text alike, and a structure they
+    read has the int tables that StructureEquations builds from the
+    reference's Forms; returns the outcome."""
+    got, ref = read_outcome(dsl.parse_structure, text), read_outcome(ref_parse_structure, text)
+    assert got == ref, text
+    if isinstance(ref, StructureEquations):
+        assert (got._d_rank, got._del_rank, got._dbar_rank) == (
+            ref._d_rank, ref._del_rank, ref._dbar_rank), text
+    return ref
+
+
+@st.composite
+def complex_spellings(draw, bracketed):
+    """A coefficient literal; unbracketed, it starts with INT."""
+    num = st.integers(0, 12).map(str)
+    rat = st.one_of(num, st.builds("{}/{}".format, num, st.integers(1, 9)))
+    shape = draw(st.one_of(rat, st.builds("{}i".format, rat), st.builds(
+        "{}{}{}i".format, rat, st.sampled_from("+-"), st.one_of(st.just(""), rat))))
+    if bracketed:  # a leading '-', or a bare i or -i
+        return draw(st.sampled_from(["", "-"])) + shape if draw(st.booleans()) else (
+            draw(st.sampled_from(["i", "-i"])))
+    return shape
+
+
+@st.composite
+def dsl_texts(draw):
+    """DSL source from the grammar: dw^j = 0 for j <= m, the other dw^j sums of
+    terms in w1..wm and their conjugates (so Jacobi holds), now and then with
+    a (0,2) term; every coefficient spelling, reversed, repeated, cancelling and
+    w1^w1 monomials, comments, CR and both separators."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    blank = st.sampled_from(["", "", " ", "\t", "  "])
+
+    def gen(k, conj):
+        return f"{'~' if conj else ''}{draw(blank)}w{k}"
+
+    def term(low):
+        a, b = draw(st.integers(1, low)), draw(st.integers(1, low))
+        # a (0,2) term, ~w^~w, is the rare one
+        ca, cb = draw(st.sampled_from([(0, 1), (1, 0), (0, 0), (0, 1), (1, 0), (1, 1)]))
+        mono = gen(a, ca) + draw(blank) + "^" + draw(blank) + gen(b, cb)
+        coef = draw(st.sampled_from(["", "bracket", "bare"]))
+        if coef == "bracket":
+            return f"({draw(complex_spellings(True))}){draw(blank)}*{draw(blank)}{mono}"
+        if coef == "bare":
+            return f"{draw(complex_spellings(False))}*{mono}"
+        return mono
+
+    statements = {}
+    for j in range(1, n + 1):
+        if j <= m:
+            expr = draw(st.sampled_from(["0", "w1^~w1 - w1^~w1", "0*w1^w1", "w1^w1"]))
         else:
-            assert got == ref, text
+            terms = [term(m) for _ in range(draw(st.integers(1, 4)))]
+            if draw(st.booleans()):  # the same term again, added or taken away
+                terms.append(draw(st.sampled_from(terms)))
+            signs = [draw(st.sampled_from(["-", ""]))] + [
+                draw(st.sampled_from([" + ", " - ", "+", "-"])) for _ in terms[1:]]
+            expr = "".join(sign + t for sign, t in zip(signs, terms))
+        statements[j] = f"dw{j}:{draw(blank)}{expr}"
+    order = draw(st.permutations(list(statements)))
+    parts = [f"n:{draw(blank)}{n}"] + [statements[j] for j in order]
+    separators = st.sampled_from([";", "\n", "\r\n", " ; ", "  # note\n", ";;\n", "\t\n\n"])
+    text = draw(st.sampled_from(["", "# header\n", "  "])) + parts[0]
+    for part in parts[1:]:
+        text += draw(separators) + part
+    return text + draw(st.sampled_from(["", "\n", "  # end", ";"]))
+
+
+# tokens an edit puts in, among them a bad character, a comment and an INT
+# beyond the interpreter's int-string limit
+EDIT_TOKENS = ["n", "dw", "w", "~", "i", "x", "0", "1", "3", "(", ")", "*", "^", "+", "-", "/",
+               ":", ";", "\n", "@", " # c\n", "9" * 4400]
+
+
+class TestReferenceParser:
+    """The findall tokenizer and int grammar read text as the token-tuple
+    parser did: equal structures and int tables, the same DslSyntaxError
+    (line, column, message) or the same structure error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dsl_texts())
+    @example("n:3; dw1:0; dw2:0; dw3: ~w2^w1 + w1^~w1 - (1/2-3/4i)*w2^~w1 + 2-3/4i*~w1^w1")
+    @example("n:2\r\ndw1: 0 # c\r\ndw2: -(i)*w1^w1 + (-i)*w1^~w1 + 2/4*w1^~w1")
+    def test_valid_texts(self, text):
+        # Jacobi holds on every drawn text, so only a (0,2) term fails it
+        ref = assert_reads_as_the_reference(text)
+        assert isinstance(ref, StructureEquations) or ref is NotIntegrable
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t\r\n#;:^*+-/()~w0123456789dwni@\x0b", max_size=60))
+    def test_character_texts(self, text):
+        assert_reads_as_the_reference(text)
+
+    @settings(max_examples=250, deadline=None)
+    @given(dsl_texts(), st.data())
+    def test_one_token_edits(self, text, data):
+        # each token's span without the blanks after it, then the end's
+        spans = [(m.start(), m.end(m.lastgroup))
+                 for m in REF_TOKEN.finditer(text, REF_LEAD.match(text).end())]
+        at, end = data.draw(st.sampled_from(spans + [(len(text), len(text))]), label="token")
+        edit = data.draw(st.sampled_from(["delete", "replace", "insert"]), label="edit")
+        new = "" if edit == "delete" else data.draw(st.sampled_from(EDIT_TOKENS), label="new")
+        if edit == "insert":
+            end = at
+        assert_reads_as_the_reference(text[:at] + new + text[end:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t\n0123456789/+-i()*#x", max_size=12))
+    @example("1#+5i")
+    def test_complex_literals(self, text):
+        got = read_outcome(dsl.parse_complex_literal, text)
+        if "#" in text:  # one literal, in which '#' starts no comment
+            at = text.index("#")
+            assert got == (text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at),
+                           "unexpected character '#'")
+        else:
+            assert got == read_outcome(ref_parse_complex_literal, text), text
 
 
 def compiled_entries():
@@ -756,6 +1112,78 @@ class TestConstructorTables:
             StructureEquations(3, d_of)
         with pytest.raises(BadParams, match="^dw3 must be a 2-form, got degree 1$"):
             StructureEquations(3, d_of[:1] + [Form.zero()] + d_of[2:])
+
+
+def json_terms(rng, form):
+    """The JSON terms of form, each coefficient split into two pieces spelled
+    as unreduced "p/q" strings, some monomials with their ranks reversed (and
+    the sign flipped), and a term that cancels."""
+    pieces = []  # (coefficient, monomial)
+    for mon, c in form.terms.items():
+        piece = rand_coeff(rng)
+        for part in (piece, c - piece):
+            sign = rng.choice((1, -1))
+            pieces.append((part * sign, mon[::sign]))
+    if pieces:
+        c, mon = rng.choice(pieces)
+        pieces += [(c, mon), (-c, mon)]
+    rng.shuffle(pieces)
+
+    def spell(value):
+        f = rng.randint(1, 3)
+        return f"{value.numerator * f}/{value.denominator * f}"
+
+    return [{"re": spell(c.re), "im": spell(c.im), "mon": dsl._mon_to_json(mon)}
+            for c, mon in pieces]
+
+
+def sorted_tables(se):
+    """The d, del and dbar tables of se, each row sorted: a reader lists a
+    row's terms in the order it reads them."""
+    return tuple((den, [sorted(row) for row in rows])
+                 for den, rows in (se._d_rank, se._del_rank, se._dbar_rank))
+
+
+def tables_by_json(n, d_of, rng):
+    """sorted_tables of structure_from_json of json_terms of d_of, or the
+    NotIntegrable or JacobiViolation raised, as in tables_by_forms."""
+    spec = {"n": n, "equations": [json_terms(rng, df) for df in d_of]}
+    try:
+        return sorted_tables(dsl.structure_from_json(spec))
+    except (NotIntegrable, JacobiViolation) as exc:
+        return type(exc), exc.generator, exc.residual
+
+
+class TestStructureJsonReader:
+    """structure_from_json sums each dw^j in ints into the int rows, and the
+    tables, that StructureEquations builds from the Forms."""
+
+    @staticmethod
+    def assert_round_trips(se):
+        back = dsl.structure_from_json(dsl.structure_to_json(se))
+        assert back.d_of == se.d_of
+        assert sorted_tables(back) == sorted_tables(se)
+
+    @pytest.mark.parametrize("name, se", compiled_entries())
+    def test_every_entry_round_trips(self, name, se):
+        self.assert_round_trips(se)
+
+    def test_random_nilpotent6_points_round_trip(self):
+        rng = random.Random(25)
+        for _ in range(50):
+            self.assert_round_trips(catalog.nilpotent6(
+                rng.randint(0, 1), rng.randint(0, 1), *(rand_coeff(rng) for _ in range(4))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_split_repeated_and_unreduced_terms(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(60):
+            d_of = random_structure(rng, n)
+            try:
+                expected = sorted_tables(StructureEquations(n, d_of))
+            except (NotIntegrable, JacobiViolation) as exc:
+                expected = type(exc), exc.generator, exc.residual
+            assert tables_by_json(n, d_of, rng) == expected, d_of
 
 
 class TestBumpDiagonal:
