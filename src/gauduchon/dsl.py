@@ -18,8 +18,8 @@ line) may sit between any two tokens, and a newline or ';' ends a statement:
 Example:  n:3; dw1:0; dw2:0; dw3: w1^w2 + w1^~w1 + (1/2+1/4i)*w1^~w2
 
 The tokenizer is one findall of the token strings, which the grammar walks
-by index; both structure readers sum each dw^j in ints (_add_term) into the
-rows that StructureEquations._validate takes.  Only a failed read finds the
+by index; both structure readers sum each dw^j in ints (_add_term), the sums
+that StructureEquations._of_sums takes.  Only a failed read finds the
 tokens' offsets, for its DslSyntaxError's line and column (_syntax_error).
 The JSON readers read each value through _field, which names the field
 (equations[j][t].re, X[j][k].im; indices from 0) in a BadParams; a JSON
@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List
 
 from .errors import BadInput, BadParams, DimensionMismatch, DslSyntaxError
@@ -44,14 +44,10 @@ from .structures import StructureEquations
 
 def _add_term(terms: dict, ranks, a: int, b: int, d: int) -> None:
     """Add (a + ib)/d times the wedge of ranks to the int sums terms
-    {mon: (a, b, d)}, each (a + ib)/d unreduced, as Form + Form would: a zero
-    term adds nothing, a sum that cancels drops out, and a term of another
-    degree than the sum raises BadParams."""
-    if len(ranks) == 2:  # most terms: sorted here, without sort_ranks' loops
-        r, s = ranks
-        sorted_ = (1, (r, s)) if r < s else (-1, (s, r)) if r > s else None
-    else:
-        sorted_ = sort_ranks(ranks)
+    {mon: (a, b, d)}, each unreduced over the lcm of its terms' d, as Form +
+    Form would: a zero term adds nothing, a sum that cancels drops out, and a
+    term of another degree than the sum raises BadParams."""
+    sorted_ = sort_ranks(ranks)
     if sorted_ is None or not (a or b):
         return
     sign, mon = sorted_
@@ -63,27 +59,14 @@ def _add_term(terms: dict, ranks, a: int, b: int, d: int) -> None:
     acc = terms.get(mon)
     if acc is not None:
         x, y, e = acc
-        a, b, d = (x + a, y + b, d) if e == d else (x * d + a * e, y * d + b * e, e * d)
+        if e != d:
+            m = lcm(e, d)
+            x, y, a, b, d = x * (m // e), y * (m // e), a * (m // d), b * (m // d), m
+        a, b = x + a, y + b
     if a or b:
         terms[mon] = a, b, d
     else:
         del terms[mon]
-
-
-def _structure(n: int, sums: list) -> StructureEquations:
-    """The structure of _add_term's sums of each dw^j as int rows over den, the
-    lcm of their own denominators, over gcd(den, numerators), as from Forms."""
-    den = lcm(*{d for terms in sums for _, _, d in terms.values()})
-    rows = [[(r, s, a * (den // d), b * (den // d)) for (r, s), (a, b, d) in terms.items()]
-            for terms in sums]
-    if den != 1:
-        g = gcd(den, *(x for row in rows for _, _, a, b in row for x in (a, b)))
-        if g != 1:
-            den //= g
-            rows = [[(r, s, a // g, b // g) for r, s, a, b in row] for row in rows]
-    se = object.__new__(StructureEquations)
-    se._validate(n, den, rows)
-    return se
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ def parse_structure(text: str) -> StructureEquations:
         n, sums = _source(_tokens(text))
     except _Fail as fail:
         raise _syntax_error(text, *fail.args) from None
-    return _structure(n, sums)
+    return StructureEquations._of_sums(n, sums)
 
 
 def parse_complex_literal(text: str) -> ComplexRational:
@@ -428,9 +411,7 @@ def structure_from_json(spec) -> StructureEquations:
     n = _field("n", lambda: _index(spec["n"]))
     equations = _field("equations", lambda: _array(spec["equations"]))
     sums = [_sums_from_json(e, n, j) for j, e in enumerate(equations, start=1)]
-    if len(sums) != n:
-        raise DimensionMismatch(f"need {n} differentials, got {len(sums)}")
-    return _structure(n, sums)
+    return StructureEquations._of_sums(n, sums)
 
 
 def real_form_to_json(f: Form) -> list:

@@ -20,6 +20,7 @@ CompiledMaps' basis monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Dict, List, Optional
 
 from . import linalg
@@ -105,10 +106,10 @@ class StructureEquations:
     The differential of each rank is split once into its del and delbar
     parts, which integrability makes sum to d; del and delbar are then
     single derivations over the one int table of the rank differentials,
-    built by _validate from int rows: __init__ converts its Forms, and the
-    readers read text straight into them.  Instances are immutable.  The
-    _compiled slot holds the structure's hermitian.CompiledMaps once a metric
-    quantity needs them.
+    built by _validate from int rows: __init__ converts its Forms, _of_sums
+    the int sums of the readers.  Instances are immutable.  The _compiled
+    slot holds the structure's hermitian.CompiledMaps once a metric quantity
+    needs them.
     """
 
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
@@ -128,6 +129,25 @@ class StructureEquations:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
             rows[j - 1].append((*mon, a, b))
         self._validate(n, den, rows)
+
+    @staticmethod
+    def _of_sums(n: int, sums: list) -> "StructureEquations":
+        """The structure over n >= 1 generators of dw^j = sum (a + ib)/d w^r^w^s
+        over the entries (r, s): (a, b, d), r < s, nonzero and unreduced, of
+        sums[j-1].  Its table's denominator is the lcm of the reduced d, as in
+        __init__: den, the lcm of the d, over its gcd with every numerator."""
+        if len(sums) != n:
+            raise DimensionMismatch(f"need {n} differentials, got {len(sums)}")
+        den = lcm(*{d for terms in sums for _, _, d in terms.values()})
+        rows = [[(r, s, a * (den // d), b * (den // d)) for (r, s), (a, b, d) in terms.items()]
+                for terms in sums]
+        g = gcd(den, *(x for row in rows for _, _, a, b in row for x in (a, b)))
+        if g != 1:
+            den //= g
+            rows = [[(r, s, a // g, b // g) for r, s, a, b in row] for row in rows]
+        se = object.__new__(StructureEquations)
+        se._validate(n, den, rows)
+        return se
 
     def _validate(self, n: int, den: int, rows: list) -> None:
         """Build and check the structure of the terms (r, s, a, b), r < s, in

@@ -152,6 +152,13 @@ class TestParse:
         se = dsl.parse_structure("n:2; dw1:0; dw2: w1^w2 - w1^~w1")
         assert se.d_of[1] == Form(2, {(1, 3): cr(1), (1, 2): cr(-1)})
 
+    def test_mixed_denominators_sum_over_their_lcm(self):
+        # 150 each of 1/2 and 1/3 on w1^~w1, alternating: the sum stays over 6
+        expr = " + ".join(["1/2*w1^~w1", "1/3*w1^~w1"] * 150)
+        assert dsl._expr(dsl._tokens(expr), 0, 2)[0] == {(1, 2): (750, 0, 6)}
+        se = dsl.parse_structure("n: 2; dw1: 0; dw2: " + expr)
+        assert se.d_of[1] == Form(2, {(1, 2): cr(125)})
+
     def test_comments_and_blank_lines(self):
         text = "# header comment\nn: 2\n\ndw1: 0  # trailing\ndw2: 0\n"
         assert dsl.parse_structure(text) == catalog.abelian(2)
