@@ -38,7 +38,7 @@ from typing import Dict, List
 from .errors import BadInput, BadParams, DimensionMismatch, DslSyntaxError
 from .forms import Form, conj_rank, format_form, holo_rank, sort_ranks
 from .hermitian import Metric
-from .scalars import ComplexRational, _make, _rational_parts
+from .scalars import ComplexRational, _make, _rational_parts, _rational_str
 from .structures import StructureEquations
 
 
@@ -378,8 +378,8 @@ def _mon_from_json(spec, n: int) -> list:
 def form_to_json(f: Form) -> list:
     return [
         {
-            "re": str(c.re),
-            "im": str(c.im),
+            "re": _rational_str(c._a, c._d),
+            "im": _rational_str(c._b, c._d),
             "mon": _mon_to_json(mon),
         }
         for mon in sorted(f.terms)
@@ -432,12 +432,13 @@ def real_form_from_json(spec) -> Form:
 
 
 def metric_to_json(metric: Metric) -> dict:
-    """{"n": n, "X": rows of {"re", "im"} rational strings}."""
+    """{"n": n, "X": rows of {"re", "im"} rational strings}, read off the ints."""
+    den = metric._den
     return {
         "n": metric.n,
         "X": [
-            [{"re": str(v.re), "im": str(v.im)} for v in row]
-            for row in metric.x
+            [{"re": _rational_str(a, den), "im": _rational_str(b, den)} for a, b in row]
+            for row in metric._num
         ],
     }
 

@@ -24,11 +24,14 @@ same pass, with each minor's derivative in x_jj, gives the top along every
 diagonal ray as a quadratic, which the search's closing move reads.
 
 The metric layer is integer arithmetic.  A Metric stores X once, as
-Gaussian-int numerators over one denominator D, and its memoised minors as
-ints over D^p.  Positivity is Sylvester's criterion on the trailing
-principal minors of -iX, the last of which is det(-iX).  The Lefschetz
-contraction is one Gaussian-int kernel over rank masks (_contract) with
--i (-iX)^-1 = X^-1, read off the cofactors of X (_cofactor_table).
+Gaussian-int numerators over one denominator D, and memoises its minors as
+ints over D^p by their ids in the per-n minor plan (_MinorPlan), which
+stores each minor's Laplace expansion over sub-minor ids when a caller
+first names it; every table holds ids, fixed at compile.  Positivity is
+Sylvester's criterion on the trailing principal minors of -iX, the last of
+which is det(-iX).  The Lefschetz contraction is one Gaussian-int kernel
+over rank masks (_contract) with -i (-iX)^-1 = X^-1, read off the cofactors
+of X over |det X| (_cofactor_table).
 """
 
 from __future__ import annotations
@@ -42,21 +45,58 @@ from typing import Dict, Optional
 
 from . import linalg
 from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
-from .forms import Form, Monomial, _form_of_sums, _mask, _ranks, conj_rank, holo_rank, sort_ranks
+from .forms import Form, Monomial, _form_of_sums, _mask, _ranks, sort_ranks
 from .forms import _wedge_sums, wedge
 from .scalars import I, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
 from .structures import StructureEquations, _derive
+
+
+class _MinorPlan:
+    """Minors of n x n matrices by int ids, named by row and column bitmasks.
+
+    The first id(rows, cols) names the sub-minors, then stores the first-row
+    Laplace expansion terms[id] = (row, [(col, sub-minor id, odd)]), so sub-
+    minors have smaller ids.  keys[id] = (rows, cols), id 0 is the empty
+    minor, and tails are the trailing principal minors of size p = 0..n.
+    cofactors lists (rank of w^a, rank of ~w^b, id of the minor without row a
+    and column b, unit) for the Lee table, unit indexing (-i)^n (-1)^(a+b).
+    """
+
+    __slots__ = ("n", "ids", "keys", "terms", "tails", "cofactors")
+
+    def __init__(self, n: int):
+        self.n, self.ids, self.keys, self.terms = n, {0: 0}, [(0, 0)], [(0, ())]
+        full = (1 << n) - 1
+        self.tails = [self.id(m, m) for m in (full >> q << q for q in range(n, -1, -1))]
+        self.cofactors = [(2 * a + 1, 2 * b + 2, self.id(full ^ 1 << a, full ^ 1 << b),
+                           (n + 2 * (a + b)) & 3) for a in range(n) for b in range(n)]
+
+    def id(self, rows: int, cols: int) -> int:
+        ids, n = self.ids, self.n
+        i = ids.get(rows << n | cols)
+        if i is None:
+            below, terms = rows & rows - 1, []
+            for t, col in enumerate(_ranks(cols)):
+                rest = cols ^ 1 << col
+                terms.append((col, ids.get(below << n | rest) or self.id(below, rest), t & 1))
+            i = ids[rows << n | cols] = len(self.keys)
+            self.keys.append((rows, cols))
+            self.terms.append(((rows & -rows).bit_length() - 1, terms))
+        return i
+
+
+_plan = lru_cache(maxsize=None)(_MinorPlan)  # one plan per n, its ids shared by every metric
 
 
 class Metric:
     """Skew-Hermitian coefficient matrix of an invariant fundamental form.
 
     X is stored once, as Gaussian-int numerators (a, b) over one denominator
-    D (x_jk = (a + ib)/D), and the memoised minors as ints over D^p.  Every
-    constructor goes through _init, which checks the matrix on those ints.
+    D (x_jk = (a + ib)/D), and the minors as ints over D^p, memoised by plan
+    id.  Every constructor goes through _init, which checks the matrix.
     """
 
-    __slots__ = ("n", "_num", "_den", "_positive", "_det", "_minors")
+    __slots__ = ("n", "_num", "_den", "_positive", "_det", "_minors", "_plan")
 
     def __init__(self, x: list):
         rows = linalg.mat(x)
@@ -65,16 +105,16 @@ class Metric:
         num = [[] for _ in rows]
         for (j, _), a, b in nums:
             num[j].append((a, b))
-        self._init(num, den, {})
+        self._init(num, den, None)
 
     @staticmethod
     def _of_ints(num: list, den: int, minors: Optional[dict] = None) -> "Metric":
         """The metric x_jk = (a + ib)/den for num[j][k] = (a, b), den > 0."""
         metric = object.__new__(Metric)
-        metric._init(num, den, {} if minors is None else minors)
+        metric._init(num, den, minors)
         return metric
 
-    def _init(self, num: list, den: int, minors: dict):
+    def _init(self, num: list, den: int, minors: Optional[dict]):
         n = len(num)
         if any(len(row) != n for row in num):
             raise DimensionMismatch(f"X has {n} rows of lengths {[len(r) for r in num]}")
@@ -88,7 +128,8 @@ class Metric:
         self._den = den
         self._positive: Optional[bool] = None
         self._det: Optional[Fraction] = None
-        self._minors: Dict[tuple, tuple] = minors
+        self._minors: Dict[int, tuple] = {0: (1, 0)} if minors is None else minors
+        self._plan = _plan(n)
 
     @property
     def x(self) -> list:
@@ -104,17 +145,16 @@ class Metric:
         rescaled by (D'/D)^p, with the powers listed once, when the bump's
         denominator raises D to D'.
         """
-        num, den = self._num, self._den
+        num, den, keys, bit = self._num, self._den, self._plan.keys, 1 << j
         p, q = _rational_parts(amount)
         new_den = lcm(den, q)
         f = new_den // den
-        minors = {key: val for key, val in self._minors.items()
-                  if j not in key[0] or j not in key[1]}
+        minors = {i: val for i, val in self._minors.items() if not keys[i][0] & keys[i][1] & bit}
         if f != 1:
             num = [[(a * f, b * f) for a, b in r] for r in num]
             scale = [f ** t for t in range(self.n + 1)]
-            minors = {(rows, cols): (re * scale[len(rows)], im * scale[len(rows)])
-                      for (rows, cols), (re, im) in minors.items()}
+            minors = {i: (re * scale[keys[i][0].bit_count()], im * scale[keys[i][0].bit_count()])
+                      for i, (re, im) in minors.items()}
         row = num[j][:]
         a, b = row[j]
         row[j] = (a, b + p * (new_den // q))
@@ -137,23 +177,19 @@ class Metric:
         """Sylvester's criterion: every trailing principal minor of -iX is > 0.
 
         The p x p trailing minor of H = -iX is (-i)^p det X_{SS} for S the
-        last p indices; these are among the minors the first-row Laplace
-        expansion of det X memoises, so the test also yields
-        det(-iX) = Delta_n / D^n.
+        last p indices (the plan's tails), the last det(-iX) = Delta_n / D^n.
         """
         if self._positive is None:
-            n = self.n
-            delta = 1  # the empty minor; Metric([]) is positive with det 1
+            minor, minors = self._minor, self._minors
             self._positive = True
-            for p in range(1, n + 1):
-                tail = tuple(range(n - p, n))
-                re, im = self._minor_ints(tail, tail)
+            for p, i in enumerate(self._plan.tails):  # p = 0: the empty minor, delta = 1
+                re, im = minors.get(i) or minor(i)
                 delta = (re, im, -re, -im)[p & 3]  # the real (-i)^p (re + i im)
                 if delta <= 0:
                     self._positive = False
                     break
             if self._positive:
-                self._det = Fraction(delta, self._den ** n)
+                self._det = Fraction(delta, self._den ** self.n)
         return self._positive
 
     def require_positive(self):
@@ -165,39 +201,31 @@ class Metric:
         self.require_positive()
         return self._det
 
-    def _minor_ints(self, rows: tuple, cols: tuple) -> tuple:
-        """(re, im) with det X_{rows, cols} = (re + i im)/D^p, p = len(rows).
-
-        Laplace expansion along the first row, each minor memoised on the
-        metric, so a set of minors costs one pass over the smaller ones.
-        """
+    def _minor(self, i: int) -> tuple:
+        """(re, im) with det X_i = (re + i im)/D^p for the plan's minor i of
+        size p, by its Laplace terms over the memoised sub-minors."""
         minors = self._minors
-        key = (rows, cols)
-        val = minors.get(key)
+        val = minors.get(i)
         if val is None:
-            if len(rows) < 2:
-                val = self._num[rows[0]][cols[0]] if rows else (1, 0)
-            else:
-                row, below = self._num[rows[0]], rows[1:]
-                re = im = 0
-                for i, col in enumerate(cols):
-                    a, b = row[col]
-                    if a or b:
-                        sub = cols[:i] + cols[i + 1:]
-                        c, e = minors.get((below, sub)) or self._minor_ints(below, sub)
-                        if i & 1:
-                            re -= a * c - b * e
-                            im -= a * e + b * c
-                        else:
-                            re += a * c - b * e
-                            im += a * e + b * c
-                val = (re, im)
-            minors[key] = val
+            row, terms = self._plan.terms[i]
+            row = self._num[row]
+            re = im = 0
+            for col, sub, odd in terms:
+                a, b = row[col]
+                if a or b:
+                    c, e = minors.get(sub) or self._minor(sub)
+                    if odd:
+                        re -= a * c - b * e
+                        im -= a * e + b * c
+                    else:
+                        re += a * c - b * e
+                        im += a * e + b * c
+            val = minors[i] = (re, im)
         return val
 
     def minor(self, rows: tuple, cols: tuple) -> ComplexRational:
-        """det X_{rows, cols} for 0-based index tuples; det of the empty minor is 1."""
-        re, im = self._minor_ints(rows, cols)
+        """det X_{rows, cols} for ascending 0-based index tuples; det of the empty minor is 1."""
+        re, im = self._minor(self._plan.id(_mask(rows), _mask(cols)))
         return _make(re, im, self._den ** len(rows))
 
     def fundamental_form(self) -> Form:
@@ -276,25 +304,25 @@ def _require_same_n(metric: Metric, se: StructureEquations):
 @lru_cache(maxsize=None)  # at most 2^(2n) masks for each n
 def _complement(mask: int, n: int) -> tuple:
     """(b, sign) with coeff(m ^ Omega^q) = sign q! det X_b, m the monomial of
-    the mask and q = n - deg(m)/2: b = (rows, cols) indexes the basis monomial
-    of Omega^q on the ranks m leaves out, sign sorts m's ranks, then b's."""
+    the mask and q = n - deg(m)/2: b is the plan id of the minor (rows, cols)
+    that indexes the basis monomial of Omega^q on the ranks m leaves out, sign
+    sorts m's ranks, then b's."""
     rest = [r for r in range(1, 2 * n + 1) if not mask >> r & 1]
     holo = [r for r in rest if r & 1]
     anti = [r for r in rest if not r & 1]
-    b = (tuple((r - 1) // 2 for r in holo), tuple((r - 1) // 2 for r in anti))
+    b = _plan(n).id(_mask((r - 1) // 2 for r in holo), _mask((r - 1) // 2 for r in anti))
     return b, sort_ranks(_ranks(mask) + tuple(r for pair in zip(holo, anti) for r in pair))[0]
 
 
-def _cofactors(key: tuple) -> list:
+def _cofactors(plan: _MinorPlan, i: int) -> list:
     """[(j, sub, sign)] for each j among both the rows and the columns of the
-    minor key = (rows, cols): d det X_key / d x_jj = sign det X_sub."""
-    rows, cols = key
+    plan's minor i: d det X_i / d x_jj = sign det X_sub, sub a plan id."""
+    rows, cols = plan.keys[i]
     out = []
-    for r, j in enumerate(rows):
-        if j in cols:
-            c = cols.index(j)
-            out.append((j, (rows[:r] + rows[r + 1:], cols[:c] + cols[c + 1:]),
-                        -1 if (r + c) & 1 else 1))
+    for j in _ranks(rows & cols):
+        below = (1 << j) - 1  # j is row r and column c of the minor, r and c from 0
+        sign = -1 if ((rows & below).bit_count() + (cols & below).bit_count()) & 1 else 1
+        out.append((j, plan.id(rows ^ 1 << j, cols ^ 1 << j), sign))
     return out
 
 
@@ -332,11 +360,11 @@ class CompiledMaps:
 
     def _linear_map(self, tables: tuple, p: int) -> tuple:
         """Omega^p through the rank tables in order, as (D, {rank mask:
-        [(p-minor index, a, b)]}): the image coefficient on a monomial is
-        sum (a + ib) det X_index / D.  Each m_JK enters the kernel as its
+        [(p-minor id, a, b)]}): the image coefficient on a monomial is
+        sum (a + ib) det X_id / D.  Each m_JK enters the kernel as its
         rank mask carrying p! times the sign that sorts its ranks.
         """
-        scale = factorial(p)
+        scale, plan = factorial(p), _plan(self.n)
         out: Dict[int, list] = {}
         for rows in combinations(range(self.n), p):
             for cols in combinations(range(self.n), p):
@@ -346,9 +374,10 @@ class CompiledMaps:
                         sign ^= (mask >> r).bit_count()  # ranks above r, placed before it
                         mask |= 1 << r
                 sums, _ = _derive({mask: (-scale if sign & 1 else scale, 0)}, tables)
+                i = plan.id(_mask(rows), _mask(cols))
                 for m, (a, b) in sums.items():
                     if a or b:
-                        out.setdefault(m, []).append(((rows, cols), a, b))
+                        out.setdefault(m, []).append((i, a, b))
         return prod(dt for dt, _ in tables), out
 
     def _ddbar_map(self, p: int) -> tuple:
@@ -376,16 +405,16 @@ class CompiledMaps:
         nonzero sum over the k-minors meets c det X_b from the map's pairs.
         """
         d, _, pairs = self._ddbar_map(k)
-        minor, minors = metric._minor_ints, metric._minors
+        minor, minors = metric._minor, metric._minors
         re = im = 0
         for entries, b, c in pairs:
             x = y = 0
             for key, u, v in entries:
-                mr, mi = minors.get(key) or minor(*key)
+                mr, mi = minors.get(key) or minor(key)
                 x += u * mr - v * mi
                 y += u * mi + v * mr
             if x or y:
-                u, v = minors.get(b) or minor(*b)
+                u, v = minors.get(b) or minor(b)
                 re += c * (x * u - y * v)
                 im += c * (x * v + y * u)
         return re, im, d * metric._den ** (self.n - 1)
@@ -401,12 +430,13 @@ class CompiledMaps:
         table = self._rays.get(k)
         if table is None:
             table = self._rays[k] = []
+            plan = _plan(self.n)
             for entries, b, _ in self._ddbar_map(k)[2]:
                 by_j: Dict[int, list] = {}
                 for key, u, v in entries:
-                    for j, sub, sign in _cofactors(key):
+                    for j, sub, sign in _cofactors(plan, key):
                         by_j.setdefault(j, []).append((sub, sign * u, sign * v))
-                table.append((list(by_j.items()), _cofactors(b)))
+                table.append((list(by_j.items()), _cofactors(plan, b)))
         return table
 
     def rays(self, metric: Metric, k: int) -> tuple:
@@ -420,30 +450,30 @@ class CompiledMaps:
         over the map gives the coefficients of every ray at once.
         """
         d, _, pairs = self._ddbar_map(k)
-        minor, minors, n = metric._minor_ints, metric._minors, self.n
+        minor, minors, n = metric._minor, metric._minors, self.n
         r0 = i0 = 0
         r1, i1, r2, i2 = [0] * n, [0] * n, [0] * n, [0] * n  # over i D and -D^2
         for (entries, b, c), (moves, b_moves) in zip(pairs, self._ray_table(k)):
             x = y = 0
             for key, u, v in entries:
-                mr, mi = minors.get(key) or minor(*key)
+                mr, mi = minors.get(key) or minor(key)
                 x += u * mr - v * mi
                 y += u * mi + v * mr
-            u0, v0 = minors.get(b) or minor(*b)
+            u0, v0 = minors.get(b) or minor(b)
             r0 += c * (x * u0 - y * v0)
             i0 += c * (x * v0 + y * u0)
             slopes = {}  # j -> the derivative of the entries' sum, over i D
             for j, subs in moves:
                 sx = sy = 0
                 for sub, u, v in subs:
-                    mr, mi = minors.get(sub) or minor(*sub)
+                    mr, mi = minors.get(sub) or minor(sub)
                     sx += u * mr - v * mi
                     sy += u * mi + v * mr
                 slopes[j] = sx, sy
                 r1[j] += c * (sx * u0 - sy * v0)
                 i1[j] += c * (sx * v0 + sy * u0)
             for j, sub, sign in b_moves:
-                mr, mi = minors.get(sub) or minor(*sub)
+                mr, mi = minors.get(sub) or minor(sub)
                 u, v = sign * c * mr, sign * c * mi
                 r1[j] += x * u - y * v
                 i1[j] += x * v + y * u
@@ -458,12 +488,12 @@ class CompiledMaps:
     @staticmethod
     def _image(entries_of: dict, metric: Metric) -> dict:
         """A map's int sums {rank mask: (re, im)} at the metric, over D_c D^p."""
-        minor, minors = metric._minor_ints, metric._minors
+        minor, minors = metric._minor, metric._minors
         sums = {}
         for mask, entries in entries_of.items():
             re = im = 0
             for key, u, v in entries:
-                mr, mi = minors.get(key) or minor(*key)
+                mr, mi = minors.get(key) or minor(key)
                 re += u * mr - v * mi
                 im += u * mi + v * mr
             sums[mask] = (re, im)
@@ -556,56 +586,52 @@ def _omega_sums(num: list) -> dict:
 
 
 def _cofactor_table(metric: Metric) -> tuple:
-    """(table, denominator) of the contraction with -i (H^-1)_{ba}, H = -iX.
+    """(table, denominator) of the contraction with -i (H^-1)_{ba}, H = -iX > 0.
 
     -i (H^-1)_{ba} = (X^-1)_{ba} = C_ab / det X is the factor of contracting
-    w^a with ~w^b, where C_ab is the (a, b) cofactor of X.  With the minors
-    of the metric, det X = (R + i S)/D^n and each cofactor (c + ie)/D^{n-1},
-    it is D (c + ie)(R - i S) / (R^2 + S^2).  The table maps the rank of
-    w^a to [(rank of ~w^b, re, im)] over the denominator R^2 + S^2.
+    w^a with ~w^b, C_ab the (a, b) cofactor of X.  det X = i^n det H is
+    i^n delta/D^n for delta = |D^n det X| > 0 and each cofactor (c + ie)/D^{n-1},
+    so it is D (-i)^n (c + ie) / delta.  The table holds at the rank of w^a a
+    row with (re, im) or None at the rank of each ~w^b, over delta.
     """
-    full = tuple(range(metric.n))
-    big_r, big_s = metric._minor_ints(full, full)
-    den = metric._den
-    table = {}
-    for a in full:
-        rows = full[:a] + full[a + 1:]
-        for b in full:
-            c, e = metric._minor_ints(rows, full[:b] + full[b + 1:])
-            if not (c or e):
-                continue
-            if (a + b) & 1:
-                c, e = -c, -e
-            table.setdefault(holo_rank(a + 1), []).append(
-                (conj_rank(b + 1), den * (c * big_r + e * big_s), den * (e * big_r - c * big_s)))
-    return table, big_r * big_r + big_s * big_s
+    n, den, plan = metric.n, metric._den, metric._plan
+    minor, minors = metric._minor, metric._minors
+    re, im = minors.get(plan.tails[-1]) or minor(plan.tails[-1])
+    table = [[None] * (2 * n + 1) if r & 1 else None for r in range(2 * n + 1)]
+    for r, s, i, unit in plan.cofactors:
+        c, e = minors.get(i) or minor(i)
+        if c or e:
+            c, e = ((c, e), (e, -c), (-c, -e), (-e, c))[unit]
+            table[r][s] = den * c, den * e
+    return table, (re, im, -re, -im)[n & 3]
 
 
-def _contract(sums: dict, table: dict) -> dict:
+def _contract(sums: dict, table: list) -> dict:
     """The bare adjoint of L on int sums {rank mask: (re, im)}, over _cofactor_table.
 
     -i sum_{a,b} (H^-1)_{ba} i(d/d~w_b) i(d/dw_a): for every monomial and
     every pair (w^a at position p, ~w^b at position q of the rest) it drops
-    the pair with the factor -i (H^-1)_{ba} (-1)^{p+q}.
+    the pair with the factor -i (H^-1)_{ba} (-1)^{p+q}, looking up only its ranks.
     """
     out: Dict[int, list] = {}
     for mask, (x, y) in sums.items():
         if not (x or y):
             continue
-        for p, r in enumerate(_ranks(mask)):
-            row = table.get(r)
+        ranks = _ranks(mask)
+        for p, r in enumerate(ranks):
+            row = table[r]
             if row is None:
                 continue
-            for s_rank, u, v in row:
-                bit = 1 << s_rank
-                if not mask & bit:
+            for t, s in enumerate(ranks):
+                uv = row[s]
+                if uv is None:
                     continue
-                # ~w^b sits at position q of the rest of mon, after w^a is dropped
-                q = (mask & (bit - 1) & ~(1 << r)).bit_count()
-                if (p + q) & 1:
+                u, v = uv
+                # ~w^b sits at position t of mon, t - 1 of the rest once w^a is dropped
+                if (p + t - (s > r)) & 1:
                     u, v = -u, -v
                 re, im = x * u - y * v, x * v + y * u
-                m = mask ^ (1 << r) ^ bit
+                m = mask ^ (1 << r) ^ (1 << s)
                 acc = out.get(m)
                 if acc is None:
                     out[m] = [re, im]
@@ -737,11 +763,11 @@ def _derivatives(metric: Metric, se: StructureEquations) -> tuple:
 def _paired(sums: dict, metric: Metric, q: int) -> tuple:
     """(re, im) of the top coefficient of sums ^ Omega^q, in ints over the
     sums' denominator times D^q: each monomial meets q! det X_b (_complement)."""
-    minor, n = metric._minor_ints, metric.n
+    minor, minors, n = metric._minor, metric._minors, metric.n
     re = im = 0
     for mask, (x, y) in sums.items():
         b, sign = _complement(mask, n)
-        u, v = minor(*b)
+        u, v = minors.get(b) or minor(b)
         re += sign * (x * u - y * v)
         im += sign * (x * v + y * u)
     scale = factorial(max(q, 0))  # q < 0 only for sums of too high a degree, all empty

@@ -63,6 +63,12 @@ def _make(a: int, b: int, d: int) -> "ComplexRational":
     return z
 
 
+def _rational_str(a: int, d: int) -> str:
+    """str(Fraction(a, d)) for d > 0, read off the ints without a Fraction."""
+    g = gcd(a, d)
+    return f"{a // g}/{d // g}" if d != g else str(a // g)
+
+
 def _to_ints(pairs) -> tuple[int, list]:
     """(D, [(key, a, b), ...]) for (key, value) pairs, each value (a + ib)/D.
 

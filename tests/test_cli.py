@@ -231,6 +231,17 @@ class TestParserReuse:
                               timeout=300)
         return proc.returncode, proc.stdout, proc.stderr
 
+    def test_package_runs_as_a_module(self, tmp_path):
+        # python -m gauduchon runs gauduchon.cli.main, as python -m gauduchon.cli does
+        src = str(Path(gauduchon.__file__).resolve().parent.parent)
+        runs = [subprocess.run([sys.executable, "-m", module, "catalog", "list"],
+                               capture_output=True, text=True, cwd=tmp_path,
+                               env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                               timeout=300)
+                for module in ("gauduchon", "gauduchon.cli")]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout != ""
+
     def test_repeated_calls_match_fresh_calls(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "jt.dsl", dsl.format_structure(catalog.jt(HALF)))

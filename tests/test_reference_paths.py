@@ -26,7 +26,10 @@ tokenizer and a grammar that reads its coefficients and sums as ints, and
 the JSON structure reader sums in the same ints; their references are the
 token-tuple parser they replaced (RefParser, whose Forms StructureEquations
 converts), the regex that matched blanks and comments on their own, and
-StructureEquations of the Forms.
+StructureEquations of the Forms.  Metric minors are read by their ids in the
+per-n minor plan; their reference is the (rows, cols)-keyed Laplace
+recursion the plan replaced (tuple_minor_ints), and the Lee contraction
+table over |det X| is checked against linalg.mat_inverse.
 """
 
 import dataclasses
@@ -973,11 +976,14 @@ def map_by_basis_monomials(se, op, p):
     return out
 
 
-def map_as_rationals(lmap):
-    """A compiled (D, {rank mask: [(index, a, b)]}, ...) as {monomial: {index: (a + ib)/D}}."""
+def map_as_rationals(lmap, n):
+    """A compiled (D, {rank mask: [(minor id, a, b)]}, ...) as {monomial:
+    {(rows, cols): (a + ib)/D}}, each id read back through the n x n minor plan."""
     d, entries_of = lmap[:2]
-    return {forms._ranks(mask): {key: ComplexRational(Fraction(a, d), Fraction(b, d))
-                                 for key, a, b in entries}
+    keys = hermitian._plan(n).keys
+    return {forms._ranks(mask): {(forms._ranks(keys[i][0]), forms._ranks(keys[i][1])):
+                                 ComplexRational(Fraction(a, d), Fraction(b, d))
+                                 for i, a, b in entries}
             for mask, entries in entries_of.items()}
 
 
@@ -987,10 +993,10 @@ class TestKernelCompile:
         n = se.n
         maps = CompiledMaps.of(se)
         for p in range(1, n):
-            assert map_as_rationals(maps._ddbar_map(p)) == map_by_basis_monomials(
+            assert map_as_rationals(maps._ddbar_map(p), n) == map_by_basis_monomials(
                 se, se.ddbar, p), (name, p)
         maps.d_top(hermitian.Metric.diagonal(n))
-        assert map_as_rationals(maps._d_top) == map_by_basis_monomials(se, se.d, n - 1), name
+        assert map_as_rationals(maps._d_top, n) == map_by_basis_monomials(se, se.d, n - 1), name
 
     def test_entries_exercise_nonzero_maps_of_every_kind(self):
         entries = dict(compiled_entries())
@@ -1903,6 +1909,106 @@ class TestIntegerKernels:
         assert metric.is_positive() is True
         assert metric.det_minus_i_x() == 1
         assert metric.minor((), ()) == ONE
+
+
+def tuple_minor_ints(num, rows, cols, memo):
+    """(re, im) with det X_{rows, cols} = (re + i im)/D^p: the (rows, cols)-keyed
+    first-row Laplace recursion over a metric's ints that the minor plan replaced."""
+    key = (rows, cols)
+    val = memo.get(key)
+    if val is None:
+        if len(rows) < 2:
+            val = num[rows[0]][cols[0]] if rows else (1, 0)
+        else:
+            row, below = num[rows[0]], rows[1:]
+            re = im = 0
+            for i, col in enumerate(cols):
+                a, b = row[col]
+                if a or b:
+                    c, e = tuple_minor_ints(num, below, cols[:i] + cols[i + 1:], memo)
+                    if i & 1:
+                        re -= a * c - b * e
+                        im -= a * e + b * c
+                    else:
+                        re += a * c - b * e
+                        im += a * e + b * c
+            val = (re, im)
+        memo[key] = val
+    return val
+
+
+class TestMinorPlan:
+    """Metric minors by plan id against the tuple-keyed recursion and ref_minor."""
+
+    @staticmethod
+    def assert_every_id_matches(metric):
+        plan, n = metric._plan, metric.n
+        for rows, cols in index_pairs(n):  # name every minor, so every id is checked
+            plan.id(forms._mask(rows), forms._mask(cols))
+        assert len(plan.keys) == comb(2 * n, n)  # sum_p C(n, p)^2 ids, none twice
+        x, memo, ref_memo = metric.x, {}, {}
+        for i, masks in enumerate(plan.keys):
+            rows, cols = map(forms._ranks, masks)
+            assert all(sub < i for _, sub, _ in plan.terms[i][1])
+            assert metric._minor(i) == tuple_minor_ints(metric._num, rows, cols, memo), masks
+            assert metric.minor(rows, cols) == ref_minor(x, rows, cols, ref_memo), masks
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_id_matches_on_sampled_and_bumped_metrics(self, n):
+        rng = random.Random(2600 + n)
+        metric = sample_positive_metric(rng, n)
+        self.assert_every_id_matches(metric)
+        # every minor is memoised now, so each bump carries them over or rescales
+        for j, amount in ((0, 3), (n - 1, Fraction(5, 3)), (n // 2, Fraction(-1, 10**12 + 39))):
+            bumped = metric.bump_diagonal(j, amount)
+            assert bumped._den == lcm(metric._den, Fraction(amount).denominator)
+            self.assert_every_id_matches(bumped)
+            metric = bumped
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    def test_empty_minor_is_one(self, n):
+        metric = sample_positive_metric(random.Random(n), n) if n else hermitian.Metric([])
+        assert metric.minor((), ()) == ONE
+        if n:
+            assert metric.bump_diagonal(0, Fraction(1, 3)).minor((), ()) == ONE
+
+
+def lee_table_matches_inverse(metric):
+    """Whether _cofactor_table over its denominator is X^-1, transposed, exactly."""
+    table, den = hermitian._cofactor_table(metric)
+    inv = linalg.mat_inverse(metric.x)
+    for a in range(metric.n):
+        for b in range(metric.n):
+            uv = table[forms.holo_rank(a + 1)][forms.conj_rank(b + 1)]  # None: a zero cofactor
+            entry = ZERO if uv is None else ComplexRational(*(Fraction(u, den) for u in uv))
+            if entry != inv[b][a]:
+                return False
+    return den > 0
+
+
+class TestLeeTable:
+    """The contraction table over |det X| against linalg.mat_inverse(X)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # every n mod 4
+    def test_table_over_its_denominator_is_the_inverse(self, n):
+        rng = random.Random(2650 + n)
+        for metric in (hermitian.Metric.diagonal(n, range(1, n + 1)),
+                       sample_positive_metric(rng, n), rand_metric(rng, n), rand_metric(rng, n)):
+            assert lee_table_matches_inverse(metric)
+
+    @pytest.mark.parametrize("unit, fails_at", [
+        (lambda n, a, b: (-n + 2 * (a + b)) & 3, {1, 3, 5}),  # i^n for (-i)^n
+        (lambda n, a, b: (n + 1 + 2 * (a + b)) & 3, {1, 2, 3, 4, 5}),
+        (lambda n, a, b: n & 3, {2, 3, 4, 5}),  # the cofactor sign dropped
+    ], ids=["i^n", "(-i)^(n+1)", "no-sign"])
+    def test_a_wrong_unit_fails(self, monkeypatch, unit, fails_at):
+        for n in range(1, 6):
+            plan = hermitian._plan(n)
+            monkeypatch.setattr(plan, "cofactors", [(r, s, i, unit(n, (r - 1) // 2, (s - 2) // 2))
+                                                    for r, s, i, _ in plan.cofactors])
+        failed = {n for n in range(1, 6)
+                  if not lee_table_matches_inverse(sample_positive_metric(random.Random(n), n))}
+        assert failed == fails_at
 
 
 def load_bench_module(name):

@@ -11,10 +11,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gauduchon.scalars import ONE, ZERO, ComplexRational, format_complex
+from gauduchon.scalars import ONE, ZERO, ComplexRational, _rational_str, format_complex
 from gauduchon.search import POSITIVITY_PADDING, sample_positive_metric
 
 # -- the reference model -----------------------------------------------------
@@ -243,3 +243,15 @@ def test_sampler_matches_fraction_formula(n):
             old_rng, n
         )
         assert new_rng.getstate() == old_rng.getstate()
+
+
+@given(st.integers(), st.integers(min_value=1), st.integers(min_value=1, max_value=10**30))
+@example(0, 7, 1)
+@example(5, 1, 1)
+@example(-3, 1, 4)
+@example(-(10**40) - 1, 3**80, 12)
+@example(2**200, 1, 2**100)
+def test_rational_str_matches_fraction(a, d, g):
+    """_rational_str(a, d) == str(Fraction(a, d)), also when both share the factor g."""
+    assert _rational_str(a, d) == str(Fraction(a, d))
+    assert _rational_str(a * g, d * g) == str(Fraction(a * g, d * g))
