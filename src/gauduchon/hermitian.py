@@ -10,18 +10,17 @@ and the Lefschetz operator pair with its commutation identities.  The
 adjoints L* and d* are taken in the inner product that (-iX)^-1 induces on
 forms, in the coframe the forms are written in.
 
-No Omega-power quantity is wedged out per metric.  classify is one-shot:
-Omega's int sums pass once through the d table and split into del Omega
-and dbar Omega, one del pass gives ddbar Omega, and by Leibniz every
-Gauduchon top coefficient is k A + k(k-1) B, A and B pairing ddbar Omega
-and del Omega ^ dbar Omega with the minors of X on the complementary ranks.
-Callers that evaluate one structure on many metrics (search, gamma_scalar,
-gauduchon_form, balanced_defect) read CompiledMaps instead: sparse int maps
-over the minors of X, compiled once per structure.  Each ddbar(Omega^k) map
-lists, per image monomial, the complementary minor that classify's
-_complement names, and the Gauduchon top pairs the map's image with it; the
-same pass, with each minor's derivative in x_jj, gives the top along every
-diagonal ray as a quadratic, which the search's closing move reads.
+No Omega-power quantity is wedged out per metric, and by Leibniz every
+Gauduchon top is the k = 1 and k = 2 tops weighted by _leibniz.  classify
+is one-shot: Omega's int sums pass once through the d table and split into
+del Omega and dbar Omega, one del pass gives ddbar Omega, and pairing it and
+del Omega ^ dbar Omega with the minors of X on the complementary ranks
+gives those two tops.  Callers that evaluate one structure on many metrics
+(search, gamma_scalar, gauduchon_form, balanced_defect) read CompiledMaps
+instead: sparse int maps over the minors of X, compiled once per structure,
+ddbar(Omega^p) for p = 1 and 2 only.  One pass pairs a map's image with the
+complementary minors, and with each minor's derivative in x_jj gives the
+top along every diagonal ray as a quadratic, for the search's closing move.
 
 The metric layer is integer arithmetic.  A Metric stores X once, as
 Gaussian-int numerators over one denominator D, and memoises its minors as
@@ -326,6 +325,17 @@ def _cofactors(plan: _MinorPlan, i: int) -> list:
     return out
 
 
+def _leibniz(k: int, n: int) -> tuple:
+    """((p, w), ...) with top_k = sum w top_p, 1 <= k <= n-1: k(2-k) top_1 +
+    C(k, 2) top_2, so k = 1 and k = 2 read their own top alone.  By Leibniz
+    ddbar(Omega^k) = k Omega^{k-1} ddbar Omega + k(k-1) Omega^{k-2} P,
+    P = del Omega ^ dbar Omega, so top_k = k A + k(k-1) B, with top_1 = A
+    and top_2 = 2A + 2B."""
+    if not 1 <= k <= n - 1:
+        raise BadK(f"k must be in 1..{n - 1}, got {k}")
+    return ((k, 1),) if k <= 2 else ((1, k * (2 - k)), (2, k * (k - 1) // 2))
+
+
 class CompiledMaps:
     """The Omega-power predicates of one structure as sparse maps over minors
     of X, for evaluating one structure on many metrics (classify needs none).
@@ -335,13 +345,13 @@ class CompiledMaps:
     are linear, so ddbar(Omega^p) is a fixed map over the p-minors and
     d(Omega^{n-1}) one over the cofactors, each one int table keyed by rank
     mask, built on first use and cached on the structure (CompiledMaps.of).
-    Each ddbar(Omega^k) map carries, per image monomial, the minor on its
-    complementary ranks and sign (n-k-1)!, from which the Gauduchon top is
-    read (top_ints); the diagonal rays of that top (rays) read sub-minor
-    lists that are built only when a closing move first asks for them.
+    Only ddbar(Omega) and ddbar(Omega^2) are compiled, each with the minor on
+    each image monomial's complementary ranks and sign (n-p-1)!; the k-th
+    Gauduchon top (top_ints) and its diagonal rays (rays, whose sub-minor
+    lists are built on first use) are _leibniz sums of passes over them.
     """
 
-    __slots__ = ("se", "n", "_ddbar", "_d_top", "_rays")
+    __slots__ = ("se", "n", "_dt", "_ddbar", "_d_top", "_rays")
 
     @staticmethod
     def of(se: StructureEquations) -> "CompiledMaps":
@@ -354,9 +364,10 @@ class CompiledMaps:
     def __init__(self, se: StructureEquations):
         self.se = se
         self.n = se.n
-        self._ddbar: Dict[int, tuple] = {}
+        self._dt = se._dbar_rank[0] * se._del_rank[0]  # the ddbar maps' denominator
+        self._ddbar: Dict[int, tuple] = {}  # keyed by p = 1, 2
         self._d_top: Optional[tuple] = None
-        self._rays: Dict[int, list] = {}
+        self._rays: Dict[int, list] = {}  # keyed by p = 1, 2
 
     def _linear_map(self, tables: tuple, p: int) -> tuple:
         """Omega^p through the rank tables in order, as (D, {rank mask:
@@ -399,15 +410,11 @@ class CompiledMaps:
             self._d_top = self._linear_map((self.se._d_rank,), self.n - 1)
         return self._d_top
 
-    def top_ints(self, metric: Metric, k: int) -> tuple:
-        """(re, im, den): the coefficient of ddbar(Omega^k) ^ Omega^{n-k-1}
-        on the top monomial is (re + i im)/den, den > 0.  Each monomial's
-        nonzero sum over the k-minors meets c det X_b from the map's pairs.
-        """
-        d, _, pairs = self._ddbar_map(k)
+    def _top_pass(self, metric: Metric, p: int) -> tuple:
+        """(re, im) of top_p: each nonzero sum over the p-minors meets c det X_b."""
         minor, minors = metric._minor, metric._minors
         re = im = 0
-        for entries, b, c in pairs:
+        for entries, b, c in self._ddbar_map(p)[2]:
             x = y = 0
             for key, u, v in entries:
                 mr, mi = minors.get(key) or minor(key)
@@ -417,21 +424,27 @@ class CompiledMaps:
                 u, v = minors.get(b) or minor(b)
                 re += c * (x * u - y * v)
                 im += c * (x * v + y * u)
-        return re, im, d * metric._den ** (self.n - 1)
+        return re, im
 
-    def top(self, metric: Metric, k: int) -> ComplexRational:
-        """Coefficient of ddbar(Omega^k) ^ Omega^{n-k-1} on the top monomial."""
-        return _make(*self.top_ints(metric, k))
+    def top_ints(self, metric: Metric, k: int) -> tuple:
+        """(re, im, den): the coefficient of ddbar(Omega^k) ^ Omega^{n-k-1}
+        on the top monomial is (re + i im)/den, den > 0, for 1 <= k <= n-1,
+        the _leibniz sum of the p = 1 and p = 2 passes, each scaled once."""
+        re = im = 0
+        for p, w in _leibniz(k, self.n):
+            x, y = self._top_pass(metric, p)
+            re, im = re + w * x, im + w * y
+        return re, im, self._dt * metric._den ** (self.n - 1)
 
-    def _ray_table(self, k: int) -> list:
-        """Per pair of the ddbar(Omega^k) map, the diagonal derivatives of its
+    def _ray_table(self, p: int) -> list:
+        """Per pair of the ddbar(Omega^p) map, the diagonal derivatives of its
         minors: ([(j, [(sub, a, b)])], [(j, sub, sign)]) for the entries and
         for b, with d det X_key / d x_jj = sign det X_sub (_cofactors)."""
-        table = self._rays.get(k)
+        table = self._rays.get(p)
         if table is None:
-            table = self._rays[k] = []
+            table = self._rays[p] = []
             plan = _plan(self.n)
-            for entries, b, _ in self._ddbar_map(k)[2]:
+            for entries, b, _ in self._ddbar_map(p)[2]:
                 by_j: Dict[int, list] = {}
                 for key, u, v in entries:
                     for j, sub, sign in _cofactors(plan, key):
@@ -439,21 +452,12 @@ class CompiledMaps:
                 table.append((list(by_j.items()), _cofactors(plan, b)))
         return table
 
-    def rays(self, metric: Metric, k: int) -> tuple:
-        """(den, T0, [(T1_j, T2_j) for j < n]), Gaussian ints (re, im) with
-        top(metric.bump_diagonal(j, t), k) = (T0 + T1_j t + T2_j t^2)/den for
-        every rational t, den = top_ints' denominator at the metric.
-
-        A minor with j among its rows and its columns moves by
-        i D sign det X_sub per unit of t (over D^p), every other minor stays,
-        so each pair S c det X_b of top_ints is a quadratic in t: one pass
-        over the map gives the coefficients of every ray at once.
-        """
-        d, _, pairs = self._ddbar_map(k)
+    def _ray_pass(self, metric: Metric, p: int, w: int) -> tuple:
+        """(T0, [(T1_j, T2_j)]) of rays for w top_p, w folded into the scale."""
         minor, minors, n = metric._minor, metric._minors, self.n
         r0 = i0 = 0
         r1, i1, r2, i2 = [0] * n, [0] * n, [0] * n, [0] * n  # over i D and -D^2
-        for (entries, b, c), (moves, b_moves) in zip(pairs, self._ray_table(k)):
+        for (entries, b, c), (moves, b_moves) in zip(self._ddbar_map(p)[2], self._ray_table(p)):
             x = y = 0
             for key, u, v in entries:
                 mr, mi = minors.get(key) or minor(key)
@@ -480,10 +484,25 @@ class CompiledMaps:
                 sx, sy = slopes.get(j, (0, 0))
                 r2[j] += sx * u - sy * v
                 i2[j] += sx * v + sy * u
-        den = metric._den
-        sq = den * den
-        return (d * den ** (n - 1), (r0, i0),
-                [((-den * i1[j], den * r1[j]), (-sq * r2[j], -sq * i2[j])) for j in range(n)])
+        f, g = w * metric._den, -w * metric._den ** 2
+        return (w * r0, w * i0), [((-f * i1[j], f * r1[j]), (g * r2[j], g * i2[j]))
+                                  for j in range(n)]
+
+    def rays(self, metric: Metric, k: int) -> tuple:
+        """(den, T0, [(T1_j, T2_j) for j < n]), Gaussian ints (re, im) with the
+        k-th top at metric.bump_diagonal(j, t) = (T0 + T1_j t + T2_j t^2)/den
+        for every rational t, den = top_ints' denominator at the metric.
+
+        A minor with j among its rows and its columns moves by i D sign det X_sub
+        per unit of t (over D^p), the others stay, so each pair S c det X_b of a
+        top pass is a quadratic in t: one pass per map gives every ray at once.
+        """
+        (t0, rays), *rest = [self._ray_pass(metric, p, w) for p, w in _leibniz(k, self.n)]
+        for (x, y), more in rest:  # k >= 3 adds the p = 2 pass
+            t0 = t0[0] + x, t0[1] + y
+            rays = [((a + c, b + e), (s + u, t + v))
+                    for ((a, b), (s, t)), ((c, e), (u, v)) in zip(rays, more)]
+        return self._dt * metric._den ** (self.n - 1), t0, rays
 
     @staticmethod
     def _image(entries_of: dict, metric: Metric) -> dict:
@@ -500,7 +519,9 @@ class CompiledMaps:
         return sums
 
     def ddbar_power(self, metric: Metric, p: int) -> Form:
-        """ddbar(Omega^p), p >= 0."""
+        """ddbar(Omega^p) for p = 1 or 2, the two compiled maps."""
+        if p not in (1, 2):
+            raise BadK(f"ddbar_power reads p = 1 or 2, got {p}")
         d, entries_of, _ = self._ddbar_map(p)
         return _form_of_sums(2 * p + 2, self._image(entries_of, metric), d * metric._den ** p)
 
@@ -511,43 +532,32 @@ class CompiledMaps:
                              d * metric._den ** (self.n - 1))
 
 
-def _top(metric: Metric, k: int, se: StructureEquations) -> ComplexRational:
-    _require_same_n(metric, se)
-    if not 1 <= k <= se.n - 1:
-        raise BadK(f"k must be in 1..{se.n - 1}, got {k}")
-    return CompiledMaps.of(se).top(metric, k)
-
-
 def _turned(a: int, b: int, n: int) -> int:
-    """The real part of i (-i)^n (a + ib); the imaginary part must vanish.
-
-    i (-i)^n is one of i, 1, -i, -1, so the product's real and imaginary
-    parts are a and b up to sign and order.
-    """
+    """The real part of i (-i)^n (a + ib), the one Gauduchon numerator reader:
+    i (-i)^n is one of i, 1, -i, -1, and the imaginary part must vanish."""
     re, im = ((-b, a), (a, b), (b, -a), (-a, -b))[n & 3]  # i (-i)^n (a + ib), n mod 4
     ensure(not im, "the Gauduchon numerator is not real")
     return re
 
 
-def _numerator(top: ComplexRational, n: int) -> Fraction:
-    """The real scalar (i/2) (-i)^n top, read off top's ints (a + ib)/d."""
-    return Fraction(_turned(top._a, top._b, n), 2 * top._d)
+def _numerator(metric: Metric, k: int, se: StructureEquations) -> tuple:
+    """(N, den) with (i/2) (-i)^n top_k = N/den off top_ints, den > 0: N has gamma_k's sign."""
+    re, im, den = CompiledMaps.of(se).top_ints(metric, k)
+    return _turned(re, im, se.n), 2 * den
 
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
     """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
-    return Form(2 * se.n, {sigma_monomial(se.n): _top(metric, k, se)})
+    _require_same_n(metric, se)
+    return Form(2 * se.n, {sigma_monomial(se.n): _make(*CompiledMaps.of(se).top_ints(metric, k))})
 
 
 def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
-    """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}).
-
-    Equal to gamma_scalar times the positive quantity n! det(-iX).  A sum of
-    c det X_a det X_b (CompiledMaps.top_ints) with every minor affine in x_jj,
-    it is N0 + N1 t + N2 t^2 along x_jj + it (CompiledMaps.rays), affine unless
-    j is in the rows and the columns of both minors of some term.
-    """
-    return _numerator(_top(metric, k, se), se.n)
+    """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}),
+    gamma_scalar times the positive n! det(-iX); a quadratic along each
+    diagonal ray x_jj + it (CompiledMaps.rays)."""
+    _require_same_n(metric, se)
+    return Fraction(*_numerator(metric, k, se))
 
 
 def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
@@ -558,7 +568,7 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     """
     _require_same_n(metric, se)
     metric.require_positive()
-    return _numerator(_top(metric, k, se), se.n) / (factorial(se.n) * metric.det_minus_i_x())
+    return Fraction(*_numerator(metric, k, se)) / (factorial(se.n) * metric.det_minus_i_x())
 
 
 def balanced_defect(metric: Metric, se: StructureEquations) -> Form:
@@ -790,12 +800,11 @@ def _astheno_sums(omega: dict, ddbar: dict, p: dict, n: int) -> dict:
 def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     """Exact zero tests for every metric class plus the gamma scalars.
 
-    One-shot, every quantity from _derivatives, with no CompiledMaps.  By
-    Leibniz ddbar(Omega^k) = k Omega^{k-1} ddbar Omega + k(k-1) Omega^{k-2} P,
-    so the k-th Gauduchon top coefficient is k A + k(k-1) B, with
-    A = coeff(ddbar Omega ^ Omega^{n-2}) and B = coeff(P ^ Omega^{n-3}) over
-    dt^2 D^{n-1}.  Balanced is theta = 0: d(Omega^{n-1}) = theta ^ Omega^{n-1}
-    and L^{n-1} is injective on 1-forms.
+    One-shot, every quantity from _derivatives, with no CompiledMaps.  The
+    k-th Gauduchon top is the _leibniz sum of top_1 = A and top_2 = 2(A + B),
+    A = coeff(ddbar Omega ^ Omega^{n-2}) and B = coeff(P ^ Omega^{n-3}) in
+    ints over dt^2 D^{n-1}.  Balanced is theta = 0: d(Omega^{n-1}) =
+    theta ^ Omega^{n-1} and L^{n-1} is injective on 1-forms.
     """
     _require_same_n(metric, se)
     metric.require_positive()
@@ -809,13 +818,14 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     else:
         astheno = not any(re or im for re, im in _astheno_sums(omega, ddbar, p, n).values())
     a, b = _paired(ddbar, metric, n - 2), _paired(p, metric, n - 3)
-    den = dt * dt * metric._den ** (n - 1)
-    tops = {k: _make(k * a[0] + k * (k - 1) * b[0], k * a[1] + k * (k - 1) * b[1], den)
-            for k in range(1, n)}
-    balanced = lee.is_zero
-    gauduchon = {k: not top for k, top in tops.items()}
+    top_p = {1: a, 2: (2 * (a[0] + b[0]), 2 * (a[1] + b[1]))}  # top_1 and top_2
+    den = 2 * dt * dt * metric._den ** (n - 1)  # the numerator's, twice the tops'
     volume = factorial(n) * metric.det_minus_i_x()
-    gamma = {k: _numerator(top, n) / volume for k, top in tops.items()}
+    tops = {k: [sum(w * top_p[q][t] for q, w in _leibniz(k, n)) for t in (0, 1)]
+            for k in range(1, n)}
+    gauduchon = {k: not (re or im) for k, (re, im) in tops.items()}
+    gamma = {k: Fraction(_turned(re, im, n), den) / volume for k, (re, im) in tops.items()}
+    balanced = lee.is_zero
     names = [name for name, flag in (("skt", skt), ("balanced", balanced), ("astheno", astheno))
              if flag] + [f"gauduchon{k}" for k, flag in sorted(gauduchon.items()) if flag]
     label = "kahler" if kahler else "+".join(names) or "hermitian"

@@ -263,14 +263,10 @@ I = ComplexRational(0, 1)
 
 
 def format_complex(z: ComplexRational) -> str:
-    """Canonical literal: '3/2', '-1/2i', '1/2+1/4i', '1/2-1/4i', '0'."""
-    if not z:
-        return "0"
-    if z.im == 0:
-        return str(z.re)
-    imag = f"{z.im}i"
-    if z.re == 0:
-        return imag
-    if z.im > 0:
-        return f"{z.re}+{imag}"
-    return f"{z.re}{imag}"
+    """Canonical literal: '3/2', '-1/2i', '1/2+1/4i', '1/2-1/4i', '0', each
+    part written off the ints (a + ib)/d."""
+    a, b, d = z._a, z._b, z._d
+    if not b:
+        return _rational_str(a, d)
+    real = (_rational_str(a, d) + ("+" if b > 0 else "")) if a else ""
+    return f"{real}{_rational_str(b, d)}i"

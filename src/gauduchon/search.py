@@ -13,14 +13,15 @@ one structure plus 8 samples when compiled (one probe, 2-vCPU VM), and the
 reference tests check that the two agree.  For targets asking a scalar to
 vanish, the closing move raises one diagonal entry, which keeps positivity;
 _close is its one rule.  Along x_jj + it the Gauduchon numerator is
-N0 + N1 t + N2 t^2, and one pass over the compiled ddbar(Omega^k) map gives
-every ray's coefficients in ints (CompiledMaps.rays), so a sample builds a
-bumped metric only at an exact zero.  N2 vanishes unless j is in the rows
-and the columns of both minors of some term c det X_a det X_b, so the affine
-root is only a candidate, and the exact zero test decides; the witness is
-then re-checked on the top path.  The catalog's oracle scalars close through
-close_scalar_zero, on bumped metrics, each of which carries over the minors
-the bump leaves unchanged.
+N0 + N1 t + N2 t^2, and a pass over each of the compiled ddbar(Omega) and
+ddbar(Omega^2) maps gives every ray's coefficients in ints
+(CompiledMaps.rays), so a sample builds a bumped metric only at an exact
+zero.  N2 vanishes unless j is in the rows and the columns of both minors
+of some term c det X_a det X_b, so the affine root is only a candidate, and
+the exact zero test decides; the witness is then re-checked on the top
+path.  The catalog's oracle scalars close through close_scalar_zero, on
+bumped metrics, each of which carries over the minors the bump leaves
+unchanged.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric
@@ -46,19 +47,12 @@ from .catalog import (
 )
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
-from .hermitian import CompiledMaps, Metric, _turned
+from .hermitian import CompiledMaps, Metric, _numerator, _turned
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_SEED = 0x5EED
 POSITIVITY_PADDING = Fraction(1, 1024)
-
-
-def _numerator_int(se: StructureEquations, metric: Metric, k: int) -> int:
-    """The Gauduchon numerator in ints over its positive denominator, which
-    it shares with top_ints'; it has the sign of gamma_k, as n! det(-iX) > 0."""
-    re, im, _ = CompiledMaps.of(se).top_ints(metric, k)
-    return _turned(re, im, se.n)
 
 
 def _vanishes(entries_of: dict, metric: Metric) -> bool:
@@ -68,11 +62,12 @@ def _vanishes(entries_of: dict, metric: Metric) -> bool:
 
 # kind -> (CLI spelling, "{k}" standing for the Gauduchon index; exact test on
 # (structure, metric, k), positivity aside), each read off the compiled maps'
-# ints.  The numerator vanishes exactly with the Gauduchon form.
+# ints: the gamma targets the Gauduchon numerator's int, over a positive
+# denominator, which vanishes exactly with the Gauduchon form.
 _TARGETS = {
-    "gamma_negative": ("gamma{k}<0", lambda se, m, k: _numerator_int(se, m, k) < 0),
-    "gamma_positive": ("gamma{k}>0", lambda se, m, k: _numerator_int(se, m, k) > 0),
-    "gauduchon_zero": ("gauduchon{k}=0", lambda se, m, k: _numerator_int(se, m, k) == 0),
+    "gamma_negative": ("gamma{k}<0", lambda se, m, k: _numerator(m, k, se)[0] < 0),
+    "gamma_positive": ("gamma{k}>0", lambda se, m, k: _numerator(m, k, se)[0] > 0),
+    "gauduchon_zero": ("gauduchon{k}=0", lambda se, m, k: _numerator(m, k, se)[0] == 0),
     "skt": ("skt", lambda se, m, k: _vanishes(CompiledMaps.of(se)._ddbar_map(1)[1], m)),
     "balanced": ("balanced", lambda se, m, k: _vanishes(CompiledMaps.of(se)._d_top_map()[1], m)),
 }

@@ -294,22 +294,19 @@ def check_prop_47(seed: int) -> dict:
 
 
 def check_lemma_46(seed: int) -> dict:
-    """gamma_k = gamma_{n-k-1} exactly on every unimodular catalog entry.
-
-    Where k = n-k-1 the duality says nothing, so that sample checks
-    gamma_{n-1} = 0 instead, which Stokes gives on unimodular algebras.
-    """
+    """(n-2) gamma_k = k(n-k-1) gamma_1 for k = 2..n-1, one sample per k, on
+    every unimodular catalog entry: an extension of the lemma's duality, from
+    gamma_{n-1} = 0 (d vanishes on (2n-1)-forms) and hermitian._leibniz."""
     rng = random.Random(seed)
     samples = 0
     for name, se in _standard_entries():
         ensure(se.is_unimodular(), name)
         n = se.n
-        pairs = [(k, n - k - 1) if n - k - 1 != k else (n - 1, None) for k in range(1, n - 1)]
         for _ in range(200):
             metric = sample_positive_metric(rng, n)
-            for k, dual in pairs:
-                expected = 0 if dual is None else gamma_scalar(metric, dual, se)
-                ensure(gamma_scalar(metric, k, se) == expected, (name, k))
+            g1 = gamma_scalar(metric, 1, se) if n > 3 else 0  # k(n-k-1) = 0 at n = 3
+            for k in range(2, n):
+                ensure((n - 2) * gamma_scalar(metric, k, se) == k * (n - k - 1) * g1, (name, k))
                 samples += 1
     return {"samples": samples}
 

@@ -11,6 +11,8 @@ code, stdout and stderr.  The corpus covers:
   * the same classify lines, with no search block, for the structures of
     CLASSIFY_ONLY, which reach branches the points miss;
   * ``search`` for every target and k, at SEEDS with budget BUDGET;
+  * ``search`` on the n = 5 structure for the k >= 3 targets of N5_SEARCHES,
+    at the first seed;
   * ``search --family`` on a point of each closed-form family, for a target
     its closed forms certify and one they leave to sampling (FAMILY_SEARCHES);
   * ``verify-paper --json``, with every claim's elapsed time set to 0;
@@ -79,6 +81,8 @@ CLASSIFY_ONLY = [
     ("abelian-2", ["catalog", "emit", "abelian", "--param", "n=2"]),
     ("n5", N5),
 ]
+# Gauduchon indices that no point reaches, as n <= 4 there
+N5_SEARCHES = ("gamma3<0", "gamma3>0", "gauduchon3=0", "gauduchon4=0")
 CONTACTS = ("solvable5", "heisenberg5")
 METRICS = 6
 SEEDS = (1, 2)
@@ -291,6 +295,9 @@ def outputs(skip_verify: bool = False):
             source = emitted[2]
         Path(f"{stem}.dsl").write_text(source)
         yield from classify_drawn(stem, int(source.split("\n", 1)[0].removeprefix("n:")))
+    for target in N5_SEARCHES:
+        yield run(["search", "--structure", "n5.dsl", "--target", target,
+                   "--budget", str(BUDGET), "--seed", str(SEEDS[0])])
     for stem, family, *targets in FAMILY_SEARCHES:
         for target in targets:
             yield run(["search", "--structure", f"{stem}.dsl", "--target", target,

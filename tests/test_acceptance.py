@@ -20,7 +20,7 @@ _CRITERIA = {
     "prop-3.5": "criterion 3: witnesses for h2..h5, certificates for h6/h8",
     "example-3.8": "criterion 4: pluriclosed scalar 2-2/t, gamma sign, balanced exclusion",
     "prop-4.7": "criterion 5: 500-draw equivalences on the eight-dimensional family",
-    "lemma-4.6": "criterion 6: index duality gamma_k = gamma_{n-k-1}, 200 draws each",
+    "lemma-4.6": "criterion 6: (n-2) gamma_k = k(n-k-1) gamma_1, 200 draws each",
     "theorem-4.2": "criterion 7: 10^4-point coefficient identity and product scalars",
     "solvable5-bundle": "criterion 8: circle-bundle criterion form and sign",
     "lefschetz": "criterion 9: commutation residuals, reduction, balanced+Gauduchon",

@@ -48,7 +48,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gauduchon import catalog, dsl, forms, hermitian, linalg, sasakian, search, structures
-from gauduchon.errors import (BadParams, ClaimFailure, DimensionMismatch, DslSyntaxError,
+from gauduchon.errors import (BadK, BadParams, ClaimFailure, DimensionMismatch, DslSyntaxError,
                               GauduchonError, JacobiViolation, NotIntegrable, NotPositive,
                               ensure)
 from gauduchon.forms import Form, wedge
@@ -763,6 +763,11 @@ def compiled_entries():
     return lee_entries() + [("abelian(4)", catalog.abelian(4)), ("abelian(5)", catalog.abelian(5))]
 
 
+def compiled_top(maps, metric, k):
+    """The k-th Gauduchon top coefficient, off CompiledMaps.top_ints."""
+    return hermitian._make(*maps.top_ints(metric, k))
+
+
 class TestCompiledMaps:
     @pytest.mark.parametrize("name, se", compiled_entries())
     def test_every_predicate_matches_the_wedged_forms(self, name, se):
@@ -775,14 +780,14 @@ class TestCompiledMaps:
             ref = GauduchonForms(metric, se)
             report = classify(metric, se)
             for k in range(1, n):
-                top = maps.top(metric, k)
+                top = compiled_top(maps, metric, k)
                 assert top == ref.top(k), (name, k)
                 ensure(((I / 2) * (-I) ** n * top).im == 0, f"{name}: gamma{k} top is not real")
                 assert gauduchon_form(metric, k, se) == ref.form(k), (name, k)
                 assert gamma_numerator(metric, k, se) == ref.numerator(k), (name, k)
                 assert gamma_scalar(metric, k, se) == report.gamma[k] == ref.gamma(k), (name, k)
                 assert report.gauduchon[k] == ref.form(k).is_zero, (name, k)
-            for p in range(n):
+            for p in (1, 2)[:n - 1]:  # the compiled maps; every top reads these two
                 assert maps.ddbar_power(metric, p) == ref.ddbar(p), (name, p)
             assert report.astheno == (ref.ddbar(n - 2).is_zero if n >= 3 else True), name
             d_top = se.d(ref.power(n - 1))
@@ -814,6 +819,86 @@ class TestCompiledMaps:
             assert metric.minor(rows, cols) == ref_minor(x, rows, cols, memo)
 
 
+def family2n(coeffs):
+    """dw_n = sum_j a_j w^j ^ ~w^j over j < n, every other dw_j = 0 (n = len + 1)."""
+    n = len(coeffs) + 1
+    last = Form(2, {(2 * j + 1, 2 * j + 2): cr(a) for j, a in enumerate(coeffs)})
+    return StructureEquations(n, [Form.zero()] * (n - 1) + [last])
+
+
+def dense_two_step(n, twist=0):
+    """dw_{n-1} = sum_{a,b <= n-2} w^a ^ ~w^b and dw_n the same sum with the
+    coefficients 1 + twist (a - b), every other dw_j = 0.  With twist 0 both
+    are u ^ ~u for u = w^1 + ... + w^{n-2}, so every metric is SKT."""
+    last, dense = Form.zero(), Form.zero()
+    for a in range(n - 2):
+        for b in range(n - 2):
+            mon = (2 * a + 1, 2 * b + 2)  # Form.monomial sorts it, with its sign
+            dense = dense + Form.monomial(mon)
+            last = last + Form.monomial(mon, cr(1 + twist * (a - b)))
+    return StructureEquations(n, [Form.zero()] * (n - 2) + [dense, last])
+
+
+class TestTwoMaps:
+    """Every Gauduchon top from the p = 1 and p = 2 maps (hermitian._leibniz)."""
+
+    def test_weights_are_the_leibniz_coefficients(self):
+        # top_k = k A + k(k-1) B with top_1 = A and top_2 = 2A + 2B
+        for k in range(1, 9):
+            w = dict(hermitian._leibniz(k, k + 1))
+            w1, w2 = w.get(1, 0), w.get(2, 0)
+            assert w1 + 2 * w2 == k and 2 * w2 == k * (k - 1), k
+            assert 0 not in w.values() and list(w) == sorted(w), k  # no pass with weight 0
+        for k, n in ((0, 4), (4, 4), (2, 2)):  # k outside 1..n-1
+            with pytest.raises(BadK):
+                hermitian._leibniz(k, n)
+
+    def test_only_the_p1_and_p2_maps_are_compiled(self):
+        structures = [catalog.family8(1, 2), dsl.parse_structure((BENCH / "n5.dsl").read_text())]
+        for se in structures:
+            n, maps = se.n, CompiledMaps.of(se)
+            metric = sample_positive_metric(random.Random(n), n)
+            for k in range(1, n):
+                compiled_top(maps, metric, k)
+                maps.rays(metric, k)
+                gamma_scalar(metric, k, se)
+            assert set(maps._ddbar) == set(maps._rays) == {1, 2}, n  # no per-k compile
+            with pytest.raises(BadK):
+                maps.ddbar_power(metric, 3)
+
+    def test_unimodular_gamma_k_is_proportional_to_gamma_1(self):
+        # gamma_{n-1} = 0 on unimodular algebras, so (n-2) gamma_k = k(n-k-1) gamma_1
+        def failures(se, metric):
+            n, gamma1 = se.n, gamma_scalar(metric, 1, se)
+            return [k for k in range(2, n)
+                    if (n - 2) * gamma_scalar(metric, k, se) != k * (n - k - 1) * gamma1]
+
+        structures = [
+            ("bench/n5.dsl", dsl.parse_structure((BENCH / "n5.dsl").read_text())),
+            ("family2n(5)", family2n([ComplexRational(1, 2), -2, ComplexRational(-1, 1), 3])),
+            ("family2n(6)", family2n([ComplexRational(-3, 1), 1, ComplexRational(2, -1),
+                                      Fraction(-1, 2), ComplexRational(0, 1)])),
+            ("family2n(7)", family2n([1, ComplexRational(-1, 2), -1, ComplexRational(3, 1),
+                                      Fraction(1, 3), ComplexRational(-2, -1)])),
+            ("dense(5)", dense_two_step(5)),
+            ("dense(5, twist 1)", dense_two_step(5, 1)),
+        ]
+        for name, se in structures:
+            n = se.n
+            assert se.is_unimodular(), name
+            rng = random.Random(name)
+            metrics = [hermitian.Metric.diagonal(n, range(1, n + 1)),
+                       sample_positive_metric(rng, n), sample_positive_metric(rng, n)]
+            # not 0 = 0, but on the SKT dense(5), where every gamma_k vanishes
+            assert any(gamma_scalar(metric, 1, se) for metric in metrics) != (
+                name == "dense(5)"), name
+            for metric in metrics:
+                assert failures(se, metric) == [], name
+        se = non_unimodular3()
+        metric = sample_positive_metric(random.Random(5), 3)
+        assert not se.is_unimodular() and failures(se, metric) == [2]
+
+
 def ray_value(den, t0, t1, t2, t):
     """(T0 + T1 t + T2 t^2)/den for Gaussian-int pairs (re, im)."""
     re, im = (a + b * t + c * t * t for a, b, c in zip(t0, t1, t2))
@@ -834,11 +919,13 @@ class TestRays:
             for k in range(1, n):
                 den, t0, rays = maps.rays(metric, k)
                 assert len(rays) == n
-                assert ray_value(den, t0, (0, 0), (0, 0), 0) == maps.top(metric, k), (name, k)
+                assert ray_value(den, t0, (0, 0), (0, 0), 0) == compiled_top(maps, metric, k), (
+                    name, k)
                 for j, (t1, t2) in enumerate(rays):
                     for t in (1, 2, Fraction(1, 3), Fraction(7, 2)):
                         bumped = metric.bump_diagonal(j, t)
-                        assert ray_value(den, t0, t1, t2, t) == maps.top(bumped, k), (name, k, j, t)
+                        want = compiled_top(maps, bumped, k)
+                        assert ray_value(den, t0, t1, t2, t) == want, (name, k, j, t)
 
     def test_entries_exercise_every_ray_term(self):
         # a quadratic ray (the solvable5 bundle along x_33), and linear terms
@@ -1256,6 +1343,11 @@ class TestSamplerDraws:
         ]
 
 
+def numerator_by_ints(top, n):
+    """(i/2) (-i)^n top read off top's ints (a + ib)/d, as the engine reads it."""
+    return Fraction(hermitian._turned(top._a, top._b, n), 2 * top._d)
+
+
 def numerator_by_product(top, n):
     """(i/2) (-i)^n top, multiplied out in ComplexRational."""
     return ((I / cr(2)) * (-I) ** n * top).real_part()
@@ -1269,14 +1361,14 @@ class TestNumerator:
             value = rand_rational(rng)
             # top = 2 (-i)^-n (-i) value makes (i/2) (-i)^n top = value real
             top = cr(2) * cr(value) * I ** n * (-I)
-            assert hermitian._numerator(top, n) == numerator_by_product(top, n) == value
-        assert hermitian._numerator(ZERO, n) == 0
+            assert numerator_by_ints(top, n) == numerator_by_product(top, n) == value
+        assert numerator_by_ints(ZERO, n) == 0
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_non_real_product_fails_the_check(self, n):
         top = cr(2) * I ** n * (-I) * ComplexRational(1, Fraction(1, 3))
         with pytest.raises(ClaimFailure):
-            hermitian._numerator(top, n)
+            numerator_by_ints(top, n)
         with pytest.raises(ValueError):
             numerator_by_product(top, n)
 
@@ -1284,10 +1376,9 @@ class TestNumerator:
         src = str(Path(hermitian.__file__).resolve().parents[1])
         code = ("from gauduchon import hermitian\n"
                 "from gauduchon.errors import ClaimFailure\n"
-                "from gauduchon.scalars import ComplexRational\n"
                 "for n in range(4):\n"
                 "    try:\n"
-                "        hermitian._numerator(ComplexRational(1, 1), n)\n"
+                "        hermitian._turned(1, 1, n)\n"
                 "    except ClaimFailure:\n"
                 "        continue\n"
                 "    raise SystemExit(f'no ClaimFailure at n = {n}')\n")

@@ -255,3 +255,22 @@ def test_rational_str_matches_fraction(a, d, g):
     """_rational_str(a, d) == str(Fraction(a, d)), also when both share the factor g."""
     assert _rational_str(a, d) == str(Fraction(a, d))
     assert _rational_str(a * g, d * g) == str(Fraction(a * g, d * g))
+
+
+@given(st.integers(), st.integers(), st.integers(min_value=1))
+@example(0, 0, 5)
+@example(3, 0, 6)
+@example(0, -4, 6)
+@example(-1, 1, 2)
+@example(2**90 + 1, -(3**60), 10**25)
+def test_format_complex_matches_fraction_str(a, b, d):
+    """format_complex writes each part as str(Fraction(part, d)) would."""
+    z = ComplexRational(Fraction(a, d), Fraction(b, d))
+    re, im = str(Fraction(a, d)), str(Fraction(b, d))
+    if not b:
+        want = re
+    elif not a:
+        want = f"{im}i"
+    else:
+        want = f"{re}{'+' if b > 0 else ''}{im}i"
+    assert format_complex(z) == want
