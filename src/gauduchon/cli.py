@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -114,10 +115,16 @@ def cmd_classify(args) -> int:
 def cmd_search(args) -> int:
     se = _load_structure(args.structure)
     target = parse_target(args.target)
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         # a bad path fails here, before sampling; appending leaves an existing file intact
         open(args.out, "a", encoding="utf-8").close()
-    outcome = search.find_metric(se, target, args.budget, args.seed, args.family)
+    try:
+        outcome = search.find_metric(se, target, args.budget, args.seed, args.family)
+    except BaseException:
+        if created:  # a rejected search leaves no file it made
+            os.remove(args.out)
+        raise
     replay = ["gauduchon", "search", "--structure", args.structure, "--target", args.target,
               "--budget", str(args.budget), "--seed", str(args.seed)]
     if args.family is not None:

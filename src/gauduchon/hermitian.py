@@ -104,16 +104,16 @@ class Metric:
         num = [[] for _ in rows]
         for (j, _), a, b in nums:
             num[j].append((a, b))
-        self._init(num, den, None)
+        self._init(num, den)
 
     @staticmethod
-    def _of_ints(num: list, den: int, minors: Optional[dict] = None) -> "Metric":
+    def _of_ints(num: list, den: int) -> "Metric":
         """The metric x_jk = (a + ib)/den for num[j][k] = (a, b), den > 0."""
         metric = object.__new__(Metric)
-        metric._init(num, den, minors)
+        metric._init(num, den)
         return metric
 
-    def _init(self, num: list, den: int, minors: Optional[dict]):
+    def _init(self, num: list, den: int):
         n = len(num)
         if any(len(row) != n for row in num):
             raise DimensionMismatch(f"X has {n} rows of lengths {[len(r) for r in num]}")
@@ -127,7 +127,7 @@ class Metric:
         self._den = den
         self._positive: Optional[bool] = None
         self._det: Optional[Fraction] = None
-        self._minors: Dict[int, tuple] = {0: (1, 0)} if minors is None else minors
+        self._minors: Dict[int, tuple] = {0: (1, 0)}
         self._plan = _plan(n)
 
     @property
@@ -137,27 +137,15 @@ class Metric:
         return [[_make(a, b, den) for a, b in row] for row in self._num]
 
     def bump_diagonal(self, j: int, amount) -> "Metric":
-        """The metric with x_jj raised by i*amount.
-
-        A minor involves x_jj only if j is among both its rows and its
-        columns, so every other memoised minor carries over as it is, or
-        rescaled by (D'/D)^p, with the powers listed once, when the bump's
-        denominator raises D to D'.
-        """
-        num, den, keys, bit = self._num, self._den, self._plan.keys, 1 << j
+        """The metric with x_jj raised by i*amount = i*p/q, a new metric over
+        D' = lcm(D, q) that memoises its own minors as they are read."""
         p, q = _rational_parts(amount)
-        new_den = lcm(den, q)
-        f = new_den // den
-        minors = {i: val for i, val in self._minors.items() if not keys[i][0] & keys[i][1] & bit}
-        if f != 1:
-            num = [[(a * f, b * f) for a, b in r] for r in num]
-            scale = [f ** t for t in range(self.n + 1)]
-            minors = {i: (re * scale[keys[i][0].bit_count()], im * scale[keys[i][0].bit_count()])
-                      for i, (re, im) in minors.items()}
-        row = num[j][:]
-        a, b = row[j]
-        row[j] = (a, b + p * (new_den // q))
-        return Metric._of_ints(num[:j] + [row] + num[j + 1:], new_den, minors)
+        den = lcm(self._den, q)
+        f = den // self._den
+        num = [[(a * f, b * f) for a, b in r] for r in self._num]
+        a, b = num[j][j]
+        num[j][j] = (a, b + p * (den // q))
+        return Metric._of_ints(num, den)
 
     @staticmethod
     def diagonal(n: int, entries=None) -> "Metric":

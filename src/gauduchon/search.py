@@ -20,8 +20,7 @@ zero.  N2 vanishes unless j is in the rows and the columns of both minors
 of some term c det X_a det X_b, so the affine root is only a candidate, and
 the exact zero test decides; the witness is then re-checked on the top
 path.  The catalog's oracle scalars close through close_scalar_zero, on
-bumped metrics, each of which carries over the minors the bump leaves
-unchanged.
+bumped metrics, each a new Metric that computes its own minors.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric

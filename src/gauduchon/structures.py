@@ -125,6 +125,8 @@ class StructureEquations:
         for (j, mon), a, b in terms:
             if len(mon) != 2:
                 raise BadParams(f"dw{j} must be a 2-form, got degree {len(mon)}")
+            if mon[0] >= mon[1]:
+                raise BadParams(f"dw{j} has the key {mon}, whose ranks do not increase")
             if mon[1] > 2 * n:
                 raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
             rows[j - 1].append((*mon, a, b))
@@ -244,6 +246,9 @@ class RealLieAlgebra:
         for j, df in enumerate(self.d_of, start=1):
             if not df.is_zero and df.degree != 2:
                 raise BadParams(f"de{j} must be a 2-form")
+            for mon in df.terms:
+                if any(a >= b for a, b in zip(mon, mon[1:])):
+                    raise BadParams(f"de{j} has the key {mon}, whose ranks do not increase")
             if df.max_rank() > m:
                 raise DimensionMismatch(f"de{j} uses ranks beyond the coframe")
             for c in df.terms.values():

@@ -2,10 +2,13 @@
 and tolerance (all tolerances are exact-zero; nothing is approximate).
 
 The claims live in gauduchon.verify so that `gauduchon verify-paper` and this
-module check the same thing; each test prints one pass/fail line.
+module check the same thing; each test prints one pass/fail line.  README's
+library quick start runs here too, as written.
 """
 
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +68,11 @@ def test_full_suite_under_sixty_seconds(capsys):
     expected = dict((line, sha) for sha, line in regen.read_digests())[regen.VERIFY_LINE]
     assert regen.digest(*regen.verify_paper_output((code, out, err))) == expected, (
         "verify-paper --json drifted from the golden corpus (tests/golden/regen.py)")
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """README's "Library quick start" block, run as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["-1/6", "gauduchon2"]

@@ -673,10 +673,14 @@ class TestInputErrors:
 
     def test_search_out_survives_a_failed_search(self, jt_file, tmp_path, capsys):
         out = write(tmp_path / "out.json", "kept\n")
-        argv = ["search", "--structure", jt_file, "--target", "gamma9<0", "--out", out]
-        assert main(argv) == 2
-        self.assert_one_line_error(capsys)
-        assert Path(out).read_text(encoding="utf-8") == "kept\n"
+        new = tmp_path / "new.json"  # a file the failed search created is removed
+        for bad in (["--target", "gamma9<0"], ["--target", "gamma1<0", "--budget", "0"],
+                    ["--target", "gamma1<0", "--family", "family8"]):
+            for path in (out, str(new)):
+                assert main(["search", "--structure", jt_file, *bad, "--out", path]) == 2
+                self.assert_one_line_error(capsys)
+            assert Path(out).read_text(encoding="utf-8") == "kept\n"
+            assert not new.exists()
 
     def test_float_metric_cell(self, tmp_path, capsys):
         se_path = write(tmp_path / "jt.dsl", dsl.format_structure(catalog.jt(Fraction(1, 2))))

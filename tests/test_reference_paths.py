@@ -1280,8 +1280,16 @@ class TestStructureJsonReader:
 
 
 class TestBumpDiagonal:
+    def test_bumped_metric_starts_from_the_empty_minor(self):
+        metric = sample_positive_metric(random.Random(104), 4)
+        for rows, cols in index_pairs(4):
+            metric.minor(rows, cols)
+        assert len(metric._minors) == comb(8, 4)
+        for amount in (1, Fraction(1, 3)):
+            assert metric.bump_diagonal(2, amount)._minors == {0: (1, 0)}
+
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_carried_minors_match_fresh_ones(self, n):
+    def test_bumped_minors_match_fresh_ones(self, n):
         metric = sample_positive_metric(random.Random(100 + n), n)
         subsets = [c for p in range(n + 1) for c in itertools.combinations(range(n), p)]
         pairs = [(rows, cols) for rows in subsets for cols in subsets
@@ -1978,7 +1986,7 @@ class TestIntegerKernels:
             assert metric.is_positive() is (kind == "definite")
 
     @given(st.integers(2, 4), st.integers(0, 2**32))
-    def test_bumps_that_change_the_denominator_rescale_carried_minors(self, n, seed):
+    def test_bumps_that_change_the_denominator_match_the_reference(self, n, seed):
         rng = random.Random(seed)
         metric = sample_positive_metric(rng, n)
         pairs = index_pairs(n)
@@ -2049,7 +2057,7 @@ class TestMinorPlan:
         rng = random.Random(2600 + n)
         metric = sample_positive_metric(rng, n)
         self.assert_every_id_matches(metric)
-        # every minor is memoised now, so each bump carries them over or rescales
+        # every minor of the base is memoised now; each bump computes its own
         for j, amount in ((0, 3), (n - 1, Fraction(5, 3)), (n // 2, Fraction(-1, 10**12 + 39))):
             bumped = metric.bump_diagonal(j, amount)
             assert bumped._den == lcm(metric._den, Fraction(amount).denominator)

@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gauduchon import catalog
 from gauduchon.errors import (
+    BadParams,
     DimensionMismatch,
     JacobiViolation,
     NotAlmostComplex,
     NotIntegrable,
 )
 from gauduchon.forms import Form, conj_rank, holo_rank, substitute, wedge
+from gauduchon.hermitian import Metric, gamma_scalar
 from gauduchon.scalars import ComplexRational, cr
+from gauduchon.search import sample_positive_metric
 from gauduchon.structures import (
     RealLieAlgebra,
     StructureEquations,
@@ -109,6 +113,27 @@ class TestValidation:
             StructureEquations(2, [Form.zero(), dw2])
         assert info.value.generator == 2
         assert info.value.residual == dw2
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: StructureEquations(2, [Form.zero(), Form(2, {(3, 2): cr(1)})]), "dw2"),
+        (lambda: StructureEquations(1, [Form(2, {(3, 2): cr(1)})]), "dw1"),
+        (lambda: RealLieAlgebra(3, [Form.zero(), Form.zero(), Form(2, {(2, 1): cr(1)})]), "de3"),
+        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(3, 1): cr(1)})]), "de2"),
+    ], ids=["accepted-n2", "index-error-n1", "accepted-m3", "index-error-m2"])
+    def test_keys_whose_ranks_do_not_increase_are_rejected(self, build, name):
+        with pytest.raises(BadParams, match=rf"^{name} has the key \(\d, \d\)"):
+            build()
+
+    def test_two_step_structure_needs_canonical_keys(self):
+        # dw4 = dw5 = sum over a, b <= 3 of w_a ^ ~w_b, whose keys (2a-1, 2b) fall for a > b
+        pairs = [(2 * a - 1, 2 * b) for a in (1, 2, 3) for b in (1, 2, 3)]
+        raw = Form(2, {mon: cr(1) for mon in pairs})
+        with pytest.raises(BadParams, match="^dw4 has the key"):
+            StructureEquations(5, [Form.zero()] * 3 + [raw, raw])
+        dw = sum((Form.monomial(mon) for mon in pairs), Form.zero())
+        se = StructureEquations(5, [Form.zero()] * 3 + [dw, dw])
+        for metric in (Metric.diagonal(5), sample_positive_metric(random.Random(5), 5)):
+            assert isinstance(gamma_scalar(metric, 1, se), Fraction)
 
     def test_unimodular_catalog(self):
         assert catalog.iwasawa().is_unimodular()
