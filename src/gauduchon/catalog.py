@@ -29,7 +29,7 @@ from .errors import BadParams, UnknownFamily, ensure
 from .forms import Form, conj_rank, holo_rank
 from .hermitian import Metric
 from .sasakian import ContactData
-from .scalars import I, ONE, ZERO, ComplexRational, cr
+from .scalars import I, ONE, ZERO, ComplexRational, _rational_parts, cr
 from .structures import (
     RealLieAlgebra,
     StructureEquations,
@@ -108,13 +108,13 @@ def nonnilpotent6(eps: int, sign: int) -> StructureEquations:
 
 
 def reduced6(rho: int, B, x, y) -> StructureEquations:
-    params = Reduced6Params(rho, cr(B), Fraction(x), Fraction(y))
+    params = Reduced6Params(rho, cr(B), *(Fraction(*_rational_parts(v)) for v in (x, y)))
     p = params.as_nilpotent6()
     return nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)
 
 
 def jt(t) -> StructureEquations:
-    t = Fraction(t)
+    t = Fraction(*_rational_parts(t))
     if t == 0:
         raise BadParams("t must be nonzero")
     return reduced6(rho=1, B=1, x=Fraction(1, 1) / t, y=0)
@@ -125,7 +125,7 @@ def iwasawa() -> StructureEquations:
 
 
 def family8(p, q) -> StructureEquations:
-    dw4 = Form(2, {_W1B1: ComplexRational(Fraction(p), Fraction(q)), _W2B2: -ONE, _W3B3: -ONE})
+    dw4 = Form(2, {_W1B1: ComplexRational(p, q), _W2B2: -ONE, _W3B3: -ONE})
     return StructureEquations(4, [Form.zero(), Form.zero(), Form.zero(), dw4])
 
 
@@ -230,7 +230,7 @@ def jt_real(t) -> RealLieAlgebra:
     The (1,0)-coframe is w1 = e1 + i e4, w2 = e2 + i t (e3 - e4),
     w3 = 2(e5 - i e6) over de5 = e12, de6 = e14 + e23.
     """
-    t = Fraction(t)
+    t = Fraction(*_rational_parts(t))
     if t == 0:
         raise BadParams("t must be nonzero")
     alg_d = [Form.zero()] * 4 + [
@@ -242,7 +242,7 @@ def jt_real(t) -> RealLieAlgebra:
 
 
 def jt_coframe(t) -> list:
-    t = Fraction(t)
+    t = Fraction(*_rational_parts(t))
     it = ComplexRational(0, t)
     return [
         [ONE, ZERO, ZERO, I, ZERO, ZERO],

@@ -43,7 +43,7 @@ from math import factorial, lcm, prod
 from typing import Dict, Optional
 
 from . import linalg
-from .errors import BadK, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
+from .errors import BadK, BadParams, DimensionMismatch, NotPositive, NotSkewHermitian, ensure
 from .forms import Form, Monomial, _form_of_sums, _mask, _ranks, sort_ranks
 from .forms import _wedge_sums, wedge
 from .scalars import I, ZERO, ComplexRational, _make, _rational_parts, _to_ints, cr
@@ -235,12 +235,13 @@ class Metric:
 
 
 def metric_from_form(omega: Form, n: int) -> Metric:
-    """Inverse of fundamental_form; insists the input is a (1,1)-form."""
+    """Inverse of fundamental_form; a key off ranks 1..2n or not of type (1,1) is bad input."""
     x = [[ZERO for _ in range(n)] for _ in range(n)]
     for mon, c in omega.terms.items():
-        (p, q) = Form.monomial_bidegree(mon)
-        if (p, q) != (1, 1):
-            raise ValueError("not a (1,1)-form")
+        if any(not 1 <= r <= 2 * n for r in mon):
+            raise DimensionMismatch(f"Omega has the key {mon}, with a rank outside 1..{2 * n}")
+        if Form.monomial_bidegree(mon) != (1, 1):
+            raise BadParams(f"Omega has the key {mon}, which is not of type (1,1)")
         a, b = mon
         if a & 1:  # w^j ^ ~w^k stored in canonical order
             j, k = (a + 1) // 2, b // 2

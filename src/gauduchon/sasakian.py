@@ -10,7 +10,8 @@ to the single coefficient
 and the first-Gauduchon condition to C(n,n2) = 0, equivalently
 Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1) = 0.  Each formula is evaluated
 as one integer numerator over one integer denominator; Fraction appears
-only in the values returned.
+only in the values returned.  Their rational inputs are read exactly by
+scalars._rational_parts, so a float or a bool raises TypeError.
 
 The bundle layer is fully constructive: odd-dimensional invariant contact
 data (phi, xi, eta, g, Phi) plus a closed phi-invariant curvature 2-form F
@@ -31,17 +32,8 @@ from .errors import BadParams, DimensionMismatch, NotQuasiSasakian
 from .forms import Form, wedge
 from .hermitian import Metric, metric_from_form, omega_power
 from .linalg import Matrix, identity, mat, mat_add, mat_eq, mat_mul, transpose, zeros
-from .scalars import I, ONE, ZERO, cr
+from .scalars import I, ONE, ZERO, _rational_parts, cr
 from .structures import ComplexFrame, RealLieAlgebra, complex_frame_from_real
-
-
-def _ratio(x) -> tuple[int, int]:
-    """x as (numerator, denominator) ints; a non-int goes through Fraction(x), with its errors."""
-    if type(x) is int:
-        return x, 1
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 def _collapse(c0: int, c1: int, c2: int, a: tuple, b_squared: tuple) -> Fraction:
@@ -52,7 +44,8 @@ def _collapse(c0: int, c1: int, c2: int, a: tuple, b_squared: tuple) -> Fraction
 
 def coefficient_C(n: int, s: int, a, b) -> Fraction:
     """The collapsed wedge coefficient for 0 <= s <= n-1, n >= 4."""
-    return coefficient_C_sq(n, s, a, Fraction(b) ** 2)
+    p, q = _rational_parts(b)
+    return coefficient_C_sq(n, s, a, Fraction(p * p, q * q))
 
 
 def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
@@ -63,12 +56,13 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     if not 0 <= s <= n - 1:
         raise BadParams(f"s must be in 0..{n - 1}")
     c0, c1, c2 = (comb(n - 3, s - j) if s >= j else 0 for j in range(3))
-    return _collapse(c0, c1, c2, _ratio(a), _ratio(b_squared))
+    return _collapse(c0, c1, c2, _rational_parts(a), _rational_parts(b_squared))
 
 
 def product_obstruction(n1: int, n2: int, a, b_squared) -> Fraction:
     """Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1); zero iff 1st Gauduchon."""
-    return _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), _ratio(a), _ratio(b_squared))
+    return _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), _rational_parts(a),
+                     _rational_parts(b_squared))
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def product_report(params: ProductParams) -> ProductReport:
     """Gauduchon data for the product metric Phi1 + Phi2 + t eta1 ^ eta2."""
     n1, n2 = params.n1, params.n2
     n = n1 + n2 + 1
-    (p, q), (u, v), (w, z) = _ratio(params.a), _ratio(params.t), _ratio(params.b)  # a, t, b
+    (p, q), (u, v), (w, z) = map(_rational_parts, (params.a, params.t, params.b))  # a, t, b
     if n == 3:  # astheno and SKT coincide for n = 3
         return ProductReport(n=n, obstruction=None, first_gauduchon=p == 0, astheno=p == 0,
                              ratio=None, gamma1=Fraction(p * u * z, 3 * q * v * w), skt=p == 0)

@@ -47,6 +47,7 @@ from .catalog import (
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
 from .hermitian import CompiledMaps, Metric, _numerator, _turned
+from .scalars import _rational_parts
 from .structures import StructureEquations
 
 DEFAULT_BUDGET = 10_000
@@ -344,7 +345,7 @@ def balanced_feasibility_jt(t) -> Feasibility:
     lambda, mu > 0: the quadratic has positive coefficients and negative
     discriminant (t-4)/t, contradicting positive definiteness.
     """
-    t = Fraction(t)
+    t = Fraction(*_rational_parts(t))
     if not 0 < t <= 1:
         raise BadParams(f"t must be in (0, 1], got {t}")
     coeffs = (Fraction(1), (2 - t) / t, 1 / t**2)

@@ -9,12 +9,13 @@ complex coframe with d transported.
 
 The derivation is one Gaussian-integer kernel, _derive, which maps int sums
 over rank bitmasks to int sums through a table of the rank differentials in
-ints over one denominator, as forms.wedge does.  StructureEquations builds
-its table and its dw^j in one pass over int rows of their terms (_validate),
-conjugate rows derived on the ints, and checks integrability and Jacobi on
-it; RealLieAlgebra converts its Forms (_rank_table).  d, partial, dbar and
-ddbar wrap the kernel for Forms; hermitian runs it on Omega's sums and
-CompiledMaps' basis monomials.
+ints over one denominator, as forms.wedge does.  Both constructors read their
+Forms through one checked term reader (_read_terms) into int rows over one
+denominator and check d∘d = 0 by one int Jacobi test (_jacobi) on their table:
+StructureEquations builds its table, conjugate rows and dw^j from the rows in
+one pass and checks integrability there (_validate); RealLieAlgebra takes its
+table straight from them.  d, partial, dbar and ddbar wrap the kernel for
+Forms; hermitian runs it on Omega's sums and CompiledMaps' basis monomials.
 """
 
 from __future__ import annotations
@@ -32,28 +33,35 @@ from .errors import (
     NotIntegrable,
     ensure,
 )
-from .forms import Form, _form_of_sums, _mask, _parity_mask, _ranks, conj_rank, conjugate_rank
+from .forms import Form, _form_of_sums, _mask, _ranks, conj_rank, conjugate_rank
 from .forms import holo_rank, substitute
 from .scalars import I, ONE, _make, _to_ints, cr
 
 
-def _rank_table(d_of_rank: List[Form]) -> tuple:
-    """Rank-level differentials as ints over one denominator, for _derive.
-
-    Returns (D, rows): rows[r] lists (mask, parity mask, a, b) for every
-    term (a + ib)/D of the differential of rank r (rows[0] is unused).
-    """
-    d, nums = _to_ints(((rank, mon), c) for rank, f in enumerate(d_of_rank, start=1)
-                       for mon, c in f.terms.items())
-    rows = [[] for _ in range(len(d_of_rank) + 1)]
-    for (rank, mon), a, b in nums:
-        rows[rank].append((_mask(mon), _parity_mask(mon), a, b))
-    return d, rows
+def _read_terms(d_of: List[Form], name: str, max_rank: int) -> tuple:
+    """(den, rows): rows[j-1] lists (r, s, a, b) for each term (a + ib)/den of
+    d_of[j-1] on its key (r, s), which must have 1 <= r < s <= max_rank; a bad
+    key raises BadParams, or DimensionMismatch past max_rank, naming name + j."""
+    den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of, start=1)
+                          for mon, c in df.terms.items())
+    rows = [[] for _ in d_of]
+    for (j, mon), a, b in terms:
+        if len(mon) != 2:
+            raise BadParams(f"{name}{j} must be a 2-form, got degree {len(mon)}")
+        r, s = mon
+        if r >= s:
+            raise BadParams(f"{name}{j} has the key {mon}, whose ranks do not increase")
+        if r < 1:
+            raise BadParams(f"{name}{j} has the key {mon}, whose ranks start below 1")
+        if s > max_rank:
+            raise DimensionMismatch(f"{name}{j} uses ranks beyond the coframe")
+        rows[j - 1].append((r, s, a, b))
+    return den, rows
 
 
 def _derive(sums: Dict[int, list], tables: tuple) -> tuple:
-    """The derivation kernel: int sums {mask: [re, im]} through each _rank_table
-    in turn, as (image sums, the product of the tables' denominators)."""
+    """The derivation kernel: int sums {mask: [re, im]} through each rank table
+    (den, rows) in turn, as (image sums, the product of the tables' denominators)."""
     den = 1
     for dt, rows in tables:
         out: Dict[int, list] = {}
@@ -79,8 +87,18 @@ def _derive(sums: Dict[int, list], tables: tuple) -> tuple:
     return sums, den
 
 
+def _jacobi(d_rank: tuple, generator_rows: list, d, d_of: List[Form]) -> None:
+    """Raise JacobiViolation, with the residual d(d_of[j-1]), on the first j
+    whose table row generator_rows[j-1] is not killed by the table d_rank."""
+    for j, row in enumerate(generator_rows, start=1):
+        if row:
+            sums, _ = _derive({m: (a, b) for m, _, a, b in row}, (d_rank,))
+            if any(re or im for re, im in sums.values()):
+                raise JacobiViolation(j, d(d_of[j - 1]))
+
+
 def _derivation(f: Form, tables: tuple, max_rank: int) -> Form:
-    """Apply the odd derivations of rank-level differentials (_rank_tables) in order."""
+    """Apply the odd derivations of rank-level differentials (rank tables) in order."""
     if f.is_zero:
         return Form.zero()
     if f.max_rank() > max_rank:
@@ -106,10 +124,10 @@ class StructureEquations:
     The differential of each rank is split once into its del and delbar
     parts, which integrability makes sum to d; del and delbar are then
     single derivations over the one int table of the rank differentials,
-    built by _validate from int rows: __init__ converts its Forms, _of_sums
-    the int sums of the readers.  Instances are immutable.  The _compiled
-    slot holds the structure's hermitian.CompiledMaps once a metric quantity
-    needs them.
+    built by _validate from int rows: __init__ reads its Forms through
+    _read_terms, _of_sums the int sums of the readers.  Instances are
+    immutable.  The _compiled slot holds the structure's
+    hermitian.CompiledMaps once a metric quantity needs them.
     """
 
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
@@ -119,18 +137,7 @@ class StructureEquations:
             raise BadParams(f"n must be at least 1, got {n}")
         if len(d_of) != n:
             raise DimensionMismatch(f"need {n} differentials, got {len(d_of)}")
-        den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of, start=1)
-                              for mon, c in df.terms.items())
-        rows = [[] for _ in range(n)]
-        for (j, mon), a, b in terms:
-            if len(mon) != 2:
-                raise BadParams(f"dw{j} must be a 2-form, got degree {len(mon)}")
-            if mon[0] >= mon[1]:
-                raise BadParams(f"dw{j} has the key {mon}, whose ranks do not increase")
-            if mon[1] > 2 * n:
-                raise DimensionMismatch(f"dw{j} uses ranks beyond the coframe")
-            rows[j - 1].append((*mon, a, b))
-        self._validate(n, den, rows)
+        self._validate(n, *_read_terms(d_of, "dw", 2 * n))
 
     @staticmethod
     def _of_sums(n: int, sums: list) -> "StructureEquations":
@@ -186,11 +193,7 @@ class StructureEquations:
         self._d_rank = den, table
         if flat:
             raise NotIntegrable(flat, d_of[flat - 1].component(0, 2))
-        for j in range(1, n + 1):
-            if table[2 * j - 1]:
-                sums, _ = _derive({m: (a, b) for m, _, a, b in table[2 * j - 1]}, (self._d_rank,))
-                if any(re or im for re, im in sums.values()):
-                    raise JacobiViolation(j, self.d(d_of[j - 1]))
+        _jacobi(self._d_rank, table[1::2], self.d, d_of)
         self._del_rank = den, dels
         self._dbar_rank = den, dbars
         self._compiled = None
@@ -241,24 +244,16 @@ class RealLieAlgebra:
     def __init__(self, m: int, d_of: List[Form], J: Optional[list] = None):
         if len(d_of) != m:
             raise DimensionMismatch(f"need {m} differentials, got {len(d_of)}")
+        den, rows = _read_terms(d_of, "de", m)
+        for j, row in enumerate(rows, start=1):
+            if any(b for *_, b in row):
+                raise BadParams(f"de{j} has a non-real coefficient")
         self.m = m
         self.d_of = list(d_of)
-        for j, df in enumerate(self.d_of, start=1):
-            if not df.is_zero and df.degree != 2:
-                raise BadParams(f"de{j} must be a 2-form")
-            for mon in df.terms:
-                if any(a >= b for a, b in zip(mon, mon[1:])):
-                    raise BadParams(f"de{j} has the key {mon}, whose ranks do not increase")
-            if df.max_rank() > m:
-                raise DimensionMismatch(f"de{j} uses ranks beyond the coframe")
-            for c in df.terms.values():
-                if not c.is_real:
-                    raise BadParams(f"de{j} has a non-real coefficient")
-        self._d_rank = _rank_table(self.d_of)
-        for j in range(1, m + 1):
-            res = self.d(self.d_of[j - 1])
-            if not res.is_zero:
-                raise JacobiViolation(j, res)
+        table = [[(1 << r | 1 << s, (1 << s) - (1 << r), a, b) for r, s, a, b in row]
+                 for row in rows]
+        self._d_rank = den, [[]] + table
+        _jacobi(self._d_rank, table, self.d, self.d_of)
         self.J = None
         if J is not None:
             self.J = linalg.mat(J)

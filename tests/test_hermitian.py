@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from gauduchon import catalog, hermitian
-from gauduchon.errors import BadK, ClaimFailure, DimensionMismatch, NotPositive, NotSkewHermitian
+from gauduchon.errors import (BadK, BadParams, ClaimFailure, DimensionMismatch, NotPositive,
+                              NotSkewHermitian)
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     Lefschetz,
@@ -81,6 +82,15 @@ class TestMetric:
             for _ in range(10):
                 m = sample_positive_metric(rng, n)
                 assert metric_from_form(m.fundamental_form(), n) == m
+
+    @pytest.mark.parametrize("key, error, message", [
+        ((1, 6), DimensionMismatch, r"^Omega has the key \(1, 6\), with a rank outside 1\.\.4$"),
+        ((0, 1), DimensionMismatch, r"^Omega has the key \(0, 1\), with a rank outside 1\.\.4$"),
+        ((1, 3), BadParams, r"^Omega has the key \(1, 3\), which is not of type \(1,1\)$"),
+    ], ids=["rank-past-2n", "rank-0", "type-2-0"])
+    def test_metric_from_form_names_the_bad_key(self, key, error, message):
+        with pytest.raises(error, match=message):
+            metric_from_form(Form(2, {key: cr(1)}), 2)
 
     def test_diagonal_form(self):
         omega = Metric.diagonal(3).fundamental_form()

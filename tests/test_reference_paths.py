@@ -62,9 +62,9 @@ from gauduchon.hermitian import (
     lee_form,
     omega_power,
 )
-from gauduchon.scalars import I, ONE, ZERO, ComplexRational, cr
+from gauduchon.scalars import I, ONE, ZERO, ComplexRational, _to_ints, cr
 from gauduchon.search import Target, find_metric, sample_positive_metric
-from gauduchon.structures import StructureEquations
+from gauduchon.structures import RealLieAlgebra, StructureEquations
 from gauduchon.verify import _standard_entries
 
 from conftest import GauduchonForms, UnitaryFrame, rand_coeff, rand_form
@@ -1093,6 +1093,19 @@ class TestKernelCompile:
         assert map_by_basis_monomials(jt, jt.d, 2)
 
 
+def _rank_table(d_of_rank):
+    """Rank-level differentials as ints over one denominator, for _derive,
+    converted from their Forms: (D, rows), where rows[r] lists (mask, parity
+    mask, a, b) for every term (a + ib)/D of the differential of rank r
+    (rows[0] is unused)."""
+    d, nums = _to_ints(((rank, mon), c) for rank, f in enumerate(d_of_rank, start=1)
+                       for mon, c in f.terms.items())
+    rows = [[] for _ in range(len(d_of_rank) + 1)]
+    for (rank, mon), a, b in nums:
+        rows[rank].append((forms._mask(mon), forms._parity_mask(mon), a, b))
+    return d, rows
+
+
 def tables_by_forms(n, d_of):
     """The constructor's tables by the route it replaced: each dw^j and its
     conjugate Form through _rank_table, then the (0,2) components and the
@@ -1101,7 +1114,7 @@ def tables_by_forms(n, d_of):
     d_rank = []
     for df in d_of:
         d_rank += [df, df.conjugate()]
-    table = structures._rank_table(d_rank)
+    table = _rank_table(d_rank)
     for j, df in enumerate(d_of, start=1):
         if df.component(0, 2):
             return NotIntegrable, j, df.component(0, 2)
@@ -1122,6 +1135,19 @@ def tables_by_constructor(n, d_of):
     except (NotIntegrable, JacobiViolation) as exc:
         return type(exc), exc.generator, exc.residual
     return se._d_rank, se._del_rank, se._dbar_rank
+
+
+def real_algebras():
+    """(name, algebra) for every real algebra the package builds: jt_real, the
+    contact algebras, and the S^1-bundles that bundle_extend assembles over
+    solvable5 and heisenberg5 (the contact d plus d theta = F)."""
+    contacts = {name: getattr(catalog, f"{name}_contact")()
+                for name in ("solvable5", "heisenberg5", "broken5")}
+    return ([(f"jt_real({t})", catalog.jt_real(t))
+             for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)]
+            + [(name, c.algebra) for name, c in contacts.items()]
+            + [(f"{name} bundle", RealLieAlgebra(6, c.algebra.d_of + [c.F]))
+               for name, c in contacts.items() if name != "broken5"])
 
 
 def random_structure(rng, n):
@@ -1197,6 +1223,10 @@ class TestConstructorTables:
         expected = (error, generator, residual)
         assert tables_by_forms(len(d_of), d_of) == expected
         assert tables_by_constructor(len(d_of), d_of) == expected
+
+    @pytest.mark.parametrize("name, alg", real_algebras())
+    def test_real_algebras_match_the_form_route(self, name, alg):
+        assert alg._d_rank == _rank_table(alg.d_of), name
 
     def test_size_errors_come_before_integrability(self):
         # dw1 has a (0,2) term; dw2 reaches past the coframe, dw3 is a 1-form
@@ -1636,10 +1666,37 @@ class TestIntegerProductFormulas:
         assert (outcome(sasakian.coefficient_C, 5, 1, 1, bad)
                 == outcome(ref_coefficient_C, 5, 1, 1, bad))
 
-    @pytest.mark.parametrize("a, b_squared", [(0.5, 3), (1, 0.25), ("0.5", "3/4")])
-    def test_decimal_and_float_inputs_read_as_fraction_reads_them(self, a, b_squared):
+    # a float raises TypeError (0.1 would enter as its binary fraction);
+    # a decimal string is exact and reads as Fraction reads it
+    @pytest.mark.parametrize("a, b_squared, error", [
+        (0.5, 3, TypeError), (1, 0.25, TypeError), ("0.5", "3/4", None)])
+    def test_decimal_strings_read_exactly_and_floats_raise(self, a, b_squared, error):
+        if error:
+            with pytest.raises(error, match=r"^float 0\.\d+ is not an exact rational$"):
+                sasakian.product_obstruction(3, 2, a, b_squared)
+            return
         got = sasakian.product_obstruction(3, 2, a, b_squared)
         assert exact(got) == exact(ref_product_obstruction(3, 2, a, b_squared))
+
+    @pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("build", [
+        lambda x: sasakian.coefficient_C(4, 1, x, 1),
+        lambda x: sasakian.coefficient_C(4, 1, 1, x),
+        lambda x: sasakian.coefficient_C_sq(4, 1, 1, x),
+        lambda x: sasakian.product_obstruction(2, 1, x, 1),
+        lambda x: sasakian.product_report(sasakian.ProductParams(1, 2, x, 1, 1)),
+        lambda x: catalog.reduced6(1, 1, x, 0),
+        lambda x: catalog.jt(x),
+        lambda x: catalog.jt_real(x),
+        lambda x: catalog.jt_coframe(x),
+        lambda x: catalog.family8(x, 0),
+        lambda x: catalog.family8(0, x),
+        lambda x: search.balanced_feasibility_jt(x),
+    ], ids=["C-a", "C-b", "C_sq", "obstruction", "report", "reduced6", "jt", "jt_real",
+            "jt_coframe", "family8-p", "family8-q", "balanced-jt"])
+    def test_float_and_bool_parameters_raise(self, build, bad):
+        with pytest.raises(TypeError, match="is not an exact rational$"):
+            build(bad)
 
     @given(st.integers(0, 3), st.integers(0, 3), rationals, rationals)
     @example(1, 1, 1, 0)

@@ -101,6 +101,14 @@ class TestValidation:
         assert info.value.generator == 2
         assert not info.value.residual.is_zero
 
+    def test_real_algebra_jacobi_violation(self):
+        # de1 = e34 with de4 = e12 gives d(de1) = -e3^de4 = -e123
+        with pytest.raises(JacobiViolation) as info:
+            RealLieAlgebra(4, [Form(2, {(3, 4): cr(1)}), Form.zero(), Form.zero(),
+                               Form(2, {(1, 2): cr(1)})])
+        assert info.value.generator == 1
+        assert info.value.residual == Form(3, {(1, 2, 3): cr(-1)})
+
     def test_map_coefficients_validates(self):
         # scaling every coefficient by 1+i breaks d^2 = 0 on nonnilpotent6
         se = catalog.nonnilpotent6(0, 1)
@@ -119,10 +127,19 @@ class TestValidation:
         (lambda: StructureEquations(1, [Form(2, {(3, 2): cr(1)})]), "dw1"),
         (lambda: RealLieAlgebra(3, [Form.zero(), Form.zero(), Form(2, {(2, 1): cr(1)})]), "de3"),
         (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(3, 1): cr(1)})]), "de2"),
-    ], ids=["accepted-n2", "index-error-n1", "accepted-m3", "index-error-m2"])
+        (lambda: StructureEquations(1, [Form(2, {(0, 1): cr(1)})]), "dw1"),
+        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(0, 1): cr(1)})]), "de2"),
+    ], ids=["accepted-n2", "index-error-n1", "accepted-m3", "index-error-m2",
+            "rank-0-n1", "rank-0-m2"])
     def test_keys_whose_ranks_do_not_increase_are_rejected(self, build, name):
         with pytest.raises(BadParams, match=rf"^{name} has the key \(\d, \d\)"):
             build()
+
+    @pytest.mark.parametrize("m, key", [(2, (1,)), (3, (1, 2, 3))], ids=["one-rank", "three-ranks"])
+    def test_real_keys_of_other_than_two_ranks_are_rejected(self, m, key):
+        d_of = [Form(2, {key: cr(1)})] + [Form.zero()] * (m - 1)
+        with pytest.raises(BadParams, match=rf"^de1 must be a 2-form, got degree {len(key)}$"):
+            RealLieAlgebra(m, d_of)
 
     def test_two_step_structure_needs_canonical_keys(self):
         # dw4 = dw5 = sum over a, b <= 3 of w_a ^ ~w_b, whose keys (2a-1, 2b) fall for a > b
