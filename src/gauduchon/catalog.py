@@ -346,12 +346,13 @@ def gauduchon_obstruction_family8(p, q, metric: Metric) -> Fraction:
     the engine form ddbar(Omega) ^ Omega^2 equals x44 V times the top
     monomial (through 2 x44 [bracket] with bracket real).
     """
+    p, q = (Fraction(*_rational_parts(v)) for v in (p, q))
     x = metric.x
 
     def group(j: int) -> ComplexRational:
         return x[j][j] * x[3][3] + x[j][3] * x[j][3].conjugate()
 
-    A_plus_conj = cr(2 * Fraction(p))
+    A_plus_conj = cr(2 * p)
     val = A_plus_conj * (group(1) + group(2)) - cr(2) * group(0)
     return val.real_part()
 
@@ -366,14 +367,15 @@ def gamma1_family8(p, q, metric: Metric) -> Fraction:
 def balanced_obstruction_family8(p, q, metric: Metric) -> dict:
     """Balanced holds iff q = 0 and p*c0 = c1 + c2 with the positive minors
     c0 = i det X_{234}, c1 = i det X_{124}, c2 = i det X_{134}."""
+    p, q = (Fraction(*_rational_parts(v)) for v in (p, q))
     c0 = (I * _principal_det(metric, (2, 3, 4))).real_part()
     c1 = (I * _principal_det(metric, (1, 2, 4))).real_part()
     c2 = (I * _principal_det(metric, (1, 3, 4))).real_part()
-    defect = Fraction(p) * c0 - c1 - c2
+    defect = p * c0 - c1 - c2
     return {
-        "q": Fraction(q),
+        "q": q,
         "defect": defect,
-        "holds": Fraction(q) == 0 and defect == 0,
+        "holds": q == 0 and defect == 0,
     }
 
 
@@ -387,7 +389,7 @@ def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) ->
     if family == "reduced6":
         return closed_form_scalars("nilpotent6", params.as_nilpotent6(), metric)
     if family == "jt":
-        t = Fraction(params)
+        t = Fraction(*_rational_parts(params))
         red = Reduced6Params(rho=1, B=ONE, x=Fraction(1) / t, y=Fraction(0))
         out = closed_form_scalars("reduced6", red, metric)
         ensure(out["K"] == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
@@ -495,7 +497,7 @@ def certified(family: Optional[str], params) -> Dict[str, Optional[dict]]:
                 "skt": positive}
     if family != "family8":
         return {}
-    p, q = Fraction(params[0]), Fraction(params[1])
+    p, q = (Fraction(*_rational_parts(v)) for v in params)
     facts = {"skt": {"name": "fixed nonzero component",
                      "reason": "ddbar(Omega) has the term -2 x44 w2^~w2^w3^~w3 "
                                "and x44 != 0 for positive metrics"}}
@@ -520,7 +522,8 @@ def closing_scalar(family: Optional[str], params,
     Only family8 at q = 0 has one: it is balanced exactly where the minor
     defect p c0 - c1 - c2 vanishes.  None elsewhere.
     """
-    if family == "family8" and target == "balanced" and Fraction(params[1]) == 0:
-        p, q = params
-        return lambda m: balanced_obstruction_family8(p, q, m)["defect"]
+    if family == "family8" and target == "balanced":
+        p, q = (Fraction(*_rational_parts(v)) for v in params)
+        if q == 0:
+            return lambda m: balanced_obstruction_family8(p, q, m)["defect"]
     return None

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .scalars import ComplexRational, _make, _to_ints, cr, format_complex
+from .errors import ensure
+from .scalars import ONE, _make, _to_ints, cr, format_complex
 
 Monomial = Tuple[int, ...]
 
@@ -120,7 +121,8 @@ class Form:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: Optional[int], terms: Dict[Monomial, object]):
-        terms = {m: c for m, c in terms.items() if c}
+        # cr reads ints, Fractions and rational strings; a float raises TypeError
+        terms = {m: z for m, c in terms.items() if (z := cr(c))}
         if not terms:
             degree = None
         self.degree = degree
@@ -134,22 +136,20 @@ class Form:
 
     @staticmethod
     def scalar(c) -> "Form":
-        c = cr(c) if isinstance(c, (int, str)) else c
-        return Form(0, {(): c}) if c else Form.zero()
+        return Form(0, {(): c})
 
     @staticmethod
     def gen(rank: int, coeff=None) -> "Form":
-        c = ComplexRational(1) if coeff is None else coeff
-        return Form(1, {(rank,): c})
+        return Form(1, {(rank,): ONE if coeff is None else coeff})
 
     @staticmethod
     def monomial(ranks: Iterable[int], coeff=None) -> "Form":
-        c = ComplexRational(1) if coeff is None else coeff
+        c = ONE if coeff is None else cr(coeff)
         sorted_ = sort_ranks(ranks)
         if sorted_ is None or not c:
             return Form.zero()
         sign, mon = sorted_
-        return Form(len(mon), {mon: c * sign if sign < 0 else c})
+        return Form(len(mon), {mon: -c if sign < 0 else c})
 
     # -- basic predicates ---------------------------------------------------
 
@@ -214,7 +214,7 @@ class Form:
         out: Dict[Monomial, object] = {}
         for mon, c in self.terms.items():
             sorted_ = sort_ranks(conjugate_rank(r) for r in mon)
-            assert sorted_ is not None
+            ensure(sorted_ is not None)
             sign, mm = sorted_
             cc = c.conjugate() if sign > 0 else -c.conjugate()
             acc = out.get(mm)

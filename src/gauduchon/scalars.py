@@ -76,13 +76,7 @@ def _to_ints(pairs) -> tuple[int, list]:
     none), so the kernels that take these ints share one denominator.
     """
     pairs = list(pairs)
-    if len(pairs) == 1:
-        (key, z), = pairs
-        return z._d, [(key, z._a, z._b)]
-    dens = {z._d for _, z in pairs}
-    if len(dens) == 1:
-        return dens.pop(), [(key, z._a, z._b) for key, z in pairs]
-    d = lcm(*dens)
+    d = lcm(*{z._d for _, z in pairs})
     return d, [(key, z._a * (d // z._d), z._b * (d // z._d)) for key, z in pairs]
 
 
@@ -111,23 +105,8 @@ class ComplexRational:
             other = cr(other)
         d, f = self._d, other._d
         if d == f:
-            x = self._a + other._a
-            y = self._b + other._b
-        else:
-            x = self._a * f + other._a * d
-            y = self._b * f + other._b * d
-            d *= f
-        if d != 1:
-            g = gcd(x, y, d)
-            if g != 1:
-                x //= g
-                y //= g
-                d //= g
-        z = _new(ComplexRational)
-        z._a = x
-        z._b = y
-        z._d = d
-        return z
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
@@ -143,20 +122,7 @@ class ComplexRational:
         if type(other) is not ComplexRational:
             other = cr(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        x = a * c - b * e
-        y = a * e + b * c
-        d = self._d * other._d
-        if d != 1:
-            g = gcd(x, y, d)
-            if g != 1:
-                x //= g
-                y //= g
-                d //= g
-        z = _new(ComplexRational)
-        z._a = x
-        z._b = y
-        z._d = d
-        return z
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -175,11 +141,7 @@ class ComplexRational:
         return cr(other) / self
 
     def __neg__(self) -> "ComplexRational":
-        z = _new(ComplexRational)
-        z._a = -self._a
-        z._b = -self._b
-        z._d = self._d
-        return z
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int) -> "ComplexRational":
         if not isinstance(k, int) or k < 0:
@@ -194,11 +156,7 @@ class ComplexRational:
         return out
 
     def conjugate(self) -> "ComplexRational":
-        z = _new(ComplexRational)
-        z._a = self._a
-        z._b = -self._b
-        z._d = self._d
-        return z
+        return _make(self._a, -self._b, self._d)
 
     # -- predicates --------------------------------------------------------
 

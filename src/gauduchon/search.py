@@ -8,15 +8,16 @@ Each target kind is one entry of _TARGETS: its CLI spelling and its exact
 test.  Every sample is tested in exact arithmetic, with the target's test
 first and the positivity check (Sylvester's criterion on the metric's minors)
 only on a hit.  Balanced reads the compiled d(Omega^{n-1}) map; classify
-reads the Lee form instead, which cost 1.9-2.6 ms against 0.39-0.53 ms for
-one structure plus 8 samples when compiled (one probe, 2-vCPU VM), and the
-reference tests check that the two agree.  For targets asking a scalar to
-vanish, the closing move raises one diagonal entry, which keeps positivity;
-_close is its one rule.  Along x_jj + it the Gauduchon numerator is
-N0 + N1 t + N2 t^2, and a pass over each of the compiled ddbar(Omega) and
-ddbar(Omega^2) maps gives every ray's coefficients in ints
-(CompiledMaps.rays), so a sample builds a bumped metric only at an exact
-zero.  N2 vanishes unless j is in the rows and the columns of both minors
+reads the Lee form instead.  For one fresh structure plus 8 samples the Lee
+form cost 0.36 ms on jt (n = 3) and 0.52 ms on family8 (n = 4), against
+0.05-0.08 ms compiled; at one sample, 49-76 us against 35-61 us (one probe,
+2-vCPU Xeon VM, Python 3.11).  The reference tests check that the two
+agree.  For targets asking a scalar to vanish, the closing move raises one
+diagonal entry, which keeps positivity; _close is its one rule.  Along
+x_jj + it the Gauduchon numerator is N0 + N1 t + N2 t^2, and a pass over
+each of the compiled ddbar(Omega) and ddbar(Omega^2) maps gives every ray's
+coefficients in ints (CompiledMaps.rays), so a sample builds a bumped
+metric only at an exact zero.  N2 vanishes unless j is in the rows and the columns of both minors
 of some term c det X_a det X_b, so the affine root is only a candidate, and
 the exact zero test decides; the witness is then re-checked on the top
 path.  The catalog's oracle scalars close through close_scalar_zero, on

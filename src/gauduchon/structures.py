@@ -257,6 +257,9 @@ class RealLieAlgebra:
         self.J = None
         if J is not None:
             self.J = linalg.mat(J)
+            if len(self.J) != m or any(len(row) != m for row in self.J):
+                raise DimensionMismatch(f"J must be {m} x {m}, got {len(self.J)} rows "
+                                        f"of lengths {[len(row) for row in self.J]}")
             if any(not v.is_real for row in self.J for v in row):
                 raise NotAlmostComplex("J must be a real matrix")
             if not linalg.mat_eq(

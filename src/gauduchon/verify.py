@@ -55,20 +55,20 @@ def _cplx(rng: random.Random, span: int = 4) -> ComplexRational:
     return ComplexRational(_rat(rng, span), _rat(rng, span))
 
 
-def random_form(rng: random.Random, n: int, degree: int, terms: int = 3) -> Form:
+def random_form(rng: random.Random, n: int, degree: int) -> Form:
     out = Form.zero()
     ranks = list(range(1, 2 * n + 1))
-    for _ in range(terms):
+    for _ in range(2):
         mon = rng.sample(ranks, degree) if degree else []
         out = out + Form.monomial(mon, _cplx(rng))
     return out
 
 
-def random_pure_form(rng: random.Random, n: int, p: int, q: int, terms: int = 2) -> Form:
+def random_pure_form(rng: random.Random, n: int, p: int, q: int) -> Form:
     holo = [2 * j - 1 for j in range(1, n + 1)]
     conj = [2 * j for j in range(1, n + 1)]
     out = Form.zero()
-    for _ in range(terms):
+    for _ in range(2):
         mon = rng.sample(holo, p) + rng.sample(conj, q)
         out = out + Form.monomial(mon, _cplx(rng))
     return out
@@ -476,7 +476,7 @@ def check_infrastructure(seed: int) -> dict:
     for name, se in entries:
         n = se.n
         for _ in range(100):
-            f = random_form(rng, n, rng.randint(0, 2 * n - 2), terms=2)
+            f = random_form(rng, n, rng.randint(0, 2 * n - 2))
             ensure(se.d(se.d(f)).is_zero, name)
             samples += 1
         # conjugation intertwines the split differentials
@@ -490,9 +490,9 @@ def check_infrastructure(seed: int) -> dict:
     for _ in range(300):
         n = rng.choice((2, 3, 4))
         deg = rng.randint(0, 2)
-        a = random_form(rng, n, deg, terms=2)
-        b = random_form(rng, n, deg, terms=2)
-        c = random_form(rng, n, rng.randint(0, 2), terms=2)
+        a = random_form(rng, n, deg)
+        b = random_form(rng, n, deg)
+        c = random_form(rng, n, rng.randint(0, 2))
         sign = (-1) ** ((a.degree or 0) * (c.degree or 0))
         ensure(wedge(a, c) == wedge(c, a).scale(cr(sign)))
         ensure(wedge(wedge(a, b), c) == wedge(a, wedge(b, c)))

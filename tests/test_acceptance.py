@@ -6,12 +6,14 @@ module check the same thing; each test prints one pass/fail line.  README's
 library quick start runs here too, as written.
 """
 
+import ast
 import re
 import time
 from pathlib import Path
 
 import pytest
 
+import gauduchon
 from gauduchon import verify
 from gauduchon.cli import main
 
@@ -76,3 +78,13 @@ def test_readme_library_quick_start_runs(capsys):
     block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == ["-1/6", "gauduchon2"]
+
+
+def test_no_assert_statements_in_the_package():
+    """Every check in the package is an ensure or a raise, so it survives
+    ``python -O``, which strips assert statements."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(gauduchon.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

@@ -161,6 +161,49 @@ class TestClosedForms:
                 assert engine == catalog.balanced_obstruction_family8(p, q, m)["holds"]
 
 
+class TestExactOnlyOracles:
+    """The closed-form oracles read their params as exact rationals: a float
+    or a bool raises TypeError, and a decimal string stays exact."""
+
+    def test_closed_form_scalars(self):
+        for t in (0.1, True):
+            with pytest.raises(TypeError):
+                catalog.closed_form_scalars("jt", t)
+        assert catalog.closed_form_scalars("jt", "0.5")["K"] == -2
+        assert catalog.closed_form_scalars("jt", "1/10")["K"] == -18
+
+    def test_gauduchon_obstruction_family8(self):
+        m = Metric.diagonal(4, [2, 1, 1, 1])
+        for p, q in ((0.1, 0), (1, 0.0), (True, 0)):
+            with pytest.raises(TypeError):
+                catalog.gauduchon_obstruction_family8(p, q, m)
+        assert catalog.gauduchon_obstruction_family8("0.5", "0", m) == \
+            catalog.gauduchon_obstruction_family8(Fraction(1, 2), 0, m) == 2
+
+    def test_balanced_obstruction_family8(self):
+        m = Metric.diagonal(4, [2, 1, 1, 1])
+        for p, q in ((0.5, 0), (1, 0.0), (1, False)):
+            with pytest.raises(TypeError):
+                catalog.balanced_obstruction_family8(p, q, m)
+        assert catalog.balanced_obstruction_family8("0.5", "0", m) == \
+            catalog.balanced_obstruction_family8(Fraction(1, 2), 0, m)
+
+    def test_certified(self):
+        for params in ((0.1, 0), (1, 0.5), (True, 0)):
+            with pytest.raises(TypeError):
+                catalog.certified("family8", params)
+        assert catalog.certified("family8", ("-0.5", "0")) == \
+            catalog.certified("family8", (Fraction(-1, 2), 0))
+
+    def test_closing_scalar(self):
+        for params in ((0.5, 0), (1, 0.0), (1, False)):
+            with pytest.raises(TypeError):
+                catalog.closing_scalar("family8", params, "balanced")
+        m = Metric.diagonal(4, [2, 1, 1, 1])
+        scalar = catalog.closing_scalar("family8", ("0.5", "0"), "balanced")
+        assert scalar(m) == catalog.balanced_obstruction_family8(Fraction(1, 2), 0, m)["defect"]
+
+
 class TestContactEntries:
     def test_solvable5_contact_data_valid(self):
         c = catalog.solvable5_contact()

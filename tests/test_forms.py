@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gauduchon.forms import Form, sort_ranks, wedge
 from gauduchon.scalars import ComplexRational, cr
+from gauduchon.structures import StructureEquations
 
 from conftest import rand_form
 
@@ -111,6 +112,40 @@ class TestFormStructure:
     def test_repr_round_trips_through_dsl_tokens(self):
         f = Form(2, {(1, 4): CR(Fraction(1, 2), Fraction(1, 4))})
         assert repr(f) == "(1/2+1/4i)*w1^~w2"
+
+
+class TestCoefficientsEnterThroughCr:
+    """Form coerces every coefficient with cr when it is built, so ints,
+    Fractions and rational strings work everywhere and a float fails at once."""
+
+    @pytest.mark.parametrize("c", [2, Fraction(1, 2), "1/2", "-0.5"],
+                             ids=["int", "fraction", "string", "decimal"])
+    def test_exact_coefficients_flow_through(self, c):
+        z = cr(c)
+        assert Form(2, {(1, 3): c}) == Form(2, {(1, 3): z})
+        assert Form.gen(1, c) == Form(1, {(1,): z})
+        assert Form.scalar(c) == Form(0, {(): z})
+        assert Form.monomial((3, 1), c) == Form(2, {(1, 3): -z})
+        assert repr(Form(2, {(1, 3): c})) == f"({z})*w1^w2"
+        assert wedge(Form.gen(1, c), Form.gen(3)) == Form(2, {(1, 3): z})
+        assert wedge(Form.scalar(c), Form.gen(2, c)) == Form(1, {(2,): z * z})
+        se = StructureEquations(2, [Form.zero(), Form(2, {(1, 2): c})])
+        assert se.d_of[1] == Form(2, {(1, 2): z})
+        assert se.d(Form.gen(3, c)) == Form(2, {(1, 2): z * z})
+
+    def test_zero_coefficients_are_dropped_after_coercion(self):
+        assert Form(2, {(1, 2): 0, (1, 3): "0/5"}).is_zero
+        assert Form.scalar(Fraction(0)) == Form.zero()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Form(2, {(1, 2): 0.5}),
+        lambda: Form.gen(1, 2.0),
+        lambda: Form.scalar(0.5),
+        lambda: Form.monomial((2, 1), 0.5),
+    ], ids=["init", "gen", "scalar", "monomial"])
+    def test_float_coefficient_raises_when_built(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestRandomizedAxioms:

@@ -152,6 +152,15 @@ class TestValidation:
         for metric in (Metric.diagonal(5), sample_positive_metric(random.Random(5), 5)):
             assert isinstance(gamma_scalar(metric, 1, se), Fraction)
 
+    @pytest.mark.parametrize("m, J, shape", [
+        (3, [[0, -1], [1, 0]], r"got 2 rows of lengths \[2, 2\]"),
+        (2, [[0, -1], [1, 0], [0, 0]], r"got 3 rows of lengths \[2, 2, 2\]"),
+        (2, [[0, -1], [1]], r"got 2 rows of lengths \[2, 1\]"),
+    ], ids=["2x2-on-m3", "3x2-on-m2", "ragged-on-m2"])
+    def test_J_must_be_m_by_m(self, m, J, shape):
+        with pytest.raises(DimensionMismatch, match=rf"^J must be {m} x {m}, {shape}$"):
+            RealLieAlgebra(m, [Form.zero()] * m, J=J)
+
     def test_unimodular_catalog(self):
         assert catalog.iwasawa().is_unimodular()
         assert catalog.family8(1, 1).is_unimodular()
