@@ -113,11 +113,25 @@ def reduced6(rho: int, B, x, y) -> StructureEquations:
     return nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)
 
 
-def jt(t) -> StructureEquations:
+def _jt_t(t) -> Fraction:
+    """jt's parameter, exact; jt has no member at t = 0."""
     t = Fraction(*_rational_parts(t))
     if t == 0:
         raise BadParams("t must be nonzero")
-    return reduced6(rho=1, B=1, x=Fraction(1, 1) / t, y=0)
+    return t
+
+
+def _family8_pq(params) -> tuple:
+    """family8's parameters (p, q), exact, from a pair."""
+    try:
+        p, q = params
+    except (TypeError, ValueError):
+        raise BadParams(f"family8 takes a pair (p, q), got {params!r}") from None
+    return Fraction(*_rational_parts(p)), Fraction(*_rational_parts(q))
+
+
+def jt(t) -> StructureEquations:
+    return reduced6(rho=1, B=1, x=1 / _jt_t(t), y=0)
 
 
 def iwasawa() -> StructureEquations:
@@ -230,9 +244,6 @@ def jt_real(t) -> RealLieAlgebra:
     The (1,0)-coframe is w1 = e1 + i e4, w2 = e2 + i t (e3 - e4),
     w3 = 2(e5 - i e6) over de5 = e12, de6 = e14 + e23.
     """
-    t = Fraction(*_rational_parts(t))
-    if t == 0:
-        raise BadParams("t must be nonzero")
     alg_d = [Form.zero()] * 4 + [
         Form(2, {(1, 2): ONE}),
         Form(2, {(1, 4): ONE, (2, 3): ONE}),
@@ -242,7 +253,7 @@ def jt_real(t) -> RealLieAlgebra:
 
 
 def jt_coframe(t) -> list:
-    t = Fraction(*_rational_parts(t))
+    t = _jt_t(t)
     it = ComplexRational(0, t)
     return [
         [ONE, ZERO, ZERO, I, ZERO, ZERO],
@@ -389,8 +400,8 @@ def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) ->
     if family == "reduced6":
         return closed_form_scalars("nilpotent6", params.as_nilpotent6(), metric)
     if family == "jt":
-        t = Fraction(*_rational_parts(params))
-        red = Reduced6Params(rho=1, B=ONE, x=Fraction(1) / t, y=Fraction(0))
+        t = _jt_t(params)
+        red = Reduced6Params(rho=1, B=ONE, x=1 / t, y=Fraction(0))
         out = closed_form_scalars("reduced6", red, metric)
         ensure(out["K"] == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
         return out
@@ -399,7 +410,7 @@ def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) ->
             raise BadParams("nonnilpotent6 closed form needs a metric")
         return {"gamma1": gamma1_nonnilpotent6(metric)}
     if family == "family8":
-        p, q = params
+        p, q = _family8_pq(params)
         if metric is None:
             raise BadParams("family8 closed forms need a metric")
         return {
@@ -497,7 +508,7 @@ def certified(family: Optional[str], params) -> Dict[str, Optional[dict]]:
                 "skt": positive}
     if family != "family8":
         return {}
-    p, q = (Fraction(*_rational_parts(v)) for v in params)
+    p, q = _family8_pq(params)
     facts = {"skt": {"name": "fixed nonzero component",
                      "reason": "ddbar(Omega) has the term -2 x44 w2^~w2^w3^~w3 "
                                "and x44 != 0 for positive metrics"}}
@@ -523,7 +534,7 @@ def closing_scalar(family: Optional[str], params,
     defect p c0 - c1 - c2 vanishes.  None elsewhere.
     """
     if family == "family8" and target == "balanced":
-        p, q = (Fraction(*_rational_parts(v)) for v in params)
+        p, q = _family8_pq(params)
         if q == 0:
             return lambda m: balanced_obstruction_family8(p, q, m)["defect"]
     return None

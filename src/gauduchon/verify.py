@@ -4,12 +4,24 @@ Each claim is a named, seeded, self-contained check over the catalog
 families; run_verify_paper executes them all and reports one record per
 claim.  The test suite's acceptance module drives exactly these functions,
 so the CLI gate and pytest agree by construction.
+
+A claim's seed is the suite's seed xor the CRC-32 of its id, so it does not
+depend on the order the claims run in, nor on the process that runs one.
+When more than one claim is selected, ``os.fork`` exists, the process may
+use two or more CPUs and no other thread is running, run_verify_paper forks
+one worker: both processes take claims off one queue, heaviest first, and
+the worker sends its records back.  Otherwise (``--only`` among these) the
+same loop runs in this process alone.  Each record's ``elapsed`` is its own
+claim's time; the report's ``wall`` is the whole run's, which is less than
+their sum when two claims overlap.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
+import threading
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -586,14 +598,11 @@ class ClaimRecord:
 class ReproductionReport:
     records: List[ClaimRecord] = field(default_factory=list)
     seed: int = DEFAULT_SEED
+    wall: float = 0.0  # seconds of the whole run; not in the JSON report
 
     @property
     def overall(self) -> bool:
         return all(r.status == "pass" for r in self.records)
-
-    @property
-    def total_elapsed(self) -> float:
-        return sum(r.elapsed for r in self.records)
 
     def first_failure(self) -> Optional[ClaimRecord]:
         return next((r for r in self.records if r.status != "pass"), None)
@@ -617,24 +626,124 @@ class ReproductionReport:
             lines.append(line)
         lines.append(
             f"{'PASS' if self.overall else 'FAIL'}  overall"
-            f"  ({self.total_elapsed:.2f}s, seed {self.seed:#x})"
+            f"  ({self.wall:.2f}s, seed {self.seed:#x})"
         )
         return "\n".join(lines)
 
 
+def _run_claim(index: int, seed: int) -> ClaimRecord:
+    """Run CLAIMS[index] on its own seed; an exception it raises fails it."""
+    claim_id, title, fn = CLAIMS[index]
+    start = time.perf_counter()
+    try:
+        status, info, message = "pass", fn(seed ^ zlib.crc32(claim_id.encode())), None
+    except Exception as exc:  # a claim failure, not a crash of the runner
+        status, info, message = "fail", {}, f"{type(exc).__name__}: {exc}"
+    return ClaimRecord(claim_id, title, status, info.get("samples", 0),
+                       time.perf_counter() - start, message)
+
+
+def _may_fork(claims: int) -> bool:
+    """Whether a worker may take some of ``claims`` claims off this process."""
+    if claims < 2 or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # a fork while another thread runs can deadlock the child
+    return (cpus or 1) >= 2 and threading.active_count() == 1
+
+
+def _pull(queue: int):
+    """Claim indices off the queue pipe until it is empty.
+
+    A one-byte read from a pipe is atomic, so two processes pulling from the
+    same pipe never take the same claim.
+    """
+    while byte := os.read(queue, 1):
+        yield byte[0]
+
+
+def _fork_worker(queue: int, seed: int) -> Optional[tuple]:
+    """Fork a worker that runs claims off the queue and writes each record as a
+    JSON line to a pipe.  Returns its pid and the pipe's read end, or None
+    when no process can be forked."""
+    import json  # only a run with a worker ships records
+
+    pipe, sink = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # this process runs every claim
+        os.close(pipe)
+        os.close(sink)
+        return None
+    if pid:
+        os.close(sink)
+        return pid, pipe
+    code = 1
+    try:
+        os.close(pipe)
+        with open(sink, "w", encoding="utf-8") as out:
+            for index in _pull(queue):
+                out.write(json.dumps([index, asdict(_run_claim(index, seed))]) + "\n")
+                out.flush()
+        code = 0
+    finally:
+        # never return into the caller's stack, nor flush the caller's stdio
+        os._exit(code)
+
+
+def _join_worker(pid: int, pipe: int, taken: List[int], abort: bool) -> dict:
+    """Reap the worker and return its record of each claim index in ``taken``.
+
+    A claim it took and never sent back (it died mid-claim) gets a fail
+    record naming how the worker ended.  With ``abort`` the worker is
+    killed and its records are not read.
+    """
+    import json
+
+    records = {}
+    try:
+        if abort:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        else:
+            with open(pipe, encoding="utf-8", closefd=False) as stream:
+                lines = stream.read().split("\n")[:-1]  # drops a line torn by a death
+            records = {index: ClaimRecord(**fields) for index, fields in map(json.loads, lines)}
+    finally:
+        os.close(pipe)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    ended = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+    return {index: records.get(index) or ClaimRecord(
+                *CLAIMS[index][:2], "fail", 0, 0.0,
+                f"the worker process {ended} before returning this claim")
+            for index in taken}
+
+
 def run_verify_paper(seed: int = DEFAULT_SEED, only: Optional[str] = None) -> ReproductionReport:
-    """Run the full reproduction suite (or a single claim) deterministically."""
-    report = ReproductionReport(seed=seed)
-    for claim_id, title, fn in CLAIMS:
-        if only is not None and claim_id != only:
-            continue
-        start = time.perf_counter()
-        try:
-            status, info, message = "pass", fn(seed ^ zlib.crc32(claim_id.encode())), None
-        except Exception as exc:  # a claim failure, not a crash of the runner
-            status, info, message = "fail", {}, f"{type(exc).__name__}: {exc}"
-        report.records.append(ClaimRecord(claim_id, title, status, info.get("samples", 0),
-                                          time.perf_counter() - start, message))
-    if only is not None and not report.records:
+    """Run the full reproduction suite (or a single claim) deterministically.
+
+    The records come in CLAIMS order whichever process ran each claim.
+    """
+    start = time.perf_counter()
+    selected = [i for i, (claim_id, _, _) in enumerate(CLAIMS) if only in (None, claim_id)]
+    if only is not None and not selected:
         raise BadParams(f"unknown claim id {only!r}")
-    return report
+    queue, feed = os.pipe()
+    # one byte per claim index, heaviest first: infrastructure, about half of
+    # the suite, is last in CLAIMS
+    os.write(feed, bytes(reversed(selected)))
+    os.close(feed)
+    records, worker, drained = {}, None, False
+    try:
+        if _may_fork(len(selected)):
+            worker = _fork_worker(queue, seed)
+        for index in _pull(queue):
+            records[index] = _run_claim(index, seed)
+        drained = True
+    finally:
+        os.close(queue)
+        if worker is not None:
+            taken = [i for i in selected if i not in records]
+            records.update(_join_worker(*worker, taken, abort=not drained))
+    return ReproductionReport([records[i] for i in selected], seed, time.perf_counter() - start)

@@ -204,6 +204,35 @@ class TestExactOnlyOracles:
         assert scalar(m) == catalog.balanced_obstruction_family8(Fraction(1, 2), 0, m)["defect"]
 
 
+class TestOracleDomains:
+    """Params outside a family's domain raise BadParams (a BadInput, so exit 2
+    through the CLI) with the builder's message, never a bare builtin error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: catalog.jt(t),
+        lambda t: catalog.jt_real(t),
+        lambda t: catalog.jt_coframe(t),
+        lambda t: catalog.closed_form_scalars("jt", t),
+        lambda t: catalog.certified("jt", t),
+    ], ids=["jt", "jt_real", "jt_coframe", "closed_form_scalars", "certified"])
+    @pytest.mark.parametrize("t", [0, "0/5", Fraction(0)])
+    def test_jt_at_zero(self, call, t):
+        with pytest.raises(BadParams, match="^t must be nonzero$"):
+            call(t)
+
+    @pytest.mark.parametrize("params", [(1,), (1, 2, 3), 1, None],
+                             ids=["one", "three", "int", "none"])
+    @pytest.mark.parametrize("call", [
+        lambda params: catalog.certified("family8", params),
+        lambda params: catalog.closing_scalar("family8", params, "balanced"),
+        lambda params: catalog.closed_form_scalars(
+            "family8", params, Metric.diagonal(4, [1, 1, 1, 1])),
+    ], ids=["certified", "closing_scalar", "closed_form_scalars"])
+    def test_family8_needs_a_pair(self, call, params):
+        with pytest.raises(BadParams, match=r"^family8 takes a pair \(p, q\), got "):
+            call(params)
+
+
 class TestContactEntries:
     def test_solvable5_contact_data_valid(self):
         c = catalog.solvable5_contact()

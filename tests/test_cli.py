@@ -1,7 +1,11 @@
 import json
+import os
 import shlex
+import signal
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,19 +400,131 @@ class TestVerifyPaper:
         assert main(["verify-paper", "--only", "nope"]) == 2
 
     def test_corrupted_catalog_detected(self, monkeypatch, capsys):
-        real_jt = catalog.jt
-
         def flipped(t):
             t = Fraction(t)
             return catalog.reduced6(rho=1, B=-1, x=Fraction(1) / t, y=0)
 
         monkeypatch.setattr(catalog, "jt", flipped)
-        try:
-            report = verify.run_verify_paper(only="example-3.8")
-        finally:
-            monkeypatch.setattr(catalog, "jt", real_jt)
+        report = verify.run_verify_paper(only="example-3.8")
         assert not report.overall
-        assert report.first_failure().claim == "example-3.8"
+        alone = report.first_failure()
+        assert alone.claim == "example-3.8" and alone.message.startswith("ClaimFailure: ")
+        # the full suite on two processes fails it alike, whichever process runs it
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        shared = verify.run_verify_paper()
+        assert len(forks) == 1
+        failed = [(r.claim, r.message) for r in shared.records if r.status != "pass"]
+        assert failed == [("example-3.8", alone.message)]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _count_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call in the parent; returns the record."""
+    calls, real_fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _without_elapsed(report) -> dict:
+    data = report.to_json()
+    for record in data["records"]:
+        del record["elapsed"]
+    return data
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestClaimRunner:
+    """run_verify_paper shares the claims with one forked worker when more
+    than one is selected, two CPUs are usable and no other thread runs."""
+
+    @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 0x2718], ids=hex)
+    def test_shared_run_equals_serial_run(self, monkeypatch, seed):
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        shared = verify.run_verify_paper(seed)
+        assert len(forks) == 1
+        _no_child_left()
+        _cpus(monkeypatch, 1)
+        serial = verify.run_verify_paper(seed)
+        assert len(forks) == 1
+        assert [r.claim for r in shared.records] == [cid for cid, _, _ in verify.CLAIMS]
+        assert _without_elapsed(shared) == _without_elapsed(serial)
+        assert shared.overall
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exited with code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_worker_dying_mid_claim_fails_that_claim_only(self, monkeypatch, die, how):
+        parent = os.getpid()
+
+        def dies(seed):
+            if os.getpid() != parent:
+                die()
+            return {"samples": 1}
+
+        def passes(seed):
+            if os.getpid() == parent:
+                time.sleep(0.2)  # so that the worker takes the other claims
+            return {"samples": 1}
+
+        # dispatch runs the list backwards, so "dies" is the worker's last pull
+        claims = [("dies", "dies in the worker", dies)] + [
+            (f"passes-{i}", "passes", passes) for i in range(3)]
+        monkeypatch.setattr(verify, "CLAIMS", claims)
+        _cpus(monkeypatch, 2)
+        for _ in range(5):  # the worker may start late and leave "dies" to this process
+            start = time.perf_counter()
+            report = verify.run_verify_paper()
+            assert time.perf_counter() - start < 5.0
+            _no_child_left()
+            assert [r.claim for r in report.records] == [cid for cid, _, _ in claims]
+            failed = [(r.claim, r.message) for r in report.records if r.status != "pass"]
+            if failed:
+                break
+        assert failed == [("dies", f"the worker process {how} before returning this claim")]
+        assert report.records[0].samples == 0
+
+    def test_only_one_cpu_and_threads_never_fork(self, monkeypatch, capsys):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(verify, "CLAIMS", [
+            (f"c{i}", "passes", lambda seed: {"samples": 1}) for i in range(3)])
+        _cpus(monkeypatch, 2)
+        assert main(["verify-paper", "--only", "c1", "--json"]) == 0
+        assert [r["claim"] for r in json.loads(capsys.readouterr().out)["records"]] == ["c1"]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert verify.run_verify_paper().overall
+        finally:
+            release.set()
+            other.join(timeout=5.0)
+        assert not other.is_alive()
+        _cpus(monkeypatch, 1)
+        assert verify.run_verify_paper().overall
+
+    def test_text_total_is_the_run_wall_time(self):
+        records = [verify.ClaimRecord(f"c{i}", "t", "pass", 1, 0.75) for i in range(2)]
+        report = verify.ReproductionReport(records, 0x5EED, wall=0.8)
+        assert report.to_text().splitlines()[-1] == "PASS  overall  (0.80s, seed 0x5eed)"
+        assert set(report.to_json()) == {"seed", "overall", "records"}
 
 
 class TestInputErrors:
