@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from gauduchon import Metric, classify, gamma_scalar, lee_form
 from gauduchon import catalog
+from gauduchon.errors import ensure
 
 diag = Metric.diagonal(3)
 
@@ -22,7 +23,8 @@ print()
 print("== the deformation family: pluriclosed exactly at t = 1 ==")
 for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
     se = catalog.jt(t)
-    K = catalog.closed_form_scalars("jt", t)["K"]
+    K = catalog.skt_scalar_nilpotent6(catalog.Reduced6Params(1, 1, 1 / t, 0).as_nilpotent6())
+    ensure(K == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
     gamma = gamma_scalar(diag, 1, se)
     report = classify(diag, se)
     print(f"t = {str(t):>4}:  K = 2 - 2/t = {str(K):>4}   gamma1 = {str(gamma):>6}"

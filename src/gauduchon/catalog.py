@@ -11,8 +11,9 @@ Complex families (six real dimensions unless noted):
   family8        n=4: dw4 = A w1~1 - w2~2 - w3~3             (A = p+iq)
   abelian        n arbitrary, all differentials zero
 
-closed_form_scalars returns the independent hand-derived obstruction
-scalars that the engine is tested against; classify_reduced6 names the
+skt_scalar_nilpotent6, gamma1_* and the family8 obstructions are the
+independent hand-derived closed forms the engine is tested against (a metric
+of another n raises DimensionMismatch); classify_reduced6 names the
 underlying real nilpotent Lie algebra for the reduced family.  For
 `search --family`, family_params reads a build's parameters back off its
 structure equations, certified turns the closed forms into facts about
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
-from .errors import BadParams, UnknownFamily, ensure
+from .errors import BadParams, UnknownFamily
 from .forms import Form, conj_rank, holo_rank
 from .hermitian import Metric
 from .sasakian import ContactData
@@ -334,20 +335,17 @@ def skt_scalar_nilpotent6(params: Nilpotent6Params) -> Fraction:
 
 def gamma1_nilpotent6(params: Nilpotent6Params, metric: Metric) -> Fraction:
     """Exact prediction of the k=1 scalar: mu3^2 K / (12 det(-iX))."""
+    metric.require_n(3)
     mu3 = (-I * metric.x[2][2]).real_part()
     return mu3**2 * skt_scalar_nilpotent6(params) / (12 * metric.det_minus_i_x())
 
 
 def gamma1_nonnilpotent6(metric: Metric) -> Fraction:
     """Exact prediction (mu2^2 + mu3^2) / (6 det(-iX)); always positive."""
+    metric.require_n(3)
     mu2 = (-I * metric.x[1][1]).real_part()
     mu3 = (-I * metric.x[2][2]).real_part()
     return (mu2**2 + mu3**2) / (6 * metric.det_minus_i_x())
-
-
-def _principal_det(metric: Metric, rows) -> ComplexRational:
-    index = tuple(a - 1 for a in rows)
-    return metric.minor(index, index)
 
 
 def gauduchon_obstruction_family8(p, q, metric: Metric) -> Fraction:
@@ -358,6 +356,7 @@ def gauduchon_obstruction_family8(p, q, metric: Metric) -> Fraction:
     monomial (through 2 x44 [bracket] with bracket real).
     """
     p, q = (Fraction(*_rational_parts(v)) for v in (p, q))
+    metric.require_n(4)
     x = metric.x
 
     def group(j: int) -> ComplexRational:
@@ -370,8 +369,8 @@ def gauduchon_obstruction_family8(p, q, metric: Metric) -> Fraction:
 
 def gamma1_family8(p, q, metric: Metric) -> Fraction:
     """Exact k=1 scalar prediction: -mu4 V / (24 det(-iX))."""
-    mu4 = (-I * metric.x[3][3]).real_part()
     v = gauduchon_obstruction_family8(p, q, metric)
+    mu4 = (-I * metric.x[3][3]).real_part()
     return -(mu4 * v) / (24 * metric.det_minus_i_x())
 
 
@@ -379,46 +378,15 @@ def balanced_obstruction_family8(p, q, metric: Metric) -> dict:
     """Balanced holds iff q = 0 and p*c0 = c1 + c2 with the positive minors
     c0 = i det X_{234}, c1 = i det X_{124}, c2 = i det X_{134}."""
     p, q = (Fraction(*_rational_parts(v)) for v in (p, q))
-    c0 = (I * _principal_det(metric, (2, 3, 4))).real_part()
-    c1 = (I * _principal_det(metric, (1, 2, 4))).real_part()
-    c2 = (I * _principal_det(metric, (1, 3, 4))).real_part()
+    metric.require_n(4)
+    c0, c1, c2 = ((I * metric.minor(ix, ix)).real_part()
+                  for ix in ((1, 2, 3), (0, 1, 3), (0, 2, 3)))  # 0-based
     defect = p * c0 - c1 - c2
     return {
         "q": q,
         "defect": defect,
         "holds": q == 0 and defect == 0,
     }
-
-
-def closed_form_scalars(family: str, params, metric: Optional[Metric] = None) -> dict:
-    """The paper-level closed forms used as oracles against the engine."""
-    if family == "nilpotent6":
-        out = {"K": skt_scalar_nilpotent6(params)}
-        if metric is not None:
-            out["gamma1"] = gamma1_nilpotent6(params, metric)
-        return out
-    if family == "reduced6":
-        return closed_form_scalars("nilpotent6", params.as_nilpotent6(), metric)
-    if family == "jt":
-        t = _jt_t(params)
-        red = Reduced6Params(rho=1, B=ONE, x=1 / t, y=Fraction(0))
-        out = closed_form_scalars("reduced6", red, metric)
-        ensure(out["K"] == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
-        return out
-    if family == "nonnilpotent6":
-        if metric is None:
-            raise BadParams("nonnilpotent6 closed form needs a metric")
-        return {"gamma1": gamma1_nonnilpotent6(metric)}
-    if family == "family8":
-        p, q = _family8_pq(params)
-        if metric is None:
-            raise BadParams("family8 closed forms need a metric")
-        return {
-            "gauduchon1": gauduchon_obstruction_family8(p, q, metric),
-            "gamma1": gamma1_family8(p, q, metric),
-            "balanced": balanced_obstruction_family8(p, q, metric),
-        }
-    raise UnknownFamily(f"no closed forms for family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +460,9 @@ def certified(family: Optional[str], params) -> Dict[str, Optional[dict]]:
     and is the certificate.  Targets left out are not decided.
     """
     if family in ("nilpotent6", "reduced6", "jt"):
-        K = closed_form_scalars(family, params)["K"]
+        if family == "jt":
+            params = Reduced6Params(1, ONE, 1 / _jt_t(params), 0)
+        K = skt_scalar_nilpotent6(params if family == "nilpotent6" else params.as_nilpotent6())
 
         def sign_fixed(every: bool, reason: str) -> Optional[dict]:
             return None if every else {"name": "sign-fixed scalar", "K": str(K), "reason": reason}

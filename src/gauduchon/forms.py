@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import ensure
+from .errors import BadParams, ensure
 from .scalars import ONE, _make, _to_ints, cr, format_complex
 
 Monomial = Tuple[int, ...]
@@ -114,8 +114,9 @@ def conj_rank(j: int) -> int:
 class Form:
     """An exterior form of one total degree with exact coefficients.
 
-    The zero form has degree None.  Terms map canonical monomials to nonzero
-    coefficients; instances are immutable by convention.
+    The zero form has degree None.  Terms map canonical monomials of degree
+    ranks to nonzero coefficients (a key of another length raises
+    BadParams); instances are immutable by convention.
     """
 
     __slots__ = ("degree", "terms")
@@ -125,6 +126,9 @@ class Form:
         terms = {m: z for m, c in terms.items() if (z := cr(c))}
         if not terms:
             degree = None
+        for m in terms:
+            if len(m) != degree:
+                raise BadParams(f"a {degree}-form cannot have the key {m}")
         self.degree = degree
         self.terms = terms
 

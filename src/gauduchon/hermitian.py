@@ -139,6 +139,8 @@ class Metric:
     def bump_diagonal(self, j: int, amount) -> "Metric":
         """The metric with x_jj raised by i*amount = i*p/q, a new metric over
         D' = lcm(D, q) that memoises its own minors as they are read."""
+        if not 0 <= j < self.n:
+            raise DimensionMismatch(f"bump_diagonal needs j in 0..{self.n - 1}, got {j}")
         p, q = _rational_parts(amount)
         den = lcm(self._den, q)
         f = den // self._den
@@ -152,6 +154,8 @@ class Metric:
         """diag(i*u_1, ..., i*u_n); defaults to the standard diag(i,...,i)."""
         if entries is None:
             entries = [1] * n
+        if len(entries) != n:
+            raise DimensionMismatch(f"diag({n}) needs {n} entries, got {len(entries)}")
         x = [[I * cr(entries[j]) if j == k else ZERO for k in range(n)] for j in range(n)]
         return Metric(x)
 
@@ -183,6 +187,11 @@ class Metric:
         if not self.is_positive():
             raise NotPositive("metric coefficient matrix is not positive definite")
 
+    def require_n(self, n: int):
+        """DimensionMismatch unless the metric is n x n, the n of the structure it meets."""
+        if self.n != n:
+            raise DimensionMismatch(f"metric has n = {self.n}, the structure n = {n}")
+
     def det_minus_i_x(self) -> Fraction:
         """det(-iX), the last of the Sylvester minors; only positive metrics have it."""
         self.require_positive()
@@ -211,7 +220,13 @@ class Metric:
         return val
 
     def minor(self, rows: tuple, cols: tuple) -> ComplexRational:
-        """det X_{rows, cols} for ascending 0-based index tuples; det of the empty minor is 1."""
+        """det X_{rows, cols} for strictly ascending 0-based index tuples of
+        one length; det of the empty minor is 1."""
+        n = self.n
+        if len(rows) != len(cols) or any(tuple(ix) != tuple(r for r in range(n) if r in ix)
+                                         for ix in (rows, cols)):
+            raise DimensionMismatch(f"a minor needs rows and columns of one length, strictly "
+                                    f"ascending in 0..{n - 1}; got {rows} and {cols}")
         re, im = self._minor(self._plan.id(_mask(rows), _mask(cols)))
         return _make(re, im, self._den ** len(rows))
 
@@ -284,11 +299,6 @@ def volume_coefficient(metric: Metric) -> ComplexRational:
     return cr(factorial(metric.n)) * I**metric.n * cr(metric.det_minus_i_x())
 
 
-def _require_same_n(metric: Metric, se: StructureEquations):
-    if metric.n != se.n:
-        raise DimensionMismatch(f"metric has n = {metric.n}, the structure n = {se.n}")
-
-
 @lru_cache(maxsize=None)  # at most 2^(2n) masks for each n
 def _complement(mask: int, n: int) -> tuple:
     """(b, sign) with coeff(m ^ Omega^q) = sign q! det X_b, m the monomial of
@@ -338,6 +348,8 @@ class CompiledMaps:
     each image monomial's complementary ranks and sign (n-p-1)!; the k-th
     Gauduchon top (top_ints) and its diagonal rays (rays, whose sub-minor
     lists are built on first use) are _leibniz sums of passes over them.
+    _top_pass keeps its own pairing, precomputed per image monomial, rather
+    than calling classify's _paired: that costs 1-3 us more per pass.
     """
 
     __slots__ = ("se", "n", "_dt", "_ddbar", "_d_top", "_rays")
@@ -537,7 +549,7 @@ def _numerator(metric: Metric, k: int, se: StructureEquations) -> tuple:
 
 def gauduchon_form(metric: Metric, k: int, se: StructureEquations) -> Form:
     """The (n,n)-form ddbar(Omega^k) ^ Omega^{n-k-1}."""
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     return Form(2 * se.n, {sigma_monomial(se.n): _make(*CompiledMaps.of(se).top_ints(metric, k))})
 
 
@@ -545,7 +557,7 @@ def gamma_numerator(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     """The real scalar (i/2) (-i)^n coeff(ddbar Omega^k ^ Omega^{n-k-1}),
     gamma_scalar times the positive n! det(-iX); a quadratic along each
     diagonal ray x_jj + it (CompiledMaps.rays)."""
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     return Fraction(*_numerator(metric, k, se))
 
 
@@ -555,14 +567,14 @@ def gamma_scalar(metric: Metric, k: int, se: StructureEquations) -> Fraction:
     Exactly rational for positive metrics; its sign is a conformal-class
     invariant deciding the k-th Gauduchon condition at the invariant level.
     """
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     metric.require_positive()
     return Fraction(*_numerator(metric, k, se)) / (factorial(se.n) * metric.det_minus_i_x())
 
 
 def balanced_defect(metric: Metric, se: StructureEquations) -> Form:
     """d(Omega^{n-1}) from the map over the cofactors; zero exactly on balanced metrics."""
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     return CompiledMaps.of(se).d_top(metric)
 
 
@@ -660,7 +672,7 @@ def lee_form(metric: Metric, se: StructureEquations) -> Form:
     1-form theta with d(Omega^{n-1}) = theta ^ Omega^{n-1}.  Computed in
     ints (_lee); a metric that is not positive raises NotPositive.
     """
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     metric.require_positive()
     return _lee(metric, *_derive(_omega_sums(metric._num), (se._d_rank,)))
 
@@ -696,6 +708,7 @@ def lee_form_via_codifferential(metric: Metric, se: StructureEquations) -> Form:
     constant.  d* Omega solves <d* Omega, e_r> = <Omega, d e_r> over the
     generators e_r.
     """
+    metric.require_n(se.n)
     metric.require_positive()
     h_inv = linalg.mat_inverse(metric.minus_i_x())
     ranks = range(1, 2 * se.n + 1)
@@ -795,7 +808,7 @@ def classify(metric: Metric, se: StructureEquations) -> ClassReport:
     ints over dt^2 D^{n-1}.  Balanced is theta = 0: d(Omega^{n-1}) =
     theta ^ Omega^{n-1} and L^{n-1} is injective on 1-forms.
     """
-    _require_same_n(metric, se)
+    metric.require_n(se.n)
     metric.require_positive()
     n = se.n
     omega, d_sums, ddbar, p, dt = _derivatives(metric, se)
@@ -917,6 +930,7 @@ def gauduchon_reduction_check(metric: Metric, se: StructureEquations) -> dict:
     are the same number written in the two normalizations.  Returns the
     computed scalars and the exact residual.
     """
+    metric.require_n(se.n)
     n = se.n
     if n < 3:
         raise BadK("reduction needs n >= 3")

@@ -298,12 +298,23 @@ class ComplexFrame:
         return substitute(f, self.to_complex_table)
 
 
+def _stacked_inverse(rows: list) -> tuple:
+    """(rows, S, S^-1) for S = [rows; conj(rows)], the rows read exactly."""
+    rows = [[cr(v) for v in row] for row in rows]
+    stacked = rows + [[v.conjugate() for v in row] for row in rows]
+    try:
+        return rows, stacked, linalg.mat_inverse(stacked)
+    except ValueError:  # linalg's singular system
+        raise BadParams("the coframe rows and their conjugates are not independent") from None
+
+
 def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
     """Transport d along an explicit (1,0)-coframe.
 
     rows is an n x m complex matrix whose j-th row expresses w^j in the real
-    coframe.  The stacked matrix [rows; conj(rows)] must be invertible.
-    Raises NotIntegrable when some dw^j acquires a (0,2)-component.
+    coframe.  The stacked matrix [rows; conj(rows)] must be invertible,
+    else BadParams.  Raises NotIntegrable when some dw^j acquires a
+    (0,2)-component.
     """
     m = alg.m
     if m % 2:
@@ -311,9 +322,7 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
     n = m // 2
     if len(rows) != n or any(len(r) != m for r in rows):
         raise DimensionMismatch(f"coframe must be {n} rows of length {m}")
-    rows = [[cr(v) for v in row] for row in rows]
-    stacked = rows + [[v.conjugate() for v in row] for row in rows]
-    inv = linalg.mat_inverse(stacked)
+    rows, _, inv = _stacked_inverse(rows)
 
     # e^a in terms of w / ~w
     to_complex_table = {}
@@ -363,18 +372,18 @@ def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:
 def complex_structure_from_coframe(rows: list, m: int) -> list:
     """The real matrix J for which the given rows are (1,0)-forms.
 
-    rows is n x m complex with [rows; conj(rows)] invertible; returns J with
-    J^2 = -Id such that (w^j)∘J = i w^j for every row.
+    rows is n x m complex with [rows; conj(rows)] invertible, else
+    BadParams; returns J with J^2 = -Id such that (w^j)∘J = i w^j for
+    every row.
     """
     n = m // 2
-    rows = [[cr(v) for v in row] for row in rows]
-    stacked = rows + [[v.conjugate() for v in row] for row in rows]
+    rows, stacked, inv = _stacked_inverse(rows)
     diag = [
         [I if (i == j and i < n) else (-I if i == j else cr(0)) for j in range(m)]
         for i in range(m)
     ]
     # rows are (1,0) iff row.J = i row; stacking with conjugates pins J
-    J = linalg.mat_mul(linalg.mat_inverse(stacked), linalg.mat_mul(diag, stacked))
+    J = linalg.mat_mul(inv, linalg.mat_mul(diag, stacked))
     for row in J:
         for v in row:
             if not v.is_real:

@@ -193,7 +193,7 @@ def check_example_38(seed: int) -> dict:
     checked = 0
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         se = catalog.jt(t)
-        K = catalog.closed_form_scalars("jt", t)["K"]
+        K = catalog.skt_scalar_nilpotent6(catalog.Reduced6Params(1, ONE, 1 / t, 0).as_nilpotent6())
         ensure(K == 2 - 2 / t)
         diag = Metric.diagonal(3)
         gamma = gamma_scalar(diag, 1, se)

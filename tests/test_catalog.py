@@ -4,7 +4,7 @@ import pytest
 
 from gauduchon import catalog, dsl
 from gauduchon.catalog import Nilpotent6Params, Reduced6Params, classify_reduced6
-from gauduchon.errors import BadParams, UnknownFamily
+from gauduchon.errors import BadParams, DimensionMismatch, UnknownFamily
 from gauduchon.forms import Form
 from gauduchon.hermitian import Metric, gamma_scalar
 from gauduchon.scalars import ComplexRational, cr
@@ -112,13 +112,13 @@ class TestClosedForms:
     def test_skt_scalar_examples(self):
         p = Nilpotent6Params(0, 1, cr(1), cr(1), cr(0), cr(1))
         assert catalog.skt_scalar_nilpotent6(p) == 0
-        assert catalog.closed_form_scalars(
-            "reduced6", Reduced6Params(0, cr(0), Fraction(1), Fraction(0))
-        )["K"] == -2
+        assert catalog.skt_scalar_nilpotent6(
+            Reduced6Params(0, cr(0), Fraction(1), Fraction(0)).as_nilpotent6()) == -2
 
     def test_jt_scalar(self):
         for t in (Fraction(1, 4), Fraction(2), Fraction(1)):
-            assert catalog.closed_form_scalars("jt", t)["K"] == 2 - 2 / t
+            red = Reduced6Params(1, cr(1), 1 / t, Fraction(0))
+            assert catalog.skt_scalar_nilpotent6(red.as_nilpotent6()) == 2 - 2 / t
 
     def test_family8_gauduchon_zero_point(self):
         m = Metric.diagonal(4, [2, 1, 1, 1])
@@ -165,12 +165,12 @@ class TestExactOnlyOracles:
     """The closed-form oracles read their params as exact rationals: a float
     or a bool raises TypeError, and a decimal string stays exact."""
 
-    def test_closed_form_scalars(self):
+    def test_certified_jt(self):
         for t in (0.1, True):
             with pytest.raises(TypeError):
-                catalog.closed_form_scalars("jt", t)
-        assert catalog.closed_form_scalars("jt", "0.5")["K"] == -2
-        assert catalog.closed_form_scalars("jt", "1/10")["K"] == -18
+                catalog.certified("jt", t)
+        assert catalog.certified("jt", "0.5")["skt"]["K"] == "-2"
+        assert catalog.certified("jt", "1/10")["skt"]["K"] == "-18"
 
     def test_gauduchon_obstruction_family8(self):
         m = Metric.diagonal(4, [2, 1, 1, 1])
@@ -212,9 +212,8 @@ class TestOracleDomains:
         lambda t: catalog.jt(t),
         lambda t: catalog.jt_real(t),
         lambda t: catalog.jt_coframe(t),
-        lambda t: catalog.closed_form_scalars("jt", t),
         lambda t: catalog.certified("jt", t),
-    ], ids=["jt", "jt_real", "jt_coframe", "closed_form_scalars", "certified"])
+    ], ids=["jt", "jt_real", "jt_coframe", "certified"])
     @pytest.mark.parametrize("t", [0, "0/5", Fraction(0)])
     def test_jt_at_zero(self, call, t):
         with pytest.raises(BadParams, match="^t must be nonzero$"):
@@ -225,12 +224,29 @@ class TestOracleDomains:
     @pytest.mark.parametrize("call", [
         lambda params: catalog.certified("family8", params),
         lambda params: catalog.closing_scalar("family8", params, "balanced"),
-        lambda params: catalog.closed_form_scalars(
-            "family8", params, Metric.diagonal(4, [1, 1, 1, 1])),
-    ], ids=["certified", "closing_scalar", "closed_form_scalars"])
+    ], ids=["certified", "closing_scalar"])
     def test_family8_needs_a_pair(self, call, params):
         with pytest.raises(BadParams, match=r"^family8 takes a pair \(p, q\), got "):
             call(params)
+
+
+class TestOracleDimensions:
+    """The closed forms that read a metric raise DimensionMismatch on one of
+    another n than their family's: 3 for the six-dimensional ones, 4 for family8."""
+
+    @pytest.mark.parametrize("call, n", [
+        (lambda m: catalog.gamma1_nilpotent6(Nilpotent6Params(0, 1, *[cr(0)] * 4), m), 3),
+        (catalog.gamma1_nonnilpotent6, 3),
+        (lambda m: catalog.gauduchon_obstruction_family8(1, 0, m), 4),
+        (lambda m: catalog.gamma1_family8(1, 0, m), 4),
+        (lambda m: catalog.balanced_obstruction_family8(1, 0, m), 4),
+    ], ids=["gamma1_nilpotent6", "gamma1_nonnilpotent6", "gauduchon_obstruction_family8",
+            "gamma1_family8", "balanced_obstruction_family8"])
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["smaller", "larger"])
+    def test_dimension_mismatch(self, call, n, shift):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^metric has n = {n + shift}, the structure n = {n}$"):
+            call(Metric.diagonal(n + shift))
 
 
 class TestContactEntries:

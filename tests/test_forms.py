@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauduchon.errors import BadParams
 from gauduchon.forms import Form, sort_ranks, wedge
 from gauduchon.scalars import ComplexRational, cr
 from gauduchon.structures import StructureEquations
@@ -80,6 +81,16 @@ class TestFormStructure:
         f = Form(2, {(1, 2): cr(0), (1, 3): cr(1)})
         assert (1, 2) not in f.terms
         assert f.degree == 2
+
+    @pytest.mark.parametrize("degree, terms", [
+        (2, {(1, 2): cr(1), (1,): cr(1)}),
+        (3, {(1, 2): cr(1)}),
+        (0, {(1,): cr(1)}),
+        (None, {(1, 2): cr(1)}),
+    ], ids=["mixed-lengths", "short-key", "scalar-with-a-rank", "no-degree"])
+    def test_keys_must_have_degree_ranks(self, degree, terms):
+        with pytest.raises(BadParams, match=f"^a {degree}-form cannot have the key "):
+            Form(degree, terms)
 
     def test_addition_requires_matching_degree(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,9 @@ from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import (
     Lefschetz,
     Metric,
+    balanced_defect,
     classify,
+    gamma_numerator,
     gamma_scalar,
     gauduchon_form,
     gauduchon_reduction_check,
@@ -53,6 +55,23 @@ class TestMetric:
                 Metric._of_ints(num, 2)
         with pytest.raises(DimensionMismatch, match=r"^X has 1 rows of lengths \[2\]$"):
             Metric._of_ints([[(0, 2), (0, 0)]], 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: Metric.diagonal(2).minor((0, 0), (0, 1)),
+        lambda: Metric.diagonal(3).minor((1, 0), (0, 1)),
+        lambda: Metric.diagonal(3).minor((0, 1), (0,)),
+        lambda: Metric.diagonal(3).minor((5,), (0,)),
+        lambda: Metric.diagonal(3).minor((-1,), (0,)),
+        lambda: Metric.diagonal(2, [1]),
+        lambda: Metric.diagonal(2, [1, 1, 1]),
+        lambda: Metric.diagonal(2).bump_diagonal(5, 1),
+        lambda: Metric.diagonal(2).bump_diagonal(-1, 1),
+    ], ids=["minor-repeated-row", "minor-unsorted-rows", "minor-unequal-lengths",
+            "minor-row-past-n", "minor-negative-row", "diagonal-short", "diagonal-long",
+            "bump-past-n", "bump-negative"])
+    def test_indices_outside_the_matrix(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
     def test_x_is_a_copy(self, rng):
         metric = sample_positive_metric(rng, 3)
@@ -124,8 +143,12 @@ class TestGamma:
     @pytest.mark.parametrize("fn", [
         lambda m, se: gamma_scalar(m, 1, se),
         lambda m, se: gauduchon_form(m, 1, se),
+        lambda m, se: gamma_numerator(m, 1, se),
         classify,
         lee_form,
+        balanced_defect,
+        gauduchon_reduction_check,
+        lee_form_via_codifferential,
     ])
     def test_dimension_mismatch(self, fn):
         with pytest.raises(DimensionMismatch):

@@ -137,7 +137,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("m, key", [(2, (1,)), (3, (1, 2, 3))], ids=["one-rank", "three-ranks"])
     def test_real_keys_of_other_than_two_ranks_are_rejected(self, m, key):
-        d_of = [Form(2, {key: cr(1)})] + [Form.zero()] * (m - 1)
+        d_of = [Form(len(key), {key: cr(1)})] + [Form.zero()] * (m - 1)
         with pytest.raises(BadParams, match=rf"^de1 must be a 2-form, got degree {len(key)}$"):
             RealLieAlgebra(m, d_of)
 
@@ -236,6 +236,16 @@ class TestRealToComplex:
         for i in range(6):
             for j in range(6):
                 assert JJ[i][j] == (cr(-1) if i == j else cr(0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: structure_from_coframe(catalog.jt_real(1), [
+            [1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]),
+        lambda: complex_structure_from_coframe([[1, 0]], 2),
+    ], ids=["structure_from_coframe", "complex_structure_from_coframe"])
+    def test_singular_coframe_is_bad_params(self, call):
+        with pytest.raises(BadParams, match="^the coframe rows and their conjugates "
+                                            "are not independent$"):
+            call()
 
     def test_nonintegrable_real_structure(self):
         # J pairing (1,3) and (2,4) over de5 = e14 leaves a (0,2)-residual
