@@ -1,6 +1,8 @@
 """Graded exterior algebra over a finite totally ordered coframe.
 
-A monomial is a strictly increasing tuple of generator ranks (1-based).
+A monomial is a strictly increasing tuple of generator ranks (1-based).  The
+Form constructor alone enforces this key rule, raising BadParams on any other
+key; Form.monomial is the constructor that sorts, with the permutation sign.
 For a complex coframe in n complex dimensions there are 2n ranks in the
 interleaved order w1 < ~w1 < w2 < ~w2 < ...: the holomorphic generator wj
 gets rank 2j-1, its conjugate ~wj rank 2j.  This single global order fixes
@@ -21,9 +23,10 @@ bits under the first one's parity mask (_parity_mask).  Form keys stay tuples.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import BadParams, ensure
+from .errors import BadParams
 from .scalars import ONE, _make, _to_ints, cr, format_complex
 
 Monomial = Tuple[int, ...]
@@ -115,8 +118,8 @@ class Form:
     """An exterior form of one total degree with exact coefficients.
 
     The zero form has degree None.  Terms map canonical monomials of degree
-    ranks to nonzero coefficients (a key of another length raises
-    BadParams); instances are immutable by convention.
+    ranks to nonzero coefficients (any other key raises BadParams, while
+    Form.monomial sorts); instances are immutable by convention.
     """
 
     __slots__ = ("degree", "terms")
@@ -126,8 +129,8 @@ class Form:
         terms = {m: z for m, c in terms.items() if (z := cr(c))}
         if not terms:
             degree = None
-        for m in terms:
-            if len(m) != degree:
+        for m in terms:  # degree ranks, each above the one before it and the first above 0
+            if len(m) != degree or not all(map(lt, (0,) + m, m)):
                 raise BadParams(f"a {degree}-form cannot have the key {m}")
         self.degree = degree
         self.terms = terms
@@ -215,14 +218,11 @@ class Form:
     # -- complex-frame operations --------------------------------------------
 
     def conjugate(self) -> "Form":
+        # conjugate_rank is an involution, so distinct keys stay distinct
         out: Dict[Monomial, object] = {}
         for mon, c in self.terms.items():
-            sorted_ = sort_ranks(conjugate_rank(r) for r in mon)
-            ensure(sorted_ is not None)
-            sign, mm = sorted_
-            cc = c.conjugate() if sign > 0 else -c.conjugate()
-            acc = out.get(mm)
-            out[mm] = cc if acc is None else acc + cc
+            sign, mm = sort_ranks(conjugate_rank(r) for r in mon)
+            out[mm] = c.conjugate() if sign > 0 else -c.conjugate()
         return Form(self.degree, out)
 
     @staticmethod

@@ -187,8 +187,11 @@ class ContactData:
             raise BadParams(f"contact data needs odd dimension >= 3, got {self.m}")
         if len(xi) != self.m or len(phi) != self.m or any(len(r) != self.m for r in phi):
             raise DimensionMismatch(f"xi needs {self.m} entries and phi {self.m} x {self.m}")
-        if F and F.degree != 2:  # the extension's d(theta) = F
-            raise BadParams(f"F must be a 2-form, got degree {F.degree}")
+        for form, name, degree in ((eta, "eta", 1), (Phi, "Phi", 2), (F, "F", 2)):
+            if form and form.degree != degree:
+                raise BadParams(f"{name} must be a {degree}-form, got degree {form.degree}")
+            if form.max_rank() > self.m:
+                raise DimensionMismatch(f"{name} uses ranks beyond the coframe")
         self.eta = eta
         self.xi = [cr(v) for v in xi]
         self.phi = mat(phi)
@@ -240,15 +243,10 @@ class ContactData:
 
 
 def _skew(form: Form, m: int) -> Matrix:
-    """The matrix form(e_a, e_b) of a 2-form over e1..em.
-
-    Terms over ranks beyond m are left out here; d rejects them with
-    DimensionMismatch.
-    """
+    """The matrix form(e_a, e_b) of a 2-form over e1..em."""
     out = zeros(m, m)
-    for mon, c in form.terms.items():
-        if len(mon) == 2 and 1 <= mon[0] < mon[1] <= m:
-            out[mon[0] - 1][mon[1] - 1], out[mon[1] - 1][mon[0] - 1] = c, -c
+    for (a, b), c in form.terms.items():
+        out[a - 1][b - 1], out[b - 1][a - 1] = c, -c
     return out
 
 

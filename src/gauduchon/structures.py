@@ -5,13 +5,15 @@ an exact 2-form; d extends to all forms as an odd derivation and splits as
 del + delbar through bidegree.  RealLieAlgebra is the analogous object
 over a real coframe e1..em, optionally carrying an almost complex
 structure J, and complex_frame_from_real converts (coframe, J) into a
-complex coframe with d transported.
+complex coframe with d transported; every (1,0)-coframe, given or derived
+from J, goes through one checked reader (_stacked_inverse).
 
 The derivation is one Gaussian-integer kernel, _derive, which maps int sums
 over rank bitmasks to int sums through a table of the rank differentials in
 ints over one denominator, as forms.wedge does.  Both constructors read their
-Forms through one checked term reader (_read_terms) into int rows over one
-denominator and check d∘d = 0 by one int Jacobi test (_jacobi) on their table:
+Forms through one term reader (_read_terms), which checks each equation's
+degree and top rank, into int rows over one denominator and check d∘d = 0 by
+one int Jacobi test (_jacobi) on their table:
 StructureEquations builds its table, conjugate rows and dw^j from the rows in
 one pass and checks integrability there (_validate); RealLieAlgebra takes its
 table straight from them.  d, partial, dbar and ddbar wrap the kernel for
@@ -35,27 +37,23 @@ from .errors import (
 )
 from .forms import Form, _form_of_sums, _mask, _ranks, conj_rank, conjugate_rank
 from .forms import holo_rank, substitute
-from .scalars import I, ONE, _make, _to_ints, cr
+from .scalars import I, ONE, ZERO, _make, _to_ints, cr
 
 
 def _read_terms(d_of: List[Form], name: str, max_rank: int) -> tuple:
     """(den, rows): rows[j-1] lists (r, s, a, b) for each term (a + ib)/den of
-    d_of[j-1] on its key (r, s), which must have 1 <= r < s <= max_rank; a bad
-    key raises BadParams, or DimensionMismatch past max_rank, naming name + j."""
-    den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of, start=1)
+    d_of[j-1] on its key (r, s); a d_of[j-1] that is not a 2-form raises
+    BadParams, or DimensionMismatch past max_rank, naming name + j."""
+    for j, df in enumerate(d_of, start=1):
+        if df and df.degree != 2:
+            raise BadParams(f"{name}{j} must be a 2-form, got degree {df.degree}")
+        if df.max_rank() > max_rank:
+            raise DimensionMismatch(f"{name}{j} uses ranks beyond the coframe")
+    den, terms = _to_ints(((j, mon), c) for j, df in enumerate(d_of)
                           for mon, c in df.terms.items())
     rows = [[] for _ in d_of]
-    for (j, mon), a, b in terms:
-        if len(mon) != 2:
-            raise BadParams(f"{name}{j} must be a 2-form, got degree {len(mon)}")
-        r, s = mon
-        if r >= s:
-            raise BadParams(f"{name}{j} has the key {mon}, whose ranks do not increase")
-        if r < 1:
-            raise BadParams(f"{name}{j} has the key {mon}, whose ranks start below 1")
-        if s > max_rank:
-            raise DimensionMismatch(f"{name}{j} uses ranks beyond the coframe")
-        rows[j - 1].append((r, s, a, b))
+    for (j, (r, s)), a, b in terms:
+        rows[j].append((r, s, a, b))
     return den, rows
 
 
@@ -97,13 +95,18 @@ def _jacobi(d_rank: tuple, generator_rows: list, d, d_of: List[Form]) -> None:
                 raise JacobiViolation(j, d(d_of[j - 1]))
 
 
+def _check_ranks(f: Form, max_rank: int) -> None:
+    """Raise DimensionMismatch when f uses a rank past the coframe's max_rank."""
+    if f.max_rank() > max_rank:
+        raise DimensionMismatch(f"form uses rank {f.max_rank()} but the coframe has "
+                                f"{max_rank} generators")
+
+
 def _derivation(f: Form, tables: tuple, max_rank: int) -> Form:
     """Apply the odd derivations of rank-level differentials (rank tables) in order."""
     if f.is_zero:
         return Form.zero()
-    if f.max_rank() > max_rank:
-        raise DimensionMismatch(f"form uses rank {f.max_rank()} but the coframe has "
-                                f"{max_rank} generators")
+    _check_ranks(f, max_rank)
     df, terms = _to_ints(f.terms.items())
     sums, den = _derive({_mask(mon): (x, y) for mon, x, y in terms}, tables)
     return _form_of_sums(f.degree + len(tables), sums, df * den)
@@ -295,11 +298,17 @@ class ComplexFrame:
 
     def to_complex(self, f: Form) -> Form:
         """Rewrite a real-coframe form in the complex coframe."""
+        _check_ranks(f, len(self.to_complex_table))
         return substitute(f, self.to_complex_table)
 
 
-def _stacked_inverse(rows: list) -> tuple:
-    """(rows, S, S^-1) for S = [rows; conj(rows)], the rows read exactly."""
+def _stacked_inverse(rows: list, m: int) -> tuple:
+    """(rows, S, S^-1) for S = [rows; conj(rows)], the rows read exactly: the
+    one coframe reader, checking m even, m/2 rows of length m and S invertible."""
+    if m % 2:
+        raise NotAlmostComplex(f"odd-dimensional algebra (m={m}) has no coframe")
+    if len(rows) != m // 2 or any(len(r) != m for r in rows):
+        raise DimensionMismatch(f"coframe must be {m // 2} rows of length {m}")
     rows = [[cr(v) for v in row] for row in rows]
     stacked = rows + [[v.conjugate() for v in row] for row in rows]
     try:
@@ -312,17 +321,12 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
     """Transport d along an explicit (1,0)-coframe.
 
     rows is an n x m complex matrix whose j-th row expresses w^j in the real
-    coframe.  The stacked matrix [rows; conj(rows)] must be invertible,
-    else BadParams.  Raises NotIntegrable when some dw^j acquires a
-    (0,2)-component.
+    coframe, read by _stacked_inverse.  Raises NotIntegrable when some dw^j
+    acquires a (0,2)-component.
     """
     m = alg.m
-    if m % 2:
-        raise NotAlmostComplex(f"odd-dimensional algebra (m={m}) has no coframe")
     n = m // 2
-    if len(rows) != n or any(len(r) != m for r in rows):
-        raise DimensionMismatch(f"coframe must be {n} rows of length {m}")
-    rows, _, inv = _stacked_inverse(rows)
+    rows, _, inv = _stacked_inverse(rows, m)
 
     # e^a in terms of w / ~w
     to_complex_table = {}
@@ -349,35 +353,29 @@ def structure_from_coframe(alg: RealLieAlgebra, rows: list) -> ComplexFrame:
 def complex_frame_from_real(alg: RealLieAlgebra) -> ComplexFrame:
     """Deterministic (1,0)-coframe from (real coframe, J).
 
-    Applies e^a - i e^a∘J for a = 1, 2, ... in order and keeps each
-    candidate that is linearly independent of those kept before it (the rref
-    of the kept rows plus the candidate has no zero row), stopping at n, so
-    the output is reproducible across runs and platforms.
+    Keeps each candidate e^a - i e^a∘J independent of those before it, a pivot
+    column of one rref of the candidates as columns, so the output is
+    reproducible across runs and platforms.
     """
     if alg.J is None:
         raise NotAlmostComplex("algebra carries no J")
     m = alg.m
-    n = m // 2
-    kept: list = []
-    for a in range(m):
-        cand = [(cr(1) if b == a else cr(0)) - I * alg.J[a][b] for b in range(m)]
-        if all(any(row) for row in linalg.rref(kept + [cand])):
-            kept.append(cand)
-            if len(kept) == n:
-                break
-    ensure(len(kept) == n, "J eigenspace defect; J^2 = -Id should prevent this")
+    cands = [[(ONE if b == a else ZERO) - I * alg.J[a][b] for b in range(m)]
+             for a in range(m)]
+    kept = [cands[next(a for a, v in enumerate(row) if v)]
+            for row in linalg.rref(linalg.transpose(cands)) if any(row)]
+    ensure(len(kept) == m // 2, "J eigenspace defect; J^2 = -Id should prevent this")
     return structure_from_coframe(alg, kept)
 
 
 def complex_structure_from_coframe(rows: list, m: int) -> list:
     """The real matrix J for which the given rows are (1,0)-forms.
 
-    rows is n x m complex with [rows; conj(rows)] invertible, else
-    BadParams; returns J with J^2 = -Id such that (w^j)∘J = i w^j for
-    every row.
+    rows is n x m complex, read by _stacked_inverse; returns J with
+    J^2 = -Id such that (w^j)∘J = i w^j for every row.
     """
     n = m // 2
-    rows, stacked, inv = _stacked_inverse(rows)
+    rows, stacked, inv = _stacked_inverse(rows, m)
     diag = [
         [I if (i == j and i < n) else (-I if i == j else cr(0)) for j in range(m)]
         for i in range(m)

@@ -88,3 +88,23 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_unused_imports_in_the_package():
+    """Every name a module imports is used in that module, so a deleted check
+    leaves no import behind.  __init__.py imports to re-export."""
+    found = []
+    for path in sorted(Path(gauduchon.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, f"unused imports in the package: {found}"

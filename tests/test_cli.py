@@ -869,6 +869,15 @@ class TestInputErrors:
         assert main(["bundle-extend", "--contact", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: F must be a 2-form, got degree 1\n"
 
+    def test_contact_eta_not_a_1_form(self, tmp_path, capsys):
+        from gauduchon import sasakian
+
+        doc = sasakian.contact_to_json(catalog.solvable5_contact())
+        doc["eta"] = [{"coef": "1", "mon": [1, 2]}]
+        path = write(tmp_path / "contact.json", json.dumps(doc))
+        assert main(["bundle-extend", "--contact", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: eta must be a 1-form, got degree 2\n"
+
     @pytest.mark.parametrize("cut", [
         lambda doc: doc["xi"].pop(),
         lambda doc: doc["phi"].pop(),

@@ -1,11 +1,15 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauduchon import catalog
 from gauduchon.errors import BadParams
 from gauduchon.forms import Form, sort_ranks, wedge
+from gauduchon.hermitian import metric_from_form
+from gauduchon.sasakian import _skew
 from gauduchon.scalars import ComplexRational, cr
 from gauduchon.structures import StructureEquations
 
@@ -91,6 +95,38 @@ class TestFormStructure:
     def test_keys_must_have_degree_ranks(self, degree, terms):
         with pytest.raises(BadParams, match=f"^a {degree}-form cannot have the key "):
             Form(degree, terms)
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda: Form(2, {(2, 1): cr(1)}), "(2, 1)"),
+        (lambda: Form(2, {(1, 1): cr(1)}), "(1, 1)"),
+        (lambda: Form.gen(0), "(0,)"),
+        (lambda: Form(2, {(7, 1): cr(1)}), "(7, 1)"),
+        (lambda: catalog.iwasawa().d(Form(1, {(0,): cr(1)})), "(0,)"),
+        (lambda: _skew(Form(2, {(2, 1): cr(1)}), 3), "(2, 1)"),
+        (lambda: metric_from_form(Form(2, {(2, 1): cr(1)}), 2), "(2, 1)"),
+    ], ids=["descending", "repeated", "gen-rank-0", "descending-past-the-frame",
+            "d-of-rank-0", "skew-of-descending", "metric-of-descending"])
+    def test_keys_must_be_canonical(self, build, key):
+        """A key whose ranks do not start at 1 or more and strictly ascend
+        is bad input wherever the Form is built."""
+        with pytest.raises(BadParams, match=rf"-form cannot have the key {re.escape(key)}$"):
+            build()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-1, 7), max_size=4).map(tuple), coeffs.filter(bool))
+    def test_key_rule(self, key, c):
+        canonical = all(r >= 1 for r in key) and key == tuple(sorted(set(key)))
+        try:
+            f = Form(len(key), {key: c})
+        except BadParams:
+            assert not canonical
+        else:
+            assert canonical and f == Form.monomial(key, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*[st.sets(st.integers(1, 7), max_size=4).map(sorted).map(tuple)] * 2)
+    def test_wedge_of_monomials_sorts_with_the_permutation_sign(self, a, b):
+        assert wedge(Form.monomial(a), Form.monomial(b)) == Form.monomial(a + b)
 
     def test_addition_requires_matching_degree(self):
         with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ class TestMetric:
 
     @pytest.mark.parametrize("key, error, message", [
         ((1, 6), DimensionMismatch, r"^Omega has the key \(1, 6\), with a rank outside 1\.\.4$"),
-        ((0, 1), DimensionMismatch, r"^Omega has the key \(0, 1\), with a rank outside 1\.\.4$"),
+        ((0, 1), BadParams, r"^a 2-form cannot have the key \(0, 1\)$"),
         ((1, 3), BadParams, r"^Omega has the key \(1, 3\), which is not of type \(1,1\)$"),
     ], ids=["rank-past-2n", "rank-0", "type-2-0"])
     def test_metric_from_form_names_the_bad_key(self, key, error, message):

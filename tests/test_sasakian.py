@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gauduchon import catalog
-from gauduchon.errors import BadParams, NotIntegrable, NotQuasiSasakian
+from gauduchon.errors import BadParams, DimensionMismatch, NotIntegrable, NotQuasiSasakian
 from gauduchon.forms import Form, wedge
 from gauduchon.hermitian import gamma_scalar
 from gauduchon.sasakian import (
@@ -179,6 +179,35 @@ class TestContactValidation:
         c = catalog.solvable5_contact()
         with pytest.raises(NotQuasiSasakian, match="derived metric is not symmetric real"):
             ContactData(c.algebra, c.eta, c.xi, c.phi, Phi, c.F)
+
+    @pytest.mark.parametrize("name, form", [
+        ("eta", Form(2, {(1, 5): cr(1)})),
+        ("Phi", Form(3, {(1, 2, 3): cr(1)})),
+        ("F", Form(1, {(1,): cr(1)})),
+    ])
+    def test_forms_of_the_wrong_degree_are_bad_params(self, name, form):
+        """eta is a 1-form, Phi and F are 2-forms; another degree is bad
+        input, not a failed identity."""
+        c = catalog.solvable5_contact()
+        forms = dict(eta=c.eta, Phi=c.Phi, F=c.F)
+        forms[name] = form
+        degree = 1 if name == "eta" else 2
+        with pytest.raises(BadParams, match=rf"^{name} must be a {degree}-form, "
+                                            rf"got degree {form.degree}$"):
+            ContactData(c.algebra, xi=c.xi, phi=c.phi, **forms)
+
+    @pytest.mark.parametrize("name, form", [
+        ("eta", Form(1, {(6,): cr(1)})),
+        ("Phi", Form(2, {(1, 4): cr(1), (2, 3): cr(-1), (1, 6): cr(1)})),
+        ("F", Form(2, {(1, 6): cr(1)})),
+    ])
+    def test_forms_past_the_coframe_are_dimension_mismatch(self, name, form):
+        """A rank past e5 is bad input, not a failed identity such as eta(xi) != 1."""
+        c = catalog.solvable5_contact()
+        forms = dict(eta=c.eta, Phi=c.Phi, F=c.F)
+        forms[name] = form
+        with pytest.raises(DimensionMismatch, match=rf"^{name} uses ranks beyond the coframe$"):
+            ContactData(c.algebra, xi=c.xi, phi=c.phi, **forms)
 
     def test_non_closed_fundamental_form(self):
         # de4 = e12 makes d(e34) = -e123

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,17 +123,18 @@ class TestValidation:
         assert info.value.generator == 2
         assert info.value.residual == dw2
 
-    @pytest.mark.parametrize("build, name", [
-        (lambda: StructureEquations(2, [Form.zero(), Form(2, {(3, 2): cr(1)})]), "dw2"),
-        (lambda: StructureEquations(1, [Form(2, {(3, 2): cr(1)})]), "dw1"),
-        (lambda: RealLieAlgebra(3, [Form.zero(), Form.zero(), Form(2, {(2, 1): cr(1)})]), "de3"),
-        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(3, 1): cr(1)})]), "de2"),
-        (lambda: StructureEquations(1, [Form(2, {(0, 1): cr(1)})]), "dw1"),
-        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(0, 1): cr(1)})]), "de2"),
+    @pytest.mark.parametrize("build, key", [
+        (lambda: StructureEquations(2, [Form.zero(), Form(2, {(3, 2): cr(1)})]), "(3, 2)"),
+        (lambda: StructureEquations(1, [Form(2, {(3, 2): cr(1)})]), "(3, 2)"),
+        (lambda: RealLieAlgebra(3, [Form.zero(), Form.zero(), Form(2, {(2, 1): cr(1)})]), "(2, 1)"),
+        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(3, 1): cr(1)})]), "(3, 1)"),
+        (lambda: StructureEquations(1, [Form(2, {(0, 1): cr(1)})]), "(0, 1)"),
+        (lambda: RealLieAlgebra(2, [Form.zero(), Form(2, {(0, 1): cr(1)})]), "(0, 1)"),
     ], ids=["accepted-n2", "index-error-n1", "accepted-m3", "index-error-m2",
             "rank-0-n1", "rank-0-m2"])
-    def test_keys_whose_ranks_do_not_increase_are_rejected(self, build, name):
-        with pytest.raises(BadParams, match=rf"^{name} has the key \(\d, \d\)"):
+    def test_keys_whose_ranks_do_not_increase_are_rejected(self, build, key):
+        """Form rejects the key before either constructor reads it."""
+        with pytest.raises(BadParams, match=rf"^a 2-form cannot have the key {re.escape(key)}$"):
             build()
 
     @pytest.mark.parametrize("m, key", [(2, (1,)), (3, (1, 2, 3))], ids=["one-rank", "three-ranks"])
@@ -144,9 +146,8 @@ class TestValidation:
     def test_two_step_structure_needs_canonical_keys(self):
         # dw4 = dw5 = sum over a, b <= 3 of w_a ^ ~w_b, whose keys (2a-1, 2b) fall for a > b
         pairs = [(2 * a - 1, 2 * b) for a in (1, 2, 3) for b in (1, 2, 3)]
-        raw = Form(2, {mon: cr(1) for mon in pairs})
-        with pytest.raises(BadParams, match="^dw4 has the key"):
-            StructureEquations(5, [Form.zero()] * 3 + [raw, raw])
+        with pytest.raises(BadParams, match=r"^a 2-form cannot have the key \(3, 2\)$"):
+            Form(2, {mon: cr(1) for mon in pairs})
         dw = sum((Form.monomial(mon) for mon in pairs), Form.zero())
         se = StructureEquations(5, [Form.zero()] * 3 + [dw, dw])
         for metric in (Metric.diagonal(5), sample_positive_metric(random.Random(5), 5)):
@@ -246,6 +247,31 @@ class TestRealToComplex:
         with pytest.raises(BadParams, match="^the coframe rows and their conjugates "
                                             "are not independent$"):
             call()
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: complex_structure_from_coframe([[1, I, 0, 0]], 4),
+         DimensionMismatch, r"^coframe must be 2 rows of length 4$"),
+        (lambda: complex_structure_from_coframe([[1, I], [0, 0, 1, I]], 4),
+         DimensionMismatch, r"^coframe must be 2 rows of length 4$"),
+        (lambda: complex_structure_from_coframe([[1, I, 0, 0, 0], [0, 0, 1, I, 0]], 5),
+         NotAlmostComplex, r"^odd-dimensional algebra \(m=5\) has no coframe$"),
+        (lambda: structure_from_coframe(catalog.jt_real(1), [[1, I, 0, 0, 0, 0]] * 2),
+         DimensionMismatch, r"^coframe must be 3 rows of length 6$"),
+        (lambda: structure_from_coframe(catalog.jt_real(1), [[1, I, 0, 0, 0, 0]] * 2 + [[1, I]]),
+         DimensionMismatch, r"^coframe must be 3 rows of length 6$"),
+        (lambda: structure_from_coframe(RealLieAlgebra(3, [Form.zero()] * 3), [[1, I, 0]]),
+         NotAlmostComplex, r"^odd-dimensional algebra \(m=3\) has no coframe$"),
+    ], ids=["short-J", "narrow-row-J", "odd-m-J", "short-frame", "narrow-row-frame",
+            "odd-m-frame"])
+    def test_coframe_of_the_wrong_shape_is_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_to_complex_checks_the_rank(self):
+        frame = complex_frame_from_real(catalog.jt_real(Fraction(1, 2)))
+        with pytest.raises(DimensionMismatch, match="^form uses rank 7 but the coframe "
+                                                    "has 6 generators$"):
+            frame.to_complex(Form(1, {(7,): cr(1)}))
 
     def test_nonintegrable_real_structure(self):
         # J pairing (1,3) and (2,4) over de5 = e14 leaves a (0,2)-residual
