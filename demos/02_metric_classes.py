@@ -23,7 +23,7 @@ print()
 print("== the deformation family: pluriclosed exactly at t = 1 ==")
 for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
     se = catalog.jt(t)
-    K = catalog.skt_scalar_nilpotent6(catalog.Reduced6Params(1, 1, 1 / t, 0).as_nilpotent6())
+    K = catalog.skt_scalar_nilpotent6(catalog.jt_point(t).as_nilpotent6())
     ensure(K == 2 - 2 / t, f"jt({t}): K != 2 - 2/t")
     gamma = gamma_scalar(diag, 1, se)
     report = classify(diag, se)

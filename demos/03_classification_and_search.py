@@ -8,7 +8,7 @@ answer: a closed-form infeasibility certificate and an honest 'exhausted'.
 
 from fractions import Fraction
 
-from gauduchon import Target, cr, find_metric, gamma_scalar, reduced6_feasibility
+from gauduchon import Target, cr, find_metric, gamma_scalar
 from gauduchon import catalog
 from gauduchon.catalog import Reduced6Params
 
@@ -23,9 +23,9 @@ points = [
 ]
 for params in points:
     label = catalog.classify_reduced6(params)
-    feas = reduced6_feasibility(params)
+    feasible = catalog.certified("reduced6", params)["gamma1<0"] is None
     print(f"rho={params.rho} B={params.B} x={params.x} y={params.y}"
-          f"  ->  {label:<3} negative-scalar feasible: {feas.feasible}")
+          f"  ->  {label:<3} negative-scalar feasible: {feasible}")
 
 print()
 print("== search with closed-form context ==")

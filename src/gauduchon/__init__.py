@@ -73,7 +73,6 @@ from .search import (
     balanced_feasibility_jt,
     find_metric,
     parse_target,
-    reduced6_feasibility,
     sample_positive_metric,
 )
 from .verify import ReproductionReport, run_verify_paper
@@ -132,7 +131,6 @@ __all__ = [
     "parse_target",
     "product_obstruction",
     "product_report",
-    "reduced6_feasibility",
     "run_verify_paper",
     "sample_positive_metric",
     "solve_admissible",

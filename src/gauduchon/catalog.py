@@ -16,12 +16,14 @@ independent hand-derived closed forms the engine is tested against (a metric
 of another n raises DimensionMismatch); classify_reduced6 names the
 underlying real nilpotent Lie algebra for the reduced family.  For
 `search --family`, family_params reads a build's parameters back off its
-structure equations, certified turns the closed forms into facts about
-every metric, and closing_scalar gives family8's balanced closing move.
+structure equations, certified turns the closed forms (jt's balanced
+determinant quadratic among them) into facts about every metric, and
+closing_scalar gives family8's balanced closing move.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional
@@ -116,7 +118,12 @@ def reduced6(rho: int, B, x, y) -> StructureEquations:
 
 def _jt_t(t) -> Fraction:
     """jt's parameter, exact; jt has no member at t = 0."""
-    t = Fraction(*_rational_parts(t))
+    try:
+        t = Fraction(*_rational_parts(t))
+    except TypeError:
+        if isinstance(t, (bool, float)):
+            raise
+        raise BadParams(f"jt takes a nonzero rational t, got {t!r}") from None
     if t == 0:
         raise BadParams("t must be nonzero")
     return t
@@ -131,8 +138,14 @@ def _family8_pq(params) -> tuple:
     return Fraction(*_rational_parts(p)), Fraction(*_rational_parts(q))
 
 
+def jt_point(t) -> Reduced6Params:
+    """jt(t) as a reduced6 point: rho = 1, B = 1, D = 1/t."""
+    return Reduced6Params(1, ONE, 1 / _jt_t(t), Fraction(0))
+
+
 def jt(t) -> StructureEquations:
-    return reduced6(rho=1, B=1, x=1 / _jt_t(t), y=0)
+    p = jt_point(t)
+    return reduced6(p.rho, p.B, p.x, p.y)
 
 
 def iwasawa() -> StructureEquations:
@@ -412,19 +425,32 @@ def _read_family8(se: StructureEquations) -> tuple:
     return A.re, A.im
 
 
-# family -> (n, its params read off a structure, the builds at those params);
-# the readers only look, and the comparison with the builds decides
+def _given(family: str, cls: type) -> Callable:
+    """The take of a family whose params must be a cls (None: no params)."""
+    def take(params):
+        if not isinstance(params, cls):
+            what = "no params" if cls is type(None) else f"a {cls.__name__}"
+            raise BadParams(f"{family} takes {what}, got {params!r}")
+        return params
+    return take
+
+
+# family -> (n, take: the params as given, as the closed forms read them, or
+# BadParams; read: the params off a structure; builds: the builds at params);
+# read only looks, and the comparison with the builds decides
+ClosedForms = namedtuple("ClosedForms", "n take read builds")
 CLOSED_FORM_FAMILIES = {
-    "nilpotent6": (3, _read_nilpotent6,
-                   lambda p: [nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)]),
-    "reduced6": (3, _read_reduced6, lambda p: [reduced6(p.rho, p.B, p.x, p.y)]),
+    "nilpotent6": ClosedForms(3, _given("nilpotent6", Nilpotent6Params), _read_nilpotent6,
+                              lambda p: [nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)]),
+    "reduced6": ClosedForms(3, _given("reduced6", Reduced6Params), _read_reduced6,
+                            lambda p: [reduced6(p.rho, p.B, p.x, p.y)]),
     # D = 1/t: D = 0 reads as no t, which builds nothing
-    "jt": (3, lambda se: 1 / D if (D := _read_nilpotent6(se).D.re) else None,
-           lambda t: [jt(t)] if t else []),
-    "family8": (4, _read_family8, lambda pq: [family8(*pq)]),
+    "jt": ClosedForms(3, _jt_t, lambda se: 1 / D if (D := _read_nilpotent6(se).D.re) else None,
+                      lambda t: [jt(t)] if t else []),
+    "family8": ClosedForms(4, _family8_pq, _read_family8, lambda pq: [family8(*pq)]),
     # its closed form holds for every eps and sign, so it takes no params
-    "nonnilpotent6": (3, lambda se: None,
-                      lambda _: [nonnilpotent6(e, s) for e in (0, 1) for s in (1, -1)]),
+    "nonnilpotent6": ClosedForms(3, _given("nonnilpotent6", type(None)), lambda se: None,
+                                 lambda _: [nonnilpotent6(e, s) for e in (0, 1) for s in (1, -1)]),
 }
 
 
@@ -440,14 +466,14 @@ def family_params(family: str, se: StructureEquations, params=None):
     if spec is None:
         raise UnknownFamily(f"no closed forms for family {family!r}; "
                             f"known: {', '.join(CLOSED_FORM_FAMILIES)}")
-    n, read, builds = spec
+    params = None if params is None else spec.take(params)
     try:
-        if se.n == n:
+        if se.n == spec.n:
             if params is None:
-                params = read(se)
-            if se in builds(params):
+                params = spec.read(se)
+            if se in spec.builds(params):
                 return params
-    except BadParams:  # params outside the family's domain
+    except BadParams:  # params read outside the family's domain
         pass
     raise BadParams(f"the structure is not a build of {family}")
 
@@ -459,26 +485,37 @@ def certified(family: Optional[str], params) -> Dict[str, Optional[dict]]:
     means every positive metric meets the target; a dict means none does,
     and is the certificate.  Targets left out are not decided.
     """
+    if family not in CLOSED_FORM_FAMILIES:
+        return {}
+    params = CLOSED_FORM_FAMILIES[family].take(params)
     if family in ("nilpotent6", "reduced6", "jt"):
-        if family == "jt":
-            params = Reduced6Params(1, ONE, 1 / _jt_t(params), 0)
-        K = skt_scalar_nilpotent6(params if family == "nilpotent6" else params.as_nilpotent6())
+        point = jt_point(params) if family == "jt" else params
+        K = skt_scalar_nilpotent6(point if family == "nilpotent6" else point.as_nilpotent6())
 
         def sign_fixed(every: bool, reason: str) -> Optional[dict]:
             return None if every else {"name": "sign-fixed scalar", "K": str(K), "reason": reason}
 
         zero = sign_fixed(K == 0, "K != 0 is metric-independent")
-        return {"gamma1<0": sign_fixed(K < 0, "K >= 0 forces gamma1 >= 0 for every metric"),
-                "gamma1>0": sign_fixed(K > 0, "K <= 0 forces gamma1 <= 0 for every metric"),
-                "gauduchon1=0": zero, "skt": zero}
+        facts = {"gamma1<0": sign_fixed(K < 0, "K >= 0 forces gamma1 >= 0 for every metric"),
+                 "gamma1>0": sign_fixed(K > 0, "K <= 0 forces gamma1 <= 0 for every metric"),
+                 "gauduchon1=0": zero, "skt": zero}
+        if family == "jt" and 0 < params <= 1:
+            # the minor defect mu^2 + ((2-t)/t) lambda mu + lambda^2/t^2 has positive
+            # coefficients and discriminant (t-4)/t < 0: positive for lambda, mu > 0
+            t = params
+            facts["balanced"] = {
+                "name": "determinant quadratic",
+                "quadratic_in_mu_lambda": [str(c) for c in (1, (2 - t) / t, 1 / t**2)],
+                "discriminant": str((t - 4) / t),
+                "reason": "balanced pins x12 = i(mu + lambda/t); the 2x2 minor defect is "
+                          "then positive definite in lambda, mu, against positivity"}
+        return facts
     if family == "nonnilpotent6":
         positive = {"name": "positive-definite scalar",
                     "reason": "gamma1 = (mu2^2 + mu3^2) / (6 det(-iX)) > 0 always"}
         return {"gamma1>0": None, "gamma1<0": positive, "gauduchon1=0": positive,
                 "skt": positive}
-    if family != "family8":
-        return {}
-    p, q = _family8_pq(params)
+    p, q = params
     facts = {"skt": {"name": "fixed nonzero component",
                      "reason": "ddbar(Omega) has the term -2 x44 w2^~w2^w3^~w3 "
                                "and x44 != 0 for positive metrics"}}
@@ -503,8 +540,8 @@ def closing_scalar(family: Optional[str], params,
     Only family8 at q = 0 has one: it is balanced exactly where the minor
     defect p c0 - c1 - c2 vanishes.  None elsewhere.
     """
-    if family == "family8" and target == "balanced":
-        p, q = _family8_pq(params)
-        if q == 0:
-            return lambda m: balanced_obstruction_family8(p, q, m)["defect"]
+    if family in CLOSED_FORM_FAMILIES:
+        params = CLOSED_FORM_FAMILIES[family].take(params)
+    if family == "family8" and target == "balanced" and params[1] == 0:
+        return lambda m: balanced_obstruction_family8(*params, m)["defect"]
     return None

@@ -11,7 +11,8 @@ and the first-Gauduchon condition to C(n,n2) = 0, equivalently
 Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1) = 0.  Each formula is evaluated
 as one integer numerator over one integer denominator; Fraction appears
 only in the values returned.  Their rational inputs are read exactly by
-scalars._rational_parts, so a float or a bool raises TypeError.
+scalars._rational_parts, so a float or a bool raises TypeError, as does a
+factor size that is not an int; a size below 1 raises BadParams.
 
 The bundle layer is fully constructive: odd-dimensional invariant contact
 data (phi, xi, eta, g, Phi) plus a closed phi-invariant curvature 2-form F
@@ -59,8 +60,18 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     return _collapse(c0, c1, c2, _rational_parts(a), _rational_parts(b_squared))
 
 
+def _factor_sizes(n1: int, n2: int) -> None:
+    """The one check on factor sizes: ints (not bools), each at least 1."""
+    if type(n1) is not int or type(n2) is not int or n1 < 1 or n2 < 1:
+        for size in (n1, n2):
+            if type(size) is not int:
+                raise TypeError(f"factor size {size!r} is not an int")
+        raise BadParams("factor parameters must be positive integers")
+
+
 def product_obstruction(n1: int, n2: int, a, b_squared) -> Fraction:
     """Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1); zero iff 1st Gauduchon."""
+    _factor_sizes(n1, n2)
     return _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), _rational_parts(a),
                      _rational_parts(b_squared))
 
@@ -74,8 +85,7 @@ class ProductParams:
     t: Fraction
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise BadParams("factor parameters must be positive integers")
+        _factor_sizes(self.n1, self.n2)
         if self.b == 0:
             raise BadParams("b must be nonzero")
         if self.t == 0 or (self.t > 0) != (self.b > 0):
@@ -130,11 +140,10 @@ class AdmissibleSet:
 
 def solve_admissible(n1: int, n2: int) -> AdmissibleSet:
     """Describe all (a, b) with Q = 0 for factors of the given sizes."""
-    if n1 < 1 or n2 < 1 or n1 + n2 + 1 <= 3:
-        raise BadParams("need n1, n2 >= 1 with n1 + n2 + 1 > 3")
+    _factor_sizes(n1, n2)
+    if n1 == n2 == 1:
+        raise BadParams("n1 = n2 = 1 is the n = 3 case")
     if n2 == 1:
-        if n1 == 1:
-            raise BadParams("n1 = n2 = 1 is the n = 3 case")
         # Q = n1(n1-1) + 2 a n1, independent of b
         return AdmissibleSet(kind="line", a0=Fraction(-(n1 - 1), 2))
     alpha = Fraction(n2 * (n2 - 1))

@@ -20,8 +20,8 @@ coefficients in ints (CompiledMaps.rays), so a sample builds a bumped
 metric only at an exact zero.  N2 vanishes unless j is in the rows and the columns of both minors
 of some term c det X_a det X_b, so the affine root is only a candidate, and
 the exact zero test decides; the witness is then re-checked on the top
-path.  The catalog's oracle scalars close through close_scalar_zero, on
-bumped metrics, each a new Metric that computes its own minors.
+path.  catalog.closing_scalar's scalars close through close_scalar_zero,
+on bumped metrics, each a new Metric that computes its own minors.
 
 When the structure is a build of a catalog family, catalog.certified may
 decide the target for every metric at once: either every positive metric
@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .catalog import (
-    Reduced6Params,
-    certified,
-    classify_reduced6,
-    closing_scalar,
-    family_params,
-    skt_scalar_nilpotent6,
-)
+from .catalog import certified, closing_scalar, family_params
 from .dsl import metric_to_json
 from .errors import BadK, BadParams, ensure
 from .hermitian import CompiledMaps, Metric, _numerator, _turned
@@ -79,7 +72,7 @@ class Target:
     """What the search is looking for.
 
     kind: a key of _TARGETS
-    k:    the Gauduchon index for the gamma/gauduchon kinds
+    k:    the Gauduchon index, an int, for the kinds spelled with {k}; else None
     """
 
     kind: str
@@ -88,8 +81,11 @@ class Target:
     def __post_init__(self):
         if self.kind not in _TARGETS:
             raise BadParams(f"unknown target kind {self.kind!r}")
-        if "{k}" in _TARGETS[self.kind][0] and self.k is None:
-            raise BadParams(f"target {self.kind} needs k")
+        if "{k}" not in _TARGETS[self.kind][0]:
+            if self.k is not None:
+                raise BadParams(f"target {self.kind} takes no k, got {self.k!r}")
+        elif type(self.k) is not int:
+            raise BadParams(f"target {self.kind} needs an int k, got {self.k!r}")
 
     def describe(self) -> str:
         return _TARGETS[self.kind][0].format(k=self.k)
@@ -256,8 +252,8 @@ def find_metric(
 ) -> SearchOutcome:
     """Deterministic search for a positive metric meeting the target.
 
-    family and its params let the catalog's closed forms certify the answer
-    without sampling, and give family8's balanced target its closing scalar.
+    family and its params let the catalog decide the target without sampling
+    (catalog.certified) or give it a closing scalar (catalog.closing_scalar).
     se must be the family's build at params, read off se when left out
     (catalog.family_params), or BadParams is raised.  Witnesses always pass
     the exact predicate; sampling failure is 'exhausted', never nonexistence.
@@ -311,53 +307,13 @@ def find_metric(
 @dataclass
 class Feasibility:
     feasible: bool
-    threshold: Optional[Fraction] = None
-    witness_recipe: Optional[str] = None
-    label: Optional[str] = None
     certificate: Optional[dict] = None
 
 
-def reduced6_feasibility(params: Reduced6Params) -> Feasibility:
-    """Existence of a metric with negative first Gauduchon scalar.
-
-    gamma1 has the metric-independent sign of K = rho + |B|^2 - 2x, so it is
-    feasible iff 2x > K + 2x = rho + |B|^2, and any positive diagonal metric
-    is then a witness.
-    """
-    K = skt_scalar_nilpotent6(params.as_nilpotent6())
-    threshold = K + 2 * params.x
-    feasible = K < 0
-    return Feasibility(
-        feasible=feasible,
-        threshold=threshold,
-        witness_recipe="any positive diagonal metric" if feasible else None,
-        label=classify_reduced6(params),
-        certificate=None
-        if feasible
-        else {"name": "sign-fixed scalar", "K": str(K)},
-    )
-
-
 def balanced_feasibility_jt(t) -> Feasibility:
-    """No invariant balanced metric exists for the jt family, t in (0, 1].
-
-    The balanced constraint pins x12 = i (mu + lambda/t), whose 2x2 minor
-    defect mu^2 + ((2-t)/t) lambda mu + lambda^2/t^2 is positive for all
-    lambda, mu > 0: the quadratic has positive coefficients and negative
-    discriminant (t-4)/t, contradicting positive definiteness.
-    """
+    """No invariant balanced metric exists for the jt family, t in (0, 1]:
+    the certificate is catalog.certified's for the balanced target."""
     t = Fraction(*_rational_parts(t))
     if not 0 < t <= 1:
         raise BadParams(f"t must be in (0, 1], got {t}")
-    coeffs = (Fraction(1), (2 - t) / t, 1 / t**2)
-    discriminant = (t - 4) / t
-    ensure(all(c > 0 for c in coeffs) and discriminant < 0,
-           f"jt({t}) certificate quadratic is not positive")
-    return Feasibility(
-        feasible=False,
-        certificate={
-            "name": "determinant quadratic",
-            "quadratic_in_mu_lambda": [str(c) for c in coeffs],
-            "discriminant": str(discriminant),
-        },
-    )
+    return Feasibility(feasible=False, certificate=certified("jt", t)["balanced"])

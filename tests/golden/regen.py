@@ -14,10 +14,12 @@ code, stdout and stderr.  The corpus covers:
   * ``search`` on the n = 5 structure for the k >= 3 targets of N5_SEARCHES,
     at the first seed;
   * ``search --family`` on a point of each closed-form family, for a target
-    its closed forms certify and one they leave to sampling (FAMILY_SEARCHES);
+    its closed forms certify and one they leave to sampling, and on jt(1/2)
+    for balanced, which its determinant quadratic certifies (FAMILY_SEARCHES);
   * ``verify-paper --json``, with every claim's elapsed time set to 0;
   * one bad input per error route (BAD_INPUTS), each ending in one line on
-    stderr with exit 2, or exit 1 for the metric that is not positive.
+    stderr with exit 2, or exit 1 for the metric that is not positive;
+  * the stdout of each script in demos/, run in process as ``__main__``.
 
 The metric files are written here from this script's own seeded draws, so
 they do not depend on the package.  Argparse usage errors and OSError lines
@@ -43,6 +45,7 @@ import io
 import json
 import os
 import random
+import runpy
 import shlex
 import sys
 import tempfile
@@ -51,6 +54,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "cli_digests.txt"
+DEMOS = sorted((HERE.parent.parent / "demos").glob("*.py"))
 
 # (file stem, family, --param values): catalog points the verify claims
 # share, plus a nilpotent6 point with complex parameters; n = 4 for family8
@@ -66,11 +70,12 @@ POINTS = [
     ("family8-a", "family8", ["p=1", "q=0"]),
     ("family8-b", "family8", ["p=-1", "q=2"]),
 ]
-# (point stem, family, a target its closed forms certify, a sampled target)
+# (point stem, family, a target its closed forms certify, a sampled target,
+# then any further targets)
 FAMILY_SEARCHES = [
     ("nilpotent6-b", "nilpotent6", "gamma1<0", "balanced"),
     ("reduced6", "reduced6", "gamma1>0", "balanced"),
-    ("jt-half", "jt", "skt", "gamma2<0"),
+    ("jt-half", "jt", "skt", "gamma2<0", "balanced"),
     ("family8-a", "family8", "skt", "balanced"),
     ("nonnilpotent6-0p", "nonnilpotent6", "gamma1>0", "balanced"),
 ]
@@ -317,6 +322,11 @@ def outputs(skip_verify: bool = False):
         Path(name).write_text(json.dumps(contact))
     for argv in BAD_INPUTS:
         yield run(argv)
+    for demo in DEMOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        yield shlex.join(["python", f"demos/{demo.name}"]), 0, out.getvalue(), ""
 
 
 def digest(code: int, out: str, err: str) -> str:

@@ -8,7 +8,14 @@ from gauduchon.errors import BadParams, DimensionMismatch, UnknownFamily
 from gauduchon.forms import Form
 from gauduchon.hermitian import Metric, gamma_scalar
 from gauduchon.scalars import ComplexRational, cr
-from gauduchon.search import _holds, close_scalar_zero, parse_target, sample_positive_metric
+from gauduchon.search import (
+    Target,
+    _holds,
+    close_scalar_zero,
+    find_metric,
+    parse_target,
+    sample_positive_metric,
+)
 from gauduchon.structures import StructureEquations
 
 I = ComplexRational(0, 1)
@@ -118,7 +125,9 @@ class TestClosedForms:
     def test_jt_scalar(self):
         for t in (Fraction(1, 4), Fraction(2), Fraction(1)):
             red = Reduced6Params(1, cr(1), 1 / t, Fraction(0))
+            assert catalog.jt_point(t) == red
             assert catalog.skt_scalar_nilpotent6(red.as_nilpotent6()) == 2 - 2 / t
+            assert catalog.jt(t) == catalog.reduced6(1, 1, 1 / t, 0)
 
     def test_family8_gauduchon_zero_point(self):
         m = Metric.diagonal(4, [2, 1, 1, 1])
@@ -228,6 +237,39 @@ class TestOracleDomains:
     def test_family8_needs_a_pair(self, call, params):
         with pytest.raises(BadParams, match=r"^family8 takes a pair \(p, q\), got "):
             call(params)
+
+    # params of the wrong shape, read by each closed-form entry point through
+    # the family's one reader: BadParams names the family and what it takes
+    @pytest.mark.parametrize("call, message", [
+        (lambda: catalog.certified("reduced6", None), "reduced6 takes a Reduced6Params, got None"),
+        (lambda: catalog.certified("nilpotent6", (1, 2)),
+         r"nilpotent6 takes a Nilpotent6Params, got \(1, 2\)"),
+        (lambda: catalog.certified("nonnilpotent6", 5), "nonnilpotent6 takes no params, got 5"),
+        (lambda: catalog.certified("jt", (1, 2)), r"jt takes a nonzero rational t, got \(1, 2\)"),
+        (lambda: catalog.certified("jt", None), "jt takes a nonzero rational t, got None"),
+        (lambda: catalog.jt(None), "jt takes a nonzero rational t, got None"),
+        (lambda: catalog.closing_scalar("reduced6", 1, "balanced"),
+         "reduced6 takes a Reduced6Params, got 1"),
+        (lambda: catalog.closing_scalar("nilpotent6", Reduced6Params(1, cr(1), 0, 0), "skt"),
+         "nilpotent6 takes a Nilpotent6Params, got Reduced6Params"),
+        (lambda: catalog.family_params("reduced6", catalog.jt(1), (1, 2)),
+         r"reduced6 takes a Reduced6Params, got \(1, 2\)"),
+        (lambda: catalog.family_params("jt", catalog.jt(1), (1, 2)),
+         r"jt takes a nonzero rational t, got \(1, 2\)"),
+        (lambda: find_metric(catalog.jt(1), Target("skt"), budget=1, family="reduced6",
+                             params=(1, 2)), r"reduced6 takes a Reduced6Params, got \(1, 2\)"),
+        (lambda: find_metric(catalog.iwasawa(), Target("skt"), budget=1, family="nilpotent6",
+                             params=5), "nilpotent6 takes a Nilpotent6Params, got 5"),
+        (lambda: find_metric(catalog.nonnilpotent6(0, 1), Target("skt"), budget=1,
+                             family="nonnilpotent6", params=(0, 1)),
+         r"nonnilpotent6 takes no params, got \(0, 1\)"),
+    ], ids=["certified-reduced6", "certified-nilpotent6", "certified-nonnilpotent6",
+            "certified-jt-pair", "certified-jt-none", "jt-none", "closing-reduced6",
+            "closing-nilpotent6", "family_params-reduced6", "family_params-jt",
+            "find_metric-reduced6", "find_metric-nilpotent6", "find_metric-nonnilpotent6"])
+    def test_params_of_the_wrong_shape(self, call, message):
+        with pytest.raises(BadParams, match=f"^{message}"):
+            call()
 
 
 class TestOracleDimensions:

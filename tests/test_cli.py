@@ -933,7 +933,7 @@ class TestEngineFaults:
         "catalog-builder": (lambda mp, f: mp.setitem(catalog._FAMILIES["jt"], "builder", f),
                             ["catalog", "emit", "jt", "--param", "t=1/2"]),
         "family-reader": (lambda mp, f: mp.setitem(
-            catalog.CLOSED_FORM_FAMILIES, "jt", (3, f, catalog.CLOSED_FORM_FAMILIES["jt"][2])),
+            catalog.CLOSED_FORM_FAMILIES, "jt", catalog.CLOSED_FORM_FAMILIES["jt"]._replace(read=f)),
             ["search", "--structure", "{jt}", "--target", "skt", "--family", "jt"]),
     }
 

@@ -96,6 +96,34 @@ class TestProducts:
             ProductParams(1, 1, Fraction(1), Fraction(1), Fraction(-1))
 
 
+class TestFactorSizes:
+    """product_obstruction, ProductParams and solve_admissible share one check
+    on the factor sizes: an int, not a bool, of at least 1."""
+
+    CALLS = {
+        "obstruction": lambda n1, n2: product_obstruction(n1, n2, 1, 1),
+        "params": lambda n1, n2: ProductParams(n1, n2, Fraction(1), Fraction(1), Fraction(1)),
+        "admissible": lambda n1, n2: solve_admissible(n1, n2),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("n1, n2, error", [
+        (1.5, 2, TypeError),
+        (True, 3, TypeError),
+        (2, False, TypeError),
+        (Fraction(2), 2, TypeError),
+        ("2", 2, TypeError),
+        (0, 0, BadParams),
+        (0, 2, BadParams),
+        (2, -1, BadParams),
+    ])
+    def test_bad_sizes(self, call, n1, n2, error):
+        match = ("^factor parameters must be positive integers$" if error is BadParams
+                 else "^factor size .* is not an int$")
+        with pytest.raises(error, match=match):
+            self.CALLS[call](n1, n2)
+
+
 class TestAdmissible:
     def test_line_case(self):
         out = solve_admissible(2, 1)

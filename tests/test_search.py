@@ -16,7 +16,6 @@ from gauduchon.search import (
     close_scalar_zero,
     find_metric,
     parse_target,
-    reduced6_feasibility,
     sample_positive_metric,
 )
 
@@ -72,6 +71,27 @@ class TestTargets:
             parse_target("gamma<0")
         with pytest.raises(BadParams):
             Target("gamma_negative")  # missing k
+
+    # an int k (not a bool) exactly for the kinds spelled with {k}; the range
+    # 1..n-1 is find_metric's check (BadK), as it needs n
+    @pytest.mark.parametrize("kind, k, error", [
+        ("gamma_negative", True, "needs an int k, got True"),
+        ("gamma_positive", 1.0, "needs an int k, got 1.0"),
+        ("gauduchon_zero", "1", "needs an int k, got '1'"),
+        ("gamma_negative", None, "needs an int k, got None"),
+        ("skt", 5, "takes no k, got 5"),
+        ("balanced", 0, "takes no k, got 0"),
+        ("skt", False, "takes no k, got False"),
+        ("gamma_negative", 2, None),
+        ("gamma_negative", -1, None),
+        ("balanced", None, None),
+    ])
+    def test_k_checked(self, kind, k, error):
+        if error is None:
+            assert Target(kind, k).k == k
+        else:
+            with pytest.raises(BadParams, match=f"^target {kind} {error}$"):
+                Target(kind, k)
 
 
 class TestSampling:
@@ -252,11 +272,14 @@ class TestFeasibility:
         ],
     )
     def test_reduced6(self, rho, B, x, y, feasible, label):
-        out = reduced6_feasibility(Reduced6Params(rho, cr(B), Fraction(x), Fraction(y)))
-        assert out.feasible == feasible
-        assert out.label == label
-        if feasible:
-            assert out.witness_recipe
+        # the catalog's fact decides feasibility; any diagonal metric is then a witness
+        params = Reduced6Params(rho, cr(B), Fraction(x), Fraction(y))
+        assert (catalog.certified("reduced6", params)["gamma1<0"] is None) == feasible
+        assert catalog.classify_reduced6(params) == label
+        out = find_metric(catalog.reduced6(rho, B, x, y), Target("gamma_negative", 1),
+                          family="reduced6", params=params)
+        assert out.samples_used == 0
+        assert out.status == ("witness" if feasible else "infeasible_certified")
 
     @pytest.mark.parametrize(
         "t, coeffs",
@@ -272,6 +295,19 @@ class TestFeasibility:
         got = [Fraction(c) for c in out.certificate["quadratic_in_mu_lambda"]]
         assert got == coeffs
         assert Fraction(out.certificate["discriminant"]) < 0
+        assert out.certificate == catalog.certified("jt", t)["balanced"]
+
+    @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+    def test_find_metric_reads_the_jt_balanced_certificate(self, t):
+        # one path: the search answers from the catalog's certificate, unsampled
+        out = find_metric(catalog.jt(t), Target("balanced"), budget=1, family="jt")
+        assert (out.status, out.samples_used) == ("infeasible_certified", 0)
+        assert out.certificate == balanced_feasibility_jt(t).certificate
+        assert out.certificate["name"] and out.certificate["reason"]
+
+    @pytest.mark.parametrize("t", [Fraction(2), Fraction(-1)])
+    def test_jt_balanced_left_to_sampling_outside_the_certified_range(self, t):
+        assert "balanced" not in catalog.certified("jt", t)
 
     def test_jt_range_checked(self):
         for t in (Fraction(0), Fraction(2), Fraction(-1)):
@@ -293,10 +329,6 @@ class TestFeasibility:
 
 
 class TestAnnotations:
-    def test_reduced6_feasibility_hints_resolve(self):
-        hints = typing.get_type_hints(search.reduced6_feasibility)
-        assert hints["params"] is Reduced6Params
-
     @pytest.mark.parametrize("module", [search, hermitian, catalog])
     def test_every_annotation_resolves(self, module):
         for value in vars(module).values():
