@@ -14,7 +14,8 @@ Complex families (six real dimensions unless noted):
 skt_scalar_nilpotent6, gamma1_* and the family8 obstructions are the
 independent hand-derived closed forms the engine is tested against (a metric
 of another n raises DimensionMismatch); classify_reduced6 names the
-underlying real nilpotent Lie algebra for the reduced family.  For
+underlying real nilpotent Lie algebra for the reduced family.  The param
+types read their own fields when built (A-D, B by cr; x, y exactly).  For
 `search --family`, family_params reads a build's parameters back off its
 structure equations, certified turns the closed forms (jt's balanced
 determinant quadratic among them) into facts about every metric, and
@@ -52,6 +53,8 @@ class Nilpotent6Params:
     def __post_init__(self):
         if self.eps not in (0, 1) or self.rho not in (0, 1):
             raise BadParams("eps and rho must be 0 or 1")
+        for name in "ABCD":
+            object.__setattr__(self, name, cr(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -64,13 +67,17 @@ class Reduced6Params:
     def __post_init__(self):
         if self.rho not in (0, 1):
             raise BadParams("rho must be 0 or 1")
+        object.__setattr__(self, "B", cr(self.B))
+        for name in "xy":
+            if not isinstance(value := getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(*_rational_parts(value)))
 
     def as_nilpotent6(self) -> Nilpotent6Params:
         return Nilpotent6Params(
             eps=0,
             rho=self.rho,
             A=ONE,
-            B=cr(self.B),
+            B=self.B,
             C=ZERO,
             D=ComplexRational(self.x, self.y),
         )
@@ -86,7 +93,7 @@ _W3B3 = (holo_rank(3), conj_rank(3))
 
 
 def nilpotent6(eps: int, rho: int, A, B, C, D) -> StructureEquations:
-    params = Nilpotent6Params(eps, rho, cr(A), cr(B), cr(C), cr(D))
+    params = Nilpotent6Params(eps, rho, A, B, C, D)
     dw2 = Form(2, {_W1B1: cr(params.eps)}) if params.eps else Form.zero()
     one_minus_eps = cr(1 - params.eps)
     terms = {
@@ -111,8 +118,7 @@ def nonnilpotent6(eps: int, sign: int) -> StructureEquations:
 
 
 def reduced6(rho: int, B, x, y) -> StructureEquations:
-    params = Reduced6Params(rho, cr(B), *(Fraction(*_rational_parts(v)) for v in (x, y)))
-    p = params.as_nilpotent6()
+    p = Reduced6Params(rho, B, x, y).as_nilpotent6()
     return nilpotent6(p.eps, p.rho, p.A, p.B, p.C, p.D)
 
 

@@ -330,6 +330,8 @@ def _leibniz(k: int, n: int) -> tuple:
     ddbar(Omega^k) = k Omega^{k-1} ddbar Omega + k(k-1) Omega^{k-2} P,
     P = del Omega ^ dbar Omega, so top_k = k A + k(k-1) B, with top_1 = A
     and top_2 = 2A + 2B."""
+    if type(k) is not int:
+        raise BadK(f"k must be an int, got {k!r}")
     if not 1 <= k <= n - 1:
         raise BadK(f"k must be in 1..{n - 1}, got {k}")
     return ((k, 1),) if k <= 2 else ((1, k * (2 - k)), (2, k * (k - 1) // 2))

@@ -10,9 +10,9 @@ to the single coefficient
 and the first-Gauduchon condition to C(n,n2) = 0, equivalently
 Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1) = 0.  Each formula is evaluated
 as one integer numerator over one integer denominator; Fraction appears
-only in the values returned.  Their rational inputs are read exactly by
-scalars._rational_parts, so a float or a bool raises TypeError, as does a
-factor size that is not an int; a size below 1 raises BadParams.
+only in the values returned.  Their rational inputs (ProductParams' read when
+it is built) pass scalars._rational_parts: a float or a bool raises TypeError,
+as does a size or index that is not an int; a factor size below 1 BadParams.
 
 The bundle layer is fully constructive: odd-dimensional invariant contact
 data (phi, xi, eta, g, Phi) plus a closed phi-invariant curvature 2-form F
@@ -52,6 +52,8 @@ def coefficient_C(n: int, s: int, a, b) -> Fraction:
 def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     """coefficient_C with b entering only through b^2 (which may be any
     positive rational, covering irrational b with rational square)."""
+    if type(n) is not int or type(s) is not int:
+        _check_ints("table index", n, s)
     if n < 4:
         raise BadParams("coefficient table needs n >= 4")
     if not 0 <= s <= n - 1:
@@ -60,20 +62,24 @@ def coefficient_C_sq(n: int, s: int, a, b_squared) -> Fraction:
     return _collapse(c0, c1, c2, _rational_parts(a), _rational_parts(b_squared))
 
 
-def _factor_sizes(n1: int, n2: int) -> None:
-    """The one check on factor sizes: ints (not bools), each at least 1."""
+def _check_ints(what: str, *values) -> None:
+    """The one int check on sizes and indices: a bool or a non-int raises TypeError."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{what} {value!r} is not an int")
+
+
+def _q_coefficients(n1: int, n2: int) -> tuple:
+    """Q's (c0, c1, c2), after the one check on factor sizes: ints, not bools, >= 1."""
     if type(n1) is not int or type(n2) is not int or n1 < 1 or n2 < 1:
-        for size in (n1, n2):
-            if type(size) is not int:
-                raise TypeError(f"factor size {size!r} is not an int")
+        _check_ints("factor size", n1, n2)
         raise BadParams("factor parameters must be positive integers")
+    return n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1)
 
 
 def product_obstruction(n1: int, n2: int, a, b_squared) -> Fraction:
-    """Q = n1(n1-1) + 2a n1 n2 + (a^2+b^2) n2(n2-1); zero iff 1st Gauduchon."""
-    _factor_sizes(n1, n2)
-    return _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), _rational_parts(a),
-                     _rational_parts(b_squared))
+    """Q = c0 + 2a c1 + (a^2+b^2) c2 (_q_coefficients); zero iff 1st Gauduchon."""
+    return _collapse(*_q_coefficients(n1, n2), _rational_parts(a), _rational_parts(b_squared))
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,10 @@ class ProductParams:
     t: Fraction
 
     def __post_init__(self):
-        _factor_sizes(self.n1, self.n2)
+        _q_coefficients(self.n1, self.n2)
+        for name in "abt":
+            if not isinstance(value := getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(*_rational_parts(value)))
         if self.b == 0:
             raise BadParams("b must be nonzero")
         if self.t == 0 or (self.t > 0) != (self.b > 0):
@@ -105,16 +114,14 @@ class ProductReport:
 
 def product_report(params: ProductParams) -> ProductReport:
     """Gauduchon data for the product metric Phi1 + Phi2 + t eta1 ^ eta2."""
-    n1, n2 = params.n1, params.n2
-    n = n1 + n2 + 1
-    (p, q), (u, v), (w, z) = map(_rational_parts, (params.a, params.t, params.b))  # a, t, b
+    n = params.n1 + params.n2 + 1
+    (p, q), (u, v), (w, z) = ((x.numerator, x.denominator) for x in (params.a, params.t, params.b))
     if n == 3:  # astheno and SKT coincide for n = 3
         return ProductReport(n=n, obstruction=None, first_gauduchon=p == 0, astheno=p == 0,
                              ratio=None, gamma1=Fraction(p * u * z, 3 * q * v * w), skt=p == 0)
-    obs = _collapse(n1 * (n1 - 1), n1 * n2, n2 * (n2 - 1), (p, q), (w * w, z * z))
-    # ratio = (n-2) t / (n b) * Q / Q(a = 1, b = 0)
-    denom = n * v * w * obs.denominator * (n1 * (n1 - 1) + 2 * n1 * n2 + n2 * (n2 - 1))
-    ratio = Fraction((n - 2) * u * z * obs.numerator, denom)
+    obs = _collapse(*_q_coefficients(params.n1, params.n2), (p, q), (w * w, z * z))
+    # ratio = (n-2) t / (n b) * Q / Q(a = 1, b = 0), and Q(1, 0) = (n-1)(n-2)
+    ratio = Fraction(u * z * obs.numerator, n * (n - 1) * v * w * obs.denominator)
     return ProductReport(n=n, obstruction=obs, first_gauduchon=obs == 0, astheno=obs == 0,
                          ratio=ratio, gamma1=None, skt=None)
 
@@ -140,31 +147,21 @@ class AdmissibleSet:
 
 def solve_admissible(n1: int, n2: int) -> AdmissibleSet:
     """Describe all (a, b) with Q = 0 for factors of the given sizes."""
-    _factor_sizes(n1, n2)
+    c0, c1, c2 = _q_coefficients(n1, n2)
     if n1 == n2 == 1:
         raise BadParams("n1 = n2 = 1 is the n = 3 case")
     if n2 == 1:
-        # Q = n1(n1-1) + 2 a n1, independent of b
-        return AdmissibleSet(kind="line", a0=Fraction(-(n1 - 1), 2))
-    alpha = Fraction(n2 * (n2 - 1))
-    beta = Fraction(2 * n1 * n2)
-    gamma = Fraction(n1 * (n1 - 1))
-    disc = beta * beta - 4 * alpha * gamma
+        # c2 = 0: Q = c0 + 2a c1, independent of b
+        return AdmissibleSet(kind="line", a0=Fraction(-c0, 2 * c1))
+    disc = 4 * (c1 * c1 - c2 * c0)  # 4 n1 n2 (n1 + n2 - 1) > 0
+    root = isqrt(disc)
     roots = None
-    if disc >= 0:
-        num = disc.numerator
-        den = disc.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            sq = Fraction(rn, rd)
-            roots = (
-                (-beta - sq) / (2 * alpha),
-                (-beta + sq) / (2 * alpha),
-            )
+    if root * root == disc:
+        roots = (Fraction(-2 * c1 - root, 2 * c2), Fraction(-2 * c1 + root, 2 * c2))
     return AdmissibleSet(
         kind="quadratic",
-        quad=(alpha, beta, gamma),
-        discriminant=disc,
+        quad=(Fraction(c2), Fraction(2 * c1), Fraction(c0)),
+        discriminant=Fraction(disc),
         rational_roots=roots,
     )
 

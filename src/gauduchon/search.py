@@ -258,6 +258,8 @@ def find_metric(
     (catalog.family_params), or BadParams is raised.  Witnesses always pass
     the exact predicate; sampling failure is 'exhausted', never nonexistence.
     """
+    if type(budget) is not int:
+        raise TypeError(f"budget must be an int, got {budget!r}")
     if budget <= 0:
         raise BadParams("budget must be positive")
     if target.k is not None and not 1 <= target.k <= se.n - 1:

@@ -40,6 +40,14 @@ from .forms import holo_rank, substitute
 from .scalars import I, ONE, ZERO, _make, _to_ints, cr
 
 
+def _size(name: str, value) -> None:
+    """A structure's size: a bool or a non-int raises TypeError, below 1 BadParams."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise BadParams(f"{name} must be at least 1, got {value}")
+
+
 def _read_terms(d_of: List[Form], name: str, max_rank: int) -> tuple:
     """(den, rows): rows[j-1] lists (r, s, a, b) for each term (a + ib)/den of
     d_of[j-1] on its key (r, s); a d_of[j-1] that is not a 2-form raises
@@ -136,8 +144,7 @@ class StructureEquations:
     __slots__ = ("n", "d_of", "_d_rank", "_del_rank", "_dbar_rank", "_compiled")
 
     def __init__(self, n: int, d_of: List[Form]):
-        if n < 1:
-            raise BadParams(f"n must be at least 1, got {n}")
+        _size("n", n)
         if len(d_of) != n:
             raise DimensionMismatch(f"need {n} differentials, got {len(d_of)}")
         self._validate(n, *_read_terms(d_of, "dw", 2 * n))
@@ -245,6 +252,7 @@ class RealLieAlgebra:
     __slots__ = ("m", "d_of", "J", "_d_rank")
 
     def __init__(self, m: int, d_of: List[Form], J: Optional[list] = None):
+        _size("m", m)
         if len(d_of) != m:
             raise DimensionMismatch(f"need {m} differentials, got {len(d_of)}")
         den, rows = _read_terms(d_of, "de", m)

@@ -140,6 +140,13 @@ class TestGamma:
         with pytest.raises(BadK):
             gauduchon_form(Metric.diagonal(3), 3, catalog.iwasawa())
 
+    # True and 1.0 used to read as k = 1 (gamma_1 = 1/12 on iwasawa)
+    @pytest.mark.parametrize("k", [True, 1.0, Fraction(1)])
+    @pytest.mark.parametrize("fn", [gamma_scalar, gamma_numerator, gauduchon_form])
+    def test_k_that_is_not_an_int(self, fn, k):
+        with pytest.raises(BadK, match=r"^k must be an int, got "):
+            fn(Metric.diagonal(3), k, catalog.iwasawa())
+
     @pytest.mark.parametrize("fn", [
         lambda m, se: gamma_scalar(m, 1, se),
         lambda m, se: gauduchon_form(m, 1, se),

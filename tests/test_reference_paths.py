@@ -1640,6 +1640,25 @@ rational_inputs = st.one_of(
 )
 
 
+# every entry point that reads its rationals through scalars._rational_parts
+EXACT_INPUTS = {
+    "C-a": lambda x: sasakian.coefficient_C(4, 1, x, 1),
+    "C-b": lambda x: sasakian.coefficient_C(4, 1, 1, x),
+    "C_sq": lambda x: sasakian.coefficient_C_sq(4, 1, 1, x),
+    "obstruction": lambda x: sasakian.product_obstruction(2, 1, x, 1),
+    "report": lambda x: sasakian.product_report(sasakian.ProductParams(1, 2, x, 1, 1)),
+    "params-b": lambda x: sasakian.ProductParams(1, 1, 1, x, 1),
+    "params-t": lambda x: sasakian.ProductParams(1, 1, 1, 1, x),
+    "reduced6": lambda x: catalog.reduced6(1, 1, x, 0),
+    "jt": lambda x: catalog.jt(x),
+    "jt_real": lambda x: catalog.jt_real(x).J,  # its repr shows no J
+    "jt_coframe": lambda x: catalog.jt_coframe(x),
+    "family8-p": lambda x: catalog.family8(x, 0),
+    "family8-q": lambda x: catalog.family8(0, x),
+    "balanced-jt": lambda x: search.balanced_feasibility_jt(x),
+}
+
+
 class TestIntegerProductFormulas:
     @given(st.integers(1, 7), st.integers(1, 7), rational_inputs, rational_inputs)
     def test_product_obstruction(self, n1, n2, a, b_squared):
@@ -1679,24 +1698,16 @@ class TestIntegerProductFormulas:
         assert exact(got) == exact(ref_product_obstruction(3, 2, a, b_squared))
 
     @pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
-    @pytest.mark.parametrize("build", [
-        lambda x: sasakian.coefficient_C(4, 1, x, 1),
-        lambda x: sasakian.coefficient_C(4, 1, 1, x),
-        lambda x: sasakian.coefficient_C_sq(4, 1, 1, x),
-        lambda x: sasakian.product_obstruction(2, 1, x, 1),
-        lambda x: sasakian.product_report(sasakian.ProductParams(1, 2, x, 1, 1)),
-        lambda x: catalog.reduced6(1, 1, x, 0),
-        lambda x: catalog.jt(x),
-        lambda x: catalog.jt_real(x),
-        lambda x: catalog.jt_coframe(x),
-        lambda x: catalog.family8(x, 0),
-        lambda x: catalog.family8(0, x),
-        lambda x: search.balanced_feasibility_jt(x),
-    ], ids=["C-a", "C-b", "C_sq", "obstruction", "report", "reduced6", "jt", "jt_real",
-            "jt_coframe", "family8-p", "family8-q", "balanced-jt"])
+    @pytest.mark.parametrize("build", list(EXACT_INPUTS.values()), ids=list(EXACT_INPUTS))
     def test_float_and_bool_parameters_raise(self, build, bad):
         with pytest.raises(TypeError, match="is not an exact rational$"):
             build(bad)
+
+    # a "p/q" string, reduced or not, and a decimal string read as the Fraction
+    @pytest.mark.parametrize("text", ["1/2", "3/6", "0.5", "-2/6"])
+    @pytest.mark.parametrize("build", list(EXACT_INPUTS.values()), ids=list(EXACT_INPUTS))
+    def test_rational_strings_read_exactly(self, build, text):
+        assert repr(outcome(build, text)) == repr(outcome(build, Fraction(text)))
 
     @given(st.integers(0, 3), st.integers(0, 3), rationals, rationals)
     @example(1, 1, 1, 0)
@@ -1713,9 +1724,6 @@ class TestIntegerProductFormulas:
 
     @given(st.integers(1, 6), st.integers(1, 6), rationals, rationals, rationals)
     def test_product_report_every_field(self, n1, n2, a, b, t):
-        if n1 + n2 == 2:
-            # the reference's a t / (3 b) is a float on int fields
-            a, b, t = Fraction(a), Fraction(b), Fraction(t)
         assume(b != 0 and t / b > 0)
         params = sasakian.ProductParams(n1, n2, a, b, t)
         got, ref = sasakian.product_report(params), ref_product_report(params)
@@ -1726,6 +1734,34 @@ class TestIntegerProductFormulas:
     def test_product_report_is_exact_on_int_fields(self):
         report = sasakian.product_report(sasakian.ProductParams(1, 1, 1, 1, 1))
         assert exact(report.gamma1) == (Fraction, Fraction(1, 3))
+
+
+class TestParamsReadTheirFields:
+    """ProductParams, Nilpotent6Params and Reduced6Params read their own
+    fields where they are built; each row failed when they stored them as
+    given (TypeError comparing "1/2" with 0, a float x read in floats, or
+    AttributeError: 'int' object has no attribute 're')."""
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: sasakian.ProductParams(1, 1, "1/2", "1/2", "1/2"),
+         sasakian.ProductParams(1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))),
+        (lambda: sasakian.ProductParams(1, 2, 0.5, 1, 1),
+         (TypeError, "float 0.5 is not an exact rational")),
+        (lambda: sasakian.ProductParams(2, 1, "x", 1, 1),
+         (ValueError, "Invalid literal for Fraction: 'x'")),
+        (lambda: catalog.classify_reduced6(catalog.Reduced6Params(1, cr(0), 0.5, 0.25)),
+         (TypeError, "float 0.5 is not an exact rational")),
+        (lambda: catalog.classify_reduced6(catalog.Reduced6Params(1, 1, 1, 0)), "h4"),
+        (lambda: catalog.skt_scalar_nilpotent6(catalog.Nilpotent6Params(0, 0, 1, 1, 1, 1)),
+         Fraction(0)),
+        (lambda: sasakian.coefficient_C(4, True, 1, 1),
+         (TypeError, "table index True is not an int")),
+        (lambda: sasakian.coefficient_C_sq(4.0, 1, 1, 1),
+         (TypeError, "table index 4.0 is not an int")),
+    ], ids=["product-strings", "product-float-a", "product-junk-a", "reduced6-float-x",
+            "reduced6-int-B", "nilpotent6-ints", "C-bool-s", "C_sq-float-n"])
+    def test_fault_table(self, call, expected):
+        assert exact(outcome(call)) == exact(expected)
 
 
 def hermitian_matrix(rng, n, span=3):

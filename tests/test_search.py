@@ -110,8 +110,14 @@ class TestSampling:
         assert a.to_json() == b.to_json()
 
     def test_budget_validated(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^budget must be positive$"):
             find_metric(catalog.abelian(2), Target("skt"), budget=0)
+
+    @pytest.mark.parametrize("budget", [True, 1.0])
+    def test_budget_is_an_int(self, budget):
+        # budget=True used to sample once and write "budget": true
+        with pytest.raises(TypeError, match=r"^budget must be an int, got "):
+            find_metric(catalog.iwasawa(), Target("skt"), budget=budget)
 
     @pytest.mark.parametrize("k", [0, 3, 9])
     def test_k_out_of_range_rejected_before_sampling(self, k):

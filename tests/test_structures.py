@@ -93,6 +93,21 @@ class TestDifferential:
 
 
 class TestValidation:
+    # 1.0 used to build a structure that format_structure wrote as "n: 1.0",
+    # which parse_structure rejects; m = 0 built an empty algebra
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: StructureEquations(1.0, [Form.zero()]), TypeError, "n must be an int, got 1.0"),
+        (lambda: StructureEquations(True, [Form.zero()]), TypeError, "n must be an int, got True"),
+        (lambda: catalog.abelian(True), TypeError, "n must be an int, got True"),
+        (lambda: StructureEquations(0, []), BadParams, "n must be at least 1, got 0"),
+        (lambda: RealLieAlgebra(2.0, [Form.zero()] * 2), TypeError, "m must be an int, got 2.0"),
+        (lambda: RealLieAlgebra(True, [Form.zero()]), TypeError, "m must be an int, got True"),
+        (lambda: RealLieAlgebra(0, []), BadParams, "m must be at least 1, got 0"),
+    ], ids=["n-float", "n-bool", "abelian-bool", "n-zero", "m-float", "m-bool", "m-zero"])
+    def test_sizes_are_ints_of_at_least_1(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_jacobi_violation(self):
         # dw2 = w3^~w3 with dw3 = w1^w2 gives d^2 w2 != 0
         dw2 = Form(2, {(5, 6): cr(1)})
